@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dkstp import bridge
+
 __all__ = [
     "CdVector",
     "Projector",
@@ -36,6 +38,7 @@ __all__ = [
     "v_dist",
     "v_inner",
     "v_norm",
+    "v_norm_rows",
 ]
 
 #: Relative block-constancy tolerance used by :func:`canonicalize`.
@@ -194,6 +197,16 @@ def v_norm(x) -> float:
     return float(np.linalg.norm(a)) / math.sqrt(a.size)
 
 
+def v_norm_rows(S) -> np.ndarray:
+    """:func:`v_norm` of every row of a (k, n) array, bit for bit.
+
+    One stacked (1 x n)(n x 1) product per row keeps the same dot product as
+    the one-vector call; ``norm(S, axis=1)`` would not.
+    """
+    S = np.asarray(S, dtype=float)
+    return np.sqrt((S[:, None, :] @ S[:, :, None]).ravel()) / math.sqrt(S.shape[1])
+
+
 def v_dist(x, y) -> float:
     """Metric induced by :func:`v_norm` on mixed-dimension differences."""
     return v_norm(stp_sub(x, y))
@@ -228,8 +241,8 @@ def angle(x, y) -> float:
 class Projector:
     """Least-squares linear map from dimension ``source_dim`` onto ``target_dim``.
 
-    The matrix is (m/t) (I_m (x) ones(t/m)^T) (I_n (x) ones(t/n)) with
-    t = lcm(m, n): each row averages one block of replicated source
+    The matrix is the bridge matrix ``bridge(m, n)`` for source dimension n
+    and target dimension m: each row averages one block of replicated source
     coordinates, so all row sums equal 1.
     """
 
@@ -239,8 +252,9 @@ class Projector:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
-        m = m.copy()
-        m.setflags(write=False)
+        if m.flags.writeable:
+            m = m.copy()
+            m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     def __call__(self, x) -> np.ndarray:
@@ -253,13 +267,8 @@ class Projector:
 
 
 def projector(n: int, m: int) -> Projector:
-    """Build the projector from dimension ``n`` onto dimension ``m``."""
-    if n < 1 or m < 1:
-        raise ValueError("dimensions must be positive")
-    t = math.lcm(m, n)
-    left = np.kron(np.eye(m), np.ones((1, t // m)))
-    right = np.kron(np.eye(n), np.ones((t // n, 1)))
-    return Projector(n, m, (m / t) * (left @ right))
+    """The projector from dimension ``n`` onto dimension ``m`` (shares the cached bridge)."""
+    return Projector(n, m, bridge(m, n))
 
 
 def project(xi, m: int) -> np.ndarray:

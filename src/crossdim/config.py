@@ -17,6 +17,7 @@ import numpy as np
 from . import registry
 from .dynamics import Disturbance, DvSystem, Mode, OutputMap
 from .errors import ConfigError
+from .export import _jsonable
 from .switching import SwitchingSignal, TransitionMap, lipschitz_of, make_signal
 
 __all__ = ["Scenario", "load_scenario", "validate_config", "normalize_config"]
@@ -291,16 +292,6 @@ def validate_config(raw: dict, seed=None, step=None) -> Scenario:
     return Scenario(
         name, system, signal, x0, step_val, horizon, disturbance, experiment, normalized
     )
-
-
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_jsonable(v) for v in value]
-    return value
 
 
 def normalize_config(raw: dict, seed=None, step=None) -> dict:

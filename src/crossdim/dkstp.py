@@ -9,6 +9,7 @@ exactly the cross-dimensional projector from dimension p onto n.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -17,8 +18,8 @@ from .errors import NumericFailure
 
 __all__ = ["bridge", "dk_product", "dk_apply", "op_vnorm"]
 
-POWER_TOL = 1e-10
-POWER_MAX_ITER = 10_000
+#: Number of distinct (n, p) bridge matrices kept by the cache.
+BRIDGE_CACHE_SIZE = 256
 
 
 def _as_matrix(M) -> np.ndarray:
@@ -33,13 +34,27 @@ def _as_matrix(M) -> np.ndarray:
 
 
 def bridge(n: int, p: int) -> np.ndarray:
-    """The n x p bridge matrix (n/t)(I_n (x) ones(t/n)^T)(I_p (x) ones(t/p))."""
+    """The n x p bridge matrix (n/t)(I_n (x) ones(t/n)^T)(I_p (x) ones(t/p)).
+
+    This is the only builder of the cross-dimensional averaging/replication
+    matrix: it is also the projector from dimension p onto n.  Results are
+    cached and read-only, so every caller shares one array per (n, p).
+    """
     if n < 1 or p < 1:
         raise ValueError("dimensions must be positive")
+    return _bridge(n, p)
+
+
+# The cache sits behind a plain function so that call tracing, which wraps
+# only plain functions (perfbench/tracing.py), still counts bridge calls.
+@functools.lru_cache(maxsize=BRIDGE_CACHE_SIZE)
+def _bridge(n: int, p: int) -> np.ndarray:
     t = math.lcm(n, p)
     left = np.kron(np.eye(n), np.ones((1, t // n)))
     right = np.kron(np.eye(p), np.ones((t // p, 1)))
-    return (n / t) * (left @ right)
+    B = (n / t) * (left @ right)
+    B.setflags(write=False)
+    return B
 
 
 def dk_product(M, N, weighted: bool = True) -> np.ndarray:
@@ -68,51 +83,19 @@ def dk_apply(M, x) -> np.ndarray:
     return dk_product(M, v).ravel()
 
 
-def _lambda_max(G: np.ndarray) -> tuple[float, int]:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration.
-
-    Falls back to a full symmetric eigendecomposition when the iteration
-    stalls or converges below the diagonal lower bound.
-    """
-    n = G.shape[0]
-    if n == 1:
-        return float(G[0, 0]), 0
-    diag_floor = float(G.diagonal().max())
-    # Fixed-seed start vector: deterministic, and never orthogonal to the
-    # top eigenspace in practice.
-    v = np.random.default_rng(0x5EED).standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = float(v @ G @ v)
-    for it in range(1, POWER_MAX_ITER + 1):
-        w = G @ v
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0, it
-        v = w / nw
-        new = float(v @ G @ v)
-        if abs(new - lam) <= POWER_TOL * max(1.0, abs(new)):
-            if new >= diag_floor - POWER_TOL * max(1.0, abs(new)):
-                return new, it
-            break  # converged to a non-top eigenpair; use the fallback
-        lam = new
-    try:
-        return float(np.linalg.eigvalsh(G)[-1]), POWER_MAX_ITER
-    except np.linalg.LinAlgError as exc:
-        raise NumericFailure(
-            "eigenvalue iteration did not converge",
-            operation="op_vnorm",
-            iterations=POWER_MAX_ITER,
-        ) from exc
-
-
 def op_vnorm(A) -> float:
     """Operator norm of a matrix acting on the cross-dimensional space.
 
-    For an m x n matrix this is sqrt((n/m) lambda_max(A^T A)); it bounds
+    For an m x n matrix this is sqrt(n/m) times the largest singular value
+    (the spectral norm, computed exactly by SVD); it bounds
     ``v_norm(dk_apply(A, x)) / v_norm(x)`` over vectors of every dimension,
     with equality approached along the top right-singular direction.
     """
     M = _as_matrix(A)
     m, n = M.shape
-    lam, _ = _lambda_max(M.T @ M)
-    return math.sqrt(max(lam, 0.0) * n / m)
+    try:
+        return math.sqrt(n / m) * float(np.linalg.norm(M, 2))
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailure(
+            "singular value decomposition did not converge", operation="op_vnorm"
+        ) from exc

@@ -15,13 +15,14 @@ system with resets.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cdspace import as_entries, project, projector, stp_add, v_norm
+from .cdspace import as_entries, project, projector, stp_add, v_norm, v_norm_rows
 from .dkstp import bridge, dk_apply
 from .errors import NumericFailure
 from .switching import (
@@ -199,7 +200,20 @@ class OutputMap:
         a = as_entries(x)
         if self.matrix is not None:
             return self.matrix @ bridge(self.q, a.size) @ a
-        return np.atleast_1d(np.asarray(self.func(project(a, self.q)), dtype=float))
+        return lift_function(self.func, self.q, a)
+
+    def of_rows(self, S) -> np.ndarray:
+        """Outputs of every row of a (k, n) state array, as a (k, p) array.
+
+        Equal bit for bit to calling the map on each row: the stacked
+        matrix-vector products do the same dot products.
+        """
+        n = S.shape[1]
+        if self.matrix is not None:
+            return ((self.matrix @ bridge(self.q, n)) @ S[:, :, None])[:, :, 0]
+        if n != self.q:
+            S = (bridge(self.q, n) @ S[:, :, None])[:, :, 0]
+        return np.array([self.func(x) for x in S], dtype=float).reshape(len(S), -1)
 
 
 @dataclass(frozen=True)
@@ -256,19 +270,64 @@ class Segment:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Simulation output: per-sample records plus the jump events.
+    """Simulation output: the integrated segments plus the jump events.
 
-    At each switch both the pre- and post-switch states appear as samples
-    with the same timestamp, so sample times are nondecreasing.
+    ``segments[i]`` was integrated in mode ``segment_modes[i]``.  The
+    per-sample views (``times``, ``mode_indices``, ``dims``, ``states``,
+    ``vnorms``, ``outputs``) are derived on first use.  At each switch both
+    the pre- and post-switch states appear as samples with the same
+    timestamp, so sample times are nondecreasing.
     """
 
-    times: np.ndarray
-    mode_indices: np.ndarray
-    dims: np.ndarray
-    states: list
-    vnorms: np.ndarray
-    outputs: list | None
+    segments: tuple
+    segment_modes: tuple
     events: list
+    output_map: OutputMap | None = None
+
+    def _per_sample(self, values, dtype) -> np.ndarray:
+        """One value per segment, repeated over that segment's samples."""
+        counts = [len(seg.times) for seg in self.segments]
+        return np.repeat(np.asarray(values, dtype=dtype), counts)
+
+    @functools.cached_property
+    def times(self) -> np.ndarray:
+        if not self.segments:
+            return np.empty(0)
+        return np.concatenate([seg.times for seg in self.segments])
+
+    @functools.cached_property
+    def mode_indices(self) -> np.ndarray:
+        return self._per_sample(self.segment_modes, int)
+
+    @functools.cached_property
+    def dims(self) -> np.ndarray:
+        return self._per_sample([seg.states.shape[1] for seg in self.segments], int)
+
+    @functools.cached_property
+    def states(self) -> list:
+        return [x for seg in self.segments for x in seg.states]
+
+    @functools.cached_property
+    def segment_vnorms(self) -> list:
+        return [v_norm_rows(seg.states) for seg in self.segments]
+
+    @functools.cached_property
+    def vnorms(self) -> np.ndarray:
+        if not self.segments:
+            return np.empty(0)
+        return np.concatenate(self.segment_vnorms)
+
+    @functools.cached_property
+    def segment_outputs(self) -> list | None:
+        if self.output_map is None:
+            return None
+        return [self.output_map.of_rows(seg.states) for seg in self.segments]
+
+    @functools.cached_property
+    def outputs(self) -> list | None:
+        if self.segment_outputs is None:
+            return None
+        return [y for Y in self.segment_outputs for y in Y]
 
     @property
     def max_dim(self) -> int:
@@ -276,7 +335,7 @@ class Trajectory:
 
     @property
     def final_state(self) -> np.ndarray:
-        return self.states[-1]
+        return self.segments[-1].states[-1]
 
     def switch_entry_norms(self):
         """(time, pre-switch v-norm) for every proper switch (t > 0)."""
@@ -493,7 +552,7 @@ def simulate(
         events.append(make_jump_event(0.0, x, post, system.impulse_scale))
         x = post
 
-    times, mode_idx, dims, states = [], [], [], []
+    segments = []
     for seg_no, (ta, tb, mi) in enumerate(intervals):
         mode = system.modes[mi]
         seg = integrate_mode(
@@ -506,10 +565,7 @@ def simulate(
             disturbance=disturbance,
             method=method,
         )
-        times.extend(seg.times.tolist())
-        mode_idx.extend([mi] * len(seg.times))
-        dims.extend([mode.dim] * len(seg.times))
-        states.extend(list(seg.states))
+        segments.append(seg)
         x = seg.states[-1]
         if seg_no + 1 < len(intervals):
             mj = intervals[seg_no + 1][2]
@@ -518,19 +574,8 @@ def simulate(
             events.append(make_jump_event(tb, x, post, system.impulse_scale))
             x = post
 
-    vnorms = np.array([v_norm(s) for s in states])
-    outputs = None
-    if system.output is not None:
-        outputs = [system.output(s) for s in states]
-    return Trajectory(
-        np.asarray(times),
-        np.asarray(mode_idx, dtype=int),
-        np.asarray(dims, dtype=int),
-        states,
-        vnorms,
-        outputs,
-        events,
-    )
+    modes = tuple(mi for _, _, mi in intervals)
+    return Trajectory(tuple(segments), modes, events, system.output)
 
 
 def embed_common(system: DvSystem) -> DvSystem:

@@ -36,22 +36,20 @@ def _write_lines(path, lines):
             fh.write(line + "\n")
 
 
+#: Format of one float cell; prints the same text as :func:`format_float`.
+_CELL = "{:.17g}"
+
+
 def write_trajectory_csv(traj, path):
     """Rows: t, mode, dim, v_norm, x_0..x_{D-1}; short states padded with empties."""
-    D = traj.max_dim if len(traj.states) else 0
+    D = traj.max_dim if traj.segments else 0
     header = ["t", "mode", "dim", "v_norm"] + [f"x_{i}" for i in range(D)]
     lines = [",".join(header)]
-    for k in range(len(traj.times)):
-        state = traj.states[k]
-        cells = [
-            format_float(traj.times[k]),
-            str(int(traj.mode_indices[k])),
-            str(int(traj.dims[k])),
-            format_float(traj.vnorms[k]),
-        ]
-        cells.extend(format_float(v) for v in state)
-        cells.extend([""] * (D - state.size))
-        lines.append(",".join(cells))
+    for seg, mode, vnorms in zip(traj.segments, traj.segment_modes, traj.segment_vnorms):
+        n = seg.states.shape[1]
+        row = ",".join([_CELL, str(int(mode)), str(n), _CELL] + [_CELL] * n + [""] * (D - n))
+        for t, v, x in zip(seg.times.tolist(), vnorms.tolist(), seg.states.tolist()):
+            lines.append(row.format(t, v, *x))
     _write_lines(path, lines)
 
 
@@ -75,12 +73,12 @@ def write_events_csv(events, path):
 
 def write_outputs_csv(traj, path):
     """Rows: t, y_0..y_{p-1} (only written when an output map is configured)."""
-    p = max(y.size for y in traj.outputs)
+    p = max(Y.shape[1] for Y in traj.segment_outputs)
     lines = [",".join(["t"] + [f"y_{i}" for i in range(p)])]
-    for k in range(len(traj.times)):
-        cells = [format_float(traj.times[k])]
-        cells.extend(format_float(v) for v in traj.outputs[k])
-        lines.append(",".join(cells))
+    for seg, Y in zip(traj.segments, traj.segment_outputs):
+        row = ",".join([_CELL] * (1 + Y.shape[1]))
+        for t, y in zip(seg.times.tolist(), Y.tolist()):
+            lines.append(row.format(t, *y))
     _write_lines(path, lines)
 
 

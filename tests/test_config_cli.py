@@ -5,8 +5,10 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from crossdim.cdspace import project, v_dist, v_norm
 from crossdim.cli import main
 from crossdim.config import load_scenario, validate_config
+from crossdim.dynamics import embed_common, simulate
 from crossdim.errors import ConfigError
 
 SCENARIOS = [
@@ -332,6 +334,46 @@ def test_cli_embed_report(tmp_path):
     dump = json.loads((out / "embedded_system.json").read_text())
     assert dump["common_dim"] == 4
     assert all(m["dim"] == 4 for m in dump["modes"])
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_trajectory_views_match_one_sample_calls(name):
+    scenario = load_scenario(scenario_path(name))
+    system = scenario.system
+    traj = simulate(
+        system, scenario.signal, scenario.x0, scenario.step,
+        disturbance=scenario.disturbance,
+    )
+    expected = np.array([v_norm(s) for s in traj.states])
+    assert traj.vnorms.tobytes() == expected.tobytes()
+    if system.output is None:
+        assert traj.outputs is None
+        return
+    assert len(traj.outputs) == len(traj.states)
+    for y, x in zip(traj.outputs, traj.states):
+        assert y.tobytes() == system.output(x).tobytes()
+
+
+@pytest.mark.parametrize(
+    "name", ["two_mode_contraction.json", "feedback_switch_random.json"]
+)
+def test_cli_embed_gap_matches_pairwise_distance(tmp_path, name):
+    out = tmp_path / "o"
+    assert run_cli("embed", "--config", scenario_path(name), "--out", str(out)) == 0
+    report = json.loads((out / "equivalence_report.json").read_text())
+    scenario = load_scenario(scenario_path(name))
+    embedded = embed_common(scenario.system)
+    original = simulate(
+        scenario.system, scenario.signal, scenario.x0, scenario.step,
+        disturbance=scenario.disturbance,
+    )
+    mirrored = simulate(
+        embedded, scenario.signal, project(scenario.x0, embedded.modes[0].dim),
+        scenario.step, disturbance=scenario.disturbance,
+    )
+    expected = max(v_dist(a, b) for a, b in zip(original.states, mirrored.states))
+    assert report["max_equivalence_gap"] == pytest.approx(expected, rel=1e-12, abs=0)
+    assert report["samples_compared"] == len(original.states)
 
 
 def test_cli_approx_error_tables(tmp_path):

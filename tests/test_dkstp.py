@@ -36,6 +36,14 @@ def test_bridge_equals_projector_everywhere():
             np.testing.assert_array_equal(bridge(n, m), projector(m, n).matrix)
 
 
+def test_bridge_is_cached_and_read_only():
+    B = bridge(3, 5)
+    assert bridge(3, 5) is B
+    assert projector(5, 3).matrix is B
+    with pytest.raises(ValueError):
+        B[0, 0] = 1.0
+
+
 # ------------------------------------------------------------------ dk_product
 
 def test_dk_product_extends_ordinary_product():
@@ -124,6 +132,15 @@ def test_op_vnorm_matches_eigen_oracle():
         m, n = A.shape
         expected = math.sqrt(n / m * max(np.linalg.eigvalsh(A.T @ A).max(), 0.0))
         assert op_vnorm(A) == pytest.approx(expected, abs=1e-9)
+
+
+def test_op_vnorm_never_underestimates_the_spectral_bound():
+    rng = np.random.default_rng(2000)
+    for _ in range(500):
+        m, n = (int(d) for d in rng.integers(1, 7, size=2))
+        A = rng.standard_normal((m, n))
+        top = np.linalg.svd(A, compute_uv=False)[0]
+        assert op_vnorm(A) >= math.sqrt(n / m) * top
 
 
 def test_op_vnorm_bounds_action_on_all_dims():

@@ -1,19 +1,9 @@
-import numpy as np
-
 from crossdim.dynamics import Trajectory
 from crossdim.export import format_float, write_error_csv, write_trajectory_csv
 
 
 def empty_trajectory():
-    return Trajectory(
-        times=np.empty(0),
-        mode_indices=np.empty(0, dtype=int),
-        dims=np.empty(0, dtype=int),
-        states=[],
-        vnorms=np.empty(0),
-        outputs=None,
-        events=[],
-    )
+    return Trajectory(segments=(), segment_modes=(), events=[])
 
 
 def test_empty_trajectory_writes_header_only(tmp_path):
