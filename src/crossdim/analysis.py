@@ -294,13 +294,12 @@ def _relative_error(approx, exact) -> float:
     return v_norm(np.asarray(approx) - np.asarray(exact)) / denom
 
 
-def approx_error(A, x0, m: int, times, expm_fn=None) -> ErrorSeries:
+def approx_error(A, x0, m: int, times) -> ErrorSeries:
     """Relative trajectory error of the dimension-m reduced flow.
 
     The full flow e^{At} x0 is compared against the reduced flow started
     from the projected initial state and lifted back to dimension n.
     """
-    exp_ = expm_fn or expm
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     x0 = np.asarray(x0, dtype=float)
@@ -312,8 +311,8 @@ def approx_error(A, x0, m: int, times, expm_fn=None) -> ErrorSeries:
     ts = np.asarray(list(times), dtype=float)
     vals = np.empty(ts.size)
     for i, t in enumerate(ts):
-        x_t = exp_(A, t) @ x0
-        z_t = exp_(red.A_pi, t) @ z0
+        x_t = expm(A, t) @ x0
+        z_t = expm(red.A_pi, t) @ z0
         vals[i] = _relative_error(back @ z_t, x_t)
     return ErrorSeries(ts, vals)
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import analysis
 from .cdspace import build_lattice, canonicalize, project, v_dist, v_norm, v_norm_rows
-from .config import Scenario, load_scenario
+from .config import Scenario, _as_int, _as_number, _require, load_scenario
 from .dkstp import bridge
 from .dynamics import dwell_bound, embed_common, simulate
 from .errors import ConfigError, NumericFailure
@@ -192,57 +192,72 @@ def cmd_chain(scenario: Scenario, out: str) -> int:
     return 0
 
 
-def _approx_cases(block: dict):
-    cases = block.get("cases")
-    if not isinstance(cases, list) or not cases:
-        raise ConfigError("experiment.approx.cases: expected a nonempty list")
-    for k, case in enumerate(cases):
-        if not isinstance(case, dict):
-            raise ConfigError(f"experiment.approx.cases[{k}]: expected an object")
-        for key in ("label", "A", "x0", "m_values", "times"):
-            if key not in case:
-                raise ConfigError(f"experiment.approx.cases[{k}].{key}: missing")
-        yield case
-
-
-def _case_times(case):
-    times = case["times"]
+def _case_times(block: dict, path: str) -> np.ndarray:
+    times = _require(block, "times", path)
+    path = f"{path}.times"
     if isinstance(times, dict):
+        count = _as_int(_require(times, "count", path), f"{path}.count")
+        if count < 0:
+            raise ConfigError(f"{path}.count: must be nonnegative")
         return np.linspace(
-            float(times["from"]), float(times["to"]), int(times["count"])
+            _as_number(_require(times, "from", path), f"{path}.from"),
+            _as_number(_require(times, "to", path), f"{path}.to"),
+            count,
         )
-    return np.asarray([float(t) for t in times])
+    if not isinstance(times, list):
+        raise ConfigError(f"{path}: expected a list or an object with from, to, count")
+    return np.asarray([_as_number(t, f"{path}[{k}]") for k, t in enumerate(times)])
+
+
+def _m_values(block: dict, path: str) -> list:
+    values = _require(block, "m_values", path)
+    path = f"{path}.m_values"
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"{path}: expected a nonempty list")
+    for k, m in enumerate(values):
+        if _as_int(m, f"{path}[{k}]") < 1:
+            raise ConfigError(f"{path}[{k}]: must be >= 1")
+    return values
+
+
+def _error_rows(A, x0, m_values, times) -> list:
+    """(t, m, E) rows of the reduction error for each reduced dimension m."""
+    rows = []
+    for m in m_values:
+        series = analysis.approx_error(A, x0, m, times)
+        rows.extend((t, m, e) for t, e in zip(series.times, series.values))
+    return rows
 
 
 def cmd_approx(scenario: Scenario, out: str) -> int:
-    block = _experiment_block(scenario, "approx")
-    for case in _approx_cases(block):
-        A = np.asarray(case["A"], dtype=float)
-        x0 = np.asarray(case["x0"], dtype=float)
-        times = _case_times(case)
-        rows = []
-        for m in case["m_values"]:
-            series = analysis.approx_error(A, x0, int(m), times)
-            rows.extend(
-                (t, int(m), e) for t, e in zip(series.times, series.values)
-            )
-        write_error_csv(rows, os.path.join(out, f"error_{case['label']}.csv"))
+    cases = _experiment_block(scenario, "approx").get("cases")
+    if not isinstance(cases, list) or not cases:
+        raise ConfigError("experiment.approx.cases: expected a nonempty list")
+    for k, case in enumerate(cases):
+        path = f"experiment.approx.cases[{k}]"
+        if not isinstance(case, dict):
+            raise ConfigError(f"{path}: expected an object")
+        label = _require(case, "label", path)
+        A = np.asarray(_require(case, "A", path), dtype=float)
+        x0 = np.asarray(_require(case, "x0", path), dtype=float)
+        rows = _error_rows(A, x0, _m_values(case, path), _case_times(case, path))
+        write_error_csv(rows, os.path.join(out, f"error_{label}.csv"))
     return 0
 
 
 def cmd_reduce(scenario: Scenario, out: str) -> int:
+    path = "experiment.reduce"
     block = _experiment_block(scenario, "reduce")
-    if "A" not in block or "m_values" not in block:
-        raise ConfigError("experiment.reduce: needs 'A' and 'm_values'")
-    A = np.asarray(block["A"], dtype=float)
+    A = np.asarray(_require(block, "A", path), dtype=float)
+    m_values = _m_values(block, path)
     B = None if "B" not in block else np.asarray(block["B"], dtype=float)
     C = None if "C" not in block else np.asarray(block["C"], dtype=float)
     models = []
-    for m in block["m_values"]:
-        red = analysis.reduce_model(A, B, C, int(m))
+    for m in m_values:
+        red = analysis.reduce_model(A, B, C, m)
         models.append(
             {
-                "m": int(m),
+                "m": m,
                 "A_pi": red.A_pi,
                 "B_pi": red.B_pi,
                 "C_pi": red.C_pi,
@@ -251,11 +266,7 @@ def cmd_reduce(scenario: Scenario, out: str) -> int:
     write_json({"n": A.shape[0], "models": models}, os.path.join(out, "reduced_models.json"))
     if "x0" in block and "times" in block:
         x0 = np.asarray(block["x0"], dtype=float)
-        times = _case_times(block)
-        rows = []
-        for m in block["m_values"]:
-            series = analysis.approx_error(A, x0, int(m), times)
-            rows.extend((t, int(m), e) for t, e in zip(series.times, series.values))
+        rows = _error_rows(A, x0, m_values, _case_times(block, path))
         write_error_csv(rows, os.path.join(out, "reduce_error.csv"))
     return 0
 
@@ -272,14 +283,16 @@ def cmd_reduce_vec(scenario: Scenario, out: str) -> int:
             raise ConfigError(f"{path}: expected an object with an 'op' field")
         kind = op["op"]
         if kind == "canonicalize":
-            vec = canonicalize(op["x"], float(op.get("tol", 1e-9)))
+            vec = canonicalize(_require(op, "x", path), float(op.get("tol", 1e-9)))
             results.append({"op": kind, "result": vec.entries, "dim": vec.dim})
         elif kind == "distance":
-            results.append({"op": kind, "result": v_dist(op["x"], op["y"])})
+            x, y = _require(op, "x", path), _require(op, "y", path)
+            results.append({"op": kind, "result": v_dist(x, y)})
         elif kind == "norm":
-            results.append({"op": kind, "result": v_norm(op["x"])})
+            results.append({"op": kind, "result": v_norm(_require(op, "x", path))})
         elif kind == "project":
-            results.append({"op": kind, "result": project(op["x"], int(op["m"]))})
+            m = _as_int(_require(op, "m", path), f"{path}.m")
+            results.append({"op": kind, "result": project(_require(op, "x", path), m)})
         else:
             raise ConfigError(f"{path}.op: unknown operation {kind!r}")
     write_json(results, os.path.join(out, "vector_ops.json"))

@@ -18,7 +18,7 @@ from . import registry
 from .dynamics import Disturbance, DvSystem, Mode, OutputMap
 from .errors import ConfigError
 from .export import _jsonable
-from .switching import SwitchingSignal, TransitionMap, lipschitz_of, make_signal
+from .switching import SwitchingSignal, TransitionMap, make_signal
 
 __all__ = ["Scenario", "load_scenario", "validate_config", "normalize_config"]
 
@@ -186,9 +186,7 @@ def _build_transitions(spec, modes, signal) -> object:
         W = _as_matrix(
             _require(entry, "W", epath), modes[j].dim, modes[i].dim, f"{epath}.W"
         )
-        table[(i, j)] = TransitionMap(
-            modes[i].dim, modes[j].dim, W, lipschitz=lipschitz_of(W)
-        )
+        table[(i, j)] = TransitionMap(modes[i].dim, modes[j].dim, W)
     # every ordered pair the signal actually uses must be covered
     seq = [signal.initial_mode, *signal.modes_after]
     for a, b in zip(seq, seq[1:]):

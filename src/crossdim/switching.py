@@ -39,12 +39,12 @@ GAP_ZERO_TOL = 1e-12
 
 @dataclass(frozen=True)
 class TransitionMap:
-    """Linear jump from ``source_dim`` into ``target_dim``."""
+    """Linear jump from ``source_dim`` into ``target_dim``; ``lipschitz`` is derived."""
 
     source_dim: int
     target_dim: int
     matrix: np.ndarray = field(repr=False)
-    lipschitz: float = 0.0
+    lipschitz: float = field(init=False)
 
     def __post_init__(self):
         W = np.asarray(self.matrix, dtype=float)
@@ -58,6 +58,7 @@ class TransitionMap:
         W = W.copy()
         W.setflags(write=False)
         object.__setattr__(self, "matrix", W)
+        object.__setattr__(self, "lipschitz", op_vnorm(W))
 
     def __call__(self, x) -> np.ndarray:
         a = as_entries(x)
@@ -74,19 +75,15 @@ def lipschitz_of(W) -> float:
     return op_vnorm(matrix)
 
 
-def _from_matrix(source_dim: int, target_dim: int, W) -> TransitionMap:
-    return TransitionMap(source_dim, target_dim, W, lipschitz=lipschitz_of(W))
-
-
 def identity_map(n: int) -> TransitionMap:
-    return TransitionMap(n, n, np.eye(n), lipschitz=1.0)
+    return TransitionMap(n, n, np.eye(n))
 
 
 def nearest_map(n_p: int, n_q: int) -> TransitionMap:
     """Minimal-distance jump: project the state onto the destination dimension."""
     if n_p < 1 or n_q < 1:
         raise ValueError("dimensions must be positive")
-    return _from_matrix(n_p, n_q, projector(n_p, n_q).matrix)
+    return TransitionMap(n_p, n_q, projector(n_p, n_q).matrix)
 
 
 def drop_map(n: int, m: int, dropped_indices=None) -> TransitionMap:
@@ -108,7 +105,7 @@ def drop_map(n: int, m: int, dropped_indices=None) -> TransitionMap:
         if dropped[0] < 0 or dropped[-1] >= n:
             raise ValueError("dropped indices out of range")
         kept = [i for i in range(n) if i not in set(dropped)]
-    return _from_matrix(n, m, np.eye(n)[list(kept), :])
+    return TransitionMap(n, m, np.eye(n)[list(kept), :])
 
 
 def add_map(n: int, m: int) -> TransitionMap:
@@ -119,7 +116,7 @@ def add_map(n: int, m: int) -> TransitionMap:
     if m <= n:
         raise ValueError(f"add_map requires m > n, got n={n}, m={m}")
     W = np.vstack([np.eye(n), projector(n, m - n).matrix])
-    return _from_matrix(n, m, W)
+    return TransitionMap(n, m, W)
 
 
 def compose_maps(first: TransitionMap, second: TransitionMap) -> TransitionMap:
@@ -129,7 +126,7 @@ def compose_maps(first: TransitionMap, second: TransitionMap) -> TransitionMap:
             f"cannot compose: first targets {first.target_dim}, "
             f"second expects {second.source_dim}"
         )
-    return _from_matrix(
+    return TransitionMap(
         first.source_dim, second.target_dim, second.matrix @ first.matrix
     )
 

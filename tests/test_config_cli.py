@@ -270,6 +270,44 @@ def test_cli_missing_experiment_block_exits_2(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "command, name, mutate, field",
+    [
+        ("approx", "reduction_sweep.json",
+         lambda e: e["approx"]["cases"][0]["times"].pop("count"),
+         "experiment.approx.cases[0].times: missing required field 'count'"),
+        ("approx", "reduction_sweep.json",
+         lambda e: e["approx"]["cases"][1].update(m_values=["a"]),
+         "experiment.approx.cases[1].m_values[0]: expected an integer"),
+        ("approx", "reduction_sweep.json",
+         lambda e: e["approx"]["cases"][0].update(times=[1.0, "a"]),
+         "experiment.approx.cases[0].times[1]: expected a number"),
+        ("reduce", "reduction_sweep.json",
+         lambda e: e["reduce"]["times"].pop("from"),
+         "experiment.reduce.times: missing required field 'from'"),
+        ("reduce", "reduction_sweep.json",
+         lambda e: e["reduce"].update(m_values=[0]),
+         "experiment.reduce.m_values[0]: must be >= 1"),
+        ("reduce-vec", "two_stage_steering.json",
+         lambda e: e["vectors"]["ops"][1].pop("x"),
+         "experiment.vectors.ops[1]: missing required field 'x'"),
+        ("reduce-vec", "two_stage_steering.json",
+         lambda e: e["vectors"]["ops"][2].pop("m"),
+         "experiment.vectors.ops[2]: missing required field 'm'"),
+    ],
+)
+def test_cli_experiment_errors_name_the_field(tmp_path, capsys, command, name, mutate, field):
+    with open(scenario_path(name), "r", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    mutate(raw["experiment"])
+    bad = tmp_path / name
+    bad.write_text(json.dumps(raw))
+    assert run_cli(command, "--config", str(bad), "--out", str(tmp_path / "o")) == 2
+    message = capsys.readouterr().err
+    assert message.startswith("omega: experiment.")
+    assert field in message
+
+
 def test_cli_chain_and_lattice_reports(tmp_path):
     out = tmp_path / "o"
     config = scenario_path("two_stage_steering.json")

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from crossdim.cdspace import kron_lift, project, v_dist
+from crossdim.dkstp import op_vnorm
 from crossdim.dynamics import (
     Disturbance,
     DvSystem,
@@ -20,7 +21,7 @@ from crossdim.dynamics import (
 )
 from crossdim.errors import NumericFailure
 from crossdim.registry import get_field, get_output_function
-from crossdim.switching import fixed_signal
+from crossdim.switching import TransitionMap, fixed_signal
 
 RNG = np.random.default_rng(23)
 
@@ -460,6 +461,19 @@ def test_dwell_bound_none_for_unstable_mode():
         (Mode("bad", 2, np.array([[0.1, 0.0], [0.0, -1.0]])), Mode("ok", 2, -np.eye(2)))
     )
     assert dwell_bound(system, 0.03) is None
+
+
+def test_dwell_bound_uses_derived_lipschitz_of_explicit_maps():
+    triple = TransitionMap(2, 2, 3.0 * np.eye(2))
+    assert triple.lipschitz == op_vnorm(triple.matrix) == 3.0
+    system = DvSystem(
+        (Mode("a", 2, -np.eye(2)), Mode("b", 2, -np.eye(2))),
+        transitions={(0, 1): triple, (1, 0): triple},
+    )
+    delta = dwell_bound(system, 0.03)
+    assert delta == dwell_bound(system, 0.03, lipschitz=3.0)
+    # e^{-d} * 3 <= 0.97 at d = ln(3 / 0.97)
+    assert delta == pytest.approx(math.log(3.0 / 0.97), abs=2e-3)
 
 
 def test_dwell_bound_uses_system_lipschitz_by_default():
