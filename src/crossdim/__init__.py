@@ -19,11 +19,13 @@ from .cdspace import (
 )
 from .dkstp import bridge, dk_apply, dk_product, op_vnorm
 from .dynamics import (
+    AffineFeedback,
     Disturbance,
     DvSystem,
     Mode,
     OutputMap,
     Trajectory,
+    closed_loop_drift,
     dwell_bound,
     embed_common,
     expm,

@@ -18,9 +18,18 @@ import numpy as np
 
 from . import analysis
 from .cdspace import build_lattice, canonicalize, project, v_dist, v_norm, v_norm_rows
-from .config import Scenario, _as_int, _as_number, _require, load_scenario
+from .config import (
+    MAX_SAMPLES,
+    Scenario,
+    _as_int,
+    _as_matrix,
+    _as_number,
+    _as_vector,
+    _require,
+    load_scenario,
+)
 from .dkstp import bridge
-from .dynamics import dwell_bound, embed_common, simulate
+from .dynamics import closed_loop_drift, dwell_bound, embed_common, simulate
 from .errors import ConfigError, NumericFailure
 from .export import (
     write_error_csv,
@@ -119,10 +128,10 @@ def cmd_dwell(scenario: Scenario, out: str) -> int:
         gamma,
         lipschitz=None if lipschitz is None else float(lipschitz),
     )
-    hurwitz = {}
-    for m in scenario.system.modes:
-        eig = np.linalg.eigvals(m.drift) if m.is_linear else None
-        hurwitz[m.label] = bool(eig is not None and eig.real.max() < 0)
+    hurwitz = {
+        m.label: bool(np.linalg.eigvals(closed_loop_drift(m)).real.max() < 0)
+        for m in scenario.system.modes
+    }
     write_json(
         {
             "gamma": gamma,
@@ -199,6 +208,10 @@ def _case_times(block: dict, path: str) -> np.ndarray:
         count = _as_int(_require(times, "count", path), f"{path}.count")
         if count < 0:
             raise ConfigError(f"{path}.count: must be nonnegative")
+        if count > MAX_SAMPLES:
+            raise ConfigError(
+                f"{path}.count: {count} samples exceeds the budget of {MAX_SAMPLES}"
+            )
         return np.linspace(
             _as_number(_require(times, "from", path), f"{path}.from"),
             _as_number(_require(times, "to", path), f"{path}.to"),
@@ -220,6 +233,13 @@ def _m_values(block: dict, path: str) -> list:
     return values
 
 
+def _square_matrix(block: dict, key: str, path: str) -> np.ndarray:
+    M = _as_matrix(_require(block, key, path), None, None, f"{path}.{key}")
+    if M.shape[0] != M.shape[1]:
+        raise ConfigError(f"{path}.{key}: expected a square matrix, got {M.shape}")
+    return M
+
+
 def _error_rows(A, x0, m_values, times) -> list:
     """(t, m, E) rows of the reduction error for each reduced dimension m."""
     rows = []
@@ -238,8 +258,8 @@ def cmd_approx(scenario: Scenario, out: str) -> int:
         if not isinstance(case, dict):
             raise ConfigError(f"{path}: expected an object")
         label = _require(case, "label", path)
-        A = np.asarray(_require(case, "A", path), dtype=float)
-        x0 = np.asarray(_require(case, "x0", path), dtype=float)
+        A = _square_matrix(case, "A", path)
+        x0 = _as_vector(_require(case, "x0", path), f"{path}.x0", len(A))
         rows = _error_rows(A, x0, _m_values(case, path), _case_times(case, path))
         write_error_csv(rows, os.path.join(out, f"error_{label}.csv"))
     return 0
@@ -248,10 +268,11 @@ def cmd_approx(scenario: Scenario, out: str) -> int:
 def cmd_reduce(scenario: Scenario, out: str) -> int:
     path = "experiment.reduce"
     block = _experiment_block(scenario, "reduce")
-    A = np.asarray(_require(block, "A", path), dtype=float)
+    A = _square_matrix(block, "A", path)
+    n = len(A)
     m_values = _m_values(block, path)
-    B = None if "B" not in block else np.asarray(block["B"], dtype=float)
-    C = None if "C" not in block else np.asarray(block["C"], dtype=float)
+    B = None if "B" not in block else _as_matrix(block["B"], n, None, f"{path}.B", "column")
+    C = None if "C" not in block else _as_matrix(block["C"], None, n, f"{path}.C", "row")
     models = []
     for m in m_values:
         red = analysis.reduce_model(A, B, C, m)
@@ -263,9 +284,9 @@ def cmd_reduce(scenario: Scenario, out: str) -> int:
                 "C_pi": red.C_pi,
             }
         )
-    write_json({"n": A.shape[0], "models": models}, os.path.join(out, "reduced_models.json"))
+    write_json({"n": n, "models": models}, os.path.join(out, "reduced_models.json"))
     if "x0" in block and "times" in block:
-        x0 = np.asarray(block["x0"], dtype=float)
+        x0 = _as_vector(block["x0"], f"{path}.x0", n)
         rows = _error_rows(A, x0, m_values, _case_times(block, path))
         write_error_csv(rows, os.path.join(out, "reduce_error.csv"))
     return 0

@@ -22,6 +22,11 @@ from .switching import SwitchingSignal, TransitionMap, make_signal
 
 __all__ = ["Scenario", "load_scenario", "validate_config", "normalize_config"]
 
+#: Most samples one time grid may ask for: horizon/step of a scenario, or
+#: the count of an experiment's time list.  It bounds the work and memory
+#: of a run before any of it starts.
+MAX_SAMPLES = 2_000_000
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -63,13 +68,23 @@ def _as_int(value, path: str) -> int:
     return value
 
 
-def _as_matrix(value, rows: int | None, cols: int | None, path: str) -> np.ndarray:
+def _as_matrix(
+    value, rows: int | None, cols: int | None, path: str, flat: str | None = None
+) -> np.ndarray:
+    """A finite float matrix of the given shape (None: any).
+
+    A flat list reads as one column when ``flat`` is "column", and as one
+    row when ``flat`` is "row" or the matrix must have one row.
+    """
     try:
         M = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         _fail(path, "expected a numeric matrix (list of rows)")
-    if M.ndim == 1 and rows == 1:
-        M = M.reshape(1, -1)
+    if M.ndim == 1:
+        if flat == "column":
+            M = M.reshape(-1, 1)
+        elif flat == "row" or rows == 1:
+            M = M.reshape(1, -1)
     if M.ndim != 2:
         _fail(path, "expected a matrix (list of rows)")
     if rows is not None and M.shape[0] != rows:
@@ -120,10 +135,7 @@ def _build_mode(spec, idx: int) -> Mode:
     if "B" in spec and "inputs" in spec:
         _fail(path, "give at most one of 'B' and 'inputs'")
     if "B" in spec:
-        B = np.asarray(spec["B"], dtype=float)
-        if B.ndim == 1:
-            B = B.reshape(-1, 1)
-        inputs = _as_matrix(B, dim, None, f"{path}.B")
+        inputs = _as_matrix(spec["B"], dim, None, f"{path}.B", flat="column")
     elif "inputs" in spec:
         try:
             gdim, inputs = registry.get_input_channels(spec["inputs"])
@@ -140,7 +152,10 @@ def _build_mode(spec, idx: int) -> Mode:
             _fail(f"{path}.feedback", str(exc))
         if inputs is None:
             _fail(path, "feedback requires input channels")
-    return Mode(label, dim, drift, inputs, feedback)
+    try:
+        return Mode(label, dim, drift, inputs, feedback)
+    except ValueError as exc:  # drift and inputs are checked above; K is not
+        _fail(f"{path}.feedback", str(exc))
 
 
 def _build_signal(spec, n_modes: int, horizon: float, seed_override) -> SwitchingSignal:
@@ -204,10 +219,7 @@ def _build_output(spec, modes) -> OutputMap | None:
     if ("H" in spec) == ("h" in spec):
         _fail(path, "give exactly one of 'H' (matrix) or 'h' (builtin name)")
     if "H" in spec:
-        H = np.asarray(spec["H"], dtype=float)
-        if H.ndim == 1:
-            H = H.reshape(1, -1)
-        H = _as_matrix(H, None, None, f"{path}.H")
+        H = _as_matrix(spec["H"], None, None, f"{path}.H", flat="row")
         if "q" in spec and _as_int(spec["q"], f"{path}.q") != H.shape[1]:
             _fail(f"{path}.q", "must match the column count of H")
         return OutputMap.from_matrix(H)
@@ -271,6 +283,12 @@ def validate_config(raw: dict, seed=None, step=None) -> Scenario:
         "step",
         positive=True,
     )
+    if horizon / step_val > MAX_SAMPLES:
+        _fail(
+            "step",
+            f"horizon/step = {horizon / step_val:.3g} samples exceeds the "
+            f"budget of {MAX_SAMPLES}",
+        )
     signal = _build_signal(_require(raw, "signal", "top level"), len(modes), horizon, seed)
     transitions = _build_transitions(raw.get("transitions", "nearest"), modes, signal)
     x0 = _as_vector(_require(raw, "x0", "top level"), "x0")

@@ -2,10 +2,11 @@
 
 A system is a finite set of fixed-dimension modes plus a rule for jumping
 between their dimensions.  Simulation integrates the active mode on each
-dwell interval with classical fixed-step RK4 (linear autonomous modes take
-a matrix-exponential fast path), applies the transition map at every
-switch, and logs a jump event with gap, direction and impulse amplitude.
-Impulses are discrete reset records, never numerically integrated spikes.
+dwell interval with classical fixed-step RK4 (linear modes that are
+autonomous or closed by affine feedback take an exact matrix-exponential
+path), applies the transition map at every switch, and logs a jump event
+with gap, direction and impulse amplitude.  Impulses are discrete reset
+records, never numerically integrated spikes.
 
 Vector fields of dimension n lift to any multiple k*n so that integral
 curves commute with entry replication; embedding every mode into the lcm
@@ -35,12 +36,14 @@ from .switching import (
 )
 
 __all__ = [
+    "AffineFeedback",
     "Disturbance",
     "DvSystem",
     "Mode",
     "OutputMap",
     "Segment",
     "Trajectory",
+    "closed_loop_drift",
     "dwell_bound",
     "embed_common",
     "expm",
@@ -75,6 +78,38 @@ def expm(A, t: float = 1.0) -> np.ndarray:
     return E
 
 
+@dataclass(frozen=True, eq=False)
+class AffineFeedback:
+    """Time-invariant affine state feedback u(t, x) = K x + u0.
+
+    ``K`` is a (k, n) gain and ``u0`` a constant offset of length k.  As
+    data rather than an evaluator it closes a linear mode exactly:
+    dx/dt = (A + B K) x + B u0 is again linear (affine), so
+    :func:`integrate_mode` propagates it by a matrix exponential.  It is
+    also callable, so it works anywhere a feedback evaluator does.
+    """
+
+    K: np.ndarray
+    u0: np.ndarray
+
+    def __post_init__(self):
+        K = np.array(self.K, dtype=float)
+        if K.ndim != 2:
+            raise ValueError(f"feedback gain K must be a matrix, got shape {K.shape}")
+        u0 = np.array(self.u0, dtype=float).reshape(-1)
+        if u0.shape != (K.shape[0],):
+            raise ValueError(
+                f"feedback offset u0 needs {K.shape[0]} entries, got {u0.size}"
+            )
+        K.setflags(write=False)
+        u0.setflags(write=False)
+        object.__setattr__(self, "K", K)
+        object.__setattr__(self, "u0", u0)
+
+    def __call__(self, t: float, x) -> np.ndarray:
+        return self.K @ np.asarray(x, dtype=float) + self.u0
+
+
 @dataclass(frozen=True)
 class Mode:
     """One fixed-dimension mode: drift plus optional input channels.
@@ -82,8 +117,10 @@ class Mode:
     ``drift`` is either an (n, n) matrix or an evaluator x -> R^n.
     ``inputs`` is an (n, k) matrix whose columns are the input directions,
     or a sequence of k evaluators x -> R^n for state-dependent channels.
-    ``feedback`` (t, x) -> R^k closes the loop when the mode is simulated
-    without an explicit control.
+    ``feedback`` closes the loop when the mode is simulated without an
+    explicit control: an :class:`AffineFeedback` (its gain K must be k x n;
+    with a drift and an input matrix the closed loop is propagated exactly)
+    or any evaluator (t, x) -> R^k (integrated with RK4).
     """
 
     label: str
@@ -114,6 +151,13 @@ class Mode:
                 )
             B.setflags(write=False)
             object.__setattr__(self, "inputs", B)
+        if isinstance(self.feedback, AffineFeedback):
+            shape = (self.n_inputs, self.dim)
+            if self.feedback.K.shape != shape:
+                raise ValueError(
+                    f"mode {self.label!r}: feedback gain K must be "
+                    f"{shape[0]}x{shape[1]}, got {self.feedback.K.shape}"
+                )
 
     def _inputs_callable(self) -> bool:
         return self.inputs is not None and not isinstance(
@@ -378,6 +422,31 @@ def _grid(t0: float, t1: float, step: float):
     return times
 
 
+def _affine(mode: Mode, control) -> bool:
+    """Is ``control`` affine feedback acting through a constant input matrix?"""
+    return isinstance(control, AffineFeedback) and isinstance(mode.inputs, np.ndarray)
+
+
+def _generator(mode: Mode, control) -> np.ndarray:
+    """Matrix G of the linear flow of ``mode`` closed by ``control``.
+
+    Without control G is the drift itself.  Affine feedback u = K x + u0
+    gives A + B K, bordered by the column B u0 and a zero row when u0 != 0,
+    so that [x; 1] evolves by G (Van Loan, IEEE TAC 1978).
+    """
+    if control is None:
+        return mode.drift
+    B = mode.inputs
+    G = mode.drift + B @ control.K
+    if not control.u0.any():
+        return G
+    n = mode.dim
+    bordered = np.zeros((n + 1, n + 1))
+    bordered[:n, :n] = G
+    bordered[:n, n] = B @ control.u0
+    return bordered
+
+
 def integrate_mode(
     mode: Mode,
     x0,
@@ -388,12 +457,16 @@ def integrate_mode(
     disturbance=None,
     method: str = "auto",
 ) -> Segment:
-    """Integrate one mode over [t0, t1] with fixed-step RK4.
+    """Integrate one mode over [t0, t1] on a fixed-step grid.
 
     ``control`` overrides the mode's own feedback; pass
-    ``replace(mode, feedback=None)`` to force open loop.  Linear autonomous
-    modes propagate with the matrix exponential when ``method`` is "auto"
-    or "expm"; the two paths agree to well below 1e-8 at the default step.
+    ``replace(mode, feedback=None)`` to force open loop.  A linear mode
+    without disturbance, whose control is absent or an
+    :class:`AffineFeedback` acting through a constant input matrix, is
+    propagated exactly by the matrix exponential when ``method`` is "auto"
+    or "expm"; everything else, and any mode under ``method="rk4"``, uses
+    classical RK4.  The two paths agree to well below 1e-8 at the default
+    step.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -410,20 +483,39 @@ def integrate_mode(
     times = _grid(t0, t1, step)
     if method not in ("auto", "rk4", "expm"):
         raise ValueError(f"unknown integration method {method!r}")
-    autonomous = mode.is_linear and control is None and disturbance is None
-    use_expm = method == "expm" or (method == "auto" and autonomous)
-    if use_expm and not autonomous:
-        raise ValueError("expm path requires a linear autonomous mode")
+    exact = mode.is_linear and disturbance is None and (
+        control is None or _affine(mode, control)
+    )
+    use_expm = method == "expm" or (method == "auto" and exact)
+    if use_expm and not exact:
+        raise ValueError(
+            "expm path requires a linear mode without disturbance whose "
+            "control is absent or affine"
+        )
 
-    states = np.empty((len(times), x.size))
-    states[0] = x
     if use_expm:
-        E = expm(mode.drift, step)
+        G = _generator(mode, control)
+        # a bordered G moves [x; 1]; the extra column is dropped at the end
+        z = np.append(x, 1.0) if len(G) > x.size else x
+        Z = np.empty((len(times), z.size))
+        Z[0] = z
+        E = expm(G, step)
         for k in range(1, len(times)):
             h = times[k] - times[k - 1]
-            x = (E if abs(h - step) <= _TIME_EPS else expm(mode.drift, h)) @ x
-            states[k] = x
+            z = (E if abs(h - step) <= _TIME_EPS else expm(G, h)) @ z
+            Z[k] = z
+        # E is invertible, so a non-finite state never turns finite again
+        if not np.all(np.isfinite(z)):
+            first = int(np.argmin(np.isfinite(Z).all(axis=1)))
+            raise NumericFailure(
+                f"state diverged in mode {mode.label!r}",
+                operation="integrate_mode",
+                time=times[first],
+            )
+        states = np.ascontiguousarray(Z[:, : mode.dim])
     else:
+        states = np.empty((len(times), x.size))
+        states[0] = x
         rhs = _mode_rhs(mode, control, disturbance)
         probe = np.asarray(rhs(times[0], x))
         if probe.shape != x.shape:
@@ -453,7 +545,7 @@ def lift_field(mode: Mode, k: int) -> Mode:
 
     On replicated states the lifted field replicates the base field, so the
     two flows commute with entry replication.  Linear drift and input
-    matrices stay matrices; evaluators are wrapped.
+    matrices and affine feedback stay data; evaluators are wrapped.
     """
     if k < 1:
         raise ValueError("lift multiplier must be >= 1")
@@ -479,9 +571,11 @@ def lift_field(mode: Mode, k: int) -> Mode:
                 for g in mode.inputs
             )
 
-    feedback = None
-    if mode.feedback is not None:
-        fb = mode.feedback
+    feedback = mode.feedback
+    if isinstance(feedback, AffineFeedback):
+        feedback = AffineFeedback(feedback.K @ down, feedback.u0)
+    elif feedback is not None:
+        fb = feedback
         feedback = lambda t, y: fb(t, down @ y)
 
     return Mode(f"{mode.label}@{N}", N, drift, inputs, feedback)
@@ -600,6 +694,25 @@ def embed_common(system: DvSystem) -> DvSystem:
     )
 
 
+def closed_loop_drift(mode: Mode) -> np.ndarray:
+    """The matrix A + B K of a linear mode under its linear feedback u = K x.
+
+    A mode without feedback gives its drift.  Any other closed loop (a
+    nonlinear drift, a feedback evaluator, or an affine feedback with an
+    offset u0 != 0, whose equilibrium is not the origin) has no such matrix
+    and raises ``ValueError`` naming the mode.
+    """
+    if not mode.is_linear:
+        raise ValueError(f"mode {mode.label!r}: dwell analysis requires a linear drift")
+    fb = mode.feedback
+    if fb is None or (_affine(mode, fb) and not fb.u0.any()):
+        return _generator(mode, fb)
+    raise ValueError(
+        f"mode {mode.label!r}: dwell analysis requires linear feedback "
+        "u = K x (no offset, constant input matrix)"
+    )
+
+
 def dwell_bound(
     system: DvSystem,
     gamma: float,
@@ -611,21 +724,19 @@ def dwell_bound(
     """Smallest dwell time making every mode-plus-jump cycle a contraction.
 
     Finds (coarse grid scan, then bisection) the least dwell D with
-    L * max_i ||e^{D A_i}||_2 <= 1 - gamma, where L is the largest
+    L * max_i ||e^{D A_i}||_2 <= 1 - gamma, where A_i is the closed-loop
+    drift of mode i (:func:`closed_loop_drift`) and L is the largest
     transition Lipschitz constant (or the explicit override).  Returns None
     when a mode is not Hurwitz or no dwell up to ``max_dwell`` works.
+    Raises ``ValueError`` for a mode whose closed loop is not linear.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
-    mats = []
-    for mode in system.modes:
-        if not mode.is_linear:
-            raise ValueError("dwell_bound requires linear modes")
-        eig = np.linalg.eigvals(mode.drift)
-        if eig.real.max() >= 0.0:
+    mats = [closed_loop_drift(mode) for mode in system.modes]
+    for mode, A in zip(system.modes, mats):
+        if np.linalg.eigvals(A).real.max() >= 0.0:
             log.warning("mode %r is not Hurwitz; no dwell bound", mode.label)
             return None
-        mats.append(mode.drift)
     if lipschitz is None:
         lips = [tm.lipschitz for tm in system.transition_maps_in_use()]
         lipschitz = max(lips) if lips else 1.0

@@ -2,7 +2,8 @@
 
 Scenario configs cannot carry arbitrary code, so nonlinear drifts, input
 channels, output functions, feedback laws, disturbances, and span bases
-are looked up here by name.  Library users can pass their own callables
+are looked up here by name.  Feedback laws are affine and kept as gain and
+offset data, not evaluators.  Library users can pass their own callables
 directly and never touch this module.
 """
 
@@ -11,6 +12,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .dynamics import AffineFeedback
 
 __all__ = [
     "get_feedback",
@@ -71,14 +74,15 @@ OUTPUT_FUNCTIONS = {
     "ddp_output6": (6, 1, _ddp_output6),
 }
 
-#: State feedback laws u(t, x).
+#: Affine state feedback laws u = K x + u0, as (K, u0) data: get_feedback
+#: builds the AffineFeedback, which linear modes propagate exactly.
 FEEDBACKS = {
     # damp the actuated coordinate of the planar mode
-    "damp2": lambda t, x: np.array([-x[0] - x[1]]),
+    "damp2": ([[-1.0, -1.0]], [0.0]),
     # damp the chain coordinates of the three-dimensional mode
-    "damp3": lambda t, z: np.array([-z[0] - z[1] - 3.0 * z[2]]),
+    "damp3": ([[-1.0, -1.0, -3.0]], [0.0]),
     # drive the off-diagonal coordinate to the replicated line by T = 1
-    "steer_stage1": lambda t, x: np.array([-2.0 * x[0] - 1.0]),
+    "steer_stage1": ([[-2.0, 0.0]], [-1.0]),
 }
 
 #: Time signals t -> R^l used as disturbances.
@@ -126,9 +130,10 @@ def get_output_function(name: str):
     return _lookup(OUTPUT_FUNCTIONS, name, "output function")
 
 
-def get_feedback(name: str):
-    """A named state-feedback policy u(t, x)."""
-    return _lookup(FEEDBACKS, name, "feedback")
+def get_feedback(name: str) -> AffineFeedback:
+    """A named affine state-feedback law u(t, x) = K x + u0."""
+    K, u0 = _lookup(FEEDBACKS, name, "feedback")
+    return AffineFeedback(K, u0)
 
 
 def get_time_signal(name: str):

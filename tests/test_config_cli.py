@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 from importlib import resources
 
 import numpy as np
@@ -288,6 +289,27 @@ def test_cli_missing_experiment_block_exits_2(tmp_path):
         ("reduce", "reduction_sweep.json",
          lambda e: e["reduce"].update(m_values=[0]),
          "experiment.reduce.m_values[0]: must be >= 1"),
+        ("approx", "reduction_sweep.json",
+         lambda e: e["approx"]["cases"][0].update(x0=[1.0, 2.0]),
+         "experiment.approx.cases[0].x0: expected length"),
+        ("approx", "reduction_sweep.json",
+         lambda e: e["approx"]["cases"][0].update(A=[[1.0, "a"]]),
+         "experiment.approx.cases[0].A: expected a numeric matrix"),
+        ("approx", "reduction_sweep.json",
+         lambda e: e["approx"]["cases"][0]["times"].update(count=1000000000),
+         "experiment.approx.cases[0].times.count: 1000000000 samples exceeds the budget"),
+        ("reduce", "reduction_sweep.json",
+         lambda e: e["reduce"].update(A=[[1.0, 2.0]]),
+         "experiment.reduce.A: expected a square matrix"),
+        ("reduce", "reduction_sweep.json",
+         lambda e: e["reduce"].update(B=[[1.0], [1.0, 2.0]]),
+         "experiment.reduce.B: expected a numeric matrix"),
+        ("reduce", "reduction_sweep.json",
+         lambda e: e["reduce"].update(C=[[1.0, 2.0]]),
+         "experiment.reduce.C: expected 10 columns"),
+        ("reduce", "reduction_sweep.json",
+         lambda e: e["reduce"].update(x0=[1.0]),
+         "experiment.reduce.x0: expected length 10"),
         ("reduce-vec", "two_stage_steering.json",
          lambda e: e["vectors"]["ops"][1].pop("x"),
          "experiment.vectors.ops[1]: missing required field 'x'"),
@@ -306,6 +328,42 @@ def test_cli_experiment_errors_name_the_field(tmp_path, capsys, command, name, m
     message = capsys.readouterr().err
     assert message.startswith("omega: experiment.")
     assert field in message
+
+
+def test_cli_feedback_gain_must_fit_the_mode(tmp_path, capsys):
+    with open(scenario_path("feedback_switch_fixed.json"), "r", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw["modes"][0]["feedback"] = "damp3"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert run_cli("simulate", "--config", str(bad), "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err.startswith("omega: modes[0].feedback: ")
+
+
+def test_cli_sample_budget_names_the_step(tmp_path, capsys):
+    config = scenario_path("feedback_switch_fixed.json")
+    out = tmp_path / "o"
+    assert run_cli("simulate", "--config", config, "--out", str(out), "--step", "1e-9") == 2
+    assert capsys.readouterr().err.startswith("omega: step: horizon/step = 6e+09 samples")
+    assert not out.exists()
+
+
+def test_cli_dwell_uses_closed_loop_drift(tmp_path, capsys):
+    raw = minimal_config()
+    # a double integrator: not Hurwitz open loop, damped by u = -x_0 - x_1
+    raw["modes"][0].update(A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0], [1.0]], feedback="damp2")
+    raw["modes"][1]["A"] = (-np.eye(3)).tolist()
+    config = tmp_path / "closed.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "o"
+    assert run_cli("dwell", "--config", str(config), "--out", str(out)) == 0
+    report = json.loads((out / "dwell_report.json").read_text())
+    assert report["hurwitz"] == {"a": True, "b": True}
+    assert report["dwell"] is not None and math.isfinite(report["dwell"])
+    # steer_stage1 has an offset u0 != 0, so its closed loop is not linear
+    config = scenario_path("two_stage_steering.json")
+    assert run_cli("dwell", "--config", config, "--out", str(out)) == 2
+    assert "'planar'" in capsys.readouterr().err
 
 
 def test_cli_chain_and_lattice_reports(tmp_path):

@@ -1,16 +1,20 @@
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from crossdim.cdspace import kron_lift, project, v_dist
+from crossdim.config import load_scenario
 from crossdim.dkstp import op_vnorm
 from crossdim.dynamics import (
+    AffineFeedback,
     Disturbance,
     DvSystem,
     Mode,
     OutputMap,
+    closed_loop_drift,
     dwell_bound,
     embed_common,
     expm,
@@ -144,6 +148,67 @@ def test_integrate_feedback_closes_loop():
     assert seg.states[-1][0] == pytest.approx(math.exp(-1.0), abs=1e-9)
 
 
+def test_integrate_affine_feedback_is_exact():
+    # u = -2 x + 1 turns dx = x + u into dx = -x + 1: x(t) = 1 + (x0 - 1) e^{-t}
+    mode = Mode(
+        "offset",
+        1,
+        np.array([[1.0]]),
+        inputs=np.array([[1.0]]),
+        feedback=AffineFeedback([[-2.0]], [1.0]),
+    )
+    seg = integrate_mode(mode, [3.0], 0.0, 1.0, 1e-2)
+    assert seg.states.shape == (101, 1)
+    np.testing.assert_allclose(
+        seg.states[:, 0], 1.0 + 2.0 * np.exp(-seg.times), rtol=1e-13
+    )
+    assert integrate_mode(mode, [3.0], 0.0, 1.0, 1e-2, method="expm").states.tobytes() == (
+        seg.states.tobytes()
+    )
+
+
+def test_affine_feedback_gain_must_fit_the_mode():
+    with pytest.raises(ValueError, match="1x2"):
+        Mode(
+            "p",
+            2,
+            np.eye(2),
+            inputs=np.array([[1.0], [0.0]]),
+            feedback=AffineFeedback([[1.0, 2.0, 3.0]], [0.0]),
+        )
+    with pytest.raises(ValueError, match="u0"):
+        AffineFeedback([[1.0, 2.0]], [0.0, 1.0])
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_expm_path_divergence_raises_with_time():
+    mode = Mode("up", 1, np.array([[100.0]]))
+    with pytest.raises(NumericFailure) as err:
+        integrate_mode(mode, [1.0], 0.0, 10.0, 1.0)
+    # e^{700} is finite, e^{800} is not
+    assert err.value.time == 8.0
+
+
+def scenario_path(name: str) -> str:
+    return str(resources.files("crossdim") / "scenarios" / name)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["two_stage_steering.json", "feedback_switch_fixed.json", "feedback_switch_random.json"],
+)
+def test_feedback_scenarios_exact_path_matches_rk4(name):
+    scenario = load_scenario(scenario_path(name))
+    args = (scenario.system, scenario.signal, scenario.x0, scenario.step)
+    exact = simulate(*args)
+    forced = simulate(*args, method="expm")
+    rk4 = simulate(*args, method="rk4")
+    assert all(isinstance(m.feedback, AffineFeedback) for m in scenario.system.modes if m.feedback)
+    for a, b, c in zip(exact.segments, forced.segments, rk4.segments):
+        assert a.states.tobytes() == b.states.tobytes()
+        assert np.abs(a.states - c.states).max() <= 1e-9
+
+
 def test_integrate_validates():
     mode = Mode("lin", 2, np.eye(2))
     with pytest.raises(ValueError):
@@ -210,6 +275,26 @@ def test_lift_field_carries_inputs_and_feedback():
     assert lifted.inputs.shape == (4, 1)
     x = np.array([1.0, 1.0, 2.0, 2.0])
     np.testing.assert_allclose(lifted.feedback(0.0, x), [3.0], atol=1e-14)
+
+
+def test_lift_field_keeps_affine_feedback_exact():
+    fb = AffineFeedback([[-2.0, 0.0]], [-1.0])
+    mode = Mode(
+        "steer",
+        2,
+        np.array([[1.5, 0.5], [-0.5, 0.5]]),
+        inputs=np.array([[0.5], [-0.5]]),
+        feedback=fb,
+    )
+    lifted = lift_field(mode, 3)
+    assert isinstance(lifted.feedback, AffineFeedback)
+    np.testing.assert_array_equal(lifted.feedback.u0, fb.u0)
+    y = kron_lift(np.array([0.3, -1.2]), 3)
+    np.testing.assert_allclose(lifted.feedback(0.0, y), fb(0.0, [0.3, -1.2]), atol=1e-15)
+    x0 = np.array([1.0, 2.0])
+    base = integrate_mode(mode, x0, 0.0, 1.0, 1e-2, method="expm")
+    up = integrate_mode(lifted, kron_lift(x0, 3), 0.0, 1.0, 1e-2, method="expm")
+    assert np.abs(np.repeat(base.states, 3, axis=1) - up.states).max() <= 1e-12
 
 
 # --------------------------------------------------------------- lift_function
@@ -481,6 +566,29 @@ def test_dwell_bound_uses_system_lipschitz_by_default():
     # nearest maps here have constant 1, so the bound only needs the modes
     assert delta is not None
     assert delta < 3.6
+
+
+def test_dwell_bound_uses_the_closed_loop_drift():
+    # dx = x + u is unstable open loop; u = -2 x closes it to dx = -x
+    open_loop = Mode("up", 1, np.array([[1.0]]), inputs=np.array([[1.0]]))
+    closed = Mode(
+        "up", 1, np.array([[1.0]]), inputs=np.array([[1.0]]),
+        feedback=AffineFeedback([[-2.0]], [0.0]),
+    )
+    assert dwell_bound(DvSystem((open_loop,)), 0.5) is None
+    np.testing.assert_array_equal(closed_loop_drift(closed), [[-1.0]])
+    delta = dwell_bound(DvSystem((closed,)), 0.5)
+    assert delta == pytest.approx(math.log(2.0), abs=2e-3)
+
+
+@pytest.mark.parametrize(
+    "feedback",
+    [lambda t, x: np.array([-2.0 * x[0]]), AffineFeedback([[-2.0]], [1.0])],
+)
+def test_dwell_bound_rejects_feedback_without_a_linear_closed_loop(feedback):
+    mode = Mode("ctl", 1, np.array([[1.0]]), inputs=np.array([[1.0]]), feedback=feedback)
+    with pytest.raises(ValueError, match="'ctl'"):
+        dwell_bound(DvSystem((mode,)), 0.5)
 
 
 def test_dwell_bound_validates():

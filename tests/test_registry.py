@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from crossdim import registry
+from crossdim.dynamics import AffineFeedback
 
 
 def test_field_catalog_dims():
@@ -27,6 +28,16 @@ def test_feedbacks_return_input_vectors():
         fb = registry.get_feedback(name)
         dim = 3 if name == "damp3" else 2
         assert np.asarray(fb(0.0, np.zeros(dim))).shape == (1,)
+
+
+def test_feedbacks_are_affine_data():
+    # a callable table entry would be replaced by an evaluator wrapper when
+    # the table is instrumented, which moves its modes off the exact path
+    for name, entry in registry.FEEDBACKS.items():
+        assert not callable(entry), name
+        fb = registry.get_feedback(name)
+        assert isinstance(fb, AffineFeedback)
+        assert fb.K.shape[0] == fb.u0.shape[0]
 
 
 def test_time_signals():
