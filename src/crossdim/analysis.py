@@ -223,24 +223,15 @@ class ReducedModel:
     C_pi: np.ndarray | None = None
 
 
-def _solve_right(M, G):
-    """M @ inv(G) for symmetric G, via a solve."""
-    try:
-        return scipy.linalg.solve(G, M.T, assume_a="sym").T
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericFailure(
-            "normal-equation matrix is singular", operation="reduce_model"
-        ) from exc
-
-
 def reduce_model(A, B=None, C=None, m: int | None = None) -> ReducedModel:
     """Project an n-dimensional linear system onto dimension m.
 
-    The reduced drift solves the least-squares matching of vector fields
-    through the projector P between the two dimensions:
-    ``P A P^T (P P^T)^{-1}`` when compressing (n >= m) and
-    ``P A (P^T P)^{-1} P^T`` when expanding (n < m); inputs project
-    directly and outputs transform like the drift's right factor.
+    The reduced drift is the least-squares matching of vector fields
+    through the projector P from dimension n onto m: ``P A P^+`` with the
+    pseudoinverse P^+ (every projector has full rank, so this is
+    ``P A P^T (P P^T)^{-1}`` when compressing and ``P A (P^T P)^{-1} P^T``
+    when expanding).  Inputs project directly, ``P B``, and outputs
+    transform like the drift's right factor, ``C P^+``.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
@@ -257,21 +248,15 @@ def reduce_model(A, B=None, C=None, m: int | None = None) -> ReducedModel:
         if C.ndim == 1:
             C = C.reshape(1, -1)
     P = projector(n, m).matrix
-    if n >= m:
-        G = P @ P.T
-        A_pi = _solve_right(P @ A @ P.T, G)
-        C_pi = None if C is None else _solve_right(C @ P.T, G)
-    else:
-        G = P.T @ P
-        try:
-            mid = scipy.linalg.solve(G, P.T, assume_a="sym")
-        except scipy.linalg.LinAlgError as exc:
-            raise NumericFailure(
-                "normal-equation matrix is singular", operation="reduce_model"
-            ) from exc
-        A_pi = P @ A @ mid
-        C_pi = None if C is None else C @ mid
+    try:
+        P_plus = np.linalg.pinv(P)
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailure(
+            "singular value decomposition did not converge", operation="reduce_model"
+        ) from exc
+    A_pi = P @ A @ P_plus
     B_pi = None if B is None else P @ B
+    C_pi = None if C is None else C @ P_plus
     return ReducedModel(n, m, A_pi, B_pi, C_pi)
 
 

@@ -40,8 +40,9 @@ from .export import (
 )
 
 
-def _experiment_block(scenario: Scenario, key: str) -> dict:
-    block = scenario.experiment.get(key)
+def _experiment_block(scenario: Scenario, key: str, default=None) -> dict:
+    """The ``experiment.<key>`` object; a block without a default is required."""
+    block = scenario.experiment.get(key, default)
     if block is None:
         raise ConfigError(f"experiment.{key}: required by this command but missing")
     if not isinstance(block, dict):
@@ -59,7 +60,7 @@ def cmd_simulate(scenario: Scenario, out: str) -> int:
     )
     write_trajectory_csv(traj, os.path.join(out, "trajectory.csv"))
     write_events_csv(traj.events, os.path.join(out, "events.csv"))
-    if traj.outputs is not None:
+    if traj.output_map is not None:
         write_outputs_csv(traj, os.path.join(out, "outputs.csv"))
     return 0
 
@@ -120,14 +121,15 @@ def cmd_embed(scenario: Scenario, out: str) -> int:
 
 
 def cmd_dwell(scenario: Scenario, out: str) -> int:
-    block = scenario.experiment.get("dwell", {})
-    gamma = float(block.get("gamma", 0.03))
+    path = "experiment.dwell"
+    block = _experiment_block(scenario, "dwell", {})
+    gamma = _as_number(block.get("gamma", 0.03), f"{path}.gamma")
+    if not 0.0 < gamma < 1.0:
+        raise ConfigError(f"{path}.gamma: must lie in (0, 1)")
     lipschitz = block.get("lipschitz")
-    delta = dwell_bound(
-        scenario.system,
-        gamma,
-        lipschitz=None if lipschitz is None else float(lipschitz),
-    )
+    if lipschitz is not None:
+        lipschitz = _as_number(lipschitz, f"{path}.lipschitz", positive=True)
+    delta = dwell_bound(scenario.system, gamma, lipschitz=lipschitz)
     hurwitz = {
         m.label: bool(np.linalg.eigvals(closed_loop_drift(m)).real.max() < 0)
         for m in scenario.system.modes
@@ -182,10 +184,18 @@ def cmd_obs(scenario: Scenario, out: str) -> int:
     return 0
 
 
+def _mode_index(value, path: str, count: int) -> int:
+    if not 0 <= _as_int(value, path) < count:
+        raise ConfigError(f"{path}: must be a mode index in [0, {count})")
+    return value
+
+
 def cmd_chain(scenario: Scenario, out: str) -> int:
+    path = "experiment.chain"
     block = _experiment_block(scenario, "chain")
-    start = int(block.get("start", 0))
-    target = int(block.get("target", len(scenario.system.modes) - 1))
+    count = len(scenario.system.modes)
+    start = _mode_index(block.get("start", 0), f"{path}.start", count)
+    target = _mode_index(block.get("target", count - 1), f"{path}.target", count)
     chain = analysis.reachability_chain(scenario.system, start, target)
     write_json(
         {
@@ -222,15 +232,18 @@ def _case_times(block: dict, path: str) -> np.ndarray:
     return np.asarray([_as_number(t, f"{path}[{k}]") for k, t in enumerate(times)])
 
 
-def _m_values(block: dict, path: str) -> list:
-    values = _require(block, "m_values", path)
-    path = f"{path}.m_values"
+def _dimensions(values, path: str) -> list:
+    """A nonempty list of positive integers (reduced dimensions, lattice dims)."""
     if not isinstance(values, list) or not values:
         raise ConfigError(f"{path}: expected a nonempty list")
-    for k, m in enumerate(values):
-        if _as_int(m, f"{path}[{k}]") < 1:
+    for k, d in enumerate(values):
+        if _as_int(d, f"{path}[{k}]") < 1:
             raise ConfigError(f"{path}[{k}]: must be >= 1")
     return values
+
+
+def _m_values(block: dict, path: str) -> list:
+    return _dimensions(_require(block, "m_values", path), f"{path}.m_values")
 
 
 def _square_matrix(block: dict, key: str, path: str) -> np.ndarray:
@@ -321,8 +334,11 @@ def cmd_reduce_vec(scenario: Scenario, out: str) -> int:
 
 
 def cmd_lattice(scenario: Scenario, out: str) -> int:
-    block = scenario.experiment.get("lattice", {})
-    dims = block.get("dims", [m.dim for m in scenario.system.modes])
+    block = _experiment_block(scenario, "lattice", {})
+    dims = _dimensions(
+        block.get("dims", [m.dim for m in scenario.system.modes]),
+        "experiment.lattice.dims",
+    )
     lattice = build_lattice(dims)
     write_json(
         {

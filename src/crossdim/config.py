@@ -23,8 +23,9 @@ from .switching import SwitchingSignal, TransitionMap, make_signal
 __all__ = ["Scenario", "load_scenario", "validate_config", "normalize_config"]
 
 #: Most samples one time grid may ask for: horizon/step of a scenario, or
-#: the count of an experiment's time list.  It bounds the work and memory
-#: of a run before any of it starts.
+#: the count of an experiment's time list; also the most switches a dwell
+#: pattern or random dwell bounds may ask for (horizon over the shortest
+#: dwell).  It bounds the work and memory of a run before any of it starts.
 MAX_SAMPLES = 2_000_000
 
 
@@ -177,6 +178,20 @@ def _build_signal(spec, n_modes: int, horizon: float, seed_override) -> Switchin
             not isinstance(m, int) or not 0 <= m < n_modes for m in mode_list
         ):
             _fail(f"{path}.modes", f"entries must be mode indices in [0, {n_modes})")
+    # every dwell appends one switch: bound their number before drawing any
+    key = "dwell_pattern" if kind == "fixed" else "dwell_bounds"
+    dwells = params.get(key)
+    if isinstance(dwells, list) and dwells:
+        shortest = min(
+            _as_number(d, f"{path}.{key}[{k}]", positive=True)
+            for k, d in enumerate(dwells)
+        )
+        if horizon / shortest > MAX_SAMPLES:
+            _fail(
+                f"{path}.{key}",
+                f"horizon/dwell = {horizon / shortest:.3g} switches exceeds the "
+                f"budget of {MAX_SAMPLES}",
+            )
     try:
         return make_signal(kind, params, horizon, seed=seed_override)
     except ValueError as exc:

@@ -3,8 +3,9 @@
 The product of an m x n by a p x q matrix replicates columns of the left
 and rows of the right factor up to t = lcm(n, p), multiplies, and scales
 by n/t; the result is always m x q.  It coincides with the ordinary
-product when n = p, and factors through an n x p "bridge" matrix that is
-exactly the cross-dimensional projector from dimension p onto n.
+product when n = p.  It is computed as the factorization through the n x p
+"bridge" matrix, which is exactly the cross-dimensional projector from
+dimension p onto n; :func:`bridge` is the one builder of that matrix.
 """
 
 from __future__ import annotations
@@ -57,24 +58,14 @@ def _bridge(n: int, p: int) -> np.ndarray:
     return B
 
 
-def dk_product(M, N, weighted: bool = True) -> np.ndarray:
+def dk_product(M, N) -> np.ndarray:
     """Dimension-keeping semi-tensor product, defined for all shapes.
 
-    With ``weighted`` (the default and the variant used throughout this
-    package) the product carries the n/t normalization and equals
-    ``M @ bridge(n, p) @ N``.  The unweighted variant is exposed for
-    diagnostics only; it drops the scale factor and does not satisfy the
-    bridge identity.
+    For an m x n by a p x q factor this is ``M @ bridge(n, p) @ N``, the
+    m x q matrix (n/t)(M (x) 1_{t/n}^T)(N (x) 1_{t/p}) with t = lcm(n, p).
     """
     A, B = _as_matrix(M), _as_matrix(N)
-    n, p = A.shape[1], B.shape[0]
-    t = math.lcm(n, p)
-    left = np.kron(A, np.ones((1, t // n)))
-    right = np.kron(B, np.ones((t // p, 1)))
-    out = left @ right
-    if weighted:
-        out *= n / t
-    return out
+    return A @ bridge(A.shape[1], B.shape[0]) @ B
 
 
 def dk_apply(M, x) -> np.ndarray:

@@ -1,12 +1,14 @@
 """Dimension-varying system simulation.
 
 A system is a finite set of fixed-dimension modes plus a rule for jumping
-between their dimensions.  Simulation integrates the active mode on each
-dwell interval with classical fixed-step RK4 (linear modes that are
-autonomous or closed by affine feedback take an exact matrix-exponential
-path), applies the transition map at every switch, and logs a jump event
-with gap, direction and impulse amplitude.  Impulses are discrete reset
-records, never numerically integrated spikes.
+between their dimensions.  Each mode carries its own dynamics and feedback
+law, and they alone decide how it moves: simulation integrates the active
+mode on each dwell interval with classical fixed-step RK4 (linear modes
+that are autonomous or closed by affine feedback take an exact
+matrix-exponential path), applies the transition map at every switch into
+another mode, and logs a jump event with gap, direction and impulse
+amplitude.  Impulses are discrete reset records, never numerically
+integrated spikes.
 
 Vector fields of dimension n lift to any multiple k*n so that integral
 curves commute with entry replication; embedding every mode into the lcm
@@ -24,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .cdspace import as_entries, project, projector, stp_add, v_norm, v_norm_rows
-from .dkstp import bridge, dk_apply
+from .cdspace import as_entries, project, projector, v_norm, v_norm_rows
+from .dkstp import bridge
 from .errors import NumericFailure
 from .switching import (
     JumpEvent,
@@ -57,6 +59,11 @@ log = logging.getLogger(__name__)
 
 DEFAULT_STEP = 1e-3
 _TIME_EPS = 1e-12
+#: dwell_bound's search: the longest dwell tried, the scan grid, and the
+#: bisection tolerance (the returned dwell overshoots the least one by less).
+_MAX_DWELL = 50.0
+_DWELL_GRID = 0.05
+_DWELL_TOL = 1e-3
 
 
 def expm(A, t: float = 1.0) -> np.ndarray:
@@ -117,10 +124,10 @@ class Mode:
     ``drift`` is either an (n, n) matrix or an evaluator x -> R^n.
     ``inputs`` is an (n, k) matrix whose columns are the input directions,
     or a sequence of k evaluators x -> R^n for state-dependent channels.
-    ``feedback`` closes the loop when the mode is simulated without an
-    explicit control: an :class:`AffineFeedback` (its gain K must be k x n;
-    with a drift and an input matrix the closed loop is propagated exactly)
-    or any evaluator (t, x) -> R^k (integrated with RK4).
+    ``feedback`` closes the loop whenever the mode is integrated: an
+    :class:`AffineFeedback` (its gain K must be k x n; with a drift and an
+    input matrix the closed loop is propagated exactly) or any evaluator
+    (t, x) -> R^k (integrated with RK4).
     """
 
     label: str
@@ -371,35 +378,30 @@ class Trajectory:
         return [(ev.time, v_norm(ev.pre_state)) for ev in self.events if ev.time > 0.0]
 
 
-def _mode_rhs(mode: Mode, control, disturbance):
-    """Assemble dx/dt = drift(+disturbance) + inputs * control for one mode."""
+def _mode_rhs(mode: Mode, disturbance):
+    """Assemble dx/dt = f(x + eta) + inputs * feedback for one mode.
+
+    A disturbance eta of foreign dimension enters the drift f through its
+    projection onto the mode dimension; for a matrix drift this is the
+    dimension-keeping product A (x + eta) in the lcm dimension.  The zero
+    fast path keeps eta == 0 bit-identical to no disturbance at all.
+    """
     n = mode.dim
     if mode.is_linear:
-        A = mode.drift
-        if disturbance is None:
-            drift = lambda t, x: A @ x
-        else:
-            # Disturbance of foreign dimension enters through the
-            # dimension-keeping product: A (x + eta) in the lcm dimension.
-            # The zero fast path keeps eta == 0 bit-identical to no
-            # disturbance at all.
-            def drift(t, x):
-                eta = disturbance(t)
-                if not eta.any():
-                    return A @ x
-                return dk_apply(A, stp_add(x, eta).entries)
-
+        f = lambda x, A=mode.drift: A @ x
     else:
-        f = mode.drift
-        if disturbance is None:
-            drift = lambda t, x: np.asarray(f(x), dtype=float)
-        else:
+        f = lambda x, g=mode.drift: np.asarray(g(x), dtype=float)
+    if disturbance is None:
+        drift = lambda t, x: f(x)
+    else:
 
-            def drift(t, x):
-                eta = disturbance(t)
-                if not eta.any():
-                    return np.asarray(f(x), dtype=float)
-                return np.asarray(f(x + project(eta, n)), dtype=float)
+        def drift(t, x):
+            eta = disturbance(t)
+            if not eta.any():
+                return f(x)
+            return f(x + project(eta, n))
+
+    control = mode.feedback
     if control is None or mode.inputs is None:
         return drift
 
@@ -422,51 +424,46 @@ def _grid(t0: float, t1: float, step: float):
     return times
 
 
-def _affine(mode: Mode, control) -> bool:
-    """Is ``control`` affine feedback acting through a constant input matrix?"""
-    return isinstance(control, AffineFeedback) and isinstance(mode.inputs, np.ndarray)
+def _affine(mode: Mode) -> bool:
+    """Is the mode's feedback affine, acting through a constant input matrix?"""
+    return isinstance(mode.feedback, AffineFeedback) and isinstance(
+        mode.inputs, np.ndarray
+    )
 
 
-def _generator(mode: Mode, control) -> np.ndarray:
-    """Matrix G of the linear flow of ``mode`` closed by ``control``.
+def _generator(mode: Mode) -> np.ndarray:
+    """Matrix G of the linear flow of ``mode`` closed by its feedback.
 
-    Without control G is the drift itself.  Affine feedback u = K x + u0
+    Without feedback G is the drift itself.  Affine feedback u = K x + u0
     gives A + B K, bordered by the column B u0 and a zero row when u0 != 0,
     so that [x; 1] evolves by G (Van Loan, IEEE TAC 1978).
     """
-    if control is None:
+    fb = mode.feedback
+    if fb is None:
         return mode.drift
     B = mode.inputs
-    G = mode.drift + B @ control.K
-    if not control.u0.any():
+    G = mode.drift + B @ fb.K
+    if not fb.u0.any():
         return G
     n = mode.dim
     bordered = np.zeros((n + 1, n + 1))
     bordered[:n, :n] = G
-    bordered[:n, n] = B @ control.u0
+    bordered[:n, n] = B @ fb.u0
     return bordered
 
 
 def integrate_mode(
-    mode: Mode,
-    x0,
-    t0: float,
-    t1: float,
-    step: float,
-    control=None,
-    disturbance=None,
-    method: str = "auto",
+    mode: Mode, x0, t0: float, t1: float, step: float, disturbance=None
 ) -> Segment:
-    """Integrate one mode over [t0, t1] on a fixed-step grid.
+    """Integrate one mode, closed by its own feedback, over [t0, t1].
 
-    ``control`` overrides the mode's own feedback; pass
-    ``replace(mode, feedback=None)`` to force open loop.  A linear mode
-    without disturbance, whose control is absent or an
-    :class:`AffineFeedback` acting through a constant input matrix, is
-    propagated exactly by the matrix exponential when ``method`` is "auto"
-    or "expm"; everything else, and any mode under ``method="rk4"``, uses
-    classical RK4.  The two paths agree to well below 1e-8 at the default
-    step.
+    The mode alone decides the path.  A linear mode without disturbance,
+    whose feedback is absent or an :class:`AffineFeedback` acting through a
+    constant input matrix, is propagated exactly by the matrix exponential
+    on the fixed-step grid; everything else (evaluator drifts, feedback
+    evaluators, disturbances) uses classical RK4.  To integrate a linear
+    mode with RK4, give its drift as an evaluator ``lambda x: A @ x``.  An
+    open-loop run is ``integrate_mode(replace(mode, feedback=None), ...)``.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -478,23 +475,11 @@ def integrate_mode(
         )
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
-    if control is None:
-        control = mode.feedback
     times = _grid(t0, t1, step)
-    if method not in ("auto", "rk4", "expm"):
-        raise ValueError(f"unknown integration method {method!r}")
-    exact = mode.is_linear and disturbance is None and (
-        control is None or _affine(mode, control)
-    )
-    use_expm = method == "expm" or (method == "auto" and exact)
-    if use_expm and not exact:
-        raise ValueError(
-            "expm path requires a linear mode without disturbance whose "
-            "control is absent or affine"
-        )
-
-    if use_expm:
-        G = _generator(mode, control)
+    if mode.is_linear and disturbance is None and (
+        mode.feedback is None or _affine(mode)
+    ):
+        G = _generator(mode)
         # a bordered G moves [x; 1]; the extra column is dropped at the end
         z = np.append(x, 1.0) if len(G) > x.size else x
         Z = np.empty((len(times), z.size))
@@ -516,7 +501,7 @@ def integrate_mode(
     else:
         states = np.empty((len(times), x.size))
         states[0] = x
-        rhs = _mode_rhs(mode, control, disturbance)
+        rhs = _mode_rhs(mode, disturbance)
         probe = np.asarray(rhs(times[0], x))
         if probe.shape != x.shape:
             raise ValueError(
@@ -590,32 +575,23 @@ def lift_function(h, q: int, y) -> np.ndarray:
     return np.atleast_1d(np.asarray(h(project(y, q)), dtype=float))
 
 
-def _resolve_control(mode: Mode, control):
-    if control is None:
-        return mode.feedback
-    if callable(control):
-        return control
-    # mapping keyed by mode label
-    return control.get(mode.label, mode.feedback)
-
-
 def simulate(
     system: DvSystem,
     signal: SwitchingSignal,
     x0,
     step: float = DEFAULT_STEP,
-    control=None,
     disturbance=None,
-    method: str = "auto",
 ) -> Trajectory:
     """Run a dimension-varying system along a switching signal.
 
-    The active mode is integrated on each dwell interval (switch times are
-    grid points, never interpolated across); at each switch the transition
-    map produces the post state and a jump event is logged.  An initial
+    The active mode, closed by its own feedback, is integrated on each
+    dwell interval (switch times are grid points, never interpolated
+    across); at each switch into another mode the transition map produces
+    the post state and a jump event is logged.  A switch into the same mode
+    is no jump: the state carries over and no event is logged.  An initial
     state of foreign dimension is projected onto the first mode's dimension
-    with an event at t = 0.  ``control`` may be a single policy or a
-    mapping from mode labels to policies; per-mode feedback is the default.
+    with an event at t = 0.  To run a mode under another feedback law,
+    replace it in the system with ``dataclasses.replace(mode, feedback=...)``.
     """
     n_modes = len(system.modes)
     unknown = sorted(m for m in signal.mode_indices if not 0 <= m < n_modes)
@@ -631,30 +607,18 @@ def simulate(
         events.append(make_jump_event(0.0, x, post, system.impulse_scale))
         x = post
 
+    modes = [mi for _, _, mi in intervals]
     segments = []
-    for seg_no, (ta, tb, mi) in enumerate(intervals):
-        mode = system.modes[mi]
-        seg = integrate_mode(
-            mode,
-            x,
-            ta,
-            tb,
-            step,
-            control=_resolve_control(mode, control),
-            disturbance=disturbance,
-            method=method,
-        )
+    for (ta, tb, mi), mj in zip(intervals, modes[1:] + [None]):
+        seg = integrate_mode(system.modes[mi], x, ta, tb, step, disturbance=disturbance)
         segments.append(seg)
         x = seg.states[-1]
-        if seg_no + 1 < len(intervals):
-            mj = intervals[seg_no + 1][2]
-            tm = system.transition(mi, mj)
-            post = tm(x)
+        if mj not in (None, mi):
+            post = system.transition(mi, mj)(x)
             events.append(make_jump_event(tb, x, post, system.impulse_scale))
             x = post
 
-    modes = tuple(mi for _, _, mi in intervals)
-    return Trajectory(tuple(segments), modes, events, system.output)
+    return Trajectory(tuple(segments), tuple(modes), events, system.output)
 
 
 def embed_common(system: DvSystem) -> DvSystem:
@@ -705,8 +669,8 @@ def closed_loop_drift(mode: Mode) -> np.ndarray:
     if not mode.is_linear:
         raise ValueError(f"mode {mode.label!r}: dwell analysis requires a linear drift")
     fb = mode.feedback
-    if fb is None or (_affine(mode, fb) and not fb.u0.any()):
-        return _generator(mode, fb)
+    if fb is None or (_affine(mode) and not fb.u0.any()):
+        return _generator(mode)
     raise ValueError(
         f"mode {mode.label!r}: dwell analysis requires linear feedback "
         "u = K x (no offset, constant input matrix)"
@@ -714,21 +678,17 @@ def closed_loop_drift(mode: Mode) -> np.ndarray:
 
 
 def dwell_bound(
-    system: DvSystem,
-    gamma: float,
-    lipschitz: float | None = None,
-    max_dwell: float = 50.0,
-    coarse_step: float = 0.05,
-    refine_tol: float = 1e-3,
+    system: DvSystem, gamma: float, lipschitz: float | None = None
 ) -> float | None:
     """Smallest dwell time making every mode-plus-jump cycle a contraction.
 
-    Finds (coarse grid scan, then bisection) the least dwell D with
-    L * max_i ||e^{D A_i}||_2 <= 1 - gamma, where A_i is the closed-loop
-    drift of mode i (:func:`closed_loop_drift`) and L is the largest
-    transition Lipschitz constant (or the explicit override).  Returns None
-    when a mode is not Hurwitz or no dwell up to ``max_dwell`` works.
-    Raises ``ValueError`` for a mode whose closed loop is not linear.
+    Finds the least dwell D with L * max_i ||e^{D A_i}||_2 <= 1 - gamma,
+    where A_i is the closed-loop drift of mode i (:func:`closed_loop_drift`)
+    and L is the largest transition Lipschitz constant (or the explicit
+    override): a scan on a grid of ``_DWELL_GRID``, then bisection to within
+    ``_DWELL_TOL``.  Returns None when a mode is not Hurwitz or no dwell up
+    to ``_MAX_DWELL`` works.  Raises ``ValueError`` for a mode whose closed
+    loop is not linear.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
@@ -746,16 +706,16 @@ def dwell_bound(
         return lipschitz * worst <= 1.0 - gamma
 
     lo, hi = 0.0, None
-    d = coarse_step
-    while d <= max_dwell + _TIME_EPS:
+    d = _DWELL_GRID
+    while d <= _MAX_DWELL + _TIME_EPS:
         if contracts(d):
             hi = d
             break
         lo = d
-        d += coarse_step
+        d += _DWELL_GRID
     if hi is None:
         return None
-    while hi - lo > refine_tol:
+    while hi - lo > _DWELL_TOL:
         mid = 0.5 * (lo + hi)
         if contracts(mid):
             hi = mid

@@ -108,6 +108,8 @@ SPAN_BASES = {
 
 
 def _lookup(table: dict, name: str, kind: str):
+    if not isinstance(name, str):
+        raise ValueError(f"{kind} name must be a string, got {type(name).__name__}")
     try:
         return table[name]
     except KeyError:

@@ -32,6 +32,7 @@ from crossdim.dynamics import (
     simulate,
 )
 from crossdim.registry import get_field, get_span_basis
+from rk4_reference import rk4_mode
 
 RNG = np.random.default_rng(2024)
 
@@ -252,10 +253,10 @@ def test_c07_flow_lifting():
     worst = 0.0
     for mode in modes:
         x0 = RNG.standard_normal(mode.dim)
-        base = integrate_mode(mode, x0, 0.0, 1.0, 1e-3, method="rk4")
+        base = integrate_mode(rk4_mode(mode), x0, 0.0, 1.0, 1e-3)
         for k in (2, 3):
             lifted = integrate_mode(
-                lift_field(mode, k), kron_lift(x0, k), 0.0, 1.0, 1e-3, method="rk4"
+                rk4_mode(lift_field(mode, k)), kron_lift(x0, k), 0.0, 1.0, 1e-3
             )
             diff = np.abs(np.repeat(base.states, k, axis=1) - lifted.states).max()
             worst = max(worst, diff)

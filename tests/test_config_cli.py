@@ -316,6 +316,33 @@ def test_cli_missing_experiment_block_exits_2(tmp_path):
         ("reduce-vec", "two_stage_steering.json",
          lambda e: e["vectors"]["ops"][2].pop("m"),
          "experiment.vectors.ops[2]: missing required field 'm'"),
+        ("dwell", "two_mode_contraction.json",
+         lambda e: e["dwell"].update(gamma="x"),
+         "experiment.dwell.gamma: expected a number"),
+        ("dwell", "two_mode_contraction.json",
+         lambda e: e["dwell"].update(gamma=2),
+         "experiment.dwell.gamma: must lie in (0, 1)"),
+        ("dwell", "two_mode_contraction.json",
+         lambda e: e["dwell"].update(lipschitz="x"),
+         "experiment.dwell.lipschitz: expected a number"),
+        ("dwell", "two_mode_contraction.json",
+         lambda e: e["dwell"].update(lipschitz=-3.0),
+         "experiment.dwell.lipschitz: must be positive"),
+        ("dwell", "two_mode_contraction.json",
+         lambda e: e.update(dwell=[0.03]),
+         "experiment.dwell: expected an object"),
+        ("chain", "two_stage_steering.json",
+         lambda e: e["chain"].update(start=7),
+         "experiment.chain.start: must be a mode index in [0, 2)"),
+        ("chain", "two_stage_steering.json",
+         lambda e: e["chain"].update(target="1"),
+         "experiment.chain.target: expected an integer"),
+        ("lattice", "two_stage_steering.json",
+         lambda e: e["lattice"].update(dims=[0, 2]),
+         "experiment.lattice.dims[0]: must be >= 1"),
+        ("lattice", "two_stage_steering.json",
+         lambda e: e["lattice"].update(dims=6),
+         "experiment.lattice.dims: expected a nonempty list"),
     ],
 )
 def test_cli_experiment_errors_name_the_field(tmp_path, capsys, command, name, mutate, field):
@@ -338,6 +365,57 @@ def test_cli_feedback_gain_must_fit_the_mode(tmp_path, capsys):
     bad.write_text(json.dumps(raw))
     assert run_cli("simulate", "--config", str(bad), "--out", str(tmp_path / "o")) == 2
     assert capsys.readouterr().err.startswith("omega: modes[0].feedback: ")
+
+
+@pytest.mark.parametrize(
+    "name, field, value",
+    [
+        ("feedback_switch_fixed.json", "feedback", ["damp2"]),
+        ("ddp_two_mode.json", "drift", ["ddp2_drift"]),
+        ("ddp_two_mode.json", "inputs", {"name": "ddp2_input"}),
+    ],
+)
+def test_cli_registry_names_must_be_strings(tmp_path, capsys, name, field, value):
+    with open(scenario_path(name), "r", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw["modes"][0][field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert run_cli("simulate", "--config", str(bad), "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err.startswith(f"omega: modes[0].{field}: ")
+
+
+@pytest.mark.parametrize(
+    "signal, field",
+    [
+        ({"kind": "random", "dwell_bounds": [1e-12, 1e-12], "seed": 3}, "dwell_bounds"),
+        ({"kind": "fixed", "dwell_pattern": [1.0, 1e-12]}, "dwell_pattern"),
+    ],
+)
+def test_cli_switch_budget_names_the_dwell(tmp_path, capsys, signal, field):
+    raw = minimal_config()
+    raw["signal"] = signal
+    config = tmp_path / "many_switches.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "o"
+    assert run_cli("simulate", "--config", str(config), "--out", str(out)) == 2
+    message = capsys.readouterr().err
+    assert message.startswith(f"omega: signal.{field}: horizon/dwell = 1e+12 switches")
+    assert not out.exists()
+
+
+def test_cli_self_switch_is_no_jump(tmp_path):
+    raw = minimal_config()
+    raw["signal"].update(switch_times=[0.3, 0.6], modes=[1, 1])
+    raw["transitions"] = {
+        "explicit": [{"from": 0, "to": 1, "W": [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]}]
+    }
+    config = tmp_path / "self_switch.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "o"
+    assert run_cli("simulate", "--config", str(config), "--out", str(out)) == 0
+    header, *rows = (out / "events.csv").read_text().splitlines()
+    assert [float(row.split(",")[0]) for row in rows] == [0.3]
 
 
 def test_cli_sample_budget_names_the_step(tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from crossdim.cdspace import kron_lift, projector, v_norm
+from crossdim.cdspace import kron_lift, project, projector, stp_add, v_norm
 from crossdim.dkstp import bridge, dk_apply, dk_product, op_vnorm
 
 RNG = np.random.default_rng(7)
@@ -58,11 +58,14 @@ def test_dk_product_row_times_ones():
 
 
 def test_dk_product_factors_through_bridge():
+    # reference: the definition (n/t)(A (x) 1_{t/n}^T)(B (x) 1_{t/p}), t = lcm(n, p)
     for _ in range(1000):
         A, B = random_matrix(), random_matrix()
-        direct = dk_product(A, B)
-        via_bridge = A @ bridge(A.shape[1], B.shape[0]) @ B
-        np.testing.assert_allclose(direct, via_bridge, atol=1e-12)
+        n, p = A.shape[1], B.shape[0]
+        t = math.lcm(n, p)
+        left = np.kron(A, np.ones((1, t // n)))
+        right = np.kron(B, np.ones((t // p, 1)))
+        np.testing.assert_allclose(dk_product(A, B), (n / t) * (left @ right), atol=1e-12)
 
 
 def test_dk_product_distributivity():
@@ -98,21 +101,25 @@ def test_dk_product_ring_axioms_fixed_shape():
     )
 
 
-def test_dk_product_unweighted_variant():
-    A = RNG.standard_normal((2, 2))
-    B = RNG.standard_normal((3, 2))
-    t = math.lcm(2, 3)
-    np.testing.assert_allclose(
-        dk_product(A, B, weighted=False), (t / 2) * dk_product(A, B), atol=1e-12
-    )
-
-
 def test_dk_apply_matches_matrix_route():
     A = RNG.standard_normal((2, 4))
     x = RNG.standard_normal(6)
     np.testing.assert_allclose(
         dk_apply(A, x), dk_product(A, x.reshape(-1, 1)).ravel(), atol=1e-15
     )
+
+
+def test_dk_apply_of_a_sum_projects_the_foreign_term():
+    # A (x + eta) in the lcm dimension equals A (x + project(eta, n)): the
+    # formula of a disturbance of foreign dimension in the drift
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n, l = (int(d) for d in rng.integers(1, 7, size=2))
+        A = rng.standard_normal((n, n))
+        x, eta = rng.standard_normal(n), rng.standard_normal(l)
+        np.testing.assert_allclose(
+            dk_apply(A, stp_add(x, eta).entries), A @ (x + project(eta, n)), atol=1e-12
+        )
 
 
 # -------------------------------------------------------------------- op_vnorm

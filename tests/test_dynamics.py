@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import scipy.linalg
 
 from crossdim.cdspace import kron_lift, project, v_dist
+from crossdim import dynamics
 from crossdim.config import load_scenario
 from crossdim.dkstp import op_vnorm
 from crossdim.dynamics import (
@@ -26,6 +28,7 @@ from crossdim.dynamics import (
 from crossdim.errors import NumericFailure
 from crossdim.registry import get_field, get_output_function
 from crossdim.switching import TransitionMap, fixed_signal
+from rk4_reference import rk4_mode, rk4_system
 
 RNG = np.random.default_rng(23)
 
@@ -102,7 +105,7 @@ def test_integrate_constant_field():
 
 def test_integrate_scalar_growth():
     mode = Mode("grow", 1, np.array([[1.0]]))
-    seg = integrate_mode(mode, [3.0], 0.0, 1.0, 1e-4, method="rk4")
+    seg = integrate_mode(rk4_mode(mode), [3.0], 0.0, 1.0, 1e-4)
     assert seg.states[-1][0] == pytest.approx(3.0 * math.e, abs=1e-10)
 
 
@@ -111,8 +114,8 @@ def test_integrate_rk4_agrees_with_expm():
         n = int(RNG.integers(1, 5))
         mode = Mode("lin", n, random_stable(n))
         x0 = RNG.standard_normal(n)
-        rk = integrate_mode(mode, x0, 0.0, 1.0, 1e-3, method="rk4")
-        ex = integrate_mode(mode, x0, 0.0, 1.0, 1e-3, method="expm")
+        rk = integrate_mode(rk4_mode(mode), x0, 0.0, 1.0, 1e-3)
+        ex = integrate_mode(mode, x0, 0.0, 1.0, 1e-3)
         np.testing.assert_array_equal(rk.times, ex.times)
         assert np.abs(rk.states - ex.states).max() <= 1e-8
 
@@ -162,9 +165,6 @@ def test_integrate_affine_feedback_is_exact():
     np.testing.assert_allclose(
         seg.states[:, 0], 1.0 + 2.0 * np.exp(-seg.times), rtol=1e-13
     )
-    assert integrate_mode(mode, [3.0], 0.0, 1.0, 1e-2, method="expm").states.tobytes() == (
-        seg.states.tobytes()
-    )
 
 
 def test_affine_feedback_gain_must_fit_the_mode():
@@ -199,14 +199,39 @@ def scenario_path(name: str) -> str:
 )
 def test_feedback_scenarios_exact_path_matches_rk4(name):
     scenario = load_scenario(scenario_path(name))
-    args = (scenario.system, scenario.signal, scenario.x0, scenario.step)
-    exact = simulate(*args)
-    forced = simulate(*args, method="expm")
-    rk4 = simulate(*args, method="rk4")
+    args = (scenario.signal, scenario.x0, scenario.step)
+    exact = simulate(scenario.system, *args)
+    rk4 = simulate(rk4_system(scenario.system), *args)
     assert all(isinstance(m.feedback, AffineFeedback) for m in scenario.system.modes if m.feedback)
-    for a, b, c in zip(exact.segments, forced.segments, rk4.segments):
-        assert a.states.tobytes() == b.states.tobytes()
+    for a, c in zip(exact.segments, rk4.segments):
         assert np.abs(a.states - c.states).max() <= 1e-9
+
+
+def test_the_mode_chooses_the_integration_path(monkeypatch):
+    calls = []
+    real_expm = dynamics.expm
+    monkeypatch.setattr(
+        dynamics, "expm", lambda A, t=1.0: calls.append(t) or real_expm(A, t)
+    )
+    A = np.array([[-1.0, 0.5], [0.0, -2.0]])
+    B = np.array([[1.0], [0.0]])
+    open_loop = Mode("open", 2, A)
+    affine = Mode("affine", 2, A, inputs=B, feedback=AffineFeedback([[-1.0, 0.0]], [0.5]))
+    evaluator = Mode("evaluator", 2, A, inputs=B, feedback=lambda t, x: -x[:1])
+    noise = Disturbance(1, lambda t: np.array([math.sin(t)]))
+    cases = [
+        (open_loop, None, True),
+        (affine, None, True),
+        (rk4_mode(open_loop), None, False),
+        (rk4_mode(affine), None, False),
+        (evaluator, None, False),
+        (open_loop, noise, False),
+        (affine, noise, False),
+    ]
+    for mode, disturbance, exact in cases:
+        calls.clear()
+        integrate_mode(mode, [1.0, -1.0], 0.0, 1.0, 0.1, disturbance=disturbance)
+        assert bool(calls) == exact, (mode.label, disturbance)
 
 
 def test_integrate_validates():
@@ -257,7 +282,7 @@ def test_lift_field_flows_commute_with_replication():
         base = integrate_mode(mode, x0, 0.0, 1.0, 1e-3)
         for k in (2, 3):
             lifted = integrate_mode(
-                lift_field(mode, k), kron_lift(x0, k), 0.0, 1.0, 1e-3, method="rk4"
+                rk4_mode(lift_field(mode, k)), kron_lift(x0, k), 0.0, 1.0, 1e-3
             )
             replicated = np.repeat(base.states, k, axis=1)
             assert np.abs(replicated - lifted.states).max() <= 1e-6
@@ -292,8 +317,8 @@ def test_lift_field_keeps_affine_feedback_exact():
     y = kron_lift(np.array([0.3, -1.2]), 3)
     np.testing.assert_allclose(lifted.feedback(0.0, y), fb(0.0, [0.3, -1.2]), atol=1e-15)
     x0 = np.array([1.0, 2.0])
-    base = integrate_mode(mode, x0, 0.0, 1.0, 1e-2, method="expm")
-    up = integrate_mode(lifted, kron_lift(x0, 3), 0.0, 1.0, 1e-2, method="expm")
+    base = integrate_mode(mode, x0, 0.0, 1.0, 1e-2)
+    up = integrate_mode(lifted, kron_lift(x0, 3), 0.0, 1.0, 1e-2)
     assert np.abs(np.repeat(base.states, 3, axis=1) - up.states).max() <= 1e-12
 
 
@@ -370,6 +395,21 @@ def test_simulate_projects_foreign_initial_state():
     np.testing.assert_allclose(traj.states[0], project([1.0, 2.0, 3.0], 2))
 
 
+@pytest.mark.parametrize(
+    "transitions",
+    ["nearest", {(0, 1): TransitionMap(2, 4, np.repeat(np.eye(2), 2, axis=0))}],
+)
+def test_simulate_self_switch_is_no_jump(transitions):
+    system = DvSystem(contraction_system().modes, transitions)
+    signal = fixed_signal(3.0, switch_times=[1.0, 2.0], modes=[1, 1], n_modes=2)
+    traj = simulate(system, signal, [1.0, 2.0], 1e-2)
+    assert [ev.time for ev in traj.events] == [1.0]
+    # the state carries over the self-switch unchanged
+    first, second = traj.segments[1], traj.segments[2]
+    np.testing.assert_array_equal(second.states[0], first.states[-1])
+    assert first.times[-1] == second.times[0] == 2.0
+
+
 def test_simulate_rejects_unknown_mode():
     system = contraction_system()
     signal = fixed_signal(2.0, switch_times=[1.0], modes=[5], n_modes=6)
@@ -393,8 +433,9 @@ def test_simulate_zero_disturbance_is_bit_identical():
     system = contraction_system()
     signal = fixed_signal(3.0, dwell_pattern=[1.0], n_modes=2)
     quiet = Disturbance(3, lambda t: np.zeros(3))
-    a = simulate(system, signal, [1.0, 2.0], 1e-2, method="rk4")
-    b = simulate(system, signal, [1.0, 2.0], 1e-2, disturbance=quiet, method="rk4")
+    # any disturbance sends a mode to RK4; the reference runs RK4 undisturbed
+    a = simulate(rk4_system(system), signal, [1.0, 2.0], 1e-2)
+    b = simulate(system, signal, [1.0, 2.0], 1e-2, disturbance=quiet)
     for sa, sb in zip(a.states, b.states):
         np.testing.assert_array_equal(sa, sb)
 
@@ -403,8 +444,8 @@ def test_simulate_disturbance_of_foreign_dim():
     system = contraction_system()
     signal = fixed_signal(1.0, n_modes=2)
     noisy = Disturbance(3, lambda t: np.array([math.sin(t), 0.0, 0.1]))
-    traj = simulate(system, signal, [1.0, 2.0], 1e-2, disturbance=noisy, method="rk4")
-    base = simulate(system, signal, [1.0, 2.0], 1e-2, method="rk4")
+    traj = simulate(system, signal, [1.0, 2.0], 1e-2, disturbance=noisy)
+    base = simulate(rk4_system(system), signal, [1.0, 2.0], 1e-2)
     assert v_dist(traj.final_state, base.final_state) > 0
 
 
@@ -416,13 +457,11 @@ def test_simulate_control_mapping_overrides_feedback():
         inputs=np.array([[1.0]]),
         feedback=lambda t, x: np.array([1.0]),
     )
-    system = DvSystem((mode,))
     signal = fixed_signal(1.0, n_modes=1)
-    with_feedback = simulate(system, signal, [0.0], 1e-2)
+    with_feedback = simulate(DvSystem((mode,)), signal, [0.0], 1e-2)
     assert with_feedback.final_state[0] == pytest.approx(1.0, abs=1e-12)
-    overridden = simulate(
-        system, signal, [0.0], 1e-2, control={"ctl": lambda t, x: np.array([-1.0])}
-    )
+    other = replace(mode, feedback=lambda t, x: np.array([-1.0]))
+    overridden = simulate(DvSystem((other,)), signal, [0.0], 1e-2)
     assert overridden.final_state[0] == pytest.approx(-1.0, abs=1e-12)
 
 
