@@ -45,6 +45,9 @@ __all__ = [
 REDUCE_RTOL = 1e-9
 #: Absolute floor below which entry differences are treated as zero.
 REDUCE_ATOL = 1e-12
+#: Most nodes :func:`build_lattice` closes.  k distinct primes close to 2^k
+#: nodes and the Hasse edges cost O(N^3), so the work is bounded here.
+MAX_LATTICE_NODES = 256
 
 
 @dataclass(frozen=True)
@@ -322,7 +325,8 @@ def build_lattice(dims) -> SubspaceLattice:
     """Smallest lcm/gcd-closed lattice containing ``dims``, with Hasse edges.
 
     Note the closure can add nodes below the generators: incomparable
-    generators force their gcd in (e.g. {2, 3} forces 1).
+    generators force their gcd in (e.g. {2, 3} forces 1).  A closure of
+    more than ``MAX_LATTICE_NODES`` nodes raises ``ValueError``.
     """
     nodes = {int(d) for d in dims}
     if not nodes:
@@ -330,6 +334,10 @@ def build_lattice(dims) -> SubspaceLattice:
     if any(d < 1 for d in nodes):
         raise ValueError("dims must be positive integers")
     while True:
+        if len(nodes) > MAX_LATTICE_NODES:
+            raise ValueError(
+                f"the lcm/gcd closure exceeds {MAX_LATTICE_NODES} nodes"
+            )
         new = set()
         for a in nodes:
             for b in nodes:

@@ -316,19 +316,21 @@ def cmd_reduce_vec(scenario: Scenario, out: str) -> int:
         if not isinstance(op, dict) or "op" not in op:
             raise ConfigError(f"{path}: expected an object with an 'op' field")
         kind = op["op"]
+        if kind not in ("canonicalize", "distance", "norm", "project"):
+            raise ConfigError(f"{path}.op: unknown operation {kind!r}")
+        x = _as_vector(_require(op, "x", path), f"{path}.x")
         if kind == "canonicalize":
-            vec = canonicalize(_require(op, "x", path), float(op.get("tol", 1e-9)))
+            tol = _as_number(op.get("tol", 1e-9), f"{path}.tol", positive=True)
+            vec = canonicalize(x, tol)
             results.append({"op": kind, "result": vec.entries, "dim": vec.dim})
         elif kind == "distance":
-            x, y = _require(op, "x", path), _require(op, "y", path)
+            y = _as_vector(_require(op, "y", path), f"{path}.y")
             results.append({"op": kind, "result": v_dist(x, y)})
         elif kind == "norm":
-            results.append({"op": kind, "result": v_norm(_require(op, "x", path))})
-        elif kind == "project":
-            m = _as_int(_require(op, "m", path), f"{path}.m")
-            results.append({"op": kind, "result": project(_require(op, "x", path), m)})
+            results.append({"op": kind, "result": v_norm(x)})
         else:
-            raise ConfigError(f"{path}.op: unknown operation {kind!r}")
+            m = _as_int(_require(op, "m", path), f"{path}.m")
+            results.append({"op": kind, "result": project(x, m)})
     write_json(results, os.path.join(out, "vector_ops.json"))
     return 0
 
@@ -339,7 +341,10 @@ def cmd_lattice(scenario: Scenario, out: str) -> int:
         block.get("dims", [m.dim for m in scenario.system.modes]),
         "experiment.lattice.dims",
     )
-    lattice = build_lattice(dims)
+    try:
+        lattice = build_lattice(dims)
+    except ValueError as exc:  # the node cap; the dims themselves are checked
+        raise ConfigError(f"experiment.lattice.dims: {exc}") from None
     write_json(
         {
             "generators": sorted(int(d) for d in dims),

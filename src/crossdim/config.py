@@ -10,6 +10,7 @@ trips to an identical dict, which the tests pin down.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,9 +56,19 @@ def _require(raw: dict, key: str, path: str):
 
 
 def _as_number(value, path: str, positive: bool = False) -> float:
+    """A finite JSON number.
+
+    Python's ``json`` reads NaN and Infinity; NaN compares False with
+    everything, so it would pass the sample and switch budgets unchecked.
+    """
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         _fail(path, "expected a number")
-    v = float(value)
+    try:
+        v = float(value)  # an integer beyond the float range overflows
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        _fail(path, "must be finite")
     if positive and v <= 0:
         _fail(path, "must be positive")
     return v
@@ -126,7 +137,7 @@ def _build_mode(spec, idx: int) -> Mode:
         drift = _as_matrix(spec["A"], dim, dim, f"{path}.A")
     else:
         try:
-            fdim, drift = registry.get_field(spec["drift"])
+            fdim, drift = registry.get_drift(spec["drift"])
         except ValueError as exc:
             _fail(f"{path}.drift", str(exc))
         if fdim != dim:
@@ -173,6 +184,10 @@ def _build_signal(spec, n_modes: int, horizon: float, seed_override) -> Switchin
     if kind not in ("fixed", "random", "random-dwell"):
         _fail(f"{path}.kind", "must be 'fixed' or 'random'")
     if kind == "fixed":
+        switch_times = params.get("switch_times")
+        if isinstance(switch_times, list):
+            for k, t in enumerate(switch_times):
+                _as_number(t, f"{path}.switch_times[{k}]")
         mode_list = params.get("modes")
         if mode_list is not None and any(
             not isinstance(m, int) or not 0 <= m < n_modes for m in mode_list

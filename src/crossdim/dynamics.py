@@ -64,6 +64,9 @@ _TIME_EPS = 1e-12
 _MAX_DWELL = 50.0
 _DWELL_GRID = 0.05
 _DWELL_TOL = 1e-3
+#: Samples per block of the exact linear flow: each block starts from its
+#: own matrix exponential, so rounding compounds over at most this many steps.
+_FLOW_BLOCK = 256
 
 
 def expm(A, t: float = 1.0) -> np.ndarray:
@@ -412,16 +415,65 @@ def _mode_rhs(mode: Mode, disturbance):
     return rhs
 
 
-def _grid(t0: float, t1: float, step: float):
-    """Uniform grid from t0, final partial step shortened to land exactly on t1."""
+def _grid(t0: float, t1: float, step: float) -> np.ndarray:
+    """Uniform grid t0 + i*step, final partial step shortened to land exactly on t1."""
     span = t1 - t0
     n_full = int(math.floor(span / step + _TIME_EPS))
-    times = [t0 + i * step for i in range(n_full + 1)]
+    times = t0 + np.arange(n_full + 1) * step
     if t1 - times[-1] > _TIME_EPS * max(1.0, abs(t1)):
-        times.append(t1)
-    else:
-        times[-1] = t1
+        return np.append(times, t1)
+    times[-1] = t1
     return times
+
+
+def _powers(G: np.ndarray, step: float, count: int) -> np.ndarray:
+    """E^0 ... E^{count-1} of E = e^{G step}, stacked, by doubling.
+
+    Block s..2s-1 is E^s times block 0..s-1, so about log2(count) stacked
+    products build them and each power is a product of about 2 log2(count)
+    factors.
+    """
+    P = np.empty((count, len(G), len(G)))
+    P[0] = np.eye(len(G))
+    if count > 1:
+        E = expm(G, step)
+        s = 1
+        while s < count:
+            m = min(s, count - s)
+            P[s : s + m] = (P[s - 1] @ E) @ P[:m]
+            s *= 2
+    return P
+
+
+def _linear_flow(G: np.ndarray, z0: np.ndarray, times: np.ndarray, step: float):
+    """Samples of z(t) = e^{G (t - t0)} z0 on a grid from :func:`_grid`.
+
+    Sample j*B + i of the uniform grid is E^i applied to the anchor
+    e^{G j B step} z0, with E = e^{G step}, B = ``_FLOW_BLOCK`` and the
+    powers from :func:`_powers`; each anchor is its own exponential, so
+    rounding compounds over at most one block, never over the whole grid.
+    A final partial step (shorter than ``step``) starts from the sample
+    before it.  Where an exponential overflows, that sample and all later
+    ones are NaN.
+    """
+    count = len(times)
+    partial = count > 1 and abs(times[-1] - times[-2] - step) > _TIME_EPS
+    uniform = count - 1 if partial else count
+    Z = np.full((count, z0.size), np.nan)
+    Z[0] = z0
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            P = _powers(G, step, min(uniform, _FLOW_BLOCK))
+            rows = P.reshape(-1, z0.size)  # one matrix-vector product per block
+            for start in range(0, uniform, _FLOW_BLOCK):
+                anchor = z0 if start == 0 else expm(G, start * step) @ z0
+                m = min(_FLOW_BLOCK, uniform - start)
+                Z[start : start + m] = (rows[: m * z0.size] @ anchor).reshape(m, -1)
+            if partial:
+                Z[-1] = expm(G, times[-1] - times[-2]) @ Z[-2]
+        except NumericFailure:
+            pass  # an exponential overflowed: the samples not reached stay NaN
+    return Z
 
 
 def _affine(mode: Mode) -> bool:
@@ -482,34 +534,28 @@ def integrate_mode(
         G = _generator(mode)
         # a bordered G moves [x; 1]; the extra column is dropped at the end
         z = np.append(x, 1.0) if len(G) > x.size else x
-        Z = np.empty((len(times), z.size))
-        Z[0] = z
-        E = expm(G, step)
-        for k in range(1, len(times)):
-            h = times[k] - times[k - 1]
-            z = (E if abs(h - step) <= _TIME_EPS else expm(G, h)) @ z
-            Z[k] = z
-        # E is invertible, so a non-finite state never turns finite again
-        if not np.all(np.isfinite(z)):
-            first = int(np.argmin(np.isfinite(Z).all(axis=1)))
+        Z = _linear_flow(G, z, times, step)
+        bad = ~np.isfinite(Z).all(axis=1)
+        if bad.any():
             raise NumericFailure(
                 f"state diverged in mode {mode.label!r}",
                 operation="integrate_mode",
-                time=times[first],
+                time=float(times[np.argmax(bad)]),
             )
         states = np.ascontiguousarray(Z[:, : mode.dim])
     else:
         states = np.empty((len(times), x.size))
         states[0] = x
         rhs = _mode_rhs(mode, disturbance)
-        probe = np.asarray(rhs(times[0], x))
+        grid = times.tolist()
+        probe = np.asarray(rhs(grid[0], x))
         if probe.shape != x.shape:
             raise ValueError(
                 f"mode {mode.label!r}: evaluator returned shape {probe.shape}, "
                 f"expected {x.shape}"
             )
-        for k in range(1, len(times)):
-            t, h = times[k - 1], times[k] - times[k - 1]
+        for k in range(1, len(grid)):
+            t, h = grid[k - 1], grid[k] - grid[k - 1]
             k1 = rhs(t, x)
             k2 = rhs(t + h / 2, x + (h / 2) * k1)
             k3 = rhs(t + h / 2, x + (h / 2) * k2)
@@ -519,10 +565,10 @@ def integrate_mode(
                 raise NumericFailure(
                     f"state diverged in mode {mode.label!r}",
                     operation="integrate_mode",
-                    time=times[k],
+                    time=grid[k],
                 )
             states[k] = x
-    return Segment(np.asarray(times), states)
+    return Segment(times, states)
 
 
 def lift_field(mode: Mode, k: int) -> Mode:

@@ -1,10 +1,11 @@
-"""Named built-in evaluators referenced by scenario files.
+"""Named built-in fields, channels and laws referenced by scenario files.
 
-Scenario configs cannot carry arbitrary code, so nonlinear drifts, input
-channels, output functions, feedback laws, disturbances, and span bases
-are looked up here by name.  Feedback laws are affine and kept as gain and
-offset data, not evaluators.  Library users can pass their own callables
-directly and never touch this module.
+Scenario configs cannot carry arbitrary code, so drifts, input channels,
+output functions, feedback laws, disturbances, and span bases are looked
+up here by name.  Linear drifts are kept as matrices and feedback laws,
+which are affine, as gain and offset data, not evaluators, so the modes
+built from them move by their exact flow.  Library users can pass their
+own callables directly and never touch this module.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 from .dynamics import AffineFeedback
 
 __all__ = [
+    "get_drift",
     "get_feedback",
     "get_field",
     "get_input_channels",
@@ -23,18 +25,6 @@ __all__ = [
     "get_span_basis",
     "get_time_signal",
 ]
-
-
-def _rotor2(x):
-    return np.array([x[1], -x[0]])
-
-
-def _ddp2_drift(x):
-    return np.array([x[1], 2.0 * x[0] / 3.0])
-
-
-def _ddp3_drift(z):
-    return np.array([z[1] - z[2], z[0], -z[0]])
 
 
 def _ddp2_input(x):
@@ -55,11 +45,12 @@ def _ddp_disturbance6(w):
     )
 
 
-#: State fields x -> R^n (drifts and field arguments to restriction checks).
+#: State fields on R^n (drifts and field arguments to restriction checks):
+#: name -> (n, A) for a linear field x -> A x, or (n, evaluator x -> R^n).
 FIELDS = {
-    "rotor2": (2, _rotor2),
-    "ddp2_drift": (2, _ddp2_drift),
-    "ddp3_drift": (3, _ddp3_drift),
+    "rotor2": (2, [[0.0, 1.0], [-1.0, 0.0]]),
+    "ddp2_drift": (2, [[0.0, 1.0], [2.0 / 3.0, 0.0]]),
+    "ddp3_drift": (3, [[0.0, 1.0, -1.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
     "ddp_disturbance6": (6, _ddp_disturbance6),
 }
 
@@ -117,9 +108,22 @@ def _lookup(table: dict, name: str, kind: str):
         raise ValueError(f"unknown {kind} {name!r}; available: {known}") from None
 
 
+def get_drift(name: str):
+    """(dim, drift) for a named state field, as a mode takes it.
+
+    The drift is an (n, n) matrix for a linear field and the evaluator
+    otherwise.
+    """
+    dim, field = _lookup(FIELDS, name, "field")
+    return dim, (field if callable(field) else np.array(field, dtype=float))
+
+
 def get_field(name: str):
-    """(dim, evaluator) for a named state field."""
-    return _lookup(FIELDS, name, "field")
+    """(dim, evaluator) for a named state field; a linear one maps x to A x."""
+    dim, field = get_drift(name)
+    if callable(field):
+        return dim, field
+    return dim, lambda x: field @ np.asarray(x, dtype=float)
 
 
 def get_input_channels(name: str):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossdim.cdspace import (
+    MAX_LATTICE_NODES,
     CdVector,
     angle,
     build_lattice,
@@ -304,6 +305,15 @@ def test_lattice_laws():
         assert lat.inf(a, lat.inf(b, c)) == lat.inf(lat.inf(a, b), c)
         assert lat.sup(a, lat.inf(a, b)) == a
         assert lat.inf(a, lat.sup(a, b)) == a
+
+
+def test_lattice_node_count_is_capped():
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23]
+    assert len(build_lattice(primes[:8]).dims) == MAX_LATTICE_NODES == 256
+    with pytest.raises(ValueError, match="exceeds 256 nodes"):
+        build_lattice(primes)
+    with pytest.raises(ValueError, match="exceeds 256 nodes"):
+        build_lattice(range(1, 300))
 
 
 def test_lattice_closed_under_sup_inf():

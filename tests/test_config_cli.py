@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import signal
 from importlib import resources
 
 import numpy as np
@@ -343,6 +344,18 @@ def test_cli_missing_experiment_block_exits_2(tmp_path):
         ("lattice", "two_stage_steering.json",
          lambda e: e["lattice"].update(dims=6),
          "experiment.lattice.dims: expected a nonempty list"),
+        ("reduce-vec", "two_stage_steering.json",
+         lambda e: e["vectors"]["ops"][0].update(tol="x"),
+         "experiment.vectors.ops[0].tol: expected a number"),
+        ("reduce-vec", "two_stage_steering.json",
+         lambda e: e["vectors"]["ops"][0].update(tol=0.0),
+         "experiment.vectors.ops[0].tol: must be positive"),
+        ("reduce-vec", "two_stage_steering.json",
+         lambda e: e["vectors"]["ops"][1].update(x=[1, "a"]),
+         "experiment.vectors.ops[1].x: expected a numeric vector"),
+        ("reduce-vec", "two_stage_steering.json",
+         lambda e: e["vectors"]["ops"][1].update(y=[1.0, math.nan]),
+         "experiment.vectors.ops[1].y: vector entries must be finite"),
     ],
 )
 def test_cli_experiment_errors_name_the_field(tmp_path, capsys, command, name, mutate, field):
@@ -565,3 +578,61 @@ def test_cli_approx_error_tables(tmp_path):
     rows = [line.split(",") for line in lines[1:]]
     assert {r[1] for r in rows} == {"9", "7", "5", "11", "13", "15"}
     assert max(float(r[2]) for r in rows) <= 0.05
+
+
+def run_cli_bounded(seconds, *args) -> int:
+    """``run_cli``, failing the test if it runs longer than ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"omega {args[0]} ran longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return run_cli(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "field, mutate",
+    [
+        ("horizon", lambda raw: raw.update(horizon=math.nan)),
+        ("horizon", lambda raw: raw.update(horizon=math.inf)),
+        ("horizon", lambda raw: raw.update(horizon=-math.inf)),
+        ("step", lambda raw: raw.update(step=math.nan)),
+        ("signal.dwell_pattern[0]", lambda raw: raw["signal"].update(dwell_pattern=[math.nan])),
+        ("signal.dwell_pattern[0]", lambda raw: raw["signal"].update(dwell_pattern=[math.inf])),
+        ("horizon", lambda raw: raw.update(horizon=10**400)),
+        ("signal.switch_times[1]", lambda raw: raw.update(signal={
+            "kind": "fixed", "initial_mode": 0, "switch_times": [1.0, math.nan]})),
+    ],
+)
+def test_cli_non_finite_numbers_name_the_field(tmp_path, capsys, field, mutate):
+    # NaN compares False with every budget: before these were rejected, a NaN
+    # horizon or dwell made `omega simulate` run without end
+    with open(scenario_path("two_mode_contraction.json"), "r", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    mutate(raw)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    out = tmp_path / "o"
+    assert run_cli_bounded(5, "simulate", "--config", str(bad), "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith(f"omega: {field}: must be finite")
+    assert not out.exists()
+
+
+def test_cli_lattice_size_is_bounded_before_the_work(tmp_path, capsys):
+    # 15 distinct primes close to 2^15 lattice nodes with O(N^3) Hasse edges
+    with open(scenario_path("two_stage_steering.json"), "r", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw["experiment"]["lattice"]["dims"] = [
+        2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47
+    ]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert run_cli_bounded(1, "lattice", "--config", str(bad), "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err.startswith(
+        "omega: experiment.lattice.dims: the lcm/gcd closure exceeds 256 nodes"
+    )

@@ -189,6 +189,70 @@ def test_expm_path_divergence_raises_with_time():
     assert err.value.time == 8.0
 
 
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_expm_path_divergence_in_an_anchor_or_the_step():
+    # the flow restarts each block of _FLOW_BLOCK samples from its own
+    # exponential; choose the rate so that the first overflow is block 1's
+    # anchor, e^{rate * B}, while E^{B-1} is still finite
+    B = dynamics._FLOW_BLOCK
+    rate = math.log(np.finfo(float).max) / (B - 0.5)
+    for mode, first in [
+        (Mode("anchor", 1, np.array([[rate]])), float(B)),
+        (Mode("step", 1, np.array([[1000.0]])), 1.0),
+    ]:
+        with pytest.raises(NumericFailure) as err:
+            integrate_mode(mode, [1.0], 0.0, 2.0 * B, 1.0)
+        assert err.value.operation == "integrate_mode"
+        assert err.value.time == first, mode.label
+
+
+def eigen_flow(G, z0, t):
+    """V diag(e^{lambda t}) V^-1 z0 for a diagonalizable G."""
+    lam, V = np.linalg.eig(G)
+    return (V @ (np.exp(lam * t) * np.linalg.solve(V, z0))).real
+
+
+@pytest.mark.parametrize("partial", [False, True])
+def test_linear_flow_matches_eigendecomposition(partial):
+    B = dynamics._FLOW_BLOCK
+    A = np.array([[-0.3, 1.0], [-1.0, -0.3]])
+    offset = Mode(
+        "bordered",
+        2,
+        A,
+        inputs=np.array([[0.0], [1.0]]),
+        feedback=AffineFeedback([[0.5, -0.2]], [0.7]),
+    )
+    t0, h = 0.5, 1e-3
+    for mode in (Mode("open", 2, A), offset):
+        G = dynamics._generator(mode)
+        z0 = np.array([1.0, -2.0, 1.0])[: len(G)]
+        for count in (1, 2, B - 1, B, B + 1, 3 * B + 7):
+            t1 = t0 + (count - 1 + (0.4 if partial else 0.0)) * h
+            seg = integrate_mode(mode, z0[:2], t0, t1, h)
+            assert len(seg.times) == count + partial
+            want = np.array([eigen_flow(G, z0, t - t0)[:2] for t in seg.times])
+            assert np.abs(seg.states - want).max() <= 1e-13, (mode.label, count)
+
+
+def test_exact_flow_does_not_compound_rounding():
+    # c03 at step 1e-4: the closed loop reaches (1.5e, 1.5e) at the handoff
+    scenario = load_scenario(scenario_path("two_stage_steering.json"), step=1e-4)
+    traj = simulate(scenario.system, scenario.signal, scenario.x0, scenario.step)
+    assert np.abs(traj.events[0].pre_state - 1.5 * math.e).max() <= 1e-13
+
+
+def test_grid_matches_the_scalar_formula():
+    for t0, t1, step in [(0.0, 1.0, 1e-3), (0.3, 4.0, 1e-4), (1.7, 2.2, 0.03), (2.0, 2.0, 0.1)]:
+        n_full = int(math.floor((t1 - t0) / step + 1e-12))
+        want = [t0 + i * step for i in range(n_full + 1)]
+        if t1 - want[-1] > 1e-12 * max(1.0, abs(t1)):
+            want.append(t1)
+        else:
+            want[-1] = t1
+        assert dynamics._grid(t0, t1, step).tolist() == want
+
+
 def scenario_path(name: str) -> str:
     return str(resources.files("crossdim") / "scenarios" / name)
 
@@ -232,6 +296,33 @@ def test_the_mode_chooses_the_integration_path(monkeypatch):
         calls.clear()
         integrate_mode(mode, [1.0, -1.0], 0.0, 1.0, 0.1, disturbance=disturbance)
         assert bool(calls) == exact, (mode.label, disturbance)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "two_mode_contraction.json",
+        "two_stage_steering.json",
+        "feedback_switch_fixed.json",
+        "feedback_switch_random.json",
+        "ddp_two_mode.json",
+        "reduction_sweep.json",
+    ],
+)
+def test_shipped_scenarios_take_the_exact_path(monkeypatch, name):
+    calls = []
+    real_expm = dynamics.expm
+    monkeypatch.setattr(
+        dynamics, "expm", lambda A, t=1.0: calls.append(t) or real_expm(A, t)
+    )
+
+    def no_rk4(mode, disturbance):
+        raise AssertionError(f"mode {mode.label!r} runs RK4")
+
+    monkeypatch.setattr(dynamics, "_mode_rhs", no_rk4)
+    scenario = load_scenario(scenario_path(name))
+    traj = simulate(scenario.system, scenario.signal, scenario.x0, scenario.step)
+    assert len(calls) >= sum(len(seg.times) > 1 for seg in traj.segments)
 
 
 def test_integrate_validates():

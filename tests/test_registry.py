@@ -6,9 +6,26 @@ from crossdim.dynamics import AffineFeedback
 
 
 def test_field_catalog_dims():
-    for name, (dim, fn) in registry.FIELDS.items():
-        out = np.asarray(fn(np.zeros(dim)))
+    for name in registry.FIELDS:
+        dim, fn = registry.get_field(name)
+        out = np.asarray(fn(np.ones(dim)))
         assert out.shape == (dim,), name
+        _, drift = registry.get_drift(name)
+        if not callable(drift):
+            assert drift.shape == (dim, dim), name
+
+
+def test_linear_fields_are_matrix_data():
+    # ddp_two_mode's drifts and rotor2 are linear: modes built from them take
+    # the exact path, while get_field still serves an evaluator x -> A x
+    for name in ("rotor2", "ddp2_drift", "ddp3_drift"):
+        dim, A = registry.get_drift(name)
+        assert isinstance(A, np.ndarray), name
+        _, f = registry.get_field(name)
+        x = np.arange(1.0, dim + 1.0)
+        np.testing.assert_array_equal(f(x), A @ x)
+    _, rotor = registry.get_field("rotor2")
+    np.testing.assert_array_equal(rotor([1.0, 2.0]), [2.0, -1.0])
 
 
 def test_input_channels_shapes():
