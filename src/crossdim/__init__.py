@@ -61,7 +61,6 @@ from .switching import (
     fixed_signal,
     jump_gap,
     lipschitz_of,
-    make_signal,
     nearest_map,
     random_signal,
 )

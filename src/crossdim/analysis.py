@@ -298,7 +298,10 @@ def approx_error(A, x0, m: int, times) -> ErrorSeries:
     for i, t in enumerate(ts):
         x_t = expm(A, t) @ x0
         z_t = expm(red.A_pi, t) @ z0
-        vals[i] = _relative_error(back @ z_t, x_t)
+        try:
+            vals[i] = _relative_error(back @ z_t, x_t)
+        except ValueError:  # v_norm refuses a state or a gap that overflowed
+            raise NumericFailure("state diverged", operation="approx_error", time=t) from None
     return ErrorSeries(ts, vals)
 
 

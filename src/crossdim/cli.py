@@ -18,16 +18,7 @@ import numpy as np
 
 from . import analysis
 from .cdspace import build_lattice, canonicalize, project, v_dist, v_norm, v_norm_rows
-from .config import (
-    MAX_SAMPLES,
-    Scenario,
-    _as_int,
-    _as_matrix,
-    _as_number,
-    _as_vector,
-    _require,
-    load_scenario,
-)
+from .config import Scenario, load_scenario
 from .dkstp import bridge
 from .dynamics import closed_loop_drift, dwell_bound, embed_common, simulate
 from .errors import ConfigError, NumericFailure
@@ -40,14 +31,17 @@ from .export import (
 )
 
 
-def _experiment_block(scenario: Scenario, key: str, default=None) -> dict:
-    """The ``experiment.<key>`` object; a block without a default is required."""
-    block = scenario.experiment.get(key, default)
-    if block is None:
-        raise ConfigError(f"experiment.{key}: required by this command but missing")
-    if not isinstance(block, dict):
-        raise ConfigError(f"experiment.{key}: expected an object")
-    return block
+def _each_mode(scenario: Scenario, analyse, field: str) -> list:
+    """``analyse(mode)`` for every mode; a ValueError names ``modes[i].drift``
+    when the drift is not linear, and ``modes[i].<field>`` otherwise."""
+    results = []
+    for i, mode in enumerate(scenario.system.modes):
+        try:
+            results.append(analyse(mode))
+        except ValueError as exc:
+            at = "drift" if not mode.is_linear else field
+            raise ConfigError(f"modes[{i}].{at}: {exc}") from None
+    return results
 
 
 def cmd_simulate(scenario: Scenario, out: str) -> int:
@@ -121,43 +115,25 @@ def cmd_embed(scenario: Scenario, out: str) -> int:
 
 
 def cmd_dwell(scenario: Scenario, out: str) -> int:
-    path = "experiment.dwell"
-    block = _experiment_block(scenario, "dwell", {})
-    gamma = _as_number(block.get("gamma", 0.03), f"{path}.gamma")
-    if not 0.0 < gamma < 1.0:
-        raise ConfigError(f"{path}.gamma: must lie in (0, 1)")
-    lipschitz = block.get("lipschitz")
-    if lipschitz is not None:
-        lipschitz = _as_number(lipschitz, f"{path}.lipschitz", positive=True)
-    delta = dwell_bound(scenario.system, gamma, lipschitz=lipschitz)
+    block = scenario.block("dwell")
+    drifts = _each_mode(scenario, closed_loop_drift, "feedback")
+    delta = dwell_bound(scenario.system, block["gamma"], lipschitz=block["lipschitz"])
     hurwitz = {
-        m.label: bool(np.linalg.eigvals(closed_loop_drift(m)).real.max() < 0)
-        for m in scenario.system.modes
+        m.label: bool(np.linalg.eigvals(A).real.max() < 0)
+        for m, A in zip(scenario.system.modes, drifts)
     }
-    write_json(
-        {
-            "gamma": gamma,
-            "lipschitz_override": lipschitz,
-            "dwell": delta,
-            "hurwitz": hurwitz,
-        },
-        os.path.join(out, "dwell_report.json"),
-    )
+    report = {"gamma": block["gamma"], "lipschitz_override": block["lipschitz"],
+              "dwell": delta, "hurwitz": hurwitz}
+    write_json(report, os.path.join(out, "dwell_report.json"))
     return 0
 
 
 def cmd_ctrb(scenario: Scenario, out: str) -> int:
-    reports = []
-    for m in scenario.system.modes:
-        rep = analysis.controllability_report(m)
-        reports.append(
-            {
-                "label": rep.label,
-                "dim": rep.dim,
-                "kalman_rank": rep.kalman_rank,
-                "fully_controllable": rep.fully_controllable,
-            }
-        )
+    keys = ("label", "dim", "kalman_rank", "fully_controllable")
+    reports = [
+        {key: getattr(rep, key) for key in keys}
+        for rep in _each_mode(scenario, analysis.controllability_report, "inputs")
+    ]
     write_json(reports, os.path.join(out, "ctrb_report.json"))
     return 0
 
@@ -166,91 +142,26 @@ def cmd_obs(scenario: Scenario, out: str) -> int:
     output = scenario.system.output
     if output is None or output.matrix is None:
         raise ConfigError("output.H: the obs command needs a linear output map")
-    reports = []
-    for m in scenario.system.modes:
+
+    def report(m) -> dict:
         if not m.is_linear:
-            raise ConfigError(f"mode {m.label!r}: obs command needs linear modes")
-        C = output.matrix @ bridge(output.q, m.dim)
-        rank = analysis.obs_rank(m.drift, C)
-        reports.append(
-            {
-                "label": m.label,
-                "dim": m.dim,
-                "obs_rank": rank,
-                "fully_observable": rank == m.dim,
-            }
-        )
-    write_json(reports, os.path.join(out, "obs_report.json"))
+            raise ValueError(f"mode {m.label!r}: obs command needs a linear drift")
+        rank = analysis.obs_rank(m.drift, output.matrix @ bridge(output.q, m.dim))
+        return {"label": m.label, "dim": m.dim, "obs_rank": rank,
+                "fully_observable": rank == m.dim}
+
+    write_json(_each_mode(scenario, report, "drift"), os.path.join(out, "obs_report.json"))
     return 0
-
-
-def _mode_index(value, path: str, count: int) -> int:
-    if not 0 <= _as_int(value, path) < count:
-        raise ConfigError(f"{path}: must be a mode index in [0, {count})")
-    return value
 
 
 def cmd_chain(scenario: Scenario, out: str) -> int:
-    path = "experiment.chain"
-    block = _experiment_block(scenario, "chain")
-    count = len(scenario.system.modes)
-    start = _mode_index(block.get("start", 0), f"{path}.start", count)
-    target = _mode_index(block.get("target", count - 1), f"{path}.target", count)
+    block = scenario.block("chain")
+    start, target = block["start"], block["target"]
     chain = analysis.reachability_chain(scenario.system, start, target)
-    write_json(
-        {
-            "start": start,
-            "target": target,
-            "chain": chain,
-            "labels": None
-            if chain is None
-            else [scenario.system.modes[i].label for i in chain],
-        },
-        os.path.join(out, "chain_report.json"),
-    )
+    labels = None if chain is None else [scenario.system.modes[i].label for i in chain]
+    report = {"start": start, "target": target, "chain": chain, "labels": labels}
+    write_json(report, os.path.join(out, "chain_report.json"))
     return 0
-
-
-def _case_times(block: dict, path: str) -> np.ndarray:
-    times = _require(block, "times", path)
-    path = f"{path}.times"
-    if isinstance(times, dict):
-        count = _as_int(_require(times, "count", path), f"{path}.count")
-        if count < 0:
-            raise ConfigError(f"{path}.count: must be nonnegative")
-        if count > MAX_SAMPLES:
-            raise ConfigError(
-                f"{path}.count: {count} samples exceeds the budget of {MAX_SAMPLES}"
-            )
-        return np.linspace(
-            _as_number(_require(times, "from", path), f"{path}.from"),
-            _as_number(_require(times, "to", path), f"{path}.to"),
-            count,
-        )
-    if not isinstance(times, list):
-        raise ConfigError(f"{path}: expected a list or an object with from, to, count")
-    return np.asarray([_as_number(t, f"{path}[{k}]") for k, t in enumerate(times)])
-
-
-def _dimensions(values, path: str) -> list:
-    """A nonempty list of positive integers (reduced dimensions, lattice dims)."""
-    if not isinstance(values, list) or not values:
-        raise ConfigError(f"{path}: expected a nonempty list")
-    for k, d in enumerate(values):
-        if _as_int(d, f"{path}[{k}]") < 1:
-            raise ConfigError(f"{path}[{k}]: must be >= 1")
-    return values
-
-
-def _m_values(block: dict, path: str) -> list:
-    return _dimensions(_require(block, "m_values", path), f"{path}.m_values")
-
-
-def _square_matrix(block: dict, key: str, path: str) -> np.ndarray:
-    M = _as_matrix(_require(block, key, path), None, None, f"{path}.{key}")
-    if M.shape[0] != M.shape[1]:
-        raise ConfigError(f"{path}.{key}: expected a square matrix, got {M.shape}")
-    return M
 
 
 def _error_rows(A, x0, m_values, times) -> list:
@@ -263,96 +174,52 @@ def _error_rows(A, x0, m_values, times) -> list:
 
 
 def cmd_approx(scenario: Scenario, out: str) -> int:
-    cases = _experiment_block(scenario, "approx").get("cases")
-    if not isinstance(cases, list) or not cases:
-        raise ConfigError("experiment.approx.cases: expected a nonempty list")
-    for k, case in enumerate(cases):
-        path = f"experiment.approx.cases[{k}]"
-        if not isinstance(case, dict):
-            raise ConfigError(f"{path}: expected an object")
-        label = _require(case, "label", path)
-        A = _square_matrix(case, "A", path)
-        x0 = _as_vector(_require(case, "x0", path), f"{path}.x0", len(A))
-        rows = _error_rows(A, x0, _m_values(case, path), _case_times(case, path))
-        write_error_csv(rows, os.path.join(out, f"error_{label}.csv"))
+    for case in scenario.block("approx")["cases"]:
+        rows = _error_rows(case["A"], case["x0"], case["m_values"], case["times"])
+        write_error_csv(rows, os.path.join(out, f"error_{case['label']}.csv"))
     return 0
 
 
 def cmd_reduce(scenario: Scenario, out: str) -> int:
-    path = "experiment.reduce"
-    block = _experiment_block(scenario, "reduce")
-    A = _square_matrix(block, "A", path)
-    n = len(A)
-    m_values = _m_values(block, path)
-    B = None if "B" not in block else _as_matrix(block["B"], n, None, f"{path}.B", "column")
-    C = None if "C" not in block else _as_matrix(block["C"], None, n, f"{path}.C", "row")
+    block = scenario.block("reduce")
+    A = block["A"]
     models = []
-    for m in m_values:
-        red = analysis.reduce_model(A, B, C, m)
-        models.append(
-            {
-                "m": m,
-                "A_pi": red.A_pi,
-                "B_pi": red.B_pi,
-                "C_pi": red.C_pi,
-            }
-        )
-    write_json({"n": n, "models": models}, os.path.join(out, "reduced_models.json"))
-    if "x0" in block and "times" in block:
-        x0 = _as_vector(block["x0"], f"{path}.x0", n)
-        rows = _error_rows(A, x0, m_values, _case_times(block, path))
+    for m in block["m_values"]:
+        red = analysis.reduce_model(A, block["B"], block["C"], m)
+        models.append({"m": m, "A_pi": red.A_pi, "B_pi": red.B_pi, "C_pi": red.C_pi})
+    write_json({"n": len(A), "models": models}, os.path.join(out, "reduced_models.json"))
+    if block["x0"] is not None and block["times"] is not None:
+        rows = _error_rows(A, block["x0"], block["m_values"], block["times"])
         write_error_csv(rows, os.path.join(out, "reduce_error.csv"))
     return 0
 
 
 def cmd_reduce_vec(scenario: Scenario, out: str) -> int:
-    block = _experiment_block(scenario, "vectors")
-    ops = block.get("ops")
-    if not isinstance(ops, list) or not ops:
-        raise ConfigError("experiment.vectors.ops: expected a nonempty list")
     results = []
-    for k, op in enumerate(ops):
-        path = f"experiment.vectors.ops[{k}]"
-        if not isinstance(op, dict) or "op" not in op:
-            raise ConfigError(f"{path}: expected an object with an 'op' field")
-        kind = op["op"]
-        if kind not in ("canonicalize", "distance", "norm", "project"):
-            raise ConfigError(f"{path}.op: unknown operation {kind!r}")
-        x = _as_vector(_require(op, "x", path), f"{path}.x")
+    for op in scenario.block("vectors")["ops"]:
+        kind, x = op["op"], op["x"]
         if kind == "canonicalize":
-            tol = _as_number(op.get("tol", 1e-9), f"{path}.tol", positive=True)
-            vec = canonicalize(x, tol)
+            vec = canonicalize(x, op["tol"])
             results.append({"op": kind, "result": vec.entries, "dim": vec.dim})
         elif kind == "distance":
-            y = _as_vector(_require(op, "y", path), f"{path}.y")
-            results.append({"op": kind, "result": v_dist(x, y)})
+            results.append({"op": kind, "result": v_dist(x, op["y"])})
         elif kind == "norm":
             results.append({"op": kind, "result": v_norm(x)})
         else:
-            m = _as_int(_require(op, "m", path), f"{path}.m")
-            results.append({"op": kind, "result": project(x, m)})
+            results.append({"op": kind, "result": project(x, op["m"])})
     write_json(results, os.path.join(out, "vector_ops.json"))
     return 0
 
 
 def cmd_lattice(scenario: Scenario, out: str) -> int:
-    block = _experiment_block(scenario, "lattice", {})
-    dims = _dimensions(
-        block.get("dims", [m.dim for m in scenario.system.modes]),
-        "experiment.lattice.dims",
-    )
+    dims = scenario.block("lattice")["dims"]
     try:
         lattice = build_lattice(dims)
     except ValueError as exc:  # the node cap; the dims themselves are checked
         raise ConfigError(f"experiment.lattice.dims: {exc}") from None
-    write_json(
-        {
-            "generators": sorted(int(d) for d in dims),
-            "nodes": sorted(lattice.dims),
-            "edges": lattice.hasse_edges(),
-        },
-        os.path.join(out, "lattice.json"),
-    )
+    report = {"generators": sorted(dims), "nodes": sorted(lattice.dims),
+              "edges": lattice.hasse_edges()}
+    write_json(report, os.path.join(out, "lattice.json"))
     return 0
 
 

@@ -3,15 +3,20 @@
 A scenario declares the modes (matrices row-major, or built-in evaluator
 names), the switching signal, the transition rule, initial state, step and
 horizon, plus optional output map, disturbance, and experiment parameters.
-Seeds are always explicit in the file; ``validate`` + ``normalize`` round
-trips to an identical dict, which the tests pin down.
+Every part, each ``experiment`` block included, is parsed here once, so
+every command accepts the same files.  Seeds are always explicit in the
+file; ``validate`` + ``normalize`` round trips to an identical dict, which
+the tests pin down.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, replace
+from functools import partial
+from types import MappingProxyType
 
 import numpy as np
 
@@ -19,20 +24,34 @@ from . import registry
 from .dynamics import Disturbance, DvSystem, Mode, OutputMap
 from .errors import ConfigError
 from .export import _jsonable
-from .switching import SwitchingSignal, TransitionMap, make_signal
+from .switching import SwitchingSignal, TransitionMap, fixed_signal, random_signal
 
 __all__ = ["Scenario", "load_scenario", "validate_config", "normalize_config"]
 
 #: Most samples one time grid may ask for: horizon/step of a scenario, or
 #: the count of an experiment's time list; also the most switches a dwell
 #: pattern or random dwell bounds may ask for (horizon over the shortest
-#: dwell).  It bounds the work and memory of a run before any of it starts.
+#: dwell), and the most entries, (n + m) lcm(n, m), that an experiment's
+#: bridge from dimension n to m may build.  It bounds the work and memory
+#: of a run before any of it starts.
 MAX_SAMPLES = 2_000_000
+
+#: An ``approx`` case label names its table file, ``error_<label>.csv``.
+_FILE_LABEL = re.compile(r"[A-Za-z0-9_-]+")
+
+#: The top-level fields of a scenario.
+_FIELDS = ("name", "modes", "signal", "transitions", "x0", "step", "horizon",
+           "output", "disturbance", "experiment")
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """A validated scenario, ready to run."""
+    """A validated scenario, ready to run.
+
+    ``experiment`` maps each block to a read-only mapping of its parsed
+    fields, keyed by JSON name, defaults filled in; ``dwell`` and
+    ``lattice``, whose fields all have defaults, are always there.
+    """
 
     name: str
     system: DvSystem
@@ -41,8 +60,14 @@ class Scenario:
     step: float
     horizon: float
     disturbance: Disturbance | None
-    experiment: dict
+    experiment: MappingProxyType
     normalized: dict
+
+    def block(self, key: str) -> MappingProxyType:
+        """The parsed ``experiment.<key>`` block of a command that needs it."""
+        if key not in self.experiment:
+            raise ConfigError(f"experiment.{key}: required by this command but missing")
+        return self.experiment[key]
 
 
 def _fail(path: str, message: str):
@@ -53,6 +78,23 @@ def _require(raw: dict, key: str, path: str):
     if key not in raw:
         _fail(path, f"missing required field {key!r}")
     return raw[key]
+
+
+def _as_object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        _fail(path, "expected an object")
+    return value
+
+
+def _as_list(value, path: str, nonempty: bool = True) -> list:
+    if not isinstance(value, list) or (nonempty and not value):
+        _fail(path, "expected a nonempty list" if nonempty else "expected a list")
+    return value
+
+
+def _as_entries(value, path: str, parse, nonempty: bool = True) -> list:
+    """``parse(entry, path[k])`` for each entry of a JSON list."""
+    return [parse(v, f"{path}[{k}]") for k, v in enumerate(_as_list(value, path, nonempty))]
 
 
 def _as_number(value, path: str, positive: bool = False) -> float:
@@ -80,18 +122,49 @@ def _as_int(value, path: str) -> int:
     return value
 
 
+def _as_index(value, path: str, count: int) -> int:
+    if not 0 <= _as_int(value, path) < count:
+        _fail(path, f"must be a mode index in [0, {count})")
+    return value
+
+
+def _as_dim(value, path: str, n: int | None = None) -> int:
+    """A dimension m >= 1; with ``n``, one the bridge from n reaches in budget."""
+    if _as_int(value, path) < 1:
+        _fail(path, "must be >= 1")
+    if n is not None and (n + value) * math.lcm(n, value) > MAX_SAMPLES:
+        _fail(path, f"the bridge from dimension {n} exceeds the budget of {MAX_SAMPLES}")
+    return value
+
+
+def _as_dims(value, path: str, n: int | None = None) -> tuple:
+    """A nonempty list of dimensions (reduced dimensions of n, lattice dims)."""
+    return tuple(_as_entries(value, path, partial(_as_dim, n=n)))
+
+
+def _as_array(value, path: str, kind: str) -> np.ndarray:
+    """A finite, read-only float array; ``kind`` ("matrix", "vector") names it."""
+    try:
+        a = np.array(value, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        a = np.array(math.inf)
+    except (TypeError, ValueError):
+        _fail(path, f"expected a numeric {kind}")
+    if not np.all(np.isfinite(a)):
+        _fail(path, f"{kind} entries must be finite")
+    a.setflags(write=False)
+    return a
+
+
 def _as_matrix(
     value, rows: int | None, cols: int | None, path: str, flat: str | None = None
 ) -> np.ndarray:
-    """A finite float matrix of the given shape (None: any).
+    """A finite, read-only float matrix of the given shape (None: any).
 
     A flat list reads as one column when ``flat`` is "column", and as one
     row when ``flat`` is "row" or the matrix must have one row.
     """
-    try:
-        M = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        _fail(path, "expected a numeric matrix (list of rows)")
+    M = _as_array(value, path, "matrix")
     if M.ndim == 1:
         if flat == "column":
             M = M.reshape(-1, 1)
@@ -103,30 +176,52 @@ def _as_matrix(
         _fail(path, f"expected {rows} rows, got {M.shape[0]}")
     if cols is not None and M.shape[1] != cols:
         _fail(path, f"expected {cols} columns, got {M.shape[1]}")
-    if not np.all(np.isfinite(M)):
-        _fail(path, "matrix entries must be finite")
+    return M
+
+
+def _as_square(block: dict, key: str, path: str) -> np.ndarray:
+    M = _as_matrix(_require(block, key, path), None, None, f"{path}.{key}")
+    if M.shape[0] != M.shape[1]:
+        _fail(f"{path}.{key}", f"expected a square matrix, got {M.shape}")
     return M
 
 
 def _as_vector(value, path: str, length: int | None = None) -> np.ndarray:
-    try:
-        v = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        _fail(path, "expected a numeric vector")
+    v = _as_array(value, path, "vector")
     if v.ndim != 1 or v.size == 0:
         _fail(path, "expected a nonempty vector")
     if length is not None and v.size != length:
         _fail(path, f"expected length {length}, got {v.size}")
-    if not np.all(np.isfinite(v)):
-        _fail(path, "vector entries must be finite")
     return v
+
+
+def _as_times(block: dict, path: str) -> np.ndarray:
+    """``times``: a list of numbers, or ``{from, to, count}`` for a uniform grid."""
+    times = _require(block, "times", path)
+    path = f"{path}.times"
+    if isinstance(times, dict):
+        count = _as_int(_require(times, "count", path), f"{path}.count")
+        if count < 0:
+            _fail(f"{path}.count", "must be nonnegative")
+        if count > MAX_SAMPLES:
+            _fail(f"{path}.count", f"{count} samples exceeds the budget of {MAX_SAMPLES}")
+        start = _as_number(_require(times, "from", path), f"{path}.from")
+        stop = _as_number(_require(times, "to", path), f"{path}.to")
+        grid = np.linspace(start, stop, count)
+    elif isinstance(times, list):
+        grid = np.array(_as_entries(times, path, _as_number, nonempty=False))
+    else:
+        _fail(path, "expected a list or an object with from, to, count")
+    grid.setflags(write=False)
+    return grid
 
 
 def _build_mode(spec, idx: int) -> Mode:
     path = f"modes[{idx}]"
-    if not isinstance(spec, dict):
-        _fail(path, "expected an object")
+    _as_object(spec, path)
     label = spec.get("label", f"mode{idx}")
+    if not isinstance(label, str):
+        _fail(f"{path}.label", "expected a string")
     dim = _as_int(_require(spec, "dim", path), f"{path}.dim")
     if dim < 1:
         _fail(f"{path}.dim", "must be >= 1")
@@ -172,45 +267,44 @@ def _build_mode(spec, idx: int) -> Mode:
 
 def _build_signal(spec, n_modes: int, horizon: float, seed_override) -> SwitchingSignal:
     path = "signal"
-    if not isinstance(spec, dict):
-        _fail(path, "expected an object")
-    kind = _require(spec, "kind", path)
-    params = dict(spec)
-    params.pop("kind", None)
-    params.setdefault("n_modes", n_modes)
-    initial = params.get("initial_mode", 0)
-    if not isinstance(initial, int) or not 0 <= initial < n_modes:
-        _fail(f"{path}.initial_mode", f"must be a mode index in [0, {n_modes})")
+    kind = _require(_as_object(spec, path), "kind", path)
+    initial = _as_index(spec.get("initial_mode", 0), f"{path}.initial_mode", n_modes)
     if kind not in ("fixed", "random", "random-dwell"):
         _fail(f"{path}.kind", "must be 'fixed' or 'random'")
-    if kind == "fixed":
-        switch_times = params.get("switch_times")
-        if isinstance(switch_times, list):
-            for k, t in enumerate(switch_times):
-                _as_number(t, f"{path}.switch_times[{k}]")
-        mode_list = params.get("modes")
-        if mode_list is not None and any(
-            not isinstance(m, int) or not 0 <= m < n_modes for m in mode_list
-        ):
-            _fail(f"{path}.modes", f"entries must be mode indices in [0, {n_modes})")
-    # every dwell appends one switch: bound their number before drawing any
     key = "dwell_pattern" if kind == "fixed" else "dwell_bounds"
-    dwells = params.get(key)
-    if isinstance(dwells, list) and dwells:
-        shortest = min(
-            _as_number(d, f"{path}.{key}[{k}]", positive=True)
-            for k, d in enumerate(dwells)
-        )
-        if horizon / shortest > MAX_SAMPLES:
-            _fail(
-                f"{path}.{key}",
-                f"horizon/dwell = {horizon / shortest:.3g} switches exceeds the "
-                f"budget of {MAX_SAMPLES}",
-            )
+    dwells = spec.get(key) if kind == "fixed" else _require(spec, key, path)
+    if dwells is not None or kind != "fixed":  # random dwells have no default
+        dwells = _as_entries(dwells, f"{path}.{key}", partial(_as_number, positive=True))
+        # every dwell appends one switch: bound their number before drawing any
+        if horizon / min(dwells) > MAX_SAMPLES:
+            switches = f"horizon/dwell = {horizon / min(dwells):.3g} switches"
+            _fail(f"{path}.{key}", f"{switches} exceeds the budget of {MAX_SAMPLES}")
+    if kind != "fixed":
+        seed = _require(spec, "seed", path) if seed_override is None else seed_override
+        if _as_int(seed, f"{path}.seed") < 0:
+            _fail(f"{path}.seed", "must be >= 0")
+        if len(dwells) != 2:
+            _fail(f"{path}.dwell_bounds", "expected 2 entries [dmin, dmax]")
+        try:
+            return random_signal(horizon, dwells, seed, n_modes, initial)
+        except ValueError as exc:
+            _fail(f"{path}.dwell_bounds", str(exc))
+    times, modes = spec.get("switch_times"), spec.get("modes")
+    if times is not None:
+        times = _as_entries(times, f"{path}.switch_times", _as_number, nonempty=False)
+    if modes is not None:
+        index = partial(_as_index, count=n_modes)
+        modes = _as_entries(modes, f"{path}.modes", index, nonempty=False)
     try:
-        return make_signal(kind, params, horizon, seed=seed_override)
-    except ValueError as exc:
-        _fail(path, str(exc))
+        signal = fixed_signal(horizon, times, dwells, n_modes=n_modes, initial_mode=initial)
+    except ValueError as exc:  # the dwells are positive: the switch times are at fault
+        _fail(f"{path}.switch_times", str(exc))
+    count = len(signal.switch_times)
+    if modes is None:
+        return signal
+    if len(modes) < count:
+        _fail(f"{path}.modes", f"needs an entry for each of the {count} switches")
+    return replace(signal, modes_after=tuple(modes[:count]))
 
 
 def _build_transitions(spec, modes, signal) -> object:
@@ -220,14 +314,12 @@ def _build_transitions(spec, modes, signal) -> object:
     if not isinstance(spec, dict) or "explicit" not in spec:
         _fail(path, "expected 'nearest' or {'explicit': [...]}")
     table = {}
-    for k, entry in enumerate(spec["explicit"]):
+    entries = _as_list(spec["explicit"], f"{path}.explicit", nonempty=False)
+    for k, entry in enumerate(entries):
         epath = f"{path}.explicit[{k}]"
-        if not isinstance(entry, dict):
-            _fail(epath, "expected an object")
-        i = _as_int(_require(entry, "from", epath), f"{epath}.from")
-        j = _as_int(_require(entry, "to", epath), f"{epath}.to")
-        if not (0 <= i < len(modes) and 0 <= j < len(modes)):
-            _fail(epath, "mode index out of range")
+        _as_object(entry, epath)
+        i = _as_index(_require(entry, "from", epath), f"{epath}.from", len(modes))
+        j = _as_index(_require(entry, "to", epath), f"{epath}.to", len(modes))
         W = _as_matrix(
             _require(entry, "W", epath), modes[j].dim, modes[i].dim, f"{epath}.W"
         )
@@ -244,8 +336,7 @@ def _build_output(spec, modes) -> OutputMap | None:
     if spec is None:
         return None
     path = "output"
-    if not isinstance(spec, dict):
-        _fail(path, "expected an object")
+    _as_object(spec, path)
     if ("H" in spec) == ("h" in spec):
         _fail(path, "give exactly one of 'H' (matrix) or 'h' (builtin name)")
     if "H" in spec:
@@ -260,78 +351,148 @@ def _build_output(spec, modes) -> OutputMap | None:
     return OutputMap.from_function(h, q, p)
 
 
-def _build_disturbance(spec) -> Disturbance | None:
+def _build_disturbance(spec) -> tuple:
+    """The disturbance and its impulse scale ``mu`` (None and 0 without one)."""
     if spec is None:
-        return None
+        return None, 0.0
     path = "disturbance"
-    if not isinstance(spec, dict):
-        _fail(path, "expected an object")
-    name = _require(spec, "eta", path)
+    name = _require(_as_object(spec, path), "eta", path)
     try:
         dim, fn = registry.get_time_signal(name)
     except ValueError as exc:
         _fail(f"{path}.eta", str(exc))
-    return Disturbance(dim, fn)
+    mu = _as_number(spec.get("mu", 0.0), f"{path}.mu")
+    if mu < 0:
+        _fail(f"{path}.mu", "must be >= 0")
+    return Disturbance(dim, fn), mu
+
+
+def _parse_dwell(block: dict, path: str, modes) -> dict:
+    gamma = _as_number(block.get("gamma", 0.03), f"{path}.gamma")
+    if not 0.0 < gamma < 1.0:
+        _fail(f"{path}.gamma", "must lie in (0, 1)")
+    lipschitz = block.get("lipschitz")
+    if lipschitz is not None:
+        lipschitz = _as_number(lipschitz, f"{path}.lipschitz", positive=True)
+    return {"gamma": gamma, "lipschitz": lipschitz}
+
+
+def _parse_chain(block: dict, path: str, modes) -> dict:
+    start = _as_index(block.get("start", 0), f"{path}.start", len(modes))
+    target = _as_index(block.get("target", len(modes) - 1), f"{path}.target", len(modes))
+    return {"start": start, "target": target}
+
+
+def _parse_lattice(block: dict, path: str, modes) -> dict:
+    return {"dims": _as_dims(block.get("dims", [m.dim for m in modes]), f"{path}.dims")}
+
+
+def _parse_approx(block: dict, path: str, modes) -> dict:
+    cases, labels = [], set()
+    for k, case in enumerate(_as_list(block.get("cases"), f"{path}.cases")):
+        cpath = f"{path}.cases[{k}]"
+        label = _require(_as_object(case, cpath), "label", cpath)
+        if not isinstance(label, str) or not _FILE_LABEL.fullmatch(label):
+            _fail(f"{cpath}.label", "expected a string of letters, digits, '_' and '-'")
+        if label in labels:
+            _fail(f"{cpath}.label", f"duplicate label {label!r}")
+        labels.add(label)
+        A = _as_square(case, "A", cpath)
+        n = len(A)
+        cases.append(MappingProxyType({
+            "label": label,
+            "A": A,
+            "x0": _as_vector(_require(case, "x0", cpath), f"{cpath}.x0", n),
+            "m_values": _as_dims(_require(case, "m_values", cpath), f"{cpath}.m_values", n),
+            "times": _as_times(case, cpath),
+        }))
+    return {"cases": tuple(cases)}
+
+
+def _parse_reduce(block: dict, path: str, modes) -> dict:
+    A = _as_square(block, "A", path)
+    n = len(A)
+    m_values = _as_dims(_require(block, "m_values", path), f"{path}.m_values", n)
+    out = {"A": A, "m_values": m_values, "B": None, "C": None, "x0": None, "times": None}
+    if "B" in block:
+        out["B"] = _as_matrix(block["B"], n, None, f"{path}.B", "column")
+    if "C" in block:
+        out["C"] = _as_matrix(block["C"], None, n, f"{path}.C", "row")
+    if "x0" in block:
+        out["x0"] = _as_vector(block["x0"], f"{path}.x0", n)
+    if "times" in block:
+        out["times"] = _as_times(block, path)
+    return out
+
+
+def _parse_vectors(block: dict, path: str, modes) -> dict:
+    ops = []
+    for k, op in enumerate(_as_list(block.get("ops"), f"{path}.ops")):
+        opath = f"{path}.ops[{k}]"
+        if not isinstance(op, dict) or "op" not in op:
+            _fail(opath, "expected an object with an 'op' field")
+        kind = op["op"]
+        if kind not in ("canonicalize", "distance", "norm", "project"):
+            _fail(f"{opath}.op", f"unknown operation {kind!r}")
+        fields = {"op": kind, "x": _as_vector(_require(op, "x", opath), f"{opath}.x")}
+        if kind == "canonicalize":
+            fields["tol"] = _as_number(op.get("tol", 1e-9), f"{opath}.tol", positive=True)
+        elif kind == "distance":
+            fields["y"] = _as_vector(_require(op, "y", opath), f"{opath}.y")
+        elif kind == "project":
+            fields["m"] = _as_dim(_require(op, "m", opath), f"{opath}.m", len(fields["x"]))
+        ops.append(MappingProxyType(fields))
+    return {"ops": tuple(ops)}
+
+
+#: experiment block -> its parser (block, path, modes) -> fields.
+_BLOCKS = {"dwell": _parse_dwell, "chain": _parse_chain, "lattice": _parse_lattice,
+           "approx": _parse_approx, "reduce": _parse_reduce, "vectors": _parse_vectors}
+
+
+def _parse_experiment(spec, modes) -> MappingProxyType:
+    """Every block of ``experiment``; ``dwell`` and ``lattice`` default to ``{}``."""
+    blocks, spec = {}, {"dwell": {}, "lattice": {}, **_as_object(spec, "experiment")}
+    for key, block in spec.items():
+        path = f"experiment.{key}"
+        if key not in _BLOCKS:
+            _fail(path, "unknown block")
+        blocks[key] = MappingProxyType(_BLOCKS[key](_as_object(block, path), path, modes))
+    return MappingProxyType(blocks)
 
 
 def validate_config(raw: dict, seed=None, step=None) -> Scenario:
     """Validate a raw scenario dict and build the runnable objects.
 
     ``seed``/``step`` are command-line overrides applied before validation
-    of the corresponding fields.
+    of the corresponding fields.  Every ``experiment`` block is parsed
+    here, so a malformed block fails every command.
     """
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected a JSON object")
-    known = {
-        "name",
-        "modes",
-        "signal",
-        "transitions",
-        "x0",
-        "step",
-        "horizon",
-        "output",
-        "disturbance",
-        "experiment",
-    }
     for key in raw:
-        if key not in known:
+        if key not in _FIELDS:
             _fail(key, "unknown field")
 
     name = raw.get("name", "scenario")
-    mode_specs = _require(raw, "modes", "top level")
-    if not isinstance(mode_specs, list) or not mode_specs:
-        _fail("modes", "expected a nonempty list")
+    mode_specs = _as_list(_require(raw, "modes", "top level"), "modes")
     modes = tuple(_build_mode(spec, i) for i, spec in enumerate(mode_specs))
     labels = [m.label for m in modes]
     if len(set(labels)) != len(labels):
         _fail("modes", "labels must be unique")
 
     horizon = _as_number(_require(raw, "horizon", "top level"), "horizon", positive=True)
-    step_val = _as_number(
-        step if step is not None else _require(raw, "step", "top level"),
-        "step",
-        positive=True,
-    )
+    step_val = step if step is not None else _require(raw, "step", "top level")
+    step_val = _as_number(step_val, "step", positive=True)
     if horizon / step_val > MAX_SAMPLES:
-        _fail(
-            "step",
-            f"horizon/step = {horizon / step_val:.3g} samples exceeds the "
-            f"budget of {MAX_SAMPLES}",
-        )
+        samples = f"horizon/step = {horizon / step_val:.3g} samples"
+        _fail("step", f"{samples} exceeds the budget of {MAX_SAMPLES}")
     signal = _build_signal(_require(raw, "signal", "top level"), len(modes), horizon, seed)
     transitions = _build_transitions(raw.get("transitions", "nearest"), modes, signal)
     x0 = _as_vector(_require(raw, "x0", "top level"), "x0")
     output = _build_output(raw.get("output"), modes)
-    disturbance = _build_disturbance(raw.get("disturbance"))
-    mu = 0.0
-    if raw.get("disturbance") is not None:
-        mu = _as_number(raw["disturbance"].get("mu", 0.0), "disturbance.mu")
-        if mu < 0:
-            _fail("disturbance.mu", "must be >= 0")
-    experiment = raw.get("experiment", {})
-    if not isinstance(experiment, dict):
-        _fail("experiment", "expected an object")
+    disturbance, mu = _build_disturbance(raw.get("disturbance"))
+    experiment = _parse_experiment(raw.get("experiment", {}), modes)
 
     system = DvSystem(modes, transitions, output, impulse_scale=mu)
     normalized = normalize_config(raw, seed=seed, step=step_val)

@@ -28,7 +28,6 @@ __all__ = [
     "jump_gap",
     "lipschitz_of",
     "make_jump_event",
-    "make_signal",
     "nearest_map",
     "random_signal",
 ]
@@ -309,32 +308,3 @@ def random_signal(
         seed=int(seed),
     )
 
-
-def make_signal(kind: str, params: dict, horizon: float, seed=None) -> SwitchingSignal:
-    """Dispatch to :func:`fixed_signal` or :func:`random_signal` from a spec dict."""
-    params = dict(params)
-    if kind == "fixed":
-        return fixed_signal(
-            horizon,
-            switch_times=params.get("switch_times"),
-            dwell_pattern=params.get("dwell_pattern"),
-            modes=params.get("modes"),
-            n_modes=params.get("n_modes"),
-            initial_mode=params.get("initial_mode", 0),
-        )
-    if kind in ("random", "random-dwell"):
-        use_seed = params.get("seed") if seed is None else seed
-        if use_seed is None:
-            raise ValueError("random signals require an explicit seed")
-        if "dwell_bounds" not in params:
-            raise ValueError("random signals require dwell_bounds")
-        if "n_modes" not in params:
-            raise ValueError("random signals require n_modes")
-        return random_signal(
-            horizon,
-            params["dwell_bounds"],
-            use_seed,
-            params["n_modes"],
-            initial_mode=params.get("initial_mode", 0),
-        )
-    raise ValueError(f"unknown signal kind {kind!r}")

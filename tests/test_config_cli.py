@@ -636,3 +636,154 @@ def test_cli_lattice_size_is_bounded_before_the_work(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         "omega: experiment.lattice.dims: the lcm/gcd closure exceeds 256 nodes"
     )
+
+
+def test_signal_from_config():
+    # round-robin over the mode count; the seed from the file, or from --seed
+    cfg = minimal_config()
+    cfg["modes"].append({"label": "c", "dim": 1, "A": [[-1.0]]})
+    cfg["signal"] = {"kind": "fixed", "dwell_pattern": [0.3]}
+    assert validate_config(cfg).signal.modes_after == (1, 2, 0)
+    cfg["signal"] = {"kind": "fixed", "switch_times": []}
+    assert validate_config(cfg).signal.switch_times == ()
+    cfg["signal"] = {"kind": "random", "dwell_bounds": [0.1, 0.3], "seed": 4}
+    assert validate_config(cfg).signal.seed == 4
+    assert validate_config(cfg, seed=5).signal.seed == 5
+    del cfg["signal"]["seed"]
+    assert validate_config(cfg, seed=5).signal.seed == 5
+    with pytest.raises(ConfigError, match=r"^signal: missing required field 'seed'"):
+        validate_config(cfg)
+    cfg["signal"]["kind"] = "sometimes"
+    with pytest.raises(ConfigError, match=r"^signal\.kind: "):
+        validate_config(cfg)
+
+
+def test_experiment_blocks_are_parsed_once_with_defaults():
+    scenario = load_scenario(scenario_path("two_stage_steering.json"))
+    assert scenario.experiment["dwell"] == {"gamma": 0.03, "lipschitz": None}
+    assert scenario.experiment["lattice"]["dims"] == (2, 3)
+    assert scenario.experiment["vectors"]["ops"][0]["tol"] == 1e-9
+    raw = minimal_config()
+    raw["experiment"] = {"chain": {}}
+    assert dict(validate_config(raw).block("chain")) == {"start": 0, "target": 1}
+    with pytest.raises(ConfigError, match=r"^experiment\.approx: required by this command"):
+        validate_config(raw).block("approx")
+    with pytest.raises(TypeError):
+        validate_config(raw).experiment["chain"]["start"] = 1
+
+
+def _nonlinear_first_mode(raw):
+    raw["modes"][0] = {"label": "planar", "dim": 6, "drift": "ddp_disturbance6"}
+
+
+@pytest.mark.parametrize(
+    "command, name, mutate, message",
+    [
+        ("simulate", "two_mode_contraction.json",
+         lambda raw: raw["x0"].__setitem__(0, 10**400),
+         "x0: vector entries must be finite"),
+        ("simulate", "two_mode_contraction.json",
+         lambda raw: raw["modes"][0]["A"][0].__setitem__(0, 10**400),
+         "modes[0].A: matrix entries must be finite"),
+        ("simulate", "two_mode_contraction.json",
+         lambda raw: raw["output"].update(H=[[1.0, 10**400]]),
+         "output.H: matrix entries must be finite"),
+        ("reduce-vec", "two_stage_steering.json",
+         lambda raw: raw["experiment"]["vectors"]["ops"][0].update(x=[1, 10**400]),
+         "experiment.vectors.ops[0].x: vector entries must be finite"),
+        ("simulate", "two_mode_contraction.json",
+         lambda raw: raw["modes"][0].update(label=["planar"]),
+         "modes[0].label: expected a string"),
+        ("simulate", "two_mode_contraction.json",
+         lambda raw: raw["modes"][1].update(label=1),
+         "modes[1].label: expected a string"),
+        ("simulate", "two_mode_contraction.json",
+         lambda raw: raw["signal"].update(dwell_pattern=3.6),
+         "signal.dwell_pattern: expected a nonempty list"),
+        ("simulate", "feedback_switch_random.json",
+         lambda raw: raw["signal"].update(dwell_bounds=0.5),
+         "signal.dwell_bounds: expected a nonempty list"),
+        ("simulate", "feedback_switch_random.json",
+         lambda raw: raw["signal"].update(dwell_bounds=[0.5, 1.0, 2.0]),
+         "signal.dwell_bounds: expected 2 entries"),
+        ("simulate", "two_stage_steering.json",
+         lambda raw: raw["signal"].update(switch_times=[0.0]),
+         "signal.switch_times: switch times must lie strictly inside (0, horizon)"),
+        ("simulate", "two_stage_steering.json",
+         lambda raw: raw["signal"].update(switch_times=1.0),
+         "signal.switch_times: expected a list"),
+        ("simulate", "two_stage_steering.json",
+         lambda raw: raw["signal"].update(modes=[]),
+         "signal.modes: needs an entry for each of the 1 switches"),
+        ("simulate", "feedback_switch_random.json",
+         lambda raw: raw["signal"].update(seed=7.5), "signal.seed: expected an integer"),
+        ("simulate", "feedback_switch_random.json",
+         lambda raw: raw["signal"].update(seed="7"), "signal.seed: expected an integer"),
+        ("simulate", "feedback_switch_random.json",
+         lambda raw: raw["signal"].update(seed=True), "signal.seed: expected an integer"),
+        ("simulate", "feedback_switch_random.json",
+         lambda raw: raw["signal"].update(seed=math.nan), "signal.seed: expected an integer"),
+        ("simulate", "feedback_switch_random.json",
+         lambda raw: raw["signal"].update(seed=-1), "signal.seed: must be >= 0"),
+        ("approx", "reduction_sweep.json",
+         lambda raw: raw["experiment"]["approx"]["cases"][0].update(label="a/b"),
+         "experiment.approx.cases[0].label: expected a string of letters, digits"),
+        ("approx", "reduction_sweep.json",
+         lambda raw: raw["experiment"]["approx"]["cases"][2].update(label="/../../x"),
+         "experiment.approx.cases[2].label: expected a string of letters, digits"),
+        ("approx", "reduction_sweep.json",
+         lambda raw: raw["experiment"]["approx"]["cases"][0].update(label=5),
+         "experiment.approx.cases[0].label: expected a string of letters, digits"),
+        ("approx", "reduction_sweep.json",
+         lambda raw: raw["experiment"]["approx"]["cases"][1].update(label="uniform_growth"),
+         "experiment.approx.cases[1].label: duplicate label 'uniform_growth'"),
+        ("reduce-vec", "two_stage_steering.json",
+         lambda raw: raw["experiment"]["vectors"]["ops"][2].update(m=10**400),
+         "experiment.vectors.ops[2].m: the bridge from dimension 4 exceeds the budget"),
+        ("approx", "reduction_sweep.json",
+         lambda raw: raw["experiment"]["approx"]["cases"][0].update(m_values=[9, 9973]),
+         "experiment.approx.cases[0].m_values[1]: the bridge from dimension 10 exceeds"),
+        ("simulate", "two_stage_steering.json",
+         lambda raw: raw["experiment"].update(ddp={}),
+         "experiment.ddp: unknown block"),
+        ("simulate", "two_mode_contraction.json",
+         lambda raw: raw["experiment"]["dwell"].update(gamma="x"),
+         "experiment.dwell.gamma: expected a number"),
+        ("lattice", "reduction_sweep.json",
+         lambda raw: raw["experiment"]["reduce"].update(x0=[1.0]),
+         "experiment.reduce.x0: expected length 10"),
+        ("ctrb", "ddp_two_mode.json", lambda raw: None,
+         "modes[0].inputs: controllability test requires a linear mode"),
+        ("dwell", "two_stage_steering.json", lambda raw: None,
+         "modes[0].feedback: mode 'planar': dwell analysis requires linear feedback"),
+        ("obs", "two_mode_contraction.json", _nonlinear_first_mode,
+         "modes[0].drift: mode 'planar': obs command needs a linear drift"),
+        ("dwell", "two_mode_contraction.json", _nonlinear_first_mode,
+         "modes[0].drift: mode 'planar': dwell analysis requires a linear drift"),
+        ("ctrb", "two_mode_contraction.json", _nonlinear_first_mode,
+         "modes[0].drift: controllability test requires a linear mode"),
+    ],
+)
+def test_cli_errors_name_the_field(tmp_path, capsys, command, name, mutate, message):
+    # a malformed block fails every command, not only the one that reads it
+    with open(scenario_path(name), "r", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    mutate(raw)
+    bad = tmp_path / name
+    bad.write_text(json.dumps(raw))
+    out = tmp_path / "o"
+    assert run_cli(command, "--config", str(bad), "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith(f"omega: {message}")
+    assert not any(out.glob("error_*"))
+
+
+def test_cli_diverging_reduction_is_a_numeric_failure(tmp_path, capsys):
+    # e^{7.5 t} x0 overflows before t = 100: exit 3, where a ValueError from
+    # the norm of an infinite state used to exit 2 naming no field
+    with open(scenario_path("reduction_sweep.json"), "r", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw["experiment"]["reduce"]["A"][5][5] = 7.5
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert run_cli("reduce", "--config", str(bad), "--out", str(tmp_path / "o")) == 3
+    assert capsys.readouterr().err.startswith("omega: numeric failure: state diverged")

@@ -13,7 +13,6 @@ from crossdim.switching import (
     jump_gap,
     lipschitz_of,
     make_jump_event,
-    make_signal,
     nearest_map,
     random_signal,
 )
@@ -197,18 +196,3 @@ def test_signal_validation():
     with pytest.raises(ValueError):
         fixed_signal(5.0, dwell_pattern=[1.0, -1.0], n_modes=2)
 
-
-def test_make_signal_dispatch():
-    sig = make_signal("fixed", {"dwell_pattern": [1.0], "n_modes": 3}, 3.5)
-    assert sig.modes_after == (1, 2, 0)
-    rnd = make_signal(
-        "random", {"dwell_bounds": [0.5, 2.0], "n_modes": 2, "seed": 4}, 6.0
-    )
-    override = make_signal(
-        "random", {"dwell_bounds": [0.5, 2.0], "n_modes": 2, "seed": 4}, 6.0, seed=5
-    )
-    assert rnd.seed == 4 and override.seed == 5
-    with pytest.raises(ValueError):
-        make_signal("random", {"dwell_bounds": [0.5, 2.0], "n_modes": 2}, 6.0)
-    with pytest.raises(ValueError):
-        make_signal("sometimes", {}, 6.0)
