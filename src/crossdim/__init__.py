@@ -2,7 +2,6 @@
 
 from .cdspace import (
     CdVector,
-    Projector,
     SubspaceLattice,
     angle,
     build_lattice,
@@ -10,7 +9,6 @@ from .cdspace import (
     equivalent,
     kron_lift,
     project,
-    projector,
     stp_add,
     stp_sub,
     v_dist,

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .cdspace import project, projector, v_norm
+from .cdspace import project, v_norm
+from .dkstp import bridge
 from .dynamics import Mode, Segment, expm, integrate_mode
 from .errors import NumericFailure
 
@@ -93,12 +94,11 @@ def intersection_basis(m: int, n: int) -> np.ndarray:
 
     The intersection is the replicated copy of the gcd dimension g: column
     j is the j-th standard basis vector of R^g with each entry repeated
-    m/g times.
+    m/g times: the bridge from g to m.
     """
     if m < 1 or n < 1:
         raise ValueError("dimensions must be positive")
-    g = math.gcd(m, n)
-    return np.repeat(np.eye(g), m // g, axis=0)
+    return bridge(m, math.gcd(m, n))
 
 
 def partial_ctrb(A, B, subspace_basis, tol: float = RANK_RTOL) -> bool:
@@ -227,8 +227,8 @@ def reduce_model(A, B=None, C=None, m: int | None = None) -> ReducedModel:
     """Project an n-dimensional linear system onto dimension m.
 
     The reduced drift is the least-squares matching of vector fields
-    through the projector P from dimension n onto m: ``P A P^+`` with the
-    pseudoinverse P^+ (every projector has full rank, so this is
+    through the bridge P = ``bridge(m, n)`` from dimension n onto m: ``P A P^+``
+    with the pseudoinverse P^+ (every bridge has full rank, so this is
     ``P A P^T (P P^T)^{-1}`` when compressing and ``P A (P^T P)^{-1} P^T``
     when expanding).  Inputs project directly, ``P B``, and outputs
     transform like the drift's right factor, ``C P^+``.
@@ -247,7 +247,7 @@ def reduce_model(A, B=None, C=None, m: int | None = None) -> ReducedModel:
         C = np.asarray(C, dtype=float)
         if C.ndim == 1:
             C = C.reshape(1, -1)
-    P = projector(n, m).matrix
+    P = bridge(m, n)
     try:
         P_plus = np.linalg.pinv(P)
     except np.linalg.LinAlgError as exc:
@@ -292,7 +292,7 @@ def approx_error(A, x0, m: int, times) -> ErrorSeries:
         raise ValueError("x0 must match the drift dimension")
     red = reduce_model(A, m=m)
     z0 = project(x0, m)
-    back = projector(m, n).matrix
+    back = bridge(n, m)
     ts = np.asarray(list(times), dtype=float)
     vals = np.empty(ts.size)
     for i, t in enumerate(ts):
@@ -308,13 +308,12 @@ def approx_error(A, x0, m: int, times) -> ErrorSeries:
 def restrict_field(F, n: int, m: int):
     """Restrict an evaluator native to dimension n to dimension m.
 
-    The argument is carried into dimension n by the projector, evaluated,
+    The argument is carried into dimension n by the bridge, evaluated,
     and the value projected back onto dimension m.
     """
     if n == m:
         return F
-    up = projector(m, n).matrix
-    down = projector(n, m).matrix
+    up, down = bridge(n, m), bridge(m, n)
     return lambda x: down @ np.asarray(F(up @ np.asarray(x, dtype=float)), dtype=float)
 
 
@@ -360,7 +359,7 @@ def aggregate_run(
     member_seg: Segment = integrate_mode(member, x0, 0.0, horizon, step)
     z0 = project(x0, nominal.dim)
     nominal_seg: Segment = integrate_mode(nominal, z0, 0.0, horizon, step)
-    back = projector(nominal.dim, member.dim).matrix
+    back = bridge(member.dim, nominal.dim)
     approx = nominal_seg.states @ back.T
     vals = np.array(
         [

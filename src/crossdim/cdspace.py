@@ -16,7 +16,7 @@ and the divisor lattice formed by the fixed-dimension subspaces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .dkstp import bridge
 
 __all__ = [
     "CdVector",
-    "Projector",
     "SubspaceLattice",
     "angle",
     "build_lattice",
@@ -32,7 +31,6 @@ __all__ = [
     "equivalent",
     "kron_lift",
     "project",
-    "projector",
     "stp_add",
     "stp_sub",
     "v_dist",
@@ -240,40 +238,6 @@ def angle(x, y) -> float:
     return math.acos(min(1.0, max(-1.0, c)))
 
 
-@dataclass(frozen=True)
-class Projector:
-    """Least-squares linear map from dimension ``source_dim`` onto ``target_dim``.
-
-    The matrix is the bridge matrix ``bridge(m, n)`` for source dimension n
-    and target dimension m: each row averages one block of replicated source
-    coordinates, so all row sums equal 1.
-    """
-
-    source_dim: int
-    target_dim: int
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.flags.writeable:
-            m = m.copy()
-            m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    def __call__(self, x) -> np.ndarray:
-        a = as_entries(x)
-        if a.size != self.source_dim:
-            raise ValueError(
-                f"projector expects dimension {self.source_dim}, got {a.size}"
-            )
-        return self.matrix @ a
-
-
-def projector(n: int, m: int) -> Projector:
-    """The projector from dimension ``n`` onto dimension ``m`` (shares the cached bridge)."""
-    return Projector(n, m, bridge(m, n))
-
-
 def project(xi, m: int) -> np.ndarray:
     """Project ``xi`` onto dimension ``m`` (the nearest point in that slice).
 
@@ -283,7 +247,7 @@ def project(xi, m: int) -> np.ndarray:
     a = as_entries(xi)
     if a.size == m:
         return a.copy()
-    return projector(a.size, m).matrix @ a
+    return bridge(m, a.size) @ a
 
 
 @dataclass(frozen=True)

@@ -67,8 +67,8 @@ def _segment_gap(A: np.ndarray, B: np.ndarray) -> float:
 
 
 def cmd_embed(scenario: Scenario, out: str) -> int:
+    common_dim = scenario.common_dim()
     embedded = embed_common(scenario.system)
-    common_dim = embedded.modes[0].dim
     original = simulate(
         scenario.system, scenario.signal, scenario.x0, scenario.step,
         disturbance=scenario.disturbance,

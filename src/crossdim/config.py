@@ -31,9 +31,9 @@ __all__ = ["Scenario", "load_scenario", "validate_config", "normalize_config"]
 #: Most samples one time grid may ask for: horizon/step of a scenario, or
 #: the count of an experiment's time list; also the most switches a dwell
 #: pattern or random dwell bounds may ask for (horizon over the shortest
-#: dwell), and the most entries, (n + m) lcm(n, m), that an experiment's
-#: bridge from dimension n to m may build.  It bounds the work and memory
-#: of a run before any of it starts.
+#: dwell), (n + m) lcm(n, m) >= m max(n, m) for an experiment's reduction from
+#: n to m, and the N^2 entries of a drift ``embed`` lifts to the common
+#: dimension N.  It bounds the work and memory of a run before it starts.
 MAX_SAMPLES = 2_000_000
 
 #: An ``approx`` case label names its table file, ``error_<label>.csv``.
@@ -69,6 +69,14 @@ class Scenario:
             raise ConfigError(f"experiment.{key}: required by this command but missing")
         return self.experiment[key]
 
+    def common_dim(self) -> int:
+        """The lcm N of the mode dimensions, which ``embed`` lifts every mode to."""
+        n = math.lcm(*(m.dim for m in self.system.modes))
+        if n * n > MAX_SAMPLES:
+            _fail("modes", f"common dimension {n}: {n * n} drift entries exceed "
+                  f"the budget of {MAX_SAMPLES}")
+        return n
+
 
 def _fail(path: str, message: str):
     raise ConfigError(f"{path}: {message}")
@@ -80,9 +88,17 @@ def _require(raw: dict, key: str, path: str):
     return raw[key]
 
 
-def _as_object(value, path: str) -> dict:
+def _as_object(value, path: str, required=(), optional=()) -> dict:
+    """A JSON object with every ``required`` key; any key in neither list
+    fails as ``<path>.<key>: unknown field`` rather than being ignored."""
     if not isinstance(value, dict):
         _fail(path, "expected an object")
+    for key in value:
+        if key not in required and key not in optional:
+            _fail(f"{path}.{key}", "unknown field")
+    for key in required:
+        if key not in value:
+            _fail(path, f"missing required field {key!r}")
     return value
 
 
@@ -143,7 +159,14 @@ def _as_dims(value, path: str, n: int | None = None) -> tuple:
 
 
 def _as_array(value, path: str, kind: str) -> np.ndarray:
-    """A finite, read-only float array; ``kind`` ("matrix", "vector") names it."""
+    """A finite, read-only float array of JSON numbers (no strings or
+    booleans, as in :func:`_as_number`); ``kind`` ("matrix", "vector") names it."""
+    nested = [value]
+    for entry in nested:  # every entry of the nested lists, appended as reached
+        if isinstance(entry, (str, bool)):
+            _fail(path, f"expected a numeric {kind}")
+        if isinstance(entry, list):
+            nested.extend(entry)
     try:
         a = np.array(value, dtype=float)
     except OverflowError:  # an integer beyond the float range
@@ -179,10 +202,10 @@ def _as_matrix(
     return M
 
 
-def _as_square(block: dict, key: str, path: str) -> np.ndarray:
-    M = _as_matrix(_require(block, key, path), None, None, f"{path}.{key}")
+def _as_square(value, path: str) -> np.ndarray:
+    M = _as_matrix(value, None, None, path)
     if M.shape[0] != M.shape[1]:
-        _fail(f"{path}.{key}", f"expected a square matrix, got {M.shape}")
+        _fail(path, f"expected a square matrix, got {M.shape}")
     return M
 
 
@@ -195,18 +218,17 @@ def _as_vector(value, path: str, length: int | None = None) -> np.ndarray:
     return v
 
 
-def _as_times(block: dict, path: str) -> np.ndarray:
+def _as_times(times, path: str) -> np.ndarray:
     """``times``: a list of numbers, or ``{from, to, count}`` for a uniform grid."""
-    times = _require(block, "times", path)
-    path = f"{path}.times"
     if isinstance(times, dict):
-        count = _as_int(_require(times, "count", path), f"{path}.count")
+        _as_object(times, path, ("count", "from", "to"))
+        count = _as_int(times["count"], f"{path}.count")
         if count < 0:
             _fail(f"{path}.count", "must be nonnegative")
         if count > MAX_SAMPLES:
             _fail(f"{path}.count", f"{count} samples exceeds the budget of {MAX_SAMPLES}")
-        start = _as_number(_require(times, "from", path), f"{path}.from")
-        stop = _as_number(_require(times, "to", path), f"{path}.to")
+        start = _as_number(times["from"], f"{path}.from")
+        stop = _as_number(times["to"], f"{path}.to")
         grid = np.linspace(start, stop, count)
     elif isinstance(times, list):
         grid = np.array(_as_entries(times, path, _as_number, nonempty=False))
@@ -218,11 +240,11 @@ def _as_times(block: dict, path: str) -> np.ndarray:
 
 def _build_mode(spec, idx: int) -> Mode:
     path = f"modes[{idx}]"
-    _as_object(spec, path)
+    _as_object(spec, path, ("dim",), ("label", "A", "drift", "B", "inputs", "feedback"))
     label = spec.get("label", f"mode{idx}")
     if not isinstance(label, str):
         _fail(f"{path}.label", "expected a string")
-    dim = _as_int(_require(spec, "dim", path), f"{path}.dim")
+    dim = _as_int(spec["dim"], f"{path}.dim")
     if dim < 1:
         _fail(f"{path}.dim", "must be >= 1")
 
@@ -265,12 +287,18 @@ def _build_mode(spec, idx: int) -> Mode:
         _fail(f"{path}.feedback", str(exc))
 
 
+#: The fields a fixed and a random signal read besides ``kind``.
+_FIXED_FIELDS = ("initial_mode", "dwell_pattern", "switch_times", "modes")
+_RANDOM_FIELDS = ("initial_mode", "dwell_bounds", "seed")
+
+
 def _build_signal(spec, n_modes: int, horizon: float, seed_override) -> SwitchingSignal:
     path = "signal"
-    kind = _require(_as_object(spec, path), "kind", path)
+    kind = _as_object(spec, path, ("kind",), _FIXED_FIELDS + _RANDOM_FIELDS)["kind"]
     initial = _as_index(spec.get("initial_mode", 0), f"{path}.initial_mode", n_modes)
     if kind not in ("fixed", "random", "random-dwell"):
         _fail(f"{path}.kind", "must be 'fixed' or 'random'")
+    _as_object(spec, path, ("kind",), _FIXED_FIELDS if kind == "fixed" else _RANDOM_FIELDS)
     key = "dwell_pattern" if kind == "fixed" else "dwell_bounds"
     dwells = spec.get(key) if kind == "fixed" else _require(spec, key, path)
     if dwells is not None or kind != "fixed":  # random dwells have no default
@@ -313,16 +341,15 @@ def _build_transitions(spec, modes, signal) -> object:
     path = "transitions"
     if not isinstance(spec, dict) or "explicit" not in spec:
         _fail(path, "expected 'nearest' or {'explicit': [...]}")
+    _as_object(spec, path, ("explicit",))
     table = {}
     entries = _as_list(spec["explicit"], f"{path}.explicit", nonempty=False)
     for k, entry in enumerate(entries):
         epath = f"{path}.explicit[{k}]"
-        _as_object(entry, epath)
-        i = _as_index(_require(entry, "from", epath), f"{epath}.from", len(modes))
-        j = _as_index(_require(entry, "to", epath), f"{epath}.to", len(modes))
-        W = _as_matrix(
-            _require(entry, "W", epath), modes[j].dim, modes[i].dim, f"{epath}.W"
-        )
+        _as_object(entry, epath, ("from", "to", "W"))
+        i = _as_index(entry["from"], f"{epath}.from", len(modes))
+        j = _as_index(entry["to"], f"{epath}.to", len(modes))
+        W = _as_matrix(entry["W"], modes[j].dim, modes[i].dim, f"{epath}.W")
         table[(i, j)] = TransitionMap(modes[i].dim, modes[j].dim, W)
     # every ordered pair the signal actually uses must be covered
     seq = [signal.initial_mode, *signal.modes_after]
@@ -336,7 +363,7 @@ def _build_output(spec, modes) -> OutputMap | None:
     if spec is None:
         return None
     path = "output"
-    _as_object(spec, path)
+    _as_object(spec, path, optional=("H", "h", "q"))
     if ("H" in spec) == ("h" in spec):
         _fail(path, "give exactly one of 'H' (matrix) or 'h' (builtin name)")
     if "H" in spec:
@@ -344,6 +371,7 @@ def _build_output(spec, modes) -> OutputMap | None:
         if "q" in spec and _as_int(spec["q"], f"{path}.q") != H.shape[1]:
             _fail(f"{path}.q", "must match the column count of H")
         return OutputMap.from_matrix(H)
+    _as_object(spec, path, ("h",))  # a builtin carries its own q
     try:
         q, p, h = registry.get_output_function(spec["h"])
     except ValueError as exc:
@@ -356,7 +384,7 @@ def _build_disturbance(spec) -> tuple:
     if spec is None:
         return None, 0.0
     path = "disturbance"
-    name = _require(_as_object(spec, path), "eta", path)
+    name = _as_object(spec, path, ("eta",), ("mu",))["eta"]
     try:
         dim, fn = registry.get_time_signal(name)
     except ValueError as exc:
@@ -367,7 +395,8 @@ def _build_disturbance(spec) -> tuple:
     return Disturbance(dim, fn), mu
 
 
-def _parse_dwell(block: dict, path: str, modes) -> dict:
+def _parse_dwell(block, path: str, modes) -> dict:
+    _as_object(block, path, optional=("gamma", "lipschitz"))
     gamma = _as_number(block.get("gamma", 0.03), f"{path}.gamma")
     if not 0.0 < gamma < 1.0:
         _fail(f"{path}.gamma", "must lie in (0, 1)")
@@ -377,42 +406,46 @@ def _parse_dwell(block: dict, path: str, modes) -> dict:
     return {"gamma": gamma, "lipschitz": lipschitz}
 
 
-def _parse_chain(block: dict, path: str, modes) -> dict:
+def _parse_chain(block, path: str, modes) -> dict:
+    _as_object(block, path, optional=("start", "target"))
     start = _as_index(block.get("start", 0), f"{path}.start", len(modes))
     target = _as_index(block.get("target", len(modes) - 1), f"{path}.target", len(modes))
     return {"start": start, "target": target}
 
 
-def _parse_lattice(block: dict, path: str, modes) -> dict:
+def _parse_lattice(block, path: str, modes) -> dict:
+    _as_object(block, path, optional=("dims",))
     return {"dims": _as_dims(block.get("dims", [m.dim for m in modes]), f"{path}.dims")}
 
 
-def _parse_approx(block: dict, path: str, modes) -> dict:
+def _parse_approx(block, path: str, modes) -> dict:
+    _as_object(block, path, optional=("cases",))
     cases, labels = [], set()
     for k, case in enumerate(_as_list(block.get("cases"), f"{path}.cases")):
         cpath = f"{path}.cases[{k}]"
-        label = _require(_as_object(case, cpath), "label", cpath)
+        label = _as_object(case, cpath, ("label", "A", "x0", "m_values", "times"))["label"]
         if not isinstance(label, str) or not _FILE_LABEL.fullmatch(label):
             _fail(f"{cpath}.label", "expected a string of letters, digits, '_' and '-'")
         if label in labels:
             _fail(f"{cpath}.label", f"duplicate label {label!r}")
         labels.add(label)
-        A = _as_square(case, "A", cpath)
+        A = _as_square(case["A"], f"{cpath}.A")
         n = len(A)
         cases.append(MappingProxyType({
             "label": label,
             "A": A,
-            "x0": _as_vector(_require(case, "x0", cpath), f"{cpath}.x0", n),
-            "m_values": _as_dims(_require(case, "m_values", cpath), f"{cpath}.m_values", n),
-            "times": _as_times(case, cpath),
+            "x0": _as_vector(case["x0"], f"{cpath}.x0", n),
+            "m_values": _as_dims(case["m_values"], f"{cpath}.m_values", n),
+            "times": _as_times(case["times"], f"{cpath}.times"),
         }))
     return {"cases": tuple(cases)}
 
 
-def _parse_reduce(block: dict, path: str, modes) -> dict:
-    A = _as_square(block, "A", path)
+def _parse_reduce(block, path: str, modes) -> dict:
+    _as_object(block, path, ("A", "m_values"), ("B", "C", "x0", "times"))
+    A = _as_square(block["A"], f"{path}.A")
     n = len(A)
-    m_values = _as_dims(_require(block, "m_values", path), f"{path}.m_values", n)
+    m_values = _as_dims(block["m_values"], f"{path}.m_values", n)
     out = {"A": A, "m_values": m_values, "B": None, "C": None, "x0": None, "times": None}
     if "B" in block:
         out["B"] = _as_matrix(block["B"], n, None, f"{path}.B", "column")
@@ -421,26 +454,34 @@ def _parse_reduce(block: dict, path: str, modes) -> dict:
     if "x0" in block:
         out["x0"] = _as_vector(block["x0"], f"{path}.x0", n)
     if "times" in block:
-        out["times"] = _as_times(block, path)
+        out["times"] = _as_times(block["times"], f"{path}.times")
     return out
 
 
-def _parse_vectors(block: dict, path: str, modes) -> dict:
+#: vector op -> the fields it requires besides ``op`` and ``x``, and its optional ones.
+_OP_FIELDS = {"canonicalize": ((), ("tol",)), "distance": (("y",), ()),
+              "norm": ((), ()), "project": (("m",), ())}
+
+
+def _parse_vectors(block, path: str, modes) -> dict:
+    _as_object(block, path, optional=("ops",))
     ops = []
     for k, op in enumerate(_as_list(block.get("ops"), f"{path}.ops")):
         opath = f"{path}.ops[{k}]"
         if not isinstance(op, dict) or "op" not in op:
             _fail(opath, "expected an object with an 'op' field")
         kind = op["op"]
-        if kind not in ("canonicalize", "distance", "norm", "project"):
+        if not isinstance(kind, str) or kind not in _OP_FIELDS:
             _fail(f"{opath}.op", f"unknown operation {kind!r}")
-        fields = {"op": kind, "x": _as_vector(_require(op, "x", opath), f"{opath}.x")}
+        required, optional = _OP_FIELDS[kind]
+        _as_object(op, opath, ("op", "x", *required), optional)
+        fields = {"op": kind, "x": _as_vector(op["x"], f"{opath}.x")}
         if kind == "canonicalize":
             fields["tol"] = _as_number(op.get("tol", 1e-9), f"{opath}.tol", positive=True)
         elif kind == "distance":
-            fields["y"] = _as_vector(_require(op, "y", opath), f"{opath}.y")
+            fields["y"] = _as_vector(op["y"], f"{opath}.y")
         elif kind == "project":
-            fields["m"] = _as_dim(_require(op, "m", opath), f"{opath}.m", len(fields["x"]))
+            fields["m"] = _as_dim(op["m"], f"{opath}.m", len(fields["x"]))
         ops.append(MappingProxyType(fields))
     return {"ops": tuple(ops)}
 
@@ -452,12 +493,14 @@ _BLOCKS = {"dwell": _parse_dwell, "chain": _parse_chain, "lattice": _parse_latti
 
 def _parse_experiment(spec, modes) -> MappingProxyType:
     """Every block of ``experiment``; ``dwell`` and ``lattice`` default to ``{}``."""
-    blocks, spec = {}, {"dwell": {}, "lattice": {}, **_as_object(spec, "experiment")}
-    for key, block in spec.items():
+    if not isinstance(spec, dict):
+        _fail("experiment", "expected an object")
+    blocks = {}
+    for key, block in {"dwell": {}, "lattice": {}, **spec}.items():
         path = f"experiment.{key}"
         if key not in _BLOCKS:
             _fail(path, "unknown block")
-        blocks[key] = MappingProxyType(_BLOCKS[key](_as_object(block, path), path, modes))
+        blocks[key] = MappingProxyType(_BLOCKS[key](block, path, modes))
     return MappingProxyType(blocks)
 
 

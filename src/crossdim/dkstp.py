@@ -4,7 +4,7 @@ The product of an m x n by a p x q matrix replicates columns of the left
 and rows of the right factor up to t = lcm(n, p), multiplies, and scales
 by n/t; the result is always m x q.  It coincides with the ordinary
 product when n = p.  It is computed as the factorization through the n x p
-"bridge" matrix, which is exactly the cross-dimensional projector from
+"bridge" matrix, which is exactly the least-squares projection from
 dimension p onto n; :func:`bridge` is the one builder of that matrix.
 """
 
@@ -38,8 +38,9 @@ def bridge(n: int, p: int) -> np.ndarray:
     """The n x p bridge matrix (n/t)(I_n (x) ones(t/n)^T)(I_p (x) ones(t/p)).
 
     This is the only builder of the cross-dimensional averaging/replication
-    matrix: it is also the projector from dimension p onto n.  Results are
-    cached and read-only, so every caller shares one array per (n, p).
+    matrix: it is also the least-squares projection from dimension p onto n
+    (block averages when n < p, entry replication when p divides n).  Results
+    are cached and read-only, so every caller shares one array per (n, p).
     """
     if n < 1 or p < 1:
         raise ValueError("dimensions must be positive")
@@ -50,10 +51,15 @@ def bridge(n: int, p: int) -> np.ndarray:
 # only plain functions (perfbench/tracing.py), still counts bridge calls.
 @functools.lru_cache(maxsize=BRIDGE_CACHE_SIZE)
 def _bridge(n: int, p: int) -> np.ndarray:
+    # Entry (i, j) of the product of the Kronecker factors counts the overlap
+    # of the blocks [i a, (i + 1) a) and [j b, (j + 1) b) of {0, ..., t - 1},
+    # so only n x p arrays are ever allocated.
     t = math.lcm(n, p)
-    left = np.kron(np.eye(n), np.ones((1, t // n)))
-    right = np.kron(np.eye(p), np.ones((t // p, 1)))
-    B = (n / t) * (left @ right)
+    a, b = t // n, t // p
+    lo = np.maximum.outer(np.arange(n) * a, np.arange(p) * b)
+    hi = np.minimum.outer(np.arange(1, n + 1) * a, np.arange(1, p + 1) * b)
+    counts = np.maximum(hi - lo, 0)
+    B = (n / t) * counts
     B.setflags(write=False)
     return B
 

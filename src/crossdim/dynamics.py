@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .cdspace import as_entries, project, projector, v_norm, v_norm_rows
+from .cdspace import as_entries, project, v_norm, v_norm_rows
 from .dkstp import bridge
 from .errors import NumericFailure
 from .switching import (
@@ -583,8 +583,7 @@ def lift_field(mode: Mode, k: int) -> Mode:
     if k == 1:
         return mode
     n, N = mode.dim, k * mode.dim
-    down = projector(N, n).matrix  # block means
-    up = projector(n, N).matrix  # entry replication
+    down, up = bridge(n, N), bridge(N, n)  # block means, entry replication
 
     if mode.is_linear:
         drift = up @ mode.drift @ down
@@ -678,23 +677,14 @@ def embed_common(system: DvSystem) -> DvSystem:
     """
     n = math.lcm(*(m.dim for m in system.modes))
     lifted = tuple(lift_field(m, n // m.dim) for m in system.modes)
-    count = len(system.modes)
+    count, explicit = len(system.modes), isinstance(system.transitions, dict)
     table = {}
     for i in range(count):
         for j in range(count):
-            if i == j:
-                continue
-            if isinstance(system.transitions, dict) and (
-                i,
-                j,
-            ) not in system.transitions:
+            if i == j or (explicit and (i, j) not in system.transitions):
                 continue
             base = system.transition(i, j)
-            W = (
-                projector(system.modes[j].dim, n).matrix
-                @ base.matrix
-                @ projector(n, system.modes[i].dim).matrix
-            )
+            W = bridge(n, system.modes[j].dim) @ base.matrix @ bridge(system.modes[i].dim, n)
             table[(i, j)] = TransitionMap(n, n, W)
     return DvSystem(
         modes=lifted,

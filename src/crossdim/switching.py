@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cdspace import as_entries, projector, stp_sub, v_dist, v_norm
-from .dkstp import op_vnorm
+from .cdspace import as_entries, stp_sub, v_dist, v_norm
+from .dkstp import bridge, op_vnorm
 
 __all__ = [
     "JumpEvent",
@@ -80,9 +80,7 @@ def identity_map(n: int) -> TransitionMap:
 
 def nearest_map(n_p: int, n_q: int) -> TransitionMap:
     """Minimal-distance jump: project the state onto the destination dimension."""
-    if n_p < 1 or n_q < 1:
-        raise ValueError("dimensions must be positive")
-    return TransitionMap(n_p, n_q, projector(n_p, n_q).matrix)
+    return TransitionMap(n_p, n_q, bridge(n_q, n_p))
 
 
 def drop_map(n: int, m: int, dropped_indices=None) -> TransitionMap:
@@ -114,7 +112,7 @@ def add_map(n: int, m: int) -> TransitionMap:
     """
     if m <= n:
         raise ValueError(f"add_map requires m > n, got n={n}, m={m}")
-    W = np.vstack([np.eye(n), projector(n, m - n).matrix])
+    W = np.vstack([np.eye(n), bridge(m - n, n)])
     return TransitionMap(n, m, W)
 
 

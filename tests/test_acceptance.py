@@ -14,7 +14,6 @@ from crossdim.analysis import approx_error, reduce_model, restrict_field, span_m
 from crossdim.cdspace import (
     kron_lift,
     project,
-    projector,
     stp_sub,
     v_dist,
     v_inner,
@@ -88,7 +87,7 @@ def test_c02_contraction_by_dwell():
     ok_norm = abs(norm - 0.3201) <= 1e-3
 
     x = RNG.standard_normal(2)
-    ok_lift = np.array_equal(projector(2, 4).matrix @ x, kron_lift(x, 2))
+    ok_lift = np.array_equal(bridge(4, 2) @ x, kron_lift(x, 2))
 
     traj = simulate(scenario.system, scenario.signal, scenario.x0, scenario.step)
     entries = [n for _, n in traj.switch_entry_norms()]
@@ -160,8 +159,8 @@ def eig_reduction_error(A, x0, m, times):
     """approx_error's series, with both flows taken by eigendecomposition."""
     n = A.shape[0]
     full = eig_flows(A, x0, times)
-    reduced = eig_flows(reduce_model(A, m=m).A_pi, projector(n, m).matrix @ x0, times)
-    lifted = projector(m, n).matrix @ reduced
+    reduced = eig_flows(reduce_model(A, m=m).A_pi, bridge(m, n) @ x0, times)
+    lifted = bridge(n, m) @ reduced
     return np.linalg.norm(lifted - full, axis=0) / np.linalg.norm(full, axis=0)
 
 
@@ -209,8 +208,14 @@ def test_c06_algebra_property_suite():
         worst_dist = max(worst_dist, np.abs(lhs2 - rhs2).max() / scale2)
     ok_ring = worst_assoc <= 1e-9 and worst_dist <= 1e-9
 
+    def kronecker_bridge(n, p):
+        t = math.lcm(n, p)
+        left = np.kron(np.eye(n), np.ones((1, t // n)))
+        right = np.kron(np.eye(p), np.ones((t // p, 1)))
+        return (n / t) * (left @ right)
+
     ok_bridge = all(
-        np.array_equal(bridge(nn, mm), projector(mm, nn).matrix)
+        np.array_equal(bridge(nn, mm), kronecker_bridge(nn, mm))
         for nn in range(1, 13)
         for mm in range(1, 13)
     )
@@ -315,7 +320,7 @@ def test_c09_cli_determinism(tmp_path):
 
 
 def test_c10_operator_norm_discrepancy_documented():
-    value = op_vnorm(projector(4, 2).matrix)
+    value = op_vnorm(bridge(2, 4))
     ok_value = abs(value - 1.0) <= 1e-12
     # the conservative transition constant 3 still certifies dwell 3.6
     scenario = load_scenario(scenario_path("two_mode_contraction.json"))

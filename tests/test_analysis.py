@@ -16,7 +16,7 @@ from crossdim.analysis import (
     restrict_field,
     span_membership,
 )
-from crossdim.cdspace import equivalent, kron_lift, projector
+from crossdim.cdspace import equivalent, kron_lift
 from crossdim.dkstp import bridge
 from crossdim.dynamics import DvSystem, Mode
 from crossdim.registry import get_field, get_span_basis
@@ -178,7 +178,7 @@ def test_reduce_model_scalar_matrix_expanding_branch():
     # expanding yields 3.5 times the projector onto the replicated subspace,
     # which acts as 3.5 I on every reachable (projected) state
     red = reduce_model(3.5 * np.eye(6), m=8)
-    P = projector(6, 8).matrix
+    P = bridge(8, 6)
     np.testing.assert_allclose(
         red.A_pi, 3.5 * P @ np.linalg.inv(P.T @ P) @ P.T, atol=1e-12
     )
@@ -191,7 +191,7 @@ def test_reduce_model_identity_when_same_dim():
     red = reduce_model(A, m=4)
     np.testing.assert_allclose(red.A_pi, A, atol=1e-12)
     # both normal-equation branches coincide at n = m
-    P = projector(4, 4).matrix
+    P = bridge(4, 4)
     compress = P @ A @ P.T @ np.linalg.inv(P @ P.T)
     expand = P @ A @ np.linalg.inv(P.T @ P) @ P.T
     np.testing.assert_allclose(compress, expand, atol=1e-12)
@@ -210,7 +210,7 @@ def test_reduce_model_branches_against_direct_formula():
     C = RNG.standard_normal((1, n))
     for m in (3, 4, 8, 9):
         red = reduce_model(A, B, C, m)
-        P = projector(n, m).matrix
+        P = bridge(m, n)
         if n >= m:
             A_ref = P @ A @ P.T @ np.linalg.inv(P @ P.T)
             C_ref = C @ P.T @ np.linalg.inv(P @ P.T)
@@ -251,8 +251,8 @@ def eig_reduction_error(A, x0, m, times):
     """approx_error's series, with both flows taken by eigendecomposition."""
     n = A.shape[0]
     full = eig_flows(A, x0, times)
-    reduced = eig_flows(reduce_model(A, m=m).A_pi, projector(n, m).matrix @ x0, times)
-    lifted = projector(m, n).matrix @ reduced
+    reduced = eig_flows(reduce_model(A, m=m).A_pi, bridge(m, n) @ x0, times)
+    lifted = bridge(n, m) @ reduced
     return np.linalg.norm(lifted - full, axis=0) / np.linalg.norm(full, axis=0)
 
 
@@ -283,8 +283,8 @@ def test_approx_error_invariant_under_lifting():
     x0 = RNG.standard_normal(n)
     base = approx_error(A, x0, m, [1.0, 2.0, 5.0])
     for k in (2, 3):
-        up = projector(n, k * n).matrix
-        down = projector(k * n, n).matrix
+        up = bridge(k * n, n)
+        down = bridge(n, k * n)
         A_lift = up @ A @ down
         lifted = approx_error(A_lift, kron_lift(x0, k), m, [1.0, 2.0, 5.0])
         np.testing.assert_allclose(base.values, lifted.values, atol=1e-9)

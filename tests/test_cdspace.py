@@ -14,13 +14,13 @@ from crossdim.cdspace import (
     equivalent,
     kron_lift,
     project,
-    projector,
     stp_add,
     stp_sub,
     v_dist,
     v_inner,
     v_norm,
 )
+from crossdim.dkstp import bridge
 
 RNG = np.random.default_rng(42)
 
@@ -189,19 +189,19 @@ def test_angle_clamps_cosine():
 
 def test_projector_matrices():
     np.testing.assert_array_equal(
-        projector(2, 4).matrix, [[1, 0], [1, 0], [0, 1], [0, 1]]
+        bridge(4, 2), [[1, 0], [1, 0], [0, 1], [0, 1]]
     )
     np.testing.assert_array_equal(
-        projector(4, 2).matrix, [[0.5, 0.5, 0, 0], [0, 0, 0.5, 0.5]]
+        bridge(2, 4), [[0.5, 0.5, 0, 0], [0, 0, 0.5, 0.5]]
     )
-    np.testing.assert_array_equal(projector(3, 3).matrix, np.eye(3))
+    np.testing.assert_array_equal(bridge(3, 3), np.eye(3))
 
 
 def test_projector_row_sums_are_one():
     for _ in range(30):
         n, m = (int(d) for d in RNG.integers(1, 13, size=2))
         np.testing.assert_allclose(
-            projector(n, m).matrix.sum(axis=1), np.ones(m), atol=1e-12
+            bridge(m, n).sum(axis=1), np.ones(m), atol=1e-12
         )
 
 
@@ -257,9 +257,7 @@ def test_projection_is_argmin():
 
 def test_projector_validates_dims():
     with pytest.raises(ValueError):
-        projector(0, 3)
-    with pytest.raises(ValueError):
-        projector(2, 3)(np.ones(5))
+        bridge(3, 0)
 
 
 # --------------------------------------------------------------------- lattice

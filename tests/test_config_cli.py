@@ -676,6 +676,17 @@ def _nonlinear_first_mode(raw):
     raw["modes"][0] = {"label": "planar", "dim": 6, "drift": "ddp_disturbance6"}
 
 
+def _coprime_modes(raw):
+    # lcm(37, 41) = 1517 and 1517^2 = 2301289 drift entries, over the budget
+    raw["modes"] = [{"label": f"m{n}", "dim": n, "A": (-np.eye(n)).tolist()} for n in (37, 41)]
+    raw["x0"] = [1.0] * 37
+    del raw["output"]
+
+
+def _rename(obj, old, new):
+    obj[new] = obj.pop(old)
+
+
 @pytest.mark.parametrize(
     "command, name, mutate, message",
     [
@@ -762,6 +773,50 @@ def _nonlinear_first_mode(raw):
          "modes[0].drift: mode 'planar': dwell analysis requires a linear drift"),
         ("ctrb", "two_mode_contraction.json", _nonlinear_first_mode,
          "modes[0].drift: controllability test requires a linear mode"),
+        ("simulate", "two_mode_contraction.json",
+         lambda raw: _rename(raw["signal"], "dwell_pattern", "dwel_pattern"),
+         "signal.dwel_pattern: unknown field"),
+        ("dwell", "two_mode_contraction.json",
+         lambda raw: raw["experiment"].update(dwell={"gama": 0.5}),
+         "experiment.dwell.gama: unknown field"),
+        ("simulate", "two_mode_contraction.json",
+         lambda raw: raw["modes"][1].update(feedbak="damp2"),
+         "modes[1].feedbak: unknown field"),
+        ("simulate", "feedback_switch_random.json",
+         lambda raw: raw["signal"].update(switch_times=[1.0]),
+         "signal.switch_times: unknown field"),
+        ("simulate", "ddp_two_mode.json",
+         lambda raw: raw["output"].update(q=2),
+         "output.q: unknown field"),
+        ("simulate", "two_mode_contraction.json",
+         lambda raw: raw.update(disturbance={"eta": "none", "sigma": 1.0}),
+         "disturbance.sigma: unknown field"),
+        ("simulate", "two_mode_contraction.json",
+         lambda raw: raw.update(transitions={"explicit": [], "default": "nearest"}),
+         "transitions.default: unknown field"),
+        ("approx", "reduction_sweep.json",
+         lambda raw: raw["experiment"]["approx"]["cases"][0]["times"].update(step=0.1),
+         "experiment.approx.cases[0].times.step: unknown field"),
+        ("reduce", "reduction_sweep.json",
+         lambda raw: raw["experiment"]["reduce"].update(m=3),
+         "experiment.reduce.m: unknown field"),
+        ("reduce-vec", "two_stage_steering.json",
+         lambda raw: raw["experiment"]["vectors"]["ops"][3].update(y=[1.0]),
+         "experiment.vectors.ops[3].y: unknown field"),
+        ("simulate", "two_mode_contraction.json",
+         lambda raw: raw.update(x0=["1", 2.0]),
+         "x0: expected a numeric vector"),
+        ("simulate", "two_mode_contraction.json",
+         lambda raw: raw.update(x0=[1.0, True]),
+         "x0: expected a numeric vector"),
+        ("simulate", "two_mode_contraction.json",
+         lambda raw: raw["modes"][0].update(A=[[True, "2"], [-10.0, -6.0]]),
+         "modes[0].A: expected a numeric matrix"),
+        ("approx", "reduction_sweep.json",
+         lambda raw: raw["experiment"]["approx"]["cases"][0]["A"][3].__setitem__(2, False),
+         "experiment.approx.cases[0].A: expected a numeric matrix"),
+        ("embed", "two_mode_contraction.json", _coprime_modes,
+         "modes: common dimension 1517: 2301289 drift entries exceed the budget"),
     ],
 )
 def test_cli_errors_name_the_field(tmp_path, capsys, command, name, mutate, message):
@@ -775,6 +830,19 @@ def test_cli_errors_name_the_field(tmp_path, capsys, command, name, mutate, mess
     assert run_cli(command, "--config", str(bad), "--out", str(out)) == 2
     assert capsys.readouterr().err.startswith(f"omega: {message}")
     assert not any(out.glob("error_*"))
+
+
+def test_embed_budget_leaves_other_commands_alone(tmp_path):
+    with open(scenario_path("two_mode_contraction.json"), "r", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    _coprime_modes(raw)
+    raw.update(horizon=1.0, signal={"kind": "fixed", "dwell_pattern": [0.5]})
+    config = tmp_path / "coprime.json"
+    config.write_text(json.dumps(raw))
+    for command, code in (("embed", 2), ("simulate", 0), ("lattice", 0)):
+        out = tmp_path / command
+        assert run_cli(command, "--config", str(config), "--out", str(out)) == code
+    assert not any((tmp_path / "embed").iterdir())
 
 
 def test_cli_diverging_reduction_is_a_numeric_failure(tmp_path, capsys):

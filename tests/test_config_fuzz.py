@@ -2,7 +2,8 @@
 
 Whatever one field of a shipped scenario is replaced with, every command
 ends in exit 0, 2 or 3 within a time bound, and an exit-2 message starts
-with the path of the field it rejects.
+with the path of the field it rejects.  A key that no parser reads, put
+into any object of a scenario, fails every command with exit 2 naming it.
 """
 
 import contextlib
@@ -34,6 +35,9 @@ VALUES = (
     10**400, [], {}, [0.5], [1, "a"], [[1.0], [1.0, 2.0]], {"a": 1},
 )
 
+#: Keys no object of a scenario reads: misspellings and a stray field.
+UNKNOWN_KEYS = ("dwel_pattern", "gama", "lable", "comment")
+
 #: ``omega: <field path>: ...``, the path as in ``experiment.approx.cases[1].label``.
 FIELD_MESSAGE = re.compile(r"omega: (top level|\w+(\.\w+|\[\d+\])*): ")
 
@@ -54,16 +58,32 @@ def field_paths(node, prefix=()):
         yield from field_paths(child, prefix + (key,))
 
 
+def lookup(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def dotted(path) -> str:
+    """A key path as the messages print it: ``('modes', 0, 'A')`` is ``modes[0].A``."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+
+
 @st.composite
 def mutated_runs(draw):
+    """A command, a mutated scenario, and the path of an inserted key (or None)."""
     name = draw(st.sampled_from(sorted(SCENARIOS)))
     raw = copy.deepcopy(SCENARIOS[name])
-    path = draw(st.sampled_from(list(field_paths(raw))))
-    parent = raw
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = draw(st.sampled_from(VALUES))
-    return draw(st.sampled_from(sorted(COMMANDS))), raw
+    paths = list(field_paths(raw))
+    if draw(st.booleans()):  # replace one value
+        path, inserted = draw(st.sampled_from(paths)), None
+        value = draw(st.sampled_from(VALUES))
+    else:  # insert an unknown key into one object, the root included
+        objects = [()] + [p for p in paths if isinstance(lookup(raw, p), dict)]
+        path = draw(st.sampled_from(objects)) + (draw(st.sampled_from(UNKNOWN_KEYS)),)
+        inserted, value = dotted(path), 1
+    lookup(raw, path[:-1])[path[-1]] = value
+    return draw(st.sampled_from(sorted(COMMANDS))), raw, inserted
 
 
 def run_bounded(argv) -> tuple:
@@ -86,7 +106,7 @@ def run_bounded(argv) -> tuple:
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(mutated_runs())
 def test_mutated_scenarios_exit_cleanly(run):
-    command, raw = run
+    command, raw, inserted = run
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "scenario.json"
         config.write_text(json.dumps(raw), encoding="utf-8")
@@ -95,3 +115,5 @@ def test_mutated_scenarios_exit_cleanly(run):
     if code == 2:
         message = err.strip().splitlines()[-1]
         assert FIELD_MESSAGE.match(message), message
+    if inserted is not None:
+        assert code == 2 and err.startswith(f"omega: {inserted}: "), err

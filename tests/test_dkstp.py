@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from crossdim.cdspace import kron_lift, project, projector, stp_add, v_norm
-from crossdim.dkstp import bridge, dk_apply, dk_product, op_vnorm
+from crossdim.cdspace import kron_lift, project, stp_add, v_norm
+from crossdim.dkstp import _bridge, bridge, dk_apply, dk_product, op_vnorm
 
 RNG = np.random.default_rng(7)
 
@@ -16,10 +17,6 @@ def random_matrix(max_dim=6):
 
 # ---------------------------------------------------------------------- bridge
 
-def test_bridge_matches_projector_small():
-    np.testing.assert_array_equal(bridge(2, 4), projector(4, 2).matrix)
-
-
 def test_bridge_identity():
     np.testing.assert_array_equal(bridge(5, 5), np.eye(5))
 
@@ -30,16 +27,38 @@ def test_bridge_2x3():
     )
 
 
-def test_bridge_equals_projector_everywhere():
-    for n in range(1, 13):
-        for m in range(1, 13):
-            np.testing.assert_array_equal(bridge(n, m), projector(m, n).matrix)
+def kronecker_bridge(n, p):
+    """The definition (n/t) (I_n (x) 1_{t/n}^T)(I_p (x) 1_{t/p}), t = lcm(n, p)."""
+    t = math.lcm(n, p)
+    left = np.kron(np.eye(n), np.ones((1, t // n)))
+    right = np.kron(np.eye(p), np.ones((t // p, 1)))
+    return (n / t) * (left @ right)
+
+
+def test_bridge_equals_kronecker_definition_bit_for_bit():
+    for n in range(1, 25):
+        for p in range(1, 25):
+            B, ref = bridge(n, p), kronecker_bridge(n, p)
+            assert B.dtype == ref.dtype and B.shape == ref.shape
+            assert B.tobytes() == ref.tobytes(), (n, p)
+
+
+def test_bridge_allocates_about_its_result():
+    # coprime 89 x 97: the Kronecker factors hold 186 * 8633 floats (13 MB),
+    # the result 8633 (69 kB)
+    _bridge.cache_clear()
+    tracemalloc.start()
+    try:
+        bridge(89, 97)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_bridge_is_cached_and_read_only():
     B = bridge(3, 5)
     assert bridge(3, 5) is B
-    assert projector(5, 3).matrix is B
     with pytest.raises(ValueError):
         B[0, 0] = 1.0
 
@@ -130,7 +149,7 @@ def test_op_vnorm_identity_and_scalar():
 
 
 def test_op_vnorm_of_block_average():
-    assert op_vnorm(projector(4, 2).matrix) == pytest.approx(1.0, abs=1e-12)
+    assert op_vnorm(bridge(2, 4)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_op_vnorm_matches_eigen_oracle():

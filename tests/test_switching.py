@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from crossdim.cdspace import kron_lift, project, projector, v_norm
+from crossdim.cdspace import kron_lift, project, v_norm
+from crossdim.dkstp import bridge
 from crossdim.switching import (
     add_map,
     compose_maps,
@@ -35,7 +36,7 @@ def test_nearest_map_equals_projector():
     for n in range(1, 8):
         for m in range(1, 8):
             np.testing.assert_array_equal(
-                nearest_map(n, m).matrix, projector(n, m).matrix
+                nearest_map(n, m).matrix, bridge(m, n)
             )
 
 
