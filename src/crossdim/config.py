@@ -159,11 +159,11 @@ def _as_dims(value, path: str, n: int | None = None) -> tuple:
 
 
 def _as_array(value, path: str, kind: str) -> np.ndarray:
-    """A finite, read-only float array of JSON numbers (no strings or
-    booleans, as in :func:`_as_number`); ``kind`` ("matrix", "vector") names it."""
+    """A finite, read-only float array of JSON numbers (no strings, booleans
+    or nulls, as in :func:`_as_number`); ``kind`` ("matrix", "vector") names it."""
     nested = [value]
     for entry in nested:  # every entry of the nested lists, appended as reached
-        if isinstance(entry, (str, bool)):
+        if entry is None or isinstance(entry, (str, bool)):
             _fail(path, f"expected a numeric {kind}")
         if isinstance(entry, list):
             nested.extend(entry)

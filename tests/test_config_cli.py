@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import signal
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -810,8 +811,14 @@ def _rename(obj, old, new):
          lambda raw: raw.update(x0=[1.0, True]),
          "x0: expected a numeric vector"),
         ("simulate", "two_mode_contraction.json",
+         lambda raw: raw.update(x0=[1.0, None]),
+         "x0: expected a numeric vector"),
+        ("simulate", "two_mode_contraction.json",
          lambda raw: raw["modes"][0].update(A=[[True, "2"], [-10.0, -6.0]]),
          "modes[0].A: expected a numeric matrix"),
+        ("reduce", "reduction_sweep.json",
+         lambda raw: raw["experiment"]["reduce"]["A"][1].__setitem__(0, None),
+         "experiment.reduce.A: expected a numeric matrix"),
         ("approx", "reduction_sweep.json",
          lambda raw: raw["experiment"]["approx"]["cases"][0]["A"][3].__setitem__(2, False),
          "experiment.approx.cases[0].A: expected a numeric matrix"),
@@ -853,5 +860,10 @@ def test_cli_diverging_reduction_is_a_numeric_failure(tmp_path, capsys):
     raw["experiment"]["reduce"]["A"][5][5] = 7.5
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(raw))
-    assert run_cli("reduce", "--config", str(bad), "--out", str(tmp_path / "o")) == 3
-    assert capsys.readouterr().err.startswith("omega: numeric failure: state diverged")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("reduce", "--config", str(bad), "--out", str(tmp_path / "o")) == 3
+    assert caught == []
+    assert capsys.readouterr().err == (
+        "omega: numeric failure: state diverged (operation=approx_error, t=94)\n"
+    )
