@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .cdspace import project, v_norm
+from .cdspace import project, v_norm_rows
 from .dkstp import bridge
-from .dynamics import Mode, Segment, expm, integrate_mode
+from .dynamics import Mode, Segment, _expm_stack, _overflowed, integrate_mode
 from .errors import NumericFailure
 
 __all__ = [
@@ -272,11 +272,79 @@ class ErrorSeries:
         return float(finite.max()) if finite.size else math.nan
 
 
-def _relative_error(approx, exact) -> float:
-    denom = v_norm(exact)
-    if denom == 0.0:
-        return math.nan
-    return v_norm(np.asarray(approx) - np.asarray(exact)) / denom
+def _relative_errors(approx: np.ndarray, exact: np.ndarray):
+    """Row-wise ``v_norm(approx - exact) / v_norm(exact)``, NaN where the
+    exact row vanishes, bit for bit as :func:`v_norm` gives each quotient;
+    and the rows :func:`v_norm` would refuse: a non-finite exact row, or a
+    non-finite gap under a nonzero exact row."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        gap = approx - exact
+        denom = v_norm_rows(exact)
+        diverged = ~np.isfinite(exact).all(axis=1) | (
+            (denom != 0.0) & ~np.isfinite(gap).all(axis=1)
+        )
+        return np.where(denom == 0.0, np.nan, v_norm_rows(gap) / denom), diverged
+
+
+#: Entries of one stacked exponential: :func:`_reduction_errors` takes the
+#: times in chunks whose (d, d) slices hold at most this many entries, so
+#: its memory does not grow with the number of times.
+_STACK_ENTRIES = 1 << 15
+
+
+def _chunk_errors(A_pi, z0, back, chunk, X, full):
+    """Errors of one reduced model on a chunk of times, given the full flow X
+    at its first ``full`` times (where e^{tA} is finite), and the failure
+    that ends them early (None when every time succeeds)."""
+    if not full:
+        return None, _overflowed()
+    try:
+        F, stop = _expm_stack(A_pi, chunk[:full])
+    except ValueError as exc:  # the first reduced exponential refuses A_pi
+        return None, exc
+    with np.errstate(over="ignore", invalid="ignore"):
+        lifted = (back @ (F[:stop] @ z0)[:, :, None])[..., 0]
+    errs, diverged = _relative_errors(lifted, X[:stop])
+    if diverged.any():
+        t = chunk[diverged.argmax()]
+        return None, NumericFailure("state diverged", operation="approx_error", time=t)
+    return errs, _overflowed() if stop < len(chunk) else None
+
+
+def _reduction_errors(A, x0, m_values, times) -> np.ndarray:
+    """:func:`approx_error`'s values for every m of ``m_values``, one row each.
+
+    Each chunk of times takes one stacked exponential of A, whose flow every
+    m shares, and one of each reduced drift.  The failure raised is the one
+    a loop over m, then t, then the full flow, the reduced flow and the
+    error would meet first: the first m that fails, at its first failing t.
+    """
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (n,):
+        raise ValueError("x0 must match the drift dimension")
+    models = [(reduce_model(A, m=m).A_pi, project(x0, m), bridge(n, m)) for m in m_values]
+    ts = np.asarray(times, dtype=float)
+    vals = np.empty((len(models), ts.size))
+    step = max(1, _STACK_ENTRIES // max((n, *m_values)) ** 2)
+    failure, live = None, len(models)  # only an m before a failed one can fail first
+    for lo in range(0, ts.size, step):
+        chunk = ts[lo : lo + step]
+        E, full = _expm_stack(A, chunk)
+        with np.errstate(over="ignore", invalid="ignore"):
+            X = E[:full] @ x0
+        for j, (A_pi, z0, back) in enumerate(models[:live]):
+            errs, exc = _chunk_errors(A_pi, z0, back, chunk, X, full)
+            if exc is not None:
+                failure, live = exc, j
+                break
+            vals[j, lo : lo + step] = errs
+        if not live:
+            break
+    if failure is not None:
+        raise failure
+    return vals
 
 
 def approx_error(A, x0, m: int, times) -> ErrorSeries:
@@ -285,27 +353,8 @@ def approx_error(A, x0, m: int, times) -> ErrorSeries:
     The full flow e^{At} x0 is compared against the reduced flow started
     from the projected initial state and lifted back to dimension n.
     """
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (n,):
-        raise ValueError("x0 must match the drift dimension")
-    red = reduce_model(A, m=m)
-    z0 = project(x0, m)
-    back = bridge(n, m)
     ts = np.asarray(list(times), dtype=float)
-    vals = np.empty(ts.size)
-    # an overflowing flow is reported by the NumericFailure below, not by
-    # numpy's warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, t in enumerate(ts):
-            x_t = expm(A, t) @ x0
-            z_t = expm(red.A_pi, t) @ z0
-            try:
-                vals[i] = _relative_error(back @ z_t, x_t)
-            except ValueError:  # v_norm refuses a state or a gap that overflowed
-                raise NumericFailure("state diverged", operation="approx_error", time=t) from None
-    return ErrorSeries(ts, vals)
+    return ErrorSeries(ts, _reduction_errors(A, x0, (m,), ts)[0])
 
 
 def restrict_field(F, n: int, m: int):
@@ -363,13 +412,10 @@ def aggregate_run(
     z0 = project(x0, nominal.dim)
     nominal_seg: Segment = integrate_mode(nominal, z0, 0.0, horizon, step)
     back = bridge(member.dim, nominal.dim)
-    approx = nominal_seg.states @ back.T
-    vals = np.array(
-        [
-            _relative_error(approx[i], member_seg.states[i])
-            for i in range(len(member_seg.times))
-        ]
-    )
+    vals, diverged = _relative_errors(nominal_seg.states @ back.T, member_seg.states)
+    if diverged.any():
+        t = member_seg.times[diverged.argmax()]
+        raise NumericFailure("state diverged", operation="aggregate_run", time=t)
     return AggregateResult(
         member_seg.times,
         member_seg.states,

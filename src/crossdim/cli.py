@@ -164,13 +164,13 @@ def cmd_chain(scenario: Scenario, out: str) -> int:
     return 0
 
 
-def _error_rows(A, x0, m_values, times) -> list:
-    """(t, m, E) rows of the reduction error for each reduced dimension m."""
-    rows = []
-    for m in m_values:
-        series = analysis.approx_error(A, x0, m, times)
-        rows.extend((t, m, e) for t, e in zip(series.times, series.values))
-    return rows
+def _error_rows(A, x0, m_values, times) -> np.ndarray:
+    """(t, m, E) rows of the reduction error, all times for each reduced
+    dimension m in turn."""
+    errors = analysis._reduction_errors(A, x0, m_values, times)
+    t = np.tile(times, len(m_values))
+    m = np.repeat(m_values, len(times))
+    return np.column_stack((t, m, errors.ravel()))
 
 
 def cmd_approx(scenario: Scenario, out: str) -> int:

@@ -69,23 +69,41 @@ _DWELL_TOL = 1e-3
 _FLOW_BLOCK = 256
 
 
+def _expm_stack(A, ts: np.ndarray):
+    """e^{tA} for every t of ``ts``, stacked (len(ts), n, n), and the index
+    of the first slice that overflowed (len(ts) when every slice is finite).
+
+    One ``scipy.linalg.expm`` call on the stack ``ts[:, None, None] * A``:
+    scipy runs the same per-slice code as on a single matrix, so slice i is
+    e^{ts[i] A} bit for bit as :func:`expm` gives it.
+    """
+    M = np.asarray(A, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError("expm expects a square matrix")
+    if not np.isfinite(M).all():
+        raise ValueError("expm expects finite entries")
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = scipy.linalg.expm(ts[:, None, None] * M)
+    finite = np.isfinite(E).all(axis=(1, 2))
+    return E, len(ts) if finite.all() else int(finite.argmin())
+
+
+def _overflowed() -> NumericFailure:
+    return NumericFailure("matrix exponential overflowed", operation="expm")
+
+
 def expm(A, t: float = 1.0) -> np.ndarray:
     """e^{tA} by ``scipy.linalg.expm``, a scaling-and-squaring Pade method.
 
     Al-Mohy & Higham (SIAM J. Matrix Anal. Appl., 2009): the backward error
     is at the level of unit roundoff.  A non-finite result raises
-    :class:`NumericFailure`.
+    :class:`NumericFailure`.  Many times t take one stacked call,
+    :func:`_expm_stack`, whose slices equal this result bit for bit.
     """
-    M = np.asarray(A, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("expm expects a square matrix")
-    if not np.all(np.isfinite(M)):
-        raise ValueError("expm expects finite entries")
-    with np.errstate(over="ignore", invalid="ignore"):
-        E = scipy.linalg.expm(M * float(t))
-    if not np.all(np.isfinite(E)):
-        raise NumericFailure("matrix exponential overflowed", operation="expm")
-    return E
+    E, finite = _expm_stack(A, np.array([float(t)]))
+    if not finite:
+        raise _overflowed()
+    return E[0]
 
 
 @dataclass(frozen=True, eq=False)

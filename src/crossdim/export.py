@@ -148,9 +148,23 @@ def _below(yh, yl, bound):
     return (yh < bound) | ((yh == bound) & (yl < 0))
 
 
+def _slot_words(suffixes: list) -> int:
+    """Words per cell slot: room for the longest suffix."""
+    return -(-(_SUFFIX0 + max(len(s) for s in suffixes)) // 8)
+
+
 def _format_rows(block: np.ndarray, suffixes: list) -> bytes:
     """The CSV text of a (rows, cols) float block, each cell printed as
-    ``"%.17g" % x`` and followed by its column's suffix bytes."""
+    ``"%.17g" % x`` and followed by its column's suffix bytes.
+
+    Where the padding before the last suffix's newline (the empty cells of
+    a short state) would widen every cell's slot, the rows end in a bare
+    newline and the padding goes in after the compaction: no other suffix
+    holds a newline.
+    """
+    last, bare = suffixes[-1], suffixes[:-1] + [b"\n"]
+    if last.endswith(b"\n") and _slot_words(suffixes) > _slot_words(bare):
+        return _format_rows(block, bare).replace(b"\n", last)
     powers, first, limbs, exps, tz, base, keep = _tables()
     rows, cols = block.shape
     n = block.size
@@ -189,7 +203,7 @@ def _format_rows(block: np.ndarray, suffixes: list) -> bytes:
         zeros[more] += tz[limb[more, i]]
     index = np.signbit(v) * (_LAYOUTS * 18) + base[k + _EXP0] + (17 - zeros)
 
-    width = -(-(_SUFFIX0 + max(len(s) for s in suffixes)) // 8)
+    width = _slot_words(suffixes)
     tail = np.zeros((2, cols, 8 * width), dtype=np.uint8)
     for c, s in enumerate(suffixes):
         tail[0, c, _SUFFIX0 : _SUFFIX0 + len(s)] = np.frombuffer(s, dtype=np.uint8)
@@ -266,9 +280,11 @@ def write_outputs_csv(traj, path):
 
 
 def write_error_csv(rows, path):
-    """Rows: t, m, E for reduction-error tables."""
-    columns = np.array([(t, int(m), e) for t, m, e in rows], dtype=float).reshape(-1, 3)
-    _write_csv(path, ["t", "m", "E"], [((columns,), _suffixes(3))])
+    """Rows: t, m, E for reduction-error tables, given as a (k, 3) array or
+    a sequence of (t, m, E) with a whole-number m."""
+    # a whole number below 2**53 prints by %.17g as by str(int)
+    rows = np.asarray(rows, dtype=float).reshape(-1, 3)
+    _write_csv(path, ["t", "m", "E"], [((rows,), _suffixes(3))])
 
 
 def _jsonable(obj):

@@ -1,8 +1,13 @@
+import json
 import math
+import tracemalloc
+from importlib import resources
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from crossdim import analysis
 from crossdim.analysis import (
     aggregate_run,
     approx_error,
@@ -16,9 +21,12 @@ from crossdim.analysis import (
     restrict_field,
     span_membership,
 )
-from crossdim.cdspace import equivalent, kron_lift
+from crossdim.cdspace import equivalent, kron_lift, project, v_norm
+from crossdim.cli import main
+from crossdim.config import load_scenario
 from crossdim.dkstp import bridge
 from crossdim.dynamics import DvSystem, Mode
+from crossdim.errors import NumericFailure
 from crossdim.registry import get_field, get_span_basis
 
 RNG = np.random.default_rng(31)
@@ -294,6 +302,154 @@ def test_approx_error_flags_vanishing_reference():
     A = np.zeros((2, 2))
     series = approx_error(A, np.zeros(2), 1, [1.0])
     assert math.isnan(series.values[0])
+
+
+# ------------------------------------- approx_error against a per-point loop
+
+SWEEP = resources.files("crossdim") / "scenarios" / "reduction_sweep.json"
+
+
+def point_errors(A, x0, m_values, times):
+    """The reduction errors one time point at a time, straight from scipy:
+    two exponentials, a lift and two norms per (m, t), in the order m, then
+    t.  A failure is raised as the point that meets it raises it."""
+    A = np.asarray(A, dtype=float)
+    x0 = np.asarray(x0, dtype=float)
+
+    def flow(M, t, z):
+        E = scipy.linalg.expm(M * float(t))
+        if not np.isfinite(E).all():
+            raise NumericFailure("matrix exponential overflowed", operation="expm")
+        return E @ z
+
+    rows = []
+    for m in m_values:
+        A_pi, z0, back = reduce_model(A, m=m).A_pi, project(x0, m), bridge(len(A), m)
+        row = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in times:
+                x_t = flow(A, t, x0)
+                z_t = flow(A_pi, t, z0)
+                try:
+                    denom = v_norm(x_t)
+                    row.append(math.nan if denom == 0.0 else v_norm(back @ z_t - x_t) / denom)
+                except ValueError:  # v_norm refuses a state or a gap that overflowed
+                    raise NumericFailure(
+                        "state diverged", operation="approx_error", time=t
+                    ) from None
+        rows.append(row)
+    return np.array(rows, dtype=float).reshape(len(m_values), len(times))
+
+
+def sweep_cases():
+    sc = load_scenario(str(SWEEP))
+    cases = [(c["A"], c["x0"], c["m_values"], c["times"]) for c in sc.block("approx")["cases"]]
+    red = sc.block("reduce")
+    cases.append((red["A"], red["x0"], red["m_values"], red["times"]))
+    rng = np.random.default_rng(1018)
+    skew = np.triu(rng.standard_normal((5, 5)), 1) * 4.0 - 0.7 * np.eye(5)
+    x5 = rng.standard_normal(5)
+    cases += [
+        (skew, x5, [5, 1, 2, 3, 4, 7, 10], np.linspace(0.0, 6.0, 37)),  # non-normal, m == n
+        (skew, x5, [3, 5], np.array([4.5, 0.0, 1e-3, 2.0, 2.0, 7.25, 0.3])),  # explicit list
+        (cases[0][0], cases[0][1], [9, 11], np.empty(0)),  # count: 0
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("entries", [None, 1, 7 * 25])
+def test_reduction_errors_equal_the_per_point_loop(entries, monkeypatch):
+    # one chunk, one time per chunk, and chunks that end mid-grid
+    if entries is not None:
+        monkeypatch.setattr(analysis, "_STACK_ENTRIES", entries)
+    for A, x0, m_values, times in sweep_cases():
+        got = analysis._reduction_errors(A, x0, m_values, times)
+        assert np.array_equal(got, point_errors(A, x0, m_values, times), equal_nan=True)
+        for m, row in zip(m_values, got):
+            series = approx_error(A, x0, m, list(times))
+            assert np.array_equal(series.times, times)
+            assert np.array_equal(series.values, row, equal_nan=True)
+
+
+@pytest.mark.parametrize("edit", ["shipped", "count_0_and_a_list"])
+def test_cli_error_tables_equal_the_per_point_loop(edit, tmp_path):
+    raw = json.loads(SWEEP.read_text())
+    if edit != "shipped":
+        raw["experiment"]["approx"]["cases"][1]["times"] = {"from": 1, "to": 100, "count": 0}
+        raw["experiment"]["reduce"]["times"] = [3.5, 0.0, 40.0, 1e-3, 7.25, 7.25]
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps(raw))
+    sc = load_scenario(str(config))
+    tables = {f"error_{c['label']}.csv": c for c in sc.block("approx")["cases"]}
+    tables["reduce_error.csv"] = sc.block("reduce")
+    for command in ("approx", "reduce"):
+        assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 0
+    for name, c in tables.items():
+        lines = (tmp_path / name).read_text().splitlines()
+        got = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        ts = c["times"]
+        want = np.column_stack([
+            np.tile(ts, len(c["m_values"])),
+            np.repeat(c["m_values"], len(ts)),
+            point_errors(c["A"], c["x0"], c["m_values"], ts).ravel(),
+        ])
+        assert lines[0] == "t,m,E"
+        assert np.array_equal(got.reshape(want.shape), want, equal_nan=True), name
+
+
+# drift, x0, m values, and the start of the failure the per-point loop meets first
+NILPOTENT = np.array([[-1.0, 100.0], [0.0, -1.0]])  # m = 1 reduces it to e^{49 t}
+SPLIT = np.array([[20.0, 0.0], [0.0, -20.0]])  # m = 1 reduces it to 0
+SKEW4 = np.triu(np.random.default_rng(7).standard_normal((4, 4)) * 30.0, 1) - np.eye(4)
+FAILURES = {
+    # the reduced exponential overflows before the reduced state does
+    "reduced_overflow_first": (NILPOTENT, [1e-3, 1e-3], [2, 1], "matrix exponential overflowed"),
+    # the reduced state overflows while its exponential is finite
+    "reduced_state_first": (NILPOTENT, [1e200, 1e200], [2, 1], "state diverged"),
+    # e^{tA} overflows before e^{tA} x0 does
+    "full_overflow_first": (SPLIT, [1e-300, 1.0], [1], "matrix exponential overflowed"),
+    # e^{tA} x0 overflows while e^{tA} is finite
+    "full_state_first": (SPLIT, [1e300, 1.0], [1], "state diverged"),
+    # m = 3 diverges at a later t than m = 1, but comes first
+    "first_m_wins": (SKEW4, [1e250] * 4, [3, 1], "state diverged"),
+}
+
+
+@pytest.mark.parametrize("entries", [None, 1, 4 * 9])
+@pytest.mark.parametrize("case", sorted(FAILURES))
+def test_reduction_failure_is_the_per_point_loops(case, entries, monkeypatch):
+    if entries is not None:
+        monkeypatch.setattr(analysis, "_STACK_ENTRIES", entries)
+    A, x0, m_values, message = FAILURES[case]
+    x0 = np.array(x0)
+    times = np.linspace(0.0, 200.0, 401)
+    with pytest.raises(NumericFailure) as want:
+        point_errors(A, x0, m_values, times)
+    assert str(want.value).startswith(message)
+    with pytest.raises(NumericFailure) as got:
+        analysis._reduction_errors(A, x0, m_values, times)
+    assert str(got.value) == str(want.value)
+    if case == "first_m_wins":  # m = 1 alone fails earlier
+        with pytest.raises(NumericFailure) as alone:
+            analysis._reduction_errors(A, x0, [1], times)
+        assert alone.value.time < got.value.time
+
+
+def test_approx_error_memory_is_set_by_the_chunk_not_the_times():
+    n, count = 10, 8_000
+    A = -0.1 * np.eye(n) + 0.05 * np.random.default_rng(3).standard_normal((n, n))
+    times = np.linspace(0.0, 5.0, count)
+    unchunked = count * n * n * 8  # one stack of every e^{tA}: 6.4 MB
+    bound = 8 * analysis._STACK_ENTRIES * 8 + 64 * count  # a few stacks of a chunk, the series
+    assert bound < unchunked / 2
+    tracemalloc.start()
+    try:
+        series = approx_error(A, np.ones(n), 4, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(series.values))
+    assert peak < bound
 
 
 # --------------------------------------------------------------- restrict_field

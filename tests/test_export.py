@@ -125,6 +125,22 @@ def _reference_trajectory(traj):
     return lines
 
 
+def test_wide_padding_prints_like_percent(tmp_path):
+    # rows of dimension 2 beside rows of dimension 100 carry 98 empty cells;
+    # the padding goes in after formatting instead of into every cell's slot
+    rng = np.random.default_rng(2026)
+    segments = []
+    for k, n in enumerate((2, 100, 2)):
+        times = k + np.linspace(0.0, 1.0, 1500)
+        segments.append(Segment(times, rng.standard_normal((1500, n)) * 10.0 ** rng.integers(-8, 8, (1500, n))))
+    traj = Trajectory(tuple(segments), (0, 1, 0), [])
+    path = tmp_path / "t.csv"
+    write_trajectory_csv(traj, path)
+    want = _reference_trajectory(traj)
+    assert path.read_text() == "\n".join(want) + "\n"
+    assert want[1].endswith("," * 98)
+
+
 def _reference_events(events):
     lines = ["t,pre_dim,post_dim,gap,amplitude"]
     for ev in events:
