@@ -1,8 +1,9 @@
 """Controllability/observability tests, cross-dimension model reduction,
 vector-field restriction, span-membership checks, and aggregation runs.
 
-Rank decisions use QR with column pivoting and a threshold relative to the
-largest pivot; the tolerance is a keyword on every rank-based routine.
+Every controllability and observability rank comes from one orthogonal
+staircase, :func:`_controllable_basis`; the thresholds are the module
+constants ``RANK_RTOL`` and ``SPAN_RTOL``.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .cdspace import project, v_norm_rows
 from .dkstp import bridge
@@ -25,10 +25,8 @@ __all__ = [
     "ReducedModel",
     "aggregate_run",
     "approx_error",
-    "ctrb_matrix",
     "ctrb_rank",
     "intersection_basis",
-    "obs_matrix",
     "obs_rank",
     "partial_ctrb",
     "reachability_chain",
@@ -37,56 +35,56 @@ __all__ = [
     "span_membership",
 ]
 
+#: Rank threshold: a singular value counts above this times its matrix's scale.
 RANK_RTOL = 1e-10
+#: Residual threshold of :func:`span_membership`, relative to max(1, ||v(x)||).
+SPAN_RTOL = 1e-9
 
 
-def _rank(M: np.ndarray, tol: float) -> int:
-    """Numerical rank via pivoted QR: pivots above tol * largest pivot."""
-    if M.size == 0:
-        return 0
-    R = scipy.linalg.qr(M, mode="r", pivoting=True)[0]
-    d = np.abs(np.diag(R))
-    if d.size == 0 or d[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(d > tol * d[0]))
+def _rank(M: np.ndarray) -> int:
+    """Numerical rank: singular values above RANK_RTOL times the largest."""
+    s = np.linalg.svd(M, compute_uv=False) if M.size else ()
+    return int(np.count_nonzero(s > RANK_RTOL * s[0])) if len(s) else 0
 
 
-def ctrb_matrix(A, B) -> np.ndarray:
-    """Kalman controllability matrix [B, AB, ..., A^{n-1}B]."""
+def _controllable_basis(A, B) -> np.ndarray:
+    """Orthonormal basis (columns) of the controllable subspace of (A, B).
+
+    The orthogonal staircase (Paige 1981; Van Dooren 1981): block Arnoldi
+    on B.  Each block, B and then A times the last block's basis, is
+    orthogonalized against the basis so far by two Gram-Schmidt passes;
+    its rank counts singular values above RANK_RTOL times ||B||_2 for the
+    first block and ||A||_2 after, so no column grows like a power of A.
+    """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if B.ndim == 1:
         B = B.reshape(-1, 1)
     n = A.shape[0]
-    if A.shape != (n, n) or B.shape[0] != n:
-        raise ValueError("inconsistent shapes for controllability matrix")
-    blocks = [B]
-    for _ in range(n - 1):
-        blocks.append(A @ blocks[-1])
-    return np.hstack(blocks)
+    if A.shape != (n, n) or B.ndim != 2 or B.shape[0] != n:
+        raise ValueError("inconsistent shapes for the pair (A, B)")
+    V, W = np.zeros((n, 0)), B
+    a_norm = np.linalg.svd(A, compute_uv=False)[0] if n else 0.0  # ||A||_2
+    while W.shape[1] and V.shape[1] < n:
+        U, s, _ = np.linalg.svd(W, full_matrices=False)
+        scale = a_norm if V.shape[1] else s[0]
+        r = min(np.count_nonzero(s > RANK_RTOL * scale), n - V.shape[1])
+        if not r:
+            break
+        V, W = np.hstack([V, U[:, :r]]), A @ U[:, :r]
+        for _ in range(2):
+            W = W - V @ (V.T @ W)
+    return V
 
 
-def obs_matrix(A, C) -> np.ndarray:
-    """Stacked observability matrix [C; CA; ...; CA^{n-1}]."""
-    A = np.asarray(A, dtype=float)
-    C = np.asarray(C, dtype=float)
-    if C.ndim == 1:
-        C = C.reshape(1, -1)
-    n = A.shape[0]
-    if A.shape != (n, n) or C.shape[1] != n:
-        raise ValueError("inconsistent shapes for observability matrix")
-    blocks = [C]
-    for _ in range(n - 1):
-        blocks.append(blocks[-1] @ A)
-    return np.vstack(blocks)
+def ctrb_rank(A, B) -> int:
+    """Dimension of the controllable subspace of (A, B)."""
+    return _controllable_basis(A, B).shape[1]
 
 
-def ctrb_rank(A, B, tol: float = RANK_RTOL) -> int:
-    return _rank(ctrb_matrix(A, B), tol)
-
-
-def obs_rank(A, C, tol: float = RANK_RTOL) -> int:
-    return _rank(obs_matrix(A, C), tol)
+def obs_rank(A, C) -> int:
+    """Dimension of the observable subspace of (A, C): the rank of (A^T, C^T)."""
+    return ctrb_rank(np.transpose(A), np.transpose(C))
 
 
 def intersection_basis(m: int, n: int) -> np.ndarray:
@@ -101,29 +99,28 @@ def intersection_basis(m: int, n: int) -> np.ndarray:
     return bridge(m, math.gcd(m, n))
 
 
-def partial_ctrb(A, B, subspace_basis, tol: float = RANK_RTOL) -> bool:
+def _fills(V: np.ndarray, S: np.ndarray) -> bool:
+    """Do the orthonormal columns V and the independent columns S span R^n?"""
+    Q = np.linalg.svd(S, full_matrices=False)[0]  # orthonormal, spans S
+    return _rank(np.hstack([V, Q])) == V.shape[0]
+
+
+def partial_ctrb(A, B, subspace_basis) -> bool:
     """Controllability transverse to a subspace.
 
-    True when the Kalman matrix, projected onto the orthogonal complement
-    of span(S), still has full rank n - dim(S).  An empty basis reduces to
-    the ordinary complete-controllability test.
+    True when the controllable subspace and span(S) together fill R^n.  An
+    empty basis reduces to the ordinary complete-controllability test.
     """
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
+    V = _controllable_basis(A, B)
+    n = V.shape[0]
     S = np.asarray(subspace_basis, dtype=float)
     if S.size == 0:
         S = S.reshape(n, 0)
     if S.ndim != 2 or S.shape[0] != n:
         raise ValueError("subspace basis must be n x s")
-    s = S.shape[1]
-    if s:
-        if _rank(S, tol) != s:
-            raise ValueError("subspace basis columns are linearly dependent")
-        Q = np.linalg.qr(S)[0]
-        P = np.eye(n) - Q @ Q.T
-    else:
-        P = np.eye(n)
-    return _rank(P @ ctrb_matrix(A, B), tol) == n - s
+    if _rank(S) != S.shape[1]:
+        raise ValueError("subspace basis columns are linearly dependent")
+    return _fills(V, S)
 
 
 @dataclass(frozen=True)
@@ -138,19 +135,23 @@ class ControllabilityReport:
     partially_controllable: bool = False
 
 
-def controllability_report(
-    mode: Mode, subspace_basis=None, tol: float = RANK_RTOL
-) -> ControllabilityReport:
-    if not mode.is_linear or isinstance(mode.inputs, tuple):
+def _linear_pair(mode: Mode):
+    """(A, B) of a mode with a matrix drift and matrix (or no) inputs."""
+    if not mode.is_linear or not isinstance(mode.inputs, (np.ndarray, type(None))):
         raise ValueError("controllability test requires a linear mode")
     B = mode.inputs if mode.inputs is not None else np.zeros((mode.dim, 0))
-    rank = ctrb_rank(mode.drift, B, tol)
+    return mode.drift, B
+
+
+def controllability_report(mode: Mode, subspace_basis=None) -> ControllabilityReport:
+    A, B = _linear_pair(mode)
+    rank = ctrb_rank(A, B)
     s = 0
     partial = rank == mode.dim
     if subspace_basis is not None:
         S = np.asarray(subspace_basis, dtype=float)
         s = 0 if S.size == 0 else S.shape[1]
-        partial = partial_ctrb(mode.drift, B, S, tol)
+        partial = partial_ctrb(A, B, S)
     return ControllabilityReport(
         label=mode.label,
         dim=mode.dim,
@@ -161,26 +162,21 @@ def controllability_report(
     )
 
 
-def reachability_chain(system, start: int, target: int, tol: float = RANK_RTOL):
+def reachability_chain(system, start: int, target: int):
     """Mode chain steering dimension-to-dimension, or None.
 
     Breadth-first search on the mode graph: an edge i -> j exists when mode
     i is controllable transverse to the intersection of the two dimensions;
     a successful chain additionally requires the terminal mode to be fully
-    controllable.
+    controllable.  Every mode must be linear, and its controllable basis is
+    computed once.
     """
     modes = system.modes
     count = len(modes)
     if not (0 <= start < count and 0 <= target < count):
         raise ValueError("start/target mode index out of range")
-
-    def mats(i):
-        m = modes[i]
-        B = m.inputs if m.inputs is not None else np.zeros((m.dim, 0))
-        return m.drift, B
-
-    A_t, B_t = mats(target)
-    if ctrb_rank(A_t, B_t, tol) != modes[target].dim:
+    bases = [_controllable_basis(*_linear_pair(m)) for m in modes]
+    if bases[target].shape[1] != modes[target].dim:
         return None
     if start == target:
         return [start]
@@ -195,12 +191,11 @@ def reachability_chain(system, start: int, target: int, tol: float = RANK_RTOL):
     while frontier:
         nxt = []
         for i in frontier:
-            A_i, B_i = mats(i)
             for j in range(count):
                 if j in parents or (i, j) not in allowed:
                     continue
                 S = intersection_basis(modes[i].dim, modes[j].dim)
-                if partial_ctrb(A_i, B_i, S, tol):
+                if _fills(bases[i], S):
                     parents[j] = i
                     if j == target:
                         chain = [j]
@@ -369,21 +364,21 @@ def restrict_field(F, n: int, m: int):
     return lambda x: down @ np.asarray(F(up @ np.asarray(x, dtype=float)), dtype=float)
 
 
-def span_membership(v, basis, x, tol: float = 1e-9) -> bool:
+def span_membership(v, basis, x) -> bool:
     """Does v(x) lie in span{V_j(x)} of the basis evaluators at the point x?
 
     The basis vectors must be independent at x; membership is judged by the
-    least-squares residual against tol * max(1, ||v(x)||).
+    least-squares residual against SPAN_RTOL * max(1, ||v(x)||).
     """
     point = np.asarray(x, dtype=float)
     target = np.atleast_1d(np.asarray(v(point), dtype=float))
     cols = np.column_stack(
         [np.atleast_1d(np.asarray(b(point), dtype=float)) for b in basis]
     )
-    if _rank(cols, RANK_RTOL) != cols.shape[1]:
+    if _rank(cols) != cols.shape[1]:
         raise ValueError("basis evaluations are linearly dependent at this point")
     residual = target - cols @ np.linalg.lstsq(cols, target, rcond=None)[0]
-    return float(np.linalg.norm(residual)) <= tol * max(
+    return float(np.linalg.norm(residual)) <= SPAN_RTOL * max(
         1.0, float(np.linalg.norm(target))
     )
 

@@ -157,6 +157,7 @@ def cmd_obs(scenario: Scenario, out: str) -> int:
 def cmd_chain(scenario: Scenario, out: str) -> int:
     block = scenario.block("chain")
     start, target = block["start"], block["target"]
+    _each_mode(scenario, analysis._linear_pair, "inputs")
     chain = analysis.reachability_chain(scenario.system, start, target)
     labels = None if chain is None else [scenario.system.modes[i].label for i in chain]
     report = {"start": start, "target": target, "chain": chain, "labels": labels}

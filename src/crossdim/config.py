@@ -368,6 +368,8 @@ def _build_output(spec, modes) -> OutputMap | None:
         _fail(path, "give exactly one of 'H' (matrix) or 'h' (builtin name)")
     if "H" in spec:
         H = _as_matrix(spec["H"], None, None, f"{path}.H", flat="row")
+        if not H.size:
+            _fail(f"{path}.H", "expected a nonempty matrix")
         if "q" in spec and _as_int(spec["q"], f"{path}.q") != H.shape[1]:
             _fail(f"{path}.q", "must match the column count of H")
         return OutputMap.from_matrix(H)

@@ -6,6 +6,8 @@ from importlib import resources
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossdim import analysis
 from crossdim.analysis import (
@@ -87,6 +89,67 @@ def test_ranks_agree_with_pbh_oracle():
         assert kalman_full == pbh_full
 
 
+def hidden_pair(rng, n: int, r: int, m: int):
+    """A random pair (A, B) whose inputs reach exactly r of its n dimensions:
+    block-triangular A and B zero below row r, in a random orthogonal basis."""
+    A = rng.standard_normal((n, n))
+    A[r:, :r] = 0.0
+    B = np.zeros((n, m))
+    B[:r] = rng.standard_normal((r, m))
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return Q @ A @ Q.T, Q @ B
+
+
+def test_ctrb_rank_of_a_controllable_diagonal_pair():
+    # distinct eigenvalues and every b_i != 0: controllable by PBH, while the
+    # Kalman columns A^k b grow like n^k and bury the late directions
+    for n in (10, 12, 16, 24):
+        A = np.diag(np.arange(1.0, n + 1))
+        assert ctrb_rank(A, np.ones(n)) == n
+        assert obs_rank(A, np.ones(n)) == n
+
+
+def test_ctrb_rank_of_a_scaled_generic_pair():
+    rng = np.random.default_rng(0)
+    A, B = rng.standard_normal((8, 8)), rng.standard_normal((8, 1))
+    assert ctrb_rank(1e3 * A, B) == 8
+    assert obs_rank(1e3 * A.T, B.T) == 8
+
+
+def test_ctrb_rank_of_hidden_uncontrollable_pairs():
+    rng = np.random.default_rng(5)
+    for n in (6, 12):
+        A, B = hidden_pair(rng, n, n // 2, 1)
+        assert ctrb_rank(A, B) == n // 2
+        assert obs_rank(A.T, B.T) == n // 2
+        assert not partial_ctrb(A, B, np.zeros((n, 0)))
+
+
+@st.composite
+def pairs(draw):
+    n = draw(st.integers(1, 8))
+    return n, draw(st.integers(0, n)), draw(st.integers(1, 3)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(pairs(), st.integers(-20, 20), st.integers(-40, 40))
+def test_ranks_ignore_scale_and_orthogonal_basis(pair, k, j):
+    # powers of two scale exactly, so every rank decision must come out the same
+    n, r, m, seed = pair
+    rng = np.random.default_rng(seed)
+    A, B = hidden_pair(rng, n, r, m)
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    C = B.T
+    assert ctrb_rank(A, B) == r
+    assert ctrb_rank(2.0**k * A, B) == r
+    assert ctrb_rank(A, 2.0**j * B) == r
+    assert ctrb_rank(Q @ A @ Q.T, Q @ B) == r
+    assert obs_rank(A.T, C) == r
+    assert obs_rank(2.0**k * A.T, C) == r
+    assert obs_rank(A.T, 2.0**j * C) == r
+    assert obs_rank(Q @ A.T @ Q.T, C @ Q.T) == r
+
+
 # ---------------------------------------------------------- intersection basis
 
 def test_intersection_basis_examples():
@@ -127,6 +190,15 @@ def test_partial_ctrb_empty_subspace_is_full_test():
         B = RNG.standard_normal((n, 1))
         empty = np.zeros((n, 0))
         assert partial_ctrb(A, B, empty) == (ctrb_rank(A, B) == n)
+
+
+def test_partial_ctrb_when_the_inputs_reach_only_the_subspace():
+    # B = (1, 1) is an eigenvector of A: the controllable subspace is the
+    # replicated line itself, so nothing transverse to it is reached.  The
+    # projected Kalman matrix is rounding noise, which a rank cut relative to
+    # its own largest pivot used to count as rank 1.
+    A = np.array([[-1.0, 0.0], [1.0, -2.0]])
+    assert not partial_ctrb(A, np.ones(2), intersection_basis(2, 5))
 
 
 def test_partial_ctrb_rejects_dependent_basis():
@@ -172,6 +244,41 @@ def test_reachability_chain_respects_explicit_pairs():
     )
     system = DvSystem(modes, transitions={(1, 0): nearest_map(3, 2)})
     assert reachability_chain(system, 0, 1) is None
+
+
+def test_reachability_chain_computes_each_basis_once(monkeypatch):
+    # an uncontrolled 3-dimensional start fails its edge to every other
+    # dimension; its basis is still computed once, not once per edge
+    dims = []
+    basis = analysis._controllable_basis
+    monkeypatch.setattr(
+        analysis, "_controllable_basis", lambda A, B: dims.append(len(A)) or basis(A, B)
+    )
+    modes = (
+        Mode("idle3", 3, np.eye(3)),
+        Mode("planar", 2, STEER_A, inputs=STEER_B),
+        Mode("idle4", 4, np.eye(4)),
+        Mode("idle5", 5, np.eye(5)),
+    )
+    assert reachability_chain(DvSystem(modes), 0, 1) is None
+    assert sorted(dims) == [2, 3, 4, 5]
+
+
+@pytest.mark.parametrize(
+    "mode",
+    [
+        Mode("channels", 2, STEER_A, inputs=(lambda x: np.ones(2),)),
+        Mode("channel_list", 2, STEER_A, inputs=[lambda x: np.ones(2)]),
+        Mode("field", 2, lambda x: -x, inputs=STEER_B),
+    ],
+    ids=["tuple", "list", "drift"],
+)
+def test_rank_analyses_require_a_linear_mode(mode):
+    with pytest.raises(ValueError, match="requires a linear mode"):
+        controllability_report(mode)
+    system = DvSystem((Mode("chain3", 3, CHAIN3_A, inputs=CHAIN3_B), mode))
+    with pytest.raises(ValueError, match="requires a linear mode"):
+        reachability_chain(system, 0, 0)
 
 
 # ---------------------------------------------------------------- reduce_model

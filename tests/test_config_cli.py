@@ -677,6 +677,10 @@ def _nonlinear_first_mode(raw):
     raw["modes"][0] = {"label": "planar", "dim": 6, "drift": "ddp_disturbance6"}
 
 
+def _nonlinear_second_mode(raw):
+    raw["modes"][1] = {"label": "chain6", "dim": 6, "drift": "ddp_disturbance6"}
+
+
 def _coprime_modes(raw):
     # lcm(37, 41) = 1517 and 1517^2 = 2301289 drift entries, over the budget
     raw["modes"] = [{"label": f"m{n}", "dim": n, "A": (-np.eye(n)).tolist()} for n in (37, 41)]
@@ -774,6 +778,17 @@ def _rename(obj, old, new):
          "modes[0].drift: mode 'planar': dwell analysis requires a linear drift"),
         ("ctrb", "two_mode_contraction.json", _nonlinear_first_mode,
          "modes[0].drift: controllability test requires a linear mode"),
+        ("chain", "ddp_two_mode.json",
+         lambda raw: raw.update(experiment={"chain": {}}),
+         "modes[0].inputs: controllability test requires a linear mode"),
+        ("chain", "two_stage_steering.json", _nonlinear_second_mode,
+         "modes[1].drift: controllability test requires a linear mode"),
+        ("simulate", "two_mode_contraction.json",
+         lambda raw: raw.update(output={"H": [[]]}),
+         "output.H: expected a nonempty matrix"),
+        ("obs", "two_mode_contraction.json",
+         lambda raw: raw.update(output={"H": []}),
+         "output.H: expected a nonempty matrix"),
         ("simulate", "two_mode_contraction.json",
          lambda raw: _rename(raw["signal"], "dwell_pattern", "dwel_pattern"),
          "signal.dwel_pattern: unknown field"),
