@@ -359,7 +359,7 @@ def _build_transitions(spec, modes, signal) -> object:
     return table
 
 
-def _build_output(spec, modes) -> OutputMap | None:
+def _build_output(spec) -> OutputMap | None:
     if spec is None:
         return None
     path = "output"
@@ -535,7 +535,7 @@ def validate_config(raw: dict, seed=None, step=None) -> Scenario:
     signal = _build_signal(_require(raw, "signal", "top level"), len(modes), horizon, seed)
     transitions = _build_transitions(raw.get("transitions", "nearest"), modes, signal)
     x0 = _as_vector(_require(raw, "x0", "top level"), "x0")
-    output = _build_output(raw.get("output"), modes)
+    output = _build_output(raw.get("output"))
     disturbance, mu = _build_disturbance(raw.get("disturbance"))
     experiment = _parse_experiment(raw.get("experiment", {}), modes)
 

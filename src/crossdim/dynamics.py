@@ -59,10 +59,12 @@ log = logging.getLogger(__name__)
 
 DEFAULT_STEP = 1e-3
 _TIME_EPS = 1e-12
-#: dwell_bound's search: the longest dwell tried, the scan grid, and the
-#: bisection tolerance (the returned dwell overshoots the least one by less).
+#: dwell_bound's search: the longest dwell tried, the scan grid, the grid
+#: points per stacked exponential, and the bisection tolerance (the returned
+#: dwell overshoots the least one by less).
 _MAX_DWELL = 50.0
 _DWELL_GRID = 0.05
+_DWELL_CHUNK = 32
 _DWELL_TOL = 1e-3
 #: Samples per block of the exact linear flow: each block starts from its
 #: own matrix exponential, so rounding compounds over at most this many steps.
@@ -470,9 +472,10 @@ def _linear_flow(G: np.ndarray, z0: np.ndarray, times: np.ndarray, step: float):
     e^{G j B step} z0, with E = e^{G step}, B = ``_FLOW_BLOCK`` and the
     powers from :func:`_powers`; each anchor is its own exponential, so
     rounding compounds over at most one block, never over the whole grid.
-    A final partial step (shorter than ``step``) starts from the sample
-    before it.  Where an exponential overflows, that sample and all later
-    ones are NaN.
+    The anchors' exponentials are one stacked :func:`_expm_stack` call,
+    equal bit for bit to one :func:`expm` each.  A final partial step
+    (shorter than ``step``) starts from the sample before it.  Where an
+    exponential overflows, that sample and all later ones are NaN.
     """
     count = len(times)
     partial = count > 1 and abs(times[-1] - times[-2] - step) > _TIME_EPS
@@ -483,8 +486,16 @@ def _linear_flow(G: np.ndarray, z0: np.ndarray, times: np.ndarray, step: float):
         try:
             P = _powers(G, step, min(uniform, _FLOW_BLOCK))
             rows = P.reshape(-1, z0.size)  # one matrix-vector product per block
-            for start in range(0, uniform, _FLOW_BLOCK):
-                anchor = z0 if start == 0 else expm(G, start * step) @ z0
+            starts = range(0, uniform, _FLOW_BLOCK)
+            if len(starts) > 1:
+                E, finite = _expm_stack(G, np.array(starts[1:]) * step)
+            for j, start in enumerate(starts):
+                if j == 0:
+                    anchor = z0
+                elif j > finite:
+                    raise _overflowed()
+                else:
+                    anchor = E[j - 1] @ z0
                 m = min(_FLOW_BLOCK, uniform - start)
                 Z[start : start + m] = (rows[: m * z0.size] @ anchor).reshape(m, -1)
             if partial:
@@ -731,6 +742,33 @@ def closed_loop_drift(mode: Mode) -> np.ndarray:
     )
 
 
+def _first_contracting(mats, ds: np.ndarray, lipschitz: float, bound: float):
+    """Index into ``ds`` of the first dwell d with L ||e^{d A}||_2 <= bound
+    for every A of ``mats``, or None.
+
+    Each mode takes one stacked exponential and one stacked 2-norm, on the
+    dwells where every earlier mode contracted; with L > 0, L * max_i n_i
+    <= bound is the same test as every L * n_i <= bound, since rounding is
+    monotone.  An overflowed exponential raises only where the scalar scan
+    (dwells in order, modes in order, stopping at the first failure)
+    would reach it: before the first contracting dwell.
+    """
+    alive = np.arange(len(ds))
+    overflowed = False
+    for A in mats:
+        E, finite = _expm_stack(A, ds[alive])
+        overflowed |= finite < len(alive)
+        norms = np.linalg.norm(E[:finite], 2, axis=(1, 2))
+        alive = alive[:finite][lipschitz * norms <= bound]
+        if not len(alive):
+            break
+    if len(alive):
+        return int(alive[0])
+    if overflowed:
+        raise _overflowed()
+    return None
+
+
 def dwell_bound(
     system: DvSystem, gamma: float, lipschitz: float | None = None
 ) -> float | None:
@@ -739,13 +777,21 @@ def dwell_bound(
     Finds the least dwell D with L * max_i ||e^{D A_i}||_2 <= 1 - gamma,
     where A_i is the closed-loop drift of mode i (:func:`closed_loop_drift`)
     and L is the largest transition Lipschitz constant (or the explicit
-    override): a scan on a grid of ``_DWELL_GRID``, then bisection to within
-    ``_DWELL_TOL``.  Returns None when a mode is not Hurwitz or no dwell up
-    to ``_MAX_DWELL`` works.  Raises ``ValueError`` for a mode whose closed
+    override, which must be positive and finite): a scan on a grid of
+    ``_DWELL_GRID``, then bisection to within ``_DWELL_TOL``.  The scan
+    takes ``_DWELL_CHUNK`` grid points at a time, one stacked exponential
+    per mode (:func:`_first_contracting`); it gives the result of the
+    point-by-point scan bit for bit.  Modes are tried in order and a mode
+    stops being evaluated at a dwell where an earlier one fails, so an
+    exponential that overflows there raises no :class:`NumericFailure`.
+    Returns None when a mode is not Hurwitz or no dwell up to
+    ``_MAX_DWELL`` works.  Raises ``ValueError`` for a mode whose closed
     loop is not linear.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
+    if lipschitz is not None and not (math.isfinite(lipschitz) and lipschitz > 0.0):
+        raise ValueError(f"lipschitz must be positive and finite, got {lipschitz}")
     mats = [closed_loop_drift(mode) for mode in system.modes]
     for mode, A in zip(system.modes, mats):
         if np.linalg.eigvals(A).real.max() >= 0.0:
@@ -754,20 +800,19 @@ def dwell_bound(
     if lipschitz is None:
         lips = [tm.lipschitz for tm in system.transition_maps_in_use()]
         lipschitz = max(lips) if lips else 1.0
+    bound = 1.0 - gamma
 
     def contracts(delta: float) -> bool:
-        worst = max(np.linalg.norm(expm(A, delta), 2) for A in mats)
-        return lipschitz * worst <= 1.0 - gamma
+        return all(lipschitz * np.linalg.norm(expm(A, delta), 2) <= bound for A in mats)
 
-    lo, hi = 0.0, None
-    d = _DWELL_GRID
-    while d <= _MAX_DWELL + _TIME_EPS:
-        if contracts(d):
-            hi = d
+    # 0, then the dwells a loop adding _DWELL_GRID reaches, bit for bit
+    grid = np.cumsum(np.r_[0.0, np.full(round(_MAX_DWELL / _DWELL_GRID), _DWELL_GRID)])
+    for c in range(1, len(grid), _DWELL_CHUNK):
+        hit = _first_contracting(mats, grid[c : c + _DWELL_CHUNK], lipschitz, bound)
+        if hit is not None:
+            lo, hi = float(grid[c + hit - 1]), float(grid[c + hit])
             break
-        lo = d
-        d += _DWELL_GRID
-    if hi is None:
+    else:
         return None
     while hi - lo > _DWELL_TOL:
         mid = 0.5 * (lo + hi)

@@ -235,6 +235,77 @@ def test_linear_flow_matches_eigendecomposition(partial):
             assert np.abs(seg.states - want).max() <= 1e-13, (mode.label, count)
 
 
+@pytest.fixture
+def expm_spy(monkeypatch):
+    """Counts scalar ``expm`` calls and the ``_expm_stack`` calls made
+    outside them (their lengths), while the test runs."""
+    seen = {"expm": 0, "stacks": []}
+    stack, scalar, inside = dynamics._expm_stack, dynamics.expm, []
+
+    def spy_stack(A, ts):
+        if not inside:
+            seen["stacks"].append(len(ts))
+        return stack(A, ts)
+
+    def spy_expm(A, t=1.0):
+        seen["expm"] += 1
+        inside.append(t)
+        try:
+            return scalar(A, t)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(dynamics, "_expm_stack", spy_stack)
+    monkeypatch.setattr(dynamics, "expm", spy_expm)
+    return seen
+
+
+def per_anchor_flow(G, z0, times, step):
+    """The exact linear flow with one scalar ``expm`` per block anchor; the
+    samples from an overflowed exponential on are NaN."""
+    B = dynamics._FLOW_BLOCK
+    count = len(times)
+    partial = count > 1 and abs(times[-1] - times[-2] - step) > 1e-12
+    uniform = count - 1 if partial else count
+    Z = np.full((count, z0.size), np.nan)
+    Z[0] = z0
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            rows = dynamics._powers(G, step, min(uniform, B)).reshape(-1, z0.size)
+            for start in range(0, uniform, B):
+                anchor = z0 if start == 0 else expm(G, start * step) @ z0
+                m = min(B, uniform - start)
+                Z[start : start + m] = (rows[: m * z0.size] @ anchor).reshape(m, -1)
+            if partial:
+                Z[-1] = expm(G, times[-1] - times[-2]) @ Z[-2]
+        except NumericFailure:
+            pass
+    return Z
+
+
+@pytest.mark.parametrize("partial", [False, True])
+def test_linear_flow_stacks_its_anchors_bit_for_bit(partial, expm_spy):
+    B = dynamics._FLOW_BLOCK
+    A = np.array([[-0.3, 1.0], [-1.0, -0.3]])
+    bordered = np.zeros((3, 3))
+    bordered[:2, :2], bordered[1, 2] = A + [[0.0, 0.0], [0.5, -0.2]], 0.7
+    # the anchor of block 1, e^{rate B h}, overflows while E^{B-1} does not
+    overflows = np.array([[math.log(np.finfo(float).max) / ((B - 0.5) * 1e-3)]])
+    t0, h = 0.5, 1e-3
+    for G in (A, bordered, random_stable(5), overflows):
+        z0 = np.linspace(1.0, -2.0, len(G))
+        for count in (1, B, B + 1, 3 * B + 7):
+            times = dynamics._grid(t0, t0 + (count - 1 + (0.4 if partial else 0.0)) * h, h)
+            want = per_anchor_flow(G, z0, times, h)
+            expm_spy["expm"], expm_spy["stacks"] = 0, []
+            got = dynamics._linear_flow(G, z0, times, h)
+            np.testing.assert_array_equal(got, want)  # NaN where want is NaN
+            # one stack for every anchor, none when the grid has no anchor;
+            # scalar expm only for the step and the partial step
+            assert expm_spy["stacks"] == ([] if count <= B else [(count - 1) // B])
+            assert expm_spy["expm"] <= 2
+
+
 def test_exact_flow_does_not_compound_rounding():
     # c03 at step 1e-4: the closed loop reaches (1.5e, 1.5e) at the handoff
     scenario = load_scenario(scenario_path("two_stage_steering.json"), step=1e-4)
@@ -719,6 +790,105 @@ def test_dwell_bound_rejects_feedback_without_a_linear_closed_loop(feedback):
     mode = Mode("ctl", 1, np.array([[1.0]]), inputs=np.array([[1.0]]), feedback=feedback)
     with pytest.raises(ValueError, match="'ctl'"):
         dwell_bound(DvSystem((mode,)), 0.5)
+
+
+def scalar_dwell_bound(mats, gamma, lipschitz):
+    """The point-by-point dwell scan and bisection the stacked scan replaced."""
+
+    def contracts(delta):
+        worst = max(np.linalg.norm(expm(A, delta), 2) for A in mats)
+        return lipschitz * worst <= 1.0 - gamma
+
+    lo, hi = 0.0, None
+    d = 0.05
+    while d <= 50.0 + 1e-12:
+        if contracts(d):
+            hi = d
+            break
+        lo = d
+        d += 0.05
+    if hi is None:
+        return None
+    while hi - lo > 1e-3:
+        mid = 0.5 * (lo + hi)
+        if contracts(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def nonmonotone_pair():
+    # eigenvalues -0.3 +- 2i: ||e^{tA}||_2 oscillates on its way down
+    A = np.array([[-0.3, 4.0], [-1.0, -0.3]])
+    return (A, A.copy())
+
+
+@pytest.mark.parametrize(
+    "mats, gamma, lipschitz, want",
+    [
+        ((CONTRACT_A1, CONTRACT_A2), 0.03, 3.0, 3.5898437499999947),
+        (nonmonotone_pair(), 0.03, 1.0, 1.3125000000000004),
+        (nonmonotone_pair(), 0.3, 1.0, 1.5070312500000005),
+    ],
+)
+def test_dwell_scan_matches_the_scalar_scan(mats, gamma, lipschitz, want):
+    system = DvSystem(tuple(Mode(f"m{i}", len(A), A) for i, A in enumerate(mats)))
+    got = dwell_bound(system, gamma, lipschitz=lipschitz)
+    assert got == scalar_dwell_bound(mats, gamma, lipschitz) == want
+    assert type(got) is float
+
+
+def test_dwell_scan_matches_the_scalar_scan_on_random_hurwitz_systems(monkeypatch):
+    rng = np.random.default_rng(1999)
+    hits = 0
+    for case in range(200):
+        # chunks of one point put every hit on a chunk's first point
+        monkeypatch.setattr(dynamics, "_DWELL_CHUNK", (32, 5, 1)[case % 3])
+        mats = []
+        for _ in range(rng.integers(1, 4)):
+            n = int(rng.integers(1, 6))
+            A = rng.standard_normal((n, n)) * rng.uniform(0.2, 3.0)
+            decay = rng.uniform(0.1, 2.0)
+            mats.append(A - (np.linalg.eigvals(A).real.max() + decay) * np.eye(n))
+        gamma, lipschitz = rng.uniform(0.01, 0.9), rng.uniform(0.3, 4.0)
+        system = DvSystem(tuple(Mode(f"m{i}", len(A), A) for i, A in enumerate(mats)))
+        want = scalar_dwell_bound(mats, gamma, lipschitz)
+        assert dwell_bound(system, gamma, lipschitz=lipschitz) == want
+        hits += want is not None and want > 0.05 * 32
+    assert hits >= 20  # the cases reach past the first chunk of 32 points
+
+
+def test_dwell_scan_stacks_each_chunk_once_per_mode(expm_spy):
+    scenario = load_scenario(scenario_path("two_mode_contraction.json"))
+    block = scenario.experiment["dwell"]
+    delta = dwell_bound(scenario.system, block["gamma"], lipschitz=block["lipschitz"])
+    assert delta == 3.5898437499999947
+    points = math.ceil(delta / dynamics._DWELL_GRID)
+    chunks = math.ceil(points / dynamics._DWELL_CHUNK)
+    assert len(expm_spy["stacks"]) <= len(scenario.system.modes) * chunks
+    assert max(expm_spy["stacks"]) <= dynamics._DWELL_CHUNK
+    assert expm_spy["expm"] <= 12  # the bisection: 6 halvings of 0.05, 2 modes
+
+
+def test_dwell_scan_raises_an_overflow_only_where_the_scan_reaches_it():
+    up, flat, grid = np.array([[800.0]]), np.array([[0.0]]), np.arange(1, 33) * 0.05
+    # e^{800 d} overflows from d = 0.9; the flat mode never contracts, so
+    # the mode after it is never needed
+    assert dynamics._first_contracting([flat, up], grid, 1.0, 0.5) is None
+    with pytest.raises(NumericFailure, match="overflowed"):
+        dynamics._first_contracting([up, flat], grid, 1.0, 0.5)
+    # 1e-3 e^{800 d} <= 0.97 at d = 0.001 only
+    ds = np.array([0.001, 1.0])
+    assert dynamics._first_contracting([up], ds, 1e-3, 0.97) == 0
+    with pytest.raises(NumericFailure, match="overflowed"):
+        dynamics._first_contracting([up], ds[::-1], 1e-3, 0.97)
+
+
+@pytest.mark.parametrize("lipschitz", [math.nan, math.inf, -math.inf, -1.0, 0.0])
+def test_dwell_bound_rejects_a_lipschitz_override_that_is_not_positive(lipschitz):
+    with pytest.raises(ValueError, match="lipschitz"):
+        dwell_bound(contraction_system(), 0.03, lipschitz=lipschitz)
 
 
 def test_dwell_bound_validates():
