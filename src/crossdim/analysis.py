@@ -165,11 +165,11 @@ def controllability_report(mode: Mode, subspace_basis=None) -> ControllabilityRe
 def reachability_chain(system, start: int, target: int):
     """Mode chain steering dimension-to-dimension, or None.
 
-    Breadth-first search on the mode graph: an edge i -> j exists when mode
-    i is controllable transverse to the intersection of the two dimensions;
-    a successful chain additionally requires the terminal mode to be fully
-    controllable.  Every mode must be linear, and its controllable basis is
-    computed once.
+    Breadth-first search on the mode graph: an edge i -> j exists when the
+    rule allows it (``system.table``) and mode i is controllable transverse
+    to the intersection of the two dimensions; a successful chain also
+    requires the terminal mode to be fully controllable.  Every mode must
+    be linear, and its controllable basis is computed once.
     """
     modes = system.modes
     count = len(modes)
@@ -181,18 +181,13 @@ def reachability_chain(system, start: int, target: int):
     if start == target:
         return [start]
 
-    if system.transitions == "nearest":
-        allowed = {(i, j) for i in range(count) for j in range(count) if i != j}
-    else:
-        allowed = set(system.transitions.keys())
-
     parents = {start: None}
     frontier = [start]
     while frontier:
         nxt = []
         for i in frontier:
             for j in range(count):
-                if j in parents or (i, j) not in allowed:
+                if j in parents or (i, j) not in system.table:
                     continue
                 S = intersection_basis(modes[i].dim, modes[j].dim)
                 if _fills(bases[i], S):

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dkstp import bridge
+from .errors import NumericFailure
 
 __all__ = [
     "CdVector",
@@ -174,16 +175,25 @@ def _common_lift(x, y):
     return np.repeat(a, t // a.size), np.repeat(b, t // b.size), t
 
 
+def _finite(c: np.ndarray, operation: str) -> CdVector:
+    """A sum of two finite lifts, or NumericFailure where it overflowed."""
+    if np.isfinite(c).all():
+        return CdVector(c)
+    raise NumericFailure("mixed-dimension sum overflowed", operation=operation)
+
+
 def stp_add(x, y) -> CdVector:
     """Mixed-dimension addition: lift both to the lcm dimension, then add."""
     a, b, _ = _common_lift(x, y)
-    return CdVector(a + b)
+    with np.errstate(over="ignore"):
+        return _finite(a + b, "stp_add")
 
 
 def stp_sub(x, y) -> CdVector:
     """Mixed-dimension subtraction in the lcm dimension."""
     a, b, _ = _common_lift(x, y)
-    return CdVector(a - b)
+    with np.errstate(over="ignore"):
+        return _finite(a - b, "stp_sub")
 
 
 def v_inner(x, y) -> float:
@@ -194,18 +204,27 @@ def v_inner(x, y) -> float:
 
 def v_norm(x) -> float:
     """Dimension-normalized norm ||x||_2 / sqrt(dim x); constant under lifting."""
-    a = as_entries(x)
-    return float(np.linalg.norm(a)) / math.sqrt(a.size)
+    return float(v_norm_rows(as_entries(x)[None, :])[0])
 
 
 def v_norm_rows(S) -> np.ndarray:
-    """:func:`v_norm` of every row of a (k, n) array, bit for bit.
+    """:func:`v_norm` of every row of a (k, n) array.
 
-    One stacked (1 x n)(n x 1) product per row keeps the same dot product as
-    the one-vector call; ``norm(S, axis=1)`` would not.
+    A nonzero row whose sum of squares overflows, or falls below the least
+    normal float, is divided by its largest |entry| first.
     """
     S = np.asarray(S, dtype=float)
-    return np.sqrt((S[:, None, :] @ S[:, :, None]).ravel()) / math.sqrt(S.shape[1])
+    root = math.sqrt(S.shape[1])
+    with np.errstate(over="ignore"):
+        squares = (S[:, None, :] @ S[:, :, None]).ravel()
+    norms = np.sqrt(squares) / root
+    bad = (squares == np.inf) | (squares < np.finfo(float).tiny)
+    if bad.any():
+        bad[bad] = S[bad].any(axis=1)
+        scale = np.abs(S[bad]).max(axis=1)
+        R = S[bad] / scale[:, None]
+        norms[bad] = scale * (np.sqrt((R[:, None, :] @ R[:, :, None]).ravel()) / root)
+    return norms
 
 
 def v_dist(x, y) -> float:

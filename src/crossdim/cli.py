@@ -52,9 +52,10 @@ def cmd_simulate(scenario: Scenario, out: str) -> int:
         scenario.step,
         disturbance=scenario.disturbance,
     )
+    outputs = traj.segment_outputs  # an overflowing output fails before any write
     write_trajectory_csv(traj, os.path.join(out, "trajectory.csv"))
     write_events_csv(traj.events, os.path.join(out, "events.csv"))
-    if traj.output_map is not None:
+    if outputs is not None:
         write_outputs_csv(traj, os.path.join(out, "outputs.csv"))
     return 0
 
@@ -95,10 +96,8 @@ def cmd_embed(scenario: Scenario, out: str) -> int:
         ],
         "transitions": [
             {"from": i, "to": j, "W": tm.matrix, "lipschitz": tm.lipschitz}
-            for (i, j), tm in sorted(embedded.transitions.items())
-        ]
-        if isinstance(embedded.transitions, dict)
-        else "nearest",
+            for (i, j), tm in sorted(embedded.table.items())
+        ],
     }
     report = {
         "max_equivalence_gap": gap,

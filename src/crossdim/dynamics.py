@@ -280,8 +280,9 @@ class DvSystem:
     """A dimension-varying system: modes, a transition rule, optional output.
 
     ``transitions`` is the string ``"nearest"`` or a mapping from ordered
-    mode-index pairs (i, j) to explicit transition maps.  ``impulse_scale``
-    scales the logged impulse amplitude of every jump event.
+    mode-index pairs (i, j) to explicit transition maps; :attr:`table` is
+    the rule as one mapping either way.  ``impulse_scale`` scales the
+    logged impulse amplitude of every jump event.
     """
 
     modes: tuple
@@ -293,7 +294,7 @@ class DvSystem:
         object.__setattr__(self, "modes", tuple(self.modes))
         if not self.modes:
             raise ValueError("system needs at least one mode")
-        if isinstance(self.transitions, dict):
+        if self.transitions != "nearest":
             for (i, j), tm in self.transitions.items():
                 src, dst = self.modes[i].dim, self.modes[j].dim
                 if (tm.source_dim, tm.target_dim) != (src, dst):
@@ -301,22 +302,23 @@ class DvSystem:
                         f"transition {i}->{j} must map dimension {src} to {dst}"
                     )
 
+    @functools.cached_property
+    def table(self) -> dict:
+        """Every ordered mode pair the rule allows, mapped to its map: the
+        explicit mapping as given, or :func:`nearest_map` for every i != j."""
+        if self.transitions != "nearest":
+            return self.transitions
+        n = len(self.modes)
+        return {(i, j): self.transition(i, j) for i in range(n) for j in range(n) if i != j}
+
     def transition(self, i: int, j: int) -> TransitionMap:
+        """The map of the switch i -> j; a nearest map is built on demand."""
         if self.transitions == "nearest":
             return nearest_map(self.modes[i].dim, self.modes[j].dim)
         try:
             return self.transitions[(i, j)]
         except KeyError:
             raise ValueError(f"no transition map for mode pair ({i}, {j})") from None
-
-    def transition_maps_in_use(self):
-        """All maps the rule can produce (ordered mode pairs)."""
-        if self.transitions == "nearest":
-            n = len(self.modes)
-            return [
-                self.transition(i, j) for i in range(n) for j in range(n) if i != j
-            ]
-        return list(self.transitions.values())
 
 
 @dataclass(frozen=True)
@@ -331,11 +333,10 @@ class Segment:
 class Trajectory:
     """Simulation output: the integrated segments plus the jump events.
 
-    ``segments[i]`` was integrated in mode ``segment_modes[i]``.  The
-    per-sample views (``times``, ``mode_indices``, ``dims``, ``states``,
-    ``vnorms``, ``outputs``) are derived on first use.  At each switch both
-    the pre- and post-switch states appear as samples with the same
-    timestamp, so sample times are nondecreasing.
+    ``segments[i]`` was integrated in mode ``segment_modes[i]``; the norms
+    and outputs are kept per segment too.  At each switch both the pre- and
+    post-switch states appear as samples with the same timestamp, so the
+    sample times are nondecreasing.
     """
 
     segments: tuple
@@ -343,54 +344,40 @@ class Trajectory:
     events: list
     output_map: OutputMap | None = None
 
-    def _per_sample(self, values, dtype) -> np.ndarray:
-        """One value per segment, repeated over that segment's samples."""
-        counts = [len(seg.times) for seg in self.segments]
-        return np.repeat(np.asarray(values, dtype=dtype), counts)
-
     @functools.cached_property
     def times(self) -> np.ndarray:
+        """Every sample time, in order; its length is the sample count."""
         if not self.segments:
             return np.empty(0)
         return np.concatenate([seg.times for seg in self.segments])
-
-    @functools.cached_property
-    def mode_indices(self) -> np.ndarray:
-        return self._per_sample(self.segment_modes, int)
-
-    @functools.cached_property
-    def dims(self) -> np.ndarray:
-        return self._per_sample([seg.states.shape[1] for seg in self.segments], int)
-
-    @functools.cached_property
-    def states(self) -> list:
-        return [x for seg in self.segments for x in seg.states]
 
     @functools.cached_property
     def segment_vnorms(self) -> list:
         return [v_norm_rows(seg.states) for seg in self.segments]
 
     @functools.cached_property
-    def vnorms(self) -> np.ndarray:
-        if not self.segments:
-            return np.empty(0)
-        return np.concatenate(self.segment_vnorms)
-
-    @functools.cached_property
     def segment_outputs(self) -> list | None:
+        """The output of every sample, one (k, p) array per segment.
+
+        A non-finite output of a finite state raises :class:`NumericFailure`
+        at the first such sample.
+        """
         if self.output_map is None:
             return None
-        return [self.output_map.of_rows(seg.states) for seg in self.segments]
-
-    @functools.cached_property
-    def outputs(self) -> list | None:
-        if self.segment_outputs is None:
-            return None
-        return [y for Y in self.segment_outputs for y in Y]
+        outputs = []
+        for seg in self.segments:
+            with np.errstate(over="ignore", invalid="ignore"):
+                Y = self.output_map.of_rows(seg.states)
+            bad = ~np.isfinite(Y).all(axis=1)
+            if bad.any():
+                t = float(seg.times[bad.argmax()])
+                raise NumericFailure("output map overflowed", operation="output", time=t)
+            outputs.append(Y)
+        return outputs
 
     @property
     def max_dim(self) -> int:
-        return int(self.dims.max())
+        return max((seg.states.shape[1] for seg in self.segments), default=0)
 
     @property
     def final_state(self) -> np.ndarray:
@@ -688,7 +675,11 @@ def simulate(
         segments.append(seg)
         x = seg.states[-1]
         if mj not in (None, mi):
-            post = system.transition(mi, mj)(x)
+            with np.errstate(over="ignore", invalid="ignore"):
+                post = system.transition(mi, mj)(x)
+            if not np.isfinite(post).all():
+                msg = f"transition {mi}->{mj} overflowed"
+                raise NumericFailure(msg, operation="transition", time=tb)
             events.append(make_jump_event(tb, x, post, system.impulse_scale))
             x = post
 
@@ -704,20 +695,15 @@ def embed_common(system: DvSystem) -> DvSystem:
     confined to the replicated subspaces, and their jump events carry the
     same gaps and directions as the original impulse log.
     """
-    n = math.lcm(*(m.dim for m in system.modes))
-    lifted = tuple(lift_field(m, n // m.dim) for m in system.modes)
-    count, explicit = len(system.modes), isinstance(system.transitions, dict)
-    table = {}
-    for i in range(count):
-        for j in range(count):
-            if i == j or (explicit and (i, j) not in system.transitions):
-                continue
-            base = system.transition(i, j)
-            W = bridge(n, system.modes[j].dim) @ base.matrix @ bridge(system.modes[i].dim, n)
-            table[(i, j)] = TransitionMap(n, n, W)
+    dims = [m.dim for m in system.modes]
+    n = math.lcm(*dims)
+    table = {
+        (i, j): TransitionMap(n, n, bridge(n, dims[j]) @ tm.matrix @ bridge(dims[i], n))
+        for (i, j), tm in system.table.items()
+    }
     return DvSystem(
-        modes=lifted,
-        transitions=table if count > 1 else "nearest",
+        modes=tuple(lift_field(m, n // m.dim) for m in system.modes),
+        transitions=table,
         output=system.output,
         impulse_scale=system.impulse_scale,
     )
@@ -798,8 +784,7 @@ def dwell_bound(
             log.warning("mode %r is not Hurwitz; no dwell bound", mode.label)
             return None
     if lipschitz is None:
-        lips = [tm.lipschitz for tm in system.transition_maps_in_use()]
-        lipschitz = max(lips) if lips else 1.0
+        lipschitz = max((tm.lipschitz for tm in system.table.values()), default=1.0)
     bound = 1.0 - gamma
 
     def contracts(delta: float) -> bool:

@@ -249,7 +249,7 @@ def _suffixes(cols: int, last: bytes = b"\n") -> list:
 
 def write_trajectory_csv(traj, path):
     """Rows: t, mode, dim, v_norm, x_0..x_{D-1}; short states padded with empties."""
-    D = traj.max_dim if traj.segments else 0
+    D = traj.max_dim
     header = ["t", "mode", "dim", "v_norm"] + [f"x_{i}" for i in range(D)]
     parts = []
     for seg, mode, vnorms in zip(traj.segments, traj.segment_modes, traj.segment_vnorms):

@@ -130,8 +130,8 @@ def test_c04_feedback_switching_decays():
     for name in ("feedback_switch_fixed.json", "feedback_switch_random.json"):
         scenario = load_scenario(scenario_path(name))
         traj = simulate(scenario.system, scenario.signal, scenario.x0, scenario.step)
-        start = traj.vnorms[0]
-        finals[name] = traj.vnorms[-1]
+        start = traj.segment_vnorms[0][0]
+        finals[name] = traj.segment_vnorms[-1][-1]
         if name == "feedback_switch_fixed.json":
             entries = [n for _, n in traj.switch_entry_norms()]
             ok_entries = all(b < a for a, b in zip(entries, entries[1:]))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,8 +20,10 @@ from crossdim.cdspace import (
     v_dist,
     v_inner,
     v_norm,
+    v_norm_rows,
 )
 from crossdim.dkstp import bridge
+from crossdim.errors import NumericFailure
 
 RNG = np.random.default_rng(42)
 
@@ -109,6 +112,19 @@ def test_stp_add_doubles():
     assert equivalent(stp_add(x, x), 2 * x)
 
 
+def test_stp_overflow_is_a_numeric_failure():
+    # finite inputs whose sum or difference is not finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericFailure, match="operation=stp_sub"):
+            stp_sub([1e308], [-1e308])
+        with pytest.raises(NumericFailure, match="operation=stp_add"):
+            stp_add([1e308, 1e308], [1e308])
+        with pytest.raises(NumericFailure, match="operation=stp_sub"):
+            v_dist([1e308], [-1e308])
+    assert stp_add([1e308], [-1e308]).entries.tolist() == [0.0]
+
+
 # ------------------------------------------------------- inner / norm / dist
 
 def test_v_inner_examples():
@@ -140,6 +156,44 @@ def test_v_norm_invariant_under_canonicalization():
     lifted = kron_lift(x, 3)
     assert v_norm(lifted) == pytest.approx(v_norm(x), rel=1e-13)
     assert v_norm(canonicalize(lifted)) == pytest.approx(v_norm(x), rel=1e-13)
+
+
+def test_v_norm_neither_overflows_nor_underflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert v_norm([1e200, 1e200]) == 1e200
+        assert v_norm([1e-200]) == 1e-200
+        assert v_norm([5e-324, 0.0]) > 0.0
+        assert v_norm([1.7e308, -1.7e308, 1.7e308]) == pytest.approx(1.7e308, rel=1e-15)
+        assert angle([1e-200], [1.0]) == 0.0
+        rows = v_norm_rows(np.array([[1e300, 1e300], [3.0, 4.0], [0.0, 0.0], [1e-170, 0.0]]))
+    assert rows.tolist() == [1e300, v_norm([3.0, 4.0]), 0.0, 1e-170 / math.sqrt(2)]
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(finite_floats, min_size=n, max_size=n), min_size=1, max_size=6
+        )
+    )
+)
+def test_v_norm_rows_equal_one_row_calls(rows):
+    S = np.array(rows, dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norms = v_norm_rows(S)
+        assert norms.tobytes() == np.array([v_norm(x) for x in S]).tobytes()
+    # ||x||_2 / sqrt(n) lies between max|x| / sqrt(n) and max|x|
+    top = np.abs(S).max(axis=1)
+    slack = 1e-12 * top + 1e-323
+    assert np.isfinite(norms).all()
+    assert ((norms > 0) == S.any(axis=1)).all()
+    assert (norms - top <= slack).all()
+    assert (top / math.sqrt(S.shape[1]) - norms <= slack).all()
 
 
 def test_v_dist_examples():

@@ -532,14 +532,16 @@ def test_trajectory_views_match_one_sample_calls(name):
         system, scenario.signal, scenario.x0, scenario.step,
         disturbance=scenario.disturbance,
     )
-    expected = np.array([v_norm(s) for s in traj.states])
-    assert traj.vnorms.tobytes() == expected.tobytes()
+    for seg, vnorms in zip(traj.segments, traj.segment_vnorms):
+        expected = np.array([v_norm(x) for x in seg.states])
+        assert vnorms.tobytes() == expected.tobytes()
     if system.output is None:
-        assert traj.outputs is None
+        assert traj.segment_outputs is None
         return
-    assert len(traj.outputs) == len(traj.states)
-    for y, x in zip(traj.outputs, traj.states):
-        assert y.tobytes() == system.output(x).tobytes()
+    for seg, Y in zip(traj.segments, traj.segment_outputs):
+        assert len(Y) == len(seg.states)
+        for y, x in zip(Y, seg.states):
+            assert y.tobytes() == system.output(x).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -559,9 +561,14 @@ def test_cli_embed_gap_matches_pairwise_distance(tmp_path, name):
         embedded, scenario.signal, project(scenario.x0, embedded.modes[0].dim),
         scenario.step, disturbance=scenario.disturbance,
     )
-    expected = max(v_dist(a, b) for a, b in zip(original.states, mirrored.states))
+    pairs = [
+        (a, b)
+        for sa, sb in zip(original.segments, mirrored.segments)
+        for a, b in zip(sa.states, sb.states)
+    ]
+    expected = max(v_dist(a, b) for a, b in pairs)
     assert report["max_equivalence_gap"] == pytest.approx(expected, rel=1e-12, abs=0)
-    assert report["samples_compared"] == len(original.states)
+    assert report["samples_compared"] == len(pairs) == len(original.times)
 
 
 def test_cli_approx_error_tables(tmp_path):
@@ -882,3 +889,72 @@ def test_cli_diverging_reduction_is_a_numeric_failure(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "omega: numeric failure: state diverged (operation=approx_error, t=94)\n"
     )
+
+
+def _edited(tmp_path, name, edit) -> str:
+    with open(scenario_path(name), "r", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    edit(raw)
+    path = tmp_path / name
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["simulate", "embed"])
+def test_cli_overflowing_transition_is_a_numeric_failure(tmp_path, capsys, command):
+    rule = {"explicit": [
+        {"from": 0, "to": 1, "W": [[1e300, 0], [0, 0], [0, 0], [0, 0]]},
+        {"from": 1, "to": 0, "W": [[1, 0, 0, 0], [0, 1, 0, 0]]},
+    ]}
+    config = _edited(tmp_path, "two_mode_contraction.json", lambda raw: raw.update(transitions=rule))
+    out = tmp_path / "o"
+    assert run_cli(command, "--config", config, "--out", str(out)) == 3
+    assert capsys.readouterr().err == (
+        "omega: numeric failure: transition 0->1 overflowed "
+        "(operation=transition, t=10.8)\n"
+    )
+    assert not any(out.iterdir())
+
+
+def test_cli_overflowing_output_is_a_numeric_failure(tmp_path, capsys):
+    output = {"H": [[1e308, 1e308]], "q": 2}
+    config = _edited(tmp_path, "two_mode_contraction.json", lambda raw: raw.update(output=output))
+    out = tmp_path / "o"
+    assert run_cli("simulate", "--config", config, "--out", str(out)) == 3
+    assert capsys.readouterr().err == (
+        "omega: numeric failure: output map overflowed (operation=output, t=0)\n"
+    )
+    assert not any(out.iterdir())
+
+
+def test_cli_huge_states_have_finite_norms(tmp_path):
+    def edit(raw):
+        raw["x0"] = [1e300, 1e300]
+        raw["modes"][0]["A"] = [[0, 0], [0, 0]]
+        del raw["output"]
+
+    config = _edited(tmp_path, "two_mode_contraction.json", edit)
+    out = tmp_path / "o"
+    assert run_cli("simulate", "--config", config, "--out", str(out)) == 0
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+    col = header.index("v_norm")
+    norms = [float(row[col]) for row in rows]
+    assert all(math.isfinite(v) for v in norms)
+    # the zero drift holds the state still on the first dwell, in mode 0
+    first = [v for row, v in zip(rows, norms) if float(row[0]) < 3.6]
+    assert set(first) == {1e300}
+
+
+def test_cli_overflowing_distance_is_a_numeric_failure(tmp_path, capsys):
+    ops = [{"op": "distance", "x": [1e308], "y": [-1e308]}]
+    config = _edited(
+        tmp_path, "two_stage_steering.json",
+        lambda raw: raw["experiment"]["vectors"].update(ops=ops),
+    )
+    out = tmp_path / "o"
+    assert run_cli("reduce-vec", "--config", config, "--out", str(out)) == 3
+    assert capsys.readouterr().err == (
+        "omega: numeric failure: mixed-dimension sum overflowed (operation=stp_sub)\n"
+    )
+    assert not any(out.iterdir())

@@ -9,7 +9,7 @@ import scipy.linalg
 from crossdim.cdspace import kron_lift, project, v_dist
 from crossdim import dynamics
 from crossdim.config import load_scenario
-from crossdim.dkstp import op_vnorm
+from crossdim.dkstp import bridge, op_vnorm
 from crossdim.dynamics import (
     AffineFeedback,
     Disturbance,
@@ -27,7 +27,7 @@ from crossdim.dynamics import (
 )
 from crossdim.errors import NumericFailure
 from crossdim.registry import get_field, get_output_function
-from crossdim.switching import TransitionMap, fixed_signal
+from crossdim.switching import TransitionMap, fixed_signal, nearest_map
 from rk4_reference import rk4_mode, rk4_system
 
 RNG = np.random.default_rng(23)
@@ -47,6 +47,16 @@ def contraction_system():
     return DvSystem(
         (Mode("planar", 2, CONTRACT_A1), Mode("quad", 4, CONTRACT_A2))
     )
+
+
+def paired_states(a, b):
+    """The states of two runs on one signal, paired sample by sample."""
+    assert [len(s.times) for s in a.segments] == [len(s.times) for s in b.segments]
+    return [
+        (x, y)
+        for sa, sb in zip(a.segments, b.segments)
+        for x, y in zip(sa.states, sb.states)
+    ]
 
 
 def random_stable(n):
@@ -525,8 +535,9 @@ def test_simulate_single_mode_matches_integrate():
     x0 = [1.0, -1.0]
     traj = simulate(system, signal, x0, 1e-3)
     seg = integrate_mode(mode, x0, 0.0, 1.0, 1e-3)
+    (only,) = traj.segments
     np.testing.assert_array_equal(traj.times, seg.times)
-    np.testing.assert_array_equal(np.vstack(traj.states), seg.states)
+    np.testing.assert_array_equal(only.states, seg.states)
     assert traj.events == []
 
 
@@ -536,13 +547,14 @@ def test_simulate_logs_one_event_per_switch():
     traj = simulate(system, signal, [1.0, 2.0], 1e-2)
     assert len(traj.events) == len(signal.switch_times)
     assert [ev.time for ev in traj.events] == list(signal.switch_times)
-    # dimension constant within each dwell interval (boundary samples carry
-    # the closing mode's dimension, so test the open interior)
-    for ta, tb, mi in signal.intervals():
-        inside = (traj.times > ta) & (traj.times < tb)
-        assert set(traj.dims[inside]) == {system.modes[mi].dim}
-    for k in range(len(traj.times)):
-        assert traj.dims[k] == system.modes[traj.mode_indices[k]].dim
+    # one segment per dwell interval, spanning it in that interval's mode
+    # and dimension
+    intervals = signal.intervals()
+    assert len(traj.segments) == len(intervals)
+    for seg, mode, (ta, tb, mi) in zip(traj.segments, traj.segment_modes, intervals):
+        assert mode == mi
+        assert seg.states.shape[1] == system.modes[mi].dim
+        assert seg.times[0] == ta and seg.times[-1] == tb
     # gap at each switch equals the logged value
     for ev in traj.events:
         assert ev.gap == v_dist(ev.pre_state, ev.post_state)
@@ -553,8 +565,9 @@ def test_simulate_projects_foreign_initial_state():
     signal = fixed_signal(0.5, n_modes=2)
     traj = simulate(system, signal, [1.0, 2.0, 3.0], 1e-2)
     assert traj.events[0].time == 0.0
-    assert traj.dims[0] == 2
-    np.testing.assert_allclose(traj.states[0], project([1.0, 2.0, 3.0], 2))
+    first = traj.segments[0].states[0]
+    assert first.size == 2
+    np.testing.assert_allclose(first, project([1.0, 2.0, 3.0], 2))
 
 
 @pytest.mark.parametrize(
@@ -587,8 +600,8 @@ def test_simulate_norm_continuous_on_equivalent_jump():
     ev = traj.events[0]
     assert ev.gap <= 1e-12
     assert ev.direction is None
-    k = int(np.searchsorted(traj.times, 1.0))
-    assert abs(traj.vnorms[k + 1] - traj.vnorms[k]) <= 1e-9
+    before, after = traj.segment_vnorms
+    assert abs(after[0] - before[-1]) <= 1e-9
 
 
 def test_simulate_zero_disturbance_is_bit_identical():
@@ -598,8 +611,9 @@ def test_simulate_zero_disturbance_is_bit_identical():
     # any disturbance sends a mode to RK4; the reference runs RK4 undisturbed
     a = simulate(rk4_system(system), signal, [1.0, 2.0], 1e-2)
     b = simulate(system, signal, [1.0, 2.0], 1e-2, disturbance=quiet)
-    for sa, sb in zip(a.states, b.states):
-        np.testing.assert_array_equal(sa, sb)
+    assert len(a.segments) == len(b.segments)
+    for sa, sb in zip(a.segments, b.segments):
+        np.testing.assert_array_equal(sa.states, sb.states)
 
 
 def test_simulate_disturbance_of_foreign_dim():
@@ -640,20 +654,42 @@ def test_simulate_output_map_linear_and_nonlinear():
     system = DvSystem(contraction_system().modes, output=OutputMap.from_matrix(H))
     signal = fixed_signal(2.0, switch_times=[1.0], modes=[1], n_modes=2)
     traj = simulate(system, signal, [1.0, 2.0], 1e-2)
-    assert traj.outputs is not None
-    for k in (0, len(traj.states) - 1):
-        x = traj.states[k]
+    assert traj.segment_outputs is not None
+    for seg, Y, k in zip(traj.segments, traj.segment_outputs, (0, -1)):
+        x = seg.states[k]
         np.testing.assert_allclose(
-            traj.outputs[k], H @ project(x, 2) if x.size != 2 else H @ x, atol=1e-12
+            Y[k], H @ project(x, 2) if x.size != 2 else H @ x, atol=1e-12
         )
     q, p, h = get_output_function("ddp_output6")
     system2 = DvSystem(
         contraction_system().modes, output=OutputMap.from_function(h, q, p)
     )
     traj2 = simulate(system2, signal, [1.0, 2.0], 1e-1)
-    assert traj2.outputs[0][0] == pytest.approx(
-        lift_function(h, q, traj2.states[0])[0]
+    assert traj2.segment_outputs[0][0][0] == pytest.approx(
+        lift_function(h, q, traj2.segments[0].states[0])[0]
     )
+
+
+def test_simulate_overflowing_transition_is_a_numeric_failure():
+    rule = {
+        (0, 1): TransitionMap(2, 4, [[1e300, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
+        (1, 0): TransitionMap(4, 2, bridge(2, 4)),
+    }
+    system = DvSystem(contraction_system().modes, rule)
+    signal = fixed_signal(2.0, switch_times=[1.0], modes=[1], n_modes=2)
+    with pytest.raises(NumericFailure, match="transition 0->1") as info:
+        simulate(system, signal, [1e10, 1e10], 1e-2)
+    assert (info.value.operation, info.value.time) == ("transition", 1.0)
+
+
+def test_overflowing_output_is_a_numeric_failure_at_its_first_sample():
+    # y = 1e308 e^t overflows once e^t > 1.797..., first at the sample t = 0.6
+    system = DvSystem((Mode("grow", 1, [[1.0]]),), output=OutputMap.from_matrix([[1e308]]))
+    traj = simulate(system, fixed_signal(1.0, n_modes=1), [1.0], 0.1)
+    with pytest.raises(NumericFailure, match="output map overflowed") as info:
+        traj.segment_outputs
+    assert info.value.operation == "output"
+    assert info.value.time == pytest.approx(0.6, abs=1e-12)
 
 
 # ---------------------------------------------------------------- embed_common
@@ -677,15 +713,14 @@ def test_embed_common_mirrors_trajectories():
     original = simulate(system, signal, x0, 1e-2)
     emb = embed_common(system)
     mirrored = simulate(emb, signal, project(x0, 4), 1e-2)
-    assert len(original.states) == len(mirrored.states)
-    worst = max(
-        v_dist(a, b) for a, b in zip(original.states, mirrored.states)
-    )
+    worst = max(v_dist(a, b) for a, b in paired_states(original, mirrored))
     assert worst <= 1e-9
     # replication structure on the first dwell interval (mode of dim 2)
     k = 10
     np.testing.assert_allclose(
-        mirrored.states[k], kron_lift(original.states[k], 2), atol=1e-9
+        mirrored.segments[0].states[k],
+        kron_lift(original.segments[0].states[k], 2),
+        atol=1e-9,
     )
     # jump bookkeeping carries over
     for ea, eb in zip(original.events, mirrored.events):
@@ -714,8 +749,44 @@ def test_embed_common_handles_feedback_modes():
     x0 = np.array([5.0, 6.0])
     original = simulate(system, signal, x0, 1e-3)
     mirrored = simulate(embed_common(system), signal, project(x0, 6), 1e-3)
-    worst = max(v_dist(a, b) for a, b in zip(original.states, mirrored.states))
+    worst = max(v_dist(a, b) for a, b in paired_states(original, mirrored))
     assert worst <= 1e-9
+
+
+# ------------------------------------------------------------------ rule table
+
+def explicit_rule():
+    return {
+        (0, 1): TransitionMap(2, 4, 1.5 * np.repeat(np.eye(2), 2, axis=0)),
+        (1, 0): TransitionMap(4, 2, bridge(2, 4)),
+    }
+
+
+def test_nearest_table_maps_every_pair_to_its_nearest_map():
+    modes = tuple(Mode(f"m{n}", n, -np.eye(n)) for n in (2, 3, 4))
+    system = DvSystem(modes)
+    assert set(system.table) == {(i, j) for i in range(3) for j in range(3) if i != j}
+    for (i, j), tm in system.table.items():
+        want = nearest_map(modes[i].dim, modes[j].dim)
+        assert (tm.source_dim, tm.target_dim) == (want.source_dim, want.target_dim)
+        assert tm.matrix.tobytes() == want.matrix.tobytes()
+        assert system.transition(i, j).matrix.tobytes() == tm.matrix.tobytes()
+    assert DvSystem(modes[:1]).table == {}
+
+
+def test_explicit_table_is_the_rule_as_given():
+    rule = explicit_rule()
+    assert DvSystem(contraction_system().modes, rule).table is rule
+
+
+@pytest.mark.parametrize("rule", ["nearest", explicit_rule()])
+def test_the_table_gives_dwell_its_lipschitz_and_embed_its_maps(rule):
+    system = DvSystem(contraction_system().modes, rule)
+    largest = max(tm.lipschitz for tm in system.table.values())
+    delta = dwell_bound(system, 0.03)
+    assert delta is not None
+    assert delta == dwell_bound(system, 0.03, lipschitz=largest)
+    assert embed_common(system).table.keys() == system.table.keys()
 
 
 # ----------------------------------------------------------------- dwell_bound
