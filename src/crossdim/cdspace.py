@@ -247,13 +247,15 @@ def equivalent(x, y, tol: float = REDUCE_RTOL) -> bool:
 def angle(x, y) -> float:
     """Angle in radians between two nonzero points, any dimensions.
 
-    The cosine is clamped to [-1, 1] before arccos so parallel vectors do
-    not overshoot the domain through floating-point noise.
+    The cosine is the inner product of x/||x|| and y/||y||, so it neither
+    overflows nor underflows for any finite nonzero entries.  It is clamped
+    to [-1, 1] before arccos so parallel vectors do not overshoot the
+    domain through floating-point noise.
     """
     nx, ny = v_norm(x), v_norm(y)
     if nx == 0.0 or ny == 0.0:
         raise ValueError("angle undefined for zero-norm vectors")
-    c = v_inner(x, y) / (nx * ny)
+    c = v_inner(as_entries(x) / nx, as_entries(y) / ny)
     return math.acos(min(1.0, max(-1.0, c)))
 
 

@@ -45,13 +45,7 @@ def _each_mode(scenario: Scenario, analyse, field: str) -> list:
 
 
 def cmd_simulate(scenario: Scenario, out: str) -> int:
-    traj = simulate(
-        scenario.system,
-        scenario.signal,
-        scenario.x0,
-        scenario.step,
-        disturbance=scenario.disturbance,
-    )
+    traj = simulate(scenario.system, scenario.signal, scenario.x0, scenario.step)
     outputs = traj.segment_outputs  # an overflowing output fails before any write
     write_trajectory_csv(traj, os.path.join(out, "trajectory.csv"))
     write_events_csv(traj.events, os.path.join(out, "events.csv"))
@@ -70,15 +64,9 @@ def _segment_gap(A: np.ndarray, B: np.ndarray) -> float:
 def cmd_embed(scenario: Scenario, out: str) -> int:
     common_dim = scenario.common_dim()
     embedded = embed_common(scenario.system)
-    original = simulate(
-        scenario.system, scenario.signal, scenario.x0, scenario.step,
-        disturbance=scenario.disturbance,
-    )
+    original = simulate(scenario.system, scenario.signal, scenario.x0, scenario.step)
     lifted_x0 = project(scenario.x0, common_dim)
-    mirrored = simulate(
-        embedded, scenario.signal, lifted_x0, scenario.step,
-        disturbance=scenario.disturbance,
-    )
+    mirrored = simulate(embedded, scenario.signal, lifted_x0, scenario.step)
     gap = max(
         _segment_gap(a.states, b.states)
         for a, b in zip(original.segments, mirrored.segments)

@@ -59,7 +59,6 @@ class Scenario:
     x0: np.ndarray
     step: float
     horizon: float
-    disturbance: Disturbance | None
     experiment: MappingProxyType
     normalized: dict
 
@@ -539,11 +538,9 @@ def validate_config(raw: dict, seed=None, step=None) -> Scenario:
     disturbance, mu = _build_disturbance(raw.get("disturbance"))
     experiment = _parse_experiment(raw.get("experiment", {}), modes)
 
-    system = DvSystem(modes, transitions, output, impulse_scale=mu)
+    system = DvSystem(modes, transitions, output, impulse_scale=mu, disturbance=disturbance)
     normalized = normalize_config(raw, seed=seed, step=step_val)
-    return Scenario(
-        name, system, signal, x0, step_val, horizon, disturbance, experiment, normalized
-    )
+    return Scenario(name, system, signal, x0, step_val, horizon, experiment, normalized)
 
 
 def normalize_config(raw: dict, seed=None, step=None) -> dict:

@@ -19,6 +19,7 @@ system with resets.
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -277,18 +278,21 @@ class OutputMap:
 
 @dataclass(frozen=True)
 class DvSystem:
-    """A dimension-varying system: modes, a transition rule, optional output.
+    """A dimension-varying system: modes, a transition rule, optional output
+    and disturbance.
 
     ``transitions`` is the string ``"nearest"`` or a mapping from ordered
     mode-index pairs (i, j) to explicit transition maps; :attr:`table` is
     the rule as one mapping either way.  ``impulse_scale`` scales the
-    logged impulse amplitude of every jump event.
+    logged impulse amplitude of every jump event, and ``disturbance``
+    enters the drift of every mode while the system runs.
     """
 
     modes: tuple
     transitions: object = "nearest"
     output: OutputMap | None = None
     impulse_scale: float = 0.0
+    disturbance: Disturbance | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "modes", tuple(self.modes))
@@ -308,17 +312,9 @@ class DvSystem:
         explicit mapping as given, or :func:`nearest_map` for every i != j."""
         if self.transitions != "nearest":
             return self.transitions
-        n = len(self.modes)
-        return {(i, j): self.transition(i, j) for i in range(n) for j in range(n) if i != j}
-
-    def transition(self, i: int, j: int) -> TransitionMap:
-        """The map of the switch i -> j; a nearest map is built on demand."""
-        if self.transitions == "nearest":
-            return nearest_map(self.modes[i].dim, self.modes[j].dim)
-        try:
-            return self.transitions[(i, j)]
-        except KeyError:
-            raise ValueError(f"no transition map for mode pair ({i}, {j})") from None
+        dims = [m.dim for m in self.modes]
+        pairs = itertools.permutations(range(len(dims)), 2)
+        return {(i, j): nearest_map(dims[i], dims[j]) for i, j in pairs}
 
 
 @dataclass(frozen=True)
@@ -492,24 +488,23 @@ def _linear_flow(G: np.ndarray, z0: np.ndarray, times: np.ndarray, step: float):
     return Z
 
 
-def _affine(mode: Mode) -> bool:
-    """Is the mode's feedback affine, acting through a constant input matrix?"""
-    return isinstance(mode.feedback, AffineFeedback) and isinstance(
-        mode.inputs, np.ndarray
-    )
+def _generator(mode: Mode) -> np.ndarray | None:
+    """Matrix G of the exact flow of ``mode`` closed by its feedback, or
+    None when the mode moves by RK4; the one decision of the path.
 
-
-def _generator(mode: Mode) -> np.ndarray:
-    """Matrix G of the linear flow of ``mode`` closed by its feedback.
-
-    Without feedback G is the drift itself.  Affine feedback u = K x + u0
-    gives A + B K, bordered by the column B u0 and a zero row when u0 != 0,
-    so that [x; 1] evolves by G (Van Loan, IEEE TAC 1978).
+    A linear drift without feedback gives G = A.  Affine feedback
+    u = K x + u0 through a constant input matrix gives A + B K, bordered by
+    the column B u0 and a zero row when u0 != 0, so that [x; 1] evolves by
+    G (Van Loan, IEEE TAC 1978).  An evaluator drift or feedback, or
+    feedback through state-dependent channels, has no G.
     """
-    fb = mode.feedback
+    if not mode.is_linear:
+        return None
+    fb, B = mode.feedback, mode.inputs
     if fb is None:
         return mode.drift
-    B = mode.inputs
+    if not (isinstance(fb, AffineFeedback) and isinstance(B, np.ndarray)):
+        return None
     G = mode.drift + B @ fb.K
     if not fb.u0.any():
         return G
@@ -525,13 +520,13 @@ def integrate_mode(
 ) -> Segment:
     """Integrate one mode, closed by its own feedback, over [t0, t1].
 
-    The mode alone decides the path.  A linear mode without disturbance,
-    whose feedback is absent or an :class:`AffineFeedback` acting through a
-    constant input matrix, is propagated exactly by the matrix exponential
-    on the fixed-step grid; everything else (evaluator drifts, feedback
+    The mode alone decides the path: without disturbance, a mode whose
+    :func:`_generator` gives a matrix G is propagated exactly by e^{tG} on
+    the fixed-step grid; everything else (evaluator drifts, feedback
     evaluators, disturbances) uses classical RK4.  To integrate a linear
     mode with RK4, give its drift as an evaluator ``lambda x: A @ x``.  An
     open-loop run is ``integrate_mode(replace(mode, feedback=None), ...)``.
+    A non-finite sample on either path raises :class:`NumericFailure`.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -544,23 +539,13 @@ def integrate_mode(
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
     times = _grid(t0, t1, step)
-    if mode.is_linear and disturbance is None and (
-        mode.feedback is None or _affine(mode)
-    ):
-        G = _generator(mode)
+    G = _generator(mode) if disturbance is None else None
+    if G is not None:
         # a bordered G moves [x; 1]; the extra column is dropped at the end
         z = np.append(x, 1.0) if len(G) > x.size else x
-        Z = _linear_flow(G, z, times, step)
-        bad = ~np.isfinite(Z).all(axis=1)
-        if bad.any():
-            raise NumericFailure(
-                f"state diverged in mode {mode.label!r}",
-                operation="integrate_mode",
-                time=float(times[np.argmax(bad)]),
-            )
-        states = np.ascontiguousarray(Z[:, : mode.dim])
+        states = np.ascontiguousarray(_linear_flow(G, z, times, step)[:, : mode.dim])
     else:
-        states = np.empty((len(times), x.size))
+        states = np.full((len(times), x.size), np.nan)
         states[0] = x
         rhs = _mode_rhs(mode, disturbance)
         grid = times.tolist()
@@ -570,20 +555,24 @@ def integrate_mode(
                 f"mode {mode.label!r}: evaluator returned shape {probe.shape}, "
                 f"expected {x.shape}"
             )
-        for k in range(1, len(grid)):
-            t, h = grid[k - 1], grid[k] - grid[k - 1]
-            k1 = rhs(t, x)
-            k2 = rhs(t + h / 2, x + (h / 2) * k1)
-            k3 = rhs(t + h / 2, x + (h / 2) * k2)
-            k4 = rhs(t + h, x + h * k3)
-            x = x + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if not np.all(np.isfinite(x)):
-                raise NumericFailure(
-                    f"state diverged in mode {mode.label!r}",
-                    operation="integrate_mode",
-                    time=grid[k],
-                )
-            states[k] = x
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, len(grid)):
+                t, h = grid[k - 1], grid[k] - grid[k - 1]
+                k1 = rhs(t, x)
+                k2 = rhs(t + h / 2, x + (h / 2) * k1)
+                k3 = rhs(t + h / 2, x + (h / 2) * k2)
+                k4 = rhs(t + h, x + h * k3)
+                x = x + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+                states[k] = x
+                if not np.all(np.isfinite(x)):
+                    break  # the samples not reached stay NaN
+    bad = ~np.isfinite(states).all(axis=1)
+    if bad.any():
+        raise NumericFailure(
+            f"state diverged in mode {mode.label!r}",
+            operation="integrate_mode",
+            time=float(times[np.argmax(bad)]),
+        )
     return Segment(times, states)
 
 
@@ -637,46 +626,48 @@ def lift_function(h, q: int, y) -> np.ndarray:
 
 
 def simulate(
-    system: DvSystem,
-    signal: SwitchingSignal,
-    x0,
-    step: float = DEFAULT_STEP,
-    disturbance=None,
+    system: DvSystem, signal: SwitchingSignal, x0, step: float = DEFAULT_STEP
 ) -> Trajectory:
     """Run a dimension-varying system along a switching signal.
 
-    The active mode, closed by its own feedback, is integrated on each
-    dwell interval (switch times are grid points, never interpolated
-    across); at each switch into another mode the transition map produces
-    the post state and a jump event is logged.  A switch into the same mode
-    is no jump: the state carries over and no event is logged.  An initial
-    state of foreign dimension is projected onto the first mode's dimension
-    with an event at t = 0.  To run a mode under another feedback law,
-    replace it in the system with ``dataclasses.replace(mode, feedback=...)``.
+    The active mode, closed by its own feedback and driven by the system's
+    disturbance, is integrated on each dwell interval (switch times are
+    grid points, never interpolated across); at each switch into another
+    mode the map of :attr:`DvSystem.table` produces the post state and a
+    jump event is logged.  A switch the table lacks raises ``ValueError``
+    before anything is integrated.  A switch into the same mode is no jump:
+    the state carries over and no event is logged.  An initial state of
+    foreign dimension is projected onto the first mode's dimension with an
+    event at t = 0.  To run a mode under another feedback law or another
+    disturbance, replace it in the system with ``dataclasses.replace``.
     """
     n_modes = len(system.modes)
     unknown = sorted(m for m in signal.mode_indices if not 0 <= m < n_modes)
     if unknown:
         raise ValueError(f"signal references unknown mode indices {unknown}")
+    intervals = signal.intervals()
+    modes = [mi for _, _, mi in intervals]
+    rule = system.table
+    for mi, mj in zip(modes, modes[1:]):
+        if mi != mj and (mi, mj) not in rule:
+            raise ValueError(f"no transition map for mode pair ({mi}, {mj})")
 
     x = as_entries(x0).copy()
     events: list[JumpEvent] = []
-    intervals = signal.intervals()
     first_mode = system.modes[intervals[0][2]]
     if x.size != first_mode.dim:
         post = project(x, first_mode.dim)
         events.append(make_jump_event(0.0, x, post, system.impulse_scale))
         x = post
 
-    modes = [mi for _, _, mi in intervals]
     segments = []
     for (ta, tb, mi), mj in zip(intervals, modes[1:] + [None]):
-        seg = integrate_mode(system.modes[mi], x, ta, tb, step, disturbance=disturbance)
+        seg = integrate_mode(system.modes[mi], x, ta, tb, step, system.disturbance)
         segments.append(seg)
         x = seg.states[-1]
         if mj not in (None, mi):
             with np.errstate(over="ignore", invalid="ignore"):
-                post = system.transition(mi, mj)(x)
+                post = rule[(mi, mj)](x)
             if not np.isfinite(post).all():
                 msg = f"transition {mi}->{mj} overflowed"
                 raise NumericFailure(msg, operation="transition", time=tb)
@@ -693,7 +684,8 @@ def embed_common(system: DvSystem) -> DvSystem:
     dimension) whose trajectories from replicated initial states stay
     equivalent to the original ones; switches become explicit reset maps
     confined to the replicated subspaces, and their jump events carry the
-    same gaps and directions as the original impulse log.
+    same gaps and directions as the original impulse log.  The disturbance
+    is carried over, so the result is the whole model.
     """
     dims = [m.dim for m in system.modes]
     n = math.lcm(*dims)
@@ -706,11 +698,13 @@ def embed_common(system: DvSystem) -> DvSystem:
         transitions=table,
         output=system.output,
         impulse_scale=system.impulse_scale,
+        disturbance=system.disturbance,
     )
 
 
 def closed_loop_drift(mode: Mode) -> np.ndarray:
-    """The matrix A + B K of a linear mode under its linear feedback u = K x.
+    """The matrix A + B K of a linear mode under its linear feedback u = K x:
+    the :func:`_generator` of the mode when it is unbordered.
 
     A mode without feedback gives its drift.  Any other closed loop (a
     nonlinear drift, a feedback evaluator, or an affine feedback with an
@@ -719,9 +713,9 @@ def closed_loop_drift(mode: Mode) -> np.ndarray:
     """
     if not mode.is_linear:
         raise ValueError(f"mode {mode.label!r}: dwell analysis requires a linear drift")
-    fb = mode.feedback
-    if fb is None or (_affine(mode) and not fb.u0.any()):
-        return _generator(mode)
+    G = _generator(mode)
+    if G is not None and len(G) == mode.dim:
+        return G
     raise ValueError(
         f"mode {mode.label!r}: dwell analysis requires linear feedback "
         "u = K x (no offset, constant input matrix)"

@@ -9,20 +9,17 @@ The CLI maps ``ValueError`` to exit code 2 and ``NumericFailure`` to 3.
 class NumericFailure(RuntimeError):
     """A numerical routine failed to produce a trustworthy result."""
 
-    def __init__(self, message, *, operation=None, time=None, iterations=None):
+    def __init__(self, message, *, operation=None, time=None):
         details = []
         if operation is not None:
             details.append(f"operation={operation}")
         if time is not None:
             details.append(f"t={time:.6g}")
-        if iterations is not None:
-            details.append(f"iterations={iterations}")
         if details:
             message = f"{message} ({', '.join(details)})"
         super().__init__(message)
         self.operation = operation
         self.time = time
-        self.iterations = iterations
 
 
 class ConfigError(ValueError):

@@ -15,6 +15,7 @@ import numpy as np
 
 from .cdspace import as_entries, stp_sub, v_dist, v_norm
 from .dkstp import bridge, op_vnorm
+from .errors import NumericFailure
 
 __all__ = [
     "JumpEvent",
@@ -159,12 +160,19 @@ class JumpEvent:
 
 
 def make_jump_event(time: float, pre, post, mu: float = 0.0) -> JumpEvent:
+    """The record of a switch at ``time``; its gap and direction come from
+    the one difference post - pre, whose overflow raises
+    :class:`NumericFailure` naming the switch time."""
     pre = as_entries(pre).copy()
     post = as_entries(post).copy()
-    gap = jump_gap(pre, post)
+    try:
+        d = stp_sub(post, pre).entries
+    except NumericFailure:
+        raise NumericFailure("jump gap overflowed", operation="jump", time=time) from None
+    gap = v_norm(d)  # jump_gap(pre, post) bit for bit: -(a - b) == b - a
     direction = None
     if gap > GAP_ZERO_TOL * max(1.0, v_norm(pre)):
-        direction = stp_sub(post, pre).entries / gap
+        direction = d / gap
     return JumpEvent(float(time), pre, post, gap, direction, mu * gap)
 
 

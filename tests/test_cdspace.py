@@ -239,6 +239,15 @@ def test_angle_clamps_cosine():
     assert angle(x, kron_lift(x, 7)) == pytest.approx(0.0, abs=1e-7)
 
 
+def test_angle_neither_overflows_nor_underflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert angle([1e200], [1e200]) == 0.0
+        assert angle([1e-200], [1e-200]) == 0.0
+        assert angle([1e200, 1e200], [1e200]) == 0.0
+        assert angle([1e200], [-1e-200]) == math.pi
+
+
 # ------------------------------------------------------------------ projection
 
 def test_projector_matrices():

@@ -115,7 +115,7 @@ def test_explicit_transitions_must_cover_signal():
         ]
     }
     scenario = validate_config(cfg)
-    assert scenario.system.transition(0, 1).matrix.shape == (3, 2)
+    assert scenario.system.table[(0, 1)].matrix.shape == (3, 2)
 
 
 def test_seed_and_step_overrides():
@@ -528,10 +528,7 @@ def test_cli_embed_report(tmp_path):
 def test_trajectory_views_match_one_sample_calls(name):
     scenario = load_scenario(scenario_path(name))
     system = scenario.system
-    traj = simulate(
-        system, scenario.signal, scenario.x0, scenario.step,
-        disturbance=scenario.disturbance,
-    )
+    traj = simulate(system, scenario.signal, scenario.x0, scenario.step)
     for seg, vnorms in zip(traj.segments, traj.segment_vnorms):
         expected = np.array([v_norm(x) for x in seg.states])
         assert vnorms.tobytes() == expected.tobytes()
@@ -553,13 +550,9 @@ def test_cli_embed_gap_matches_pairwise_distance(tmp_path, name):
     report = json.loads((out / "equivalence_report.json").read_text())
     scenario = load_scenario(scenario_path(name))
     embedded = embed_common(scenario.system)
-    original = simulate(
-        scenario.system, scenario.signal, scenario.x0, scenario.step,
-        disturbance=scenario.disturbance,
-    )
+    original = simulate(scenario.system, scenario.signal, scenario.x0, scenario.step)
     mirrored = simulate(
-        embedded, scenario.signal, project(scenario.x0, embedded.modes[0].dim),
-        scenario.step, disturbance=scenario.disturbance,
+        embedded, scenario.signal, project(scenario.x0, embedded.modes[0].dim), scenario.step
     )
     pairs = [
         (a, b)
@@ -914,6 +907,65 @@ def test_cli_overflowing_transition_is_a_numeric_failure(tmp_path, capsys, comma
         "(operation=transition, t=10.8)\n"
     )
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["simulate", "embed"])
+def test_cli_overflowing_jump_gap_names_the_switch_time(tmp_path, capsys, command):
+    cfg = minimal_config()
+    cfg["modes"] = [
+        {"label": "a", "dim": 1, "A": [[0.0]]},
+        {"label": "b", "dim": 1, "A": [[0.0]]},
+    ]
+    cfg["transitions"] = {"explicit": [{"from": 0, "to": 1, "W": [[-1.0]]}]}
+    cfg["x0"] = [1e308]
+    config = tmp_path / "flip.json"
+    config.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert run_cli(command, "--config", str(config), "--out", str(out)) == 3
+    assert capsys.readouterr().err == (
+        "omega: numeric failure: jump gap overflowed (operation=jump, t=0.5)\n"
+    )
+    assert not any(out.iterdir())
+
+
+def test_cli_diverging_rk4_run_is_a_numeric_failure(tmp_path, capsys):
+    # a disturbance sends the mode to RK4; its overflow exits 3 with no warning
+    def edit(raw):
+        raw["modes"][0]["A"] = [[300.0, 0.0], [0.0, 300.0]]
+        raw["disturbance"] = {"eta": "sin1", "mu": 0.5}
+
+    config = _edited(tmp_path, "two_mode_contraction.json", edit)
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("simulate", "--config", config, "--out", str(out)) == 3
+    assert caught == []
+    assert capsys.readouterr().err == (
+        "omega: numeric failure: state diverged in mode 'planar' "
+        "(operation=integrate_mode, t=2.34)\n"
+    )
+    assert not any(out.iterdir())
+
+
+def test_cli_embed_carries_the_disturbance(tmp_path):
+    disturbance = {"eta": "sin1", "mu": 0.5}
+    config = _edited(
+        tmp_path, "two_mode_contraction.json", lambda raw: raw.update(disturbance=disturbance)
+    )
+    out = tmp_path / "o"
+    assert run_cli("embed", "--config", config, "--out", str(out)) == 0
+    report = json.loads((out / "equivalence_report.json").read_text())
+    assert report["max_equivalence_gap"] <= 1e-9
+    # the disturbance moves the run: the undisturbed embedding differs
+    plain = tmp_path / "plain"
+    assert run_cli("embed", "--config", scenario_path("two_mode_contraction.json"),
+                   "--out", str(plain)) == 0
+    assert (plain / "embedded_trajectory.csv").read_bytes() != (
+        out / "embedded_trajectory.csv"
+    ).read_bytes()
+    assert [ev["amplitude"] for ev in report["events"]] == [
+        0.5 * ev["gap"] for ev in report["events"]
+    ]
 
 
 def test_cli_overflowing_output_is_a_numeric_failure(tmp_path, capsys):

@@ -362,14 +362,18 @@ def test_the_mode_chooses_the_integration_path(monkeypatch):
     B = np.array([[1.0], [0.0]])
     open_loop = Mode("open", 2, A)
     affine = Mode("affine", 2, A, inputs=B, feedback=AffineFeedback([[-1.0, 0.0]], [0.5]))
+    linear = Mode("linear", 2, A, inputs=B, feedback=AffineFeedback([[-1.0, 0.0]], [0.0]))
     evaluator = Mode("evaluator", 2, A, inputs=B, feedback=lambda t, x: -x[:1])
+    channels = replace(affine, label="channels", inputs=(lambda x: np.array([1.0, 0.0]),))
     noise = Disturbance(1, lambda t: np.array([math.sin(t)]))
     cases = [
         (open_loop, None, True),
         (affine, None, True),
+        (linear, None, True),
         (rk4_mode(open_loop), None, False),
         (rk4_mode(affine), None, False),
         (evaluator, None, False),
+        (channels, None, False),
         (open_loop, noise, False),
         (affine, noise, False),
     ]
@@ -377,6 +381,16 @@ def test_the_mode_chooses_the_integration_path(monkeypatch):
         calls.clear()
         integrate_mode(mode, [1.0, -1.0], 0.0, 1.0, 0.1, disturbance=disturbance)
         assert bool(calls) == exact, (mode.label, disturbance)
+        # dwell analysis takes the mode iff its own path is exact and unbordered
+        G = dynamics._generator(mode)
+        if disturbance is None:
+            assert (G is not None) == exact, mode.label
+        try:
+            closed_loop_drift(mode)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == (G is not None and len(G) == mode.dim), mode.label
 
 
 @pytest.mark.parametrize(
@@ -610,7 +624,7 @@ def test_simulate_zero_disturbance_is_bit_identical():
     quiet = Disturbance(3, lambda t: np.zeros(3))
     # any disturbance sends a mode to RK4; the reference runs RK4 undisturbed
     a = simulate(rk4_system(system), signal, [1.0, 2.0], 1e-2)
-    b = simulate(system, signal, [1.0, 2.0], 1e-2, disturbance=quiet)
+    b = simulate(replace(system, disturbance=quiet), signal, [1.0, 2.0], 1e-2)
     assert len(a.segments) == len(b.segments)
     for sa, sb in zip(a.segments, b.segments):
         np.testing.assert_array_equal(sa.states, sb.states)
@@ -620,9 +634,36 @@ def test_simulate_disturbance_of_foreign_dim():
     system = contraction_system()
     signal = fixed_signal(1.0, n_modes=2)
     noisy = Disturbance(3, lambda t: np.array([math.sin(t), 0.0, 0.1]))
-    traj = simulate(system, signal, [1.0, 2.0], 1e-2, disturbance=noisy)
+    traj = simulate(replace(system, disturbance=noisy), signal, [1.0, 2.0], 1e-2)
     base = simulate(rk4_system(system), signal, [1.0, 2.0], 1e-2)
     assert v_dist(traj.final_state, base.final_state) > 0
+
+
+def test_simulate_checks_the_rule_before_integrating(monkeypatch):
+    calls = []
+    real = dynamics.integrate_mode
+    monkeypatch.setattr(
+        dynamics, "integrate_mode", lambda *args: calls.append(args) or real(*args)
+    )
+    rule = {(0, 1): explicit_rule()[(0, 1)]}
+    system = DvSystem(contraction_system().modes, rule)
+    signal = fixed_signal(3.0, switch_times=[1.0, 2.0], modes=[1, 0])
+    with pytest.raises(ValueError, match=r"no transition map for mode pair \(1, 0\)"):
+        simulate(system, signal, [1.0, 2.0], 1e-2)
+    assert calls == []
+    simulate(system, fixed_signal(3.0, switch_times=[1.0], modes=[1]), [1.0, 2.0], 1e-2)
+    assert len(calls) == 2
+
+
+def test_jump_overflow_names_the_switch_time():
+    mode = Mode("still", 1, np.array([[0.0]]))
+    flip = {(0, 1): TransitionMap(1, 1, [[-1.0]])}
+    system = DvSystem((mode, replace(mode, label="flipped")), flip)
+    signal = fixed_signal(1.0, switch_times=[0.5], modes=[1])
+    with pytest.raises(NumericFailure) as err:
+        simulate(system, signal, [1e308], 0.1)
+    assert (err.value.operation, err.value.time) == ("jump", 0.5)
+    assert str(err.value) == "jump gap overflowed (operation=jump, t=0.5)"
 
 
 def test_simulate_control_mapping_overrides_feedback():
@@ -706,6 +747,13 @@ def test_embed_common_single_mode_unchanged():
     assert emb.modes[0] is system.modes[0]
 
 
+def test_embed_common_carries_the_disturbance():
+    noise = Disturbance(3, lambda t: np.array([math.sin(t), 0.0, 0.1]))
+    system = replace(contraction_system(), disturbance=noise)
+    assert embed_common(system).disturbance is system.disturbance
+    assert embed_common(contraction_system()).disturbance is None
+
+
 def test_embed_common_mirrors_trajectories():
     system = contraction_system()
     signal = fixed_signal(8.0, dwell_pattern=[3.6], n_modes=2)
@@ -770,7 +818,7 @@ def test_nearest_table_maps_every_pair_to_its_nearest_map():
         want = nearest_map(modes[i].dim, modes[j].dim)
         assert (tm.source_dim, tm.target_dim) == (want.source_dim, want.target_dim)
         assert tm.matrix.tobytes() == want.matrix.tobytes()
-        assert system.transition(i, j).matrix.tobytes() == tm.matrix.tobytes()
+    assert system.table is system.table  # built once; every switch reads it
     assert DvSystem(modes[:1]).table == {}
 
 
