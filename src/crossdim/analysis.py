@@ -15,7 +15,7 @@ import numpy as np
 
 from .cdspace import project, v_norm_rows
 from .dkstp import bridge
-from .dynamics import Mode, Segment, _expm_stack, _overflowed, integrate_mode
+from .dynamics import Mode, Segment, _expm_stack, integrate_mode
 from .errors import NumericFailure
 
 __all__ = [
@@ -47,6 +47,15 @@ def _rank(M: np.ndarray) -> int:
     return int(np.count_nonzero(s > RANK_RTOL * s[0])) if len(s) else 0
 
 
+def _binary_scaled(M: np.ndarray) -> np.ndarray:
+    """M times the power of two that brings its largest |entry| into [0.5, 1).
+
+    Exact, so subspaces and rank decisions stay as they are, while norms
+    and products of a finite M no longer overflow.
+    """
+    return np.ldexp(M, -np.frexp(np.abs(M).max(initial=0.0))[1])
+
+
 def _controllable_basis(A, B) -> np.ndarray:
     """Orthonormal basis (columns) of the controllable subspace of (A, B).
 
@@ -55,6 +64,8 @@ def _controllable_basis(A, B) -> np.ndarray:
     orthogonalized against the basis so far by two Gram-Schmidt passes;
     its rank counts singular values above RANK_RTOL times ||B||_2 for the
     first block and ||A||_2 after, so no column grows like a power of A.
+    A and B are each scaled by a power of two first (:func:`_binary_scaled`),
+    which leaves the subspace unchanged.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -63,6 +74,7 @@ def _controllable_basis(A, B) -> np.ndarray:
     n = A.shape[0]
     if A.shape != (n, n) or B.ndim != 2 or B.shape[0] != n:
         raise ValueError("inconsistent shapes for the pair (A, B)")
+    A, B = _binary_scaled(A), _binary_scaled(B)
     V, W = np.zeros((n, 0)), B
     a_norm = np.linalg.svd(A, compute_uv=False)[0] if n else 0.0  # ||A||_2
     while W.shape[1] and V.shape[1] < n:
@@ -244,9 +256,12 @@ def reduce_model(A, B=None, C=None, m: int | None = None) -> ReducedModel:
         raise NumericFailure(
             "singular value decomposition did not converge", operation="reduce_model"
         ) from exc
-    A_pi = P @ A @ P_plus
-    B_pi = None if B is None else P @ B
-    C_pi = None if C is None else C @ P_plus
+    with np.errstate(over="ignore", invalid="ignore"):
+        A_pi = P @ A @ P_plus
+        B_pi = None if B is None else P @ B
+        C_pi = None if C is None else C @ P_plus
+    if not all(np.isfinite(M).all() for M in (A_pi, B_pi, C_pi) if M is not None):
+        raise NumericFailure("reduced model overflowed", operation="reduce_model")
     return ReducedModel(n, m, A_pi, B_pi, C_pi)
 
 
@@ -282,32 +297,14 @@ def _relative_errors(approx: np.ndarray, exact: np.ndarray):
 _STACK_ENTRIES = 1 << 15
 
 
-def _chunk_errors(A_pi, z0, back, chunk, X, full):
-    """Errors of one reduced model on a chunk of times, given the full flow X
-    at its first ``full`` times (where e^{tA} is finite), and the failure
-    that ends them early (None when every time succeeds)."""
-    if not full:
-        return None, _overflowed()
-    try:
-        F, stop = _expm_stack(A_pi, chunk[:full])
-    except ValueError as exc:  # the first reduced exponential refuses A_pi
-        return None, exc
-    with np.errstate(over="ignore", invalid="ignore"):
-        lifted = (back @ (F[:stop] @ z0)[:, :, None])[..., 0]
-    errs, diverged = _relative_errors(lifted, X[:stop])
-    if diverged.any():
-        t = chunk[diverged.argmax()]
-        return None, NumericFailure("state diverged", operation="approx_error", time=t)
-    return errs, _overflowed() if stop < len(chunk) else None
-
-
 def _reduction_errors(A, x0, m_values, times) -> np.ndarray:
     """:func:`approx_error`'s values for every m of ``m_values``, one row each.
 
     Each chunk of times takes one stacked exponential of A, whose flow every
-    m shares, and one of each reduced drift.  The failure raised is the one
-    a loop over m, then t, then the full flow, the reduced flow and the
-    error would meet first: the first m that fails, at its first failing t.
+    m shares, and one of each reduced drift, and every m is computed on it.
+    A time at which some m's error is undefined because a state or an
+    exponential overflowed raises ``state diverged``: the first such time
+    in the order of ``times``.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
@@ -318,22 +315,18 @@ def _reduction_errors(A, x0, m_values, times) -> np.ndarray:
     ts = np.asarray(times, dtype=float)
     vals = np.empty((len(models), ts.size))
     step = max(1, _STACK_ENTRIES // max((n, *m_values)) ** 2)
-    failure, live = None, len(models)  # only an m before a failed one can fail first
     for lo in range(0, ts.size, step):
         chunk = ts[lo : lo + step]
-        E, full = _expm_stack(A, chunk)
+        diverged = np.zeros(chunk.size, dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):
-            X = E[:full] @ x0
-        for j, (A_pi, z0, back) in enumerate(models[:live]):
-            errs, exc = _chunk_errors(A_pi, z0, back, chunk, X, full)
-            if exc is not None:
-                failure, live = exc, j
-                break
-            vals[j, lo : lo + step] = errs
-        if not live:
-            break
-    if failure is not None:
-        raise failure
+            X = _expm_stack(A, chunk) @ x0
+            for j, (A_pi, z0, back) in enumerate(models):
+                lifted = (back @ (_expm_stack(A_pi, chunk) @ z0)[:, :, None])[..., 0]
+                vals[j, lo : lo + step], bad = _relative_errors(lifted, X)
+                diverged |= bad
+        if diverged.any():
+            t = chunk[diverged.argmax()]
+            raise NumericFailure("state diverged", operation="approx_error", time=t)
     return vals
 
 

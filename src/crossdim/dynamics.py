@@ -72,9 +72,9 @@ _DWELL_TOL = 1e-3
 _FLOW_BLOCK = 256
 
 
-def _expm_stack(A, ts: np.ndarray):
-    """e^{tA} for every t of ``ts``, stacked (len(ts), n, n), and the index
-    of the first slice that overflowed (len(ts) when every slice is finite).
+def _expm_stack(A, ts: np.ndarray) -> np.ndarray:
+    """e^{tA} for every t of ``ts``, stacked (len(ts), n, n); a slice that
+    overflowed holds inf or NaN, and the caller checks what it builds.
 
     One ``scipy.linalg.expm`` call on the stack ``ts[:, None, None] * A``:
     scipy runs the same per-slice code as on a single matrix, so slice i is
@@ -86,13 +86,7 @@ def _expm_stack(A, ts: np.ndarray):
     if not np.isfinite(M).all():
         raise ValueError("expm expects finite entries")
     with np.errstate(over="ignore", invalid="ignore"):
-        E = scipy.linalg.expm(ts[:, None, None] * M)
-    finite = np.isfinite(E).all(axis=(1, 2))
-    return E, len(ts) if finite.all() else int(finite.argmin())
-
-
-def _overflowed() -> NumericFailure:
-    return NumericFailure("matrix exponential overflowed", operation="expm")
+        return scipy.linalg.expm(ts[:, None, None] * M)
 
 
 def expm(A, t: float = 1.0) -> np.ndarray:
@@ -103,10 +97,10 @@ def expm(A, t: float = 1.0) -> np.ndarray:
     :class:`NumericFailure`.  Many times t take one stacked call,
     :func:`_expm_stack`, whose slices equal this result bit for bit.
     """
-    E, finite = _expm_stack(A, np.array([float(t)]))
-    if not finite:
-        raise _overflowed()
-    return E[0]
+    E = _expm_stack(A, np.array([float(t)]))[0]
+    if not np.isfinite(E).all():
+        raise NumericFailure("matrix exponential overflowed", operation="expm")
+    return E
 
 
 @dataclass(frozen=True, eq=False)
@@ -457,8 +451,10 @@ def _linear_flow(G: np.ndarray, z0: np.ndarray, times: np.ndarray, step: float):
     rounding compounds over at most one block, never over the whole grid.
     The anchors' exponentials are one stacked :func:`_expm_stack` call,
     equal bit for bit to one :func:`expm` each.  A final partial step
-    (shorter than ``step``) starts from the sample before it.  Where an
-    exponential overflows, that sample and all later ones are NaN.
+    (shorter than ``step``) starts from the sample before it.  An anchor
+    that overflowed makes its block's samples non-finite; where e^{G step}
+    or the partial step's exponential overflows, the samples it would give
+    are NaN.
     """
     count = len(times)
     partial = count > 1 and abs(times[-1] - times[-2] - step) > _TIME_EPS
@@ -471,20 +467,15 @@ def _linear_flow(G: np.ndarray, z0: np.ndarray, times: np.ndarray, step: float):
             rows = P.reshape(-1, z0.size)  # one matrix-vector product per block
             starts = range(0, uniform, _FLOW_BLOCK)
             if len(starts) > 1:
-                E, finite = _expm_stack(G, np.array(starts[1:]) * step)
+                E = _expm_stack(G, np.array(starts[1:]) * step)
             for j, start in enumerate(starts):
-                if j == 0:
-                    anchor = z0
-                elif j > finite:
-                    raise _overflowed()
-                else:
-                    anchor = E[j - 1] @ z0
+                anchor = E[j - 1] @ z0 if j else z0
                 m = min(_FLOW_BLOCK, uniform - start)
                 Z[start : start + m] = (rows[: m * z0.size] @ anchor).reshape(m, -1)
             if partial:
                 Z[-1] = expm(G, times[-1] - times[-2]) @ Z[-2]
         except NumericFailure:
-            pass  # an exponential overflowed: the samples not reached stay NaN
+            pass  # a step's exponential overflowed: the samples not reached stay NaN
     return Z
 
 
@@ -729,24 +720,18 @@ def _first_contracting(mats, ds: np.ndarray, lipschitz: float, bound: float):
     Each mode takes one stacked exponential and one stacked 2-norm, on the
     dwells where every earlier mode contracted; with L > 0, L * max_i n_i
     <= bound is the same test as every L * n_i <= bound, since rounding is
-    monotone.  An overflowed exponential raises only where the scalar scan
-    (dwells in order, modes in order, stopping at the first failure)
-    would reach it: before the first contracting dwell.
+    monotone.  An exponential that overflowed does not contract: its true
+    2-norm lies beyond the float range.
     """
     alive = np.arange(len(ds))
-    overflowed = False
     for A in mats:
-        E, finite = _expm_stack(A, ds[alive])
-        overflowed |= finite < len(alive)
-        norms = np.linalg.norm(E[:finite], 2, axis=(1, 2))
-        alive = alive[:finite][lipschitz * norms <= bound]
+        E = _expm_stack(A, ds[alive])
+        finite = np.isfinite(E).all(axis=(1, 2))
+        norms = np.linalg.norm(E[finite], 2, axis=(1, 2))
+        alive = alive[finite][lipschitz * norms <= bound]
         if not len(alive):
-            break
-    if len(alive):
-        return int(alive[0])
-    if overflowed:
-        raise _overflowed()
-    return None
+            return None
+    return int(alive[0])
 
 
 def dwell_bound(
@@ -760,13 +745,12 @@ def dwell_bound(
     override, which must be positive and finite): a scan on a grid of
     ``_DWELL_GRID``, then bisection to within ``_DWELL_TOL``.  The scan
     takes ``_DWELL_CHUNK`` grid points at a time, one stacked exponential
-    per mode (:func:`_first_contracting`); it gives the result of the
-    point-by-point scan bit for bit.  Modes are tried in order and a mode
-    stops being evaluated at a dwell where an earlier one fails, so an
-    exponential that overflows there raises no :class:`NumericFailure`.
-    Returns None when a mode is not Hurwitz or no dwell up to
-    ``_MAX_DWELL`` works.  Raises ``ValueError`` for a mode whose closed
-    loop is not linear.
+    per mode (:func:`_first_contracting`), and each bisection step takes
+    the same test on one dwell; the result is the point-by-point scan's
+    bit for bit.  A dwell whose exponential overflows does not contract,
+    so an overflow raises no :class:`NumericFailure`.  Returns None when a
+    mode is not Hurwitz or no dwell up to ``_MAX_DWELL`` works.  Raises
+    ``ValueError`` for a mode whose closed loop is not linear.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
@@ -781,9 +765,6 @@ def dwell_bound(
         lipschitz = max((tm.lipschitz for tm in system.table.values()), default=1.0)
     bound = 1.0 - gamma
 
-    def contracts(delta: float) -> bool:
-        return all(lipschitz * np.linalg.norm(expm(A, delta), 2) <= bound for A in mats)
-
     # 0, then the dwells a loop adding _DWELL_GRID reaches, bit for bit
     grid = np.cumsum(np.r_[0.0, np.full(round(_MAX_DWELL / _DWELL_GRID), _DWELL_GRID)])
     for c in range(1, len(grid), _DWELL_CHUNK):
@@ -795,7 +776,7 @@ def dwell_bound(
         return None
     while hi - lo > _DWELL_TOL:
         mid = 0.5 * (lo + hi)
-        if contracts(mid):
+        if _first_contracting(mats, np.array([mid]), lipschitz, bound) is not None:
             hi = mid
         else:
             lo = mid

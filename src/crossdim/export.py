@@ -14,6 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import NumericFailure
+
 __all__ = [
     "format_float",
     "write_error_csv",
@@ -302,7 +304,15 @@ def _jsonable(obj):
 
 
 def write_json(obj, path):
+    """Write ``obj`` as indented JSON with sorted keys.  A non-finite number,
+    which JSON cannot hold, raises :class:`NumericFailure` naming the file,
+    and nothing is written."""
+    try:
+        text = json.dumps(_jsonable(obj), indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        name = os.path.basename(path)
+        msg = f"{name} would hold a non-finite number"
+        raise NumericFailure(msg, operation="write_json") from None
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")

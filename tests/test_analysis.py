@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -123,6 +124,18 @@ def test_ctrb_rank_of_hidden_uncontrollable_pairs():
         assert ctrb_rank(A, B) == n // 2
         assert obs_rank(A.T, B.T) == n // 2
         assert not partial_ctrb(A, B, np.zeros((n, 0)))
+
+
+# finite entries whose 2-norm, A @ B and A^T A all overflow
+HUGE = np.full((2, 2), 1e308)
+
+
+def test_ranks_of_a_drift_whose_norm_overflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ctrb_rank(HUGE, [1.0, 0.0]) == 2  # A B is a multiple of [1, 1]
+        assert obs_rank(HUGE, [[1.0, 0.0]]) == 2
+        assert obs_rank(HUGE, [[1.0, 1.0]]) == 1  # [1, 1] A is a multiple of [1, 1]
 
 
 @st.composite
@@ -344,6 +357,16 @@ def test_reduce_model_validates():
         reduce_model(np.eye(2), m=0)
 
 
+def test_reduce_model_overflow_is_a_numeric_failure():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericFailure, match="operation=reduce_model") as exc:
+            reduce_model(HUGE, m=1)  # the mean of the rows overflows
+        with pytest.raises(NumericFailure, match="operation=reduce_model"):
+            reduce_model(np.eye(2), C=HUGE, m=1)  # C P^+ sums the columns
+    assert str(exc.value) == "reduced model overflowed (operation=reduce_model)"
+
+
 # ----------------------------------------------------------------- approx_error
 
 def test_approx_error_lossless_for_replicated_flow():
@@ -418,34 +441,28 @@ SWEEP = resources.files("crossdim") / "scenarios" / "reduction_sweep.json"
 
 def point_errors(A, x0, m_values, times):
     """The reduction errors one time point at a time, straight from scipy:
-    two exponentials, a lift and two norms per (m, t), in the order m, then
-    t.  A failure is raised as the point that meets it raises it."""
+    two exponentials, a lift and two norms per (t, m), in the order t, then
+    m.  The first time at which ``v_norm`` refuses a state or a gap that
+    overflowed (an exponential that overflowed gives one) raises there."""
     A = np.asarray(A, dtype=float)
     x0 = np.asarray(x0, dtype=float)
-
-    def flow(M, t, z):
-        E = scipy.linalg.expm(M * float(t))
-        if not np.isfinite(E).all():
-            raise NumericFailure("matrix exponential overflowed", operation="expm")
-        return E @ z
-
-    rows = []
-    for m in m_values:
-        A_pi, z0, back = reduce_model(A, m=m).A_pi, project(x0, m), bridge(len(A), m)
-        row = []
-        with np.errstate(over="ignore", invalid="ignore"):
-            for t in times:
-                x_t = flow(A, t, x0)
-                z_t = flow(A_pi, t, z0)
+    models = [(reduce_model(A, m=m).A_pi, project(x0, m), bridge(len(A), m)) for m in m_values]
+    cols = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in times:
+            x_t = scipy.linalg.expm(A * float(t)) @ x0
+            col = []
+            for A_pi, z0, back in models:
+                z_t = scipy.linalg.expm(A_pi * float(t)) @ z0
                 try:
                     denom = v_norm(x_t)
-                    row.append(math.nan if denom == 0.0 else v_norm(back @ z_t - x_t) / denom)
-                except ValueError:  # v_norm refuses a state or a gap that overflowed
+                    col.append(math.nan if denom == 0.0 else v_norm(back @ z_t - x_t) / denom)
+                except ValueError:
                     raise NumericFailure(
                         "state diverged", operation="approx_error", time=t
                     ) from None
-        rows.append(row)
-    return np.array(rows, dtype=float).reshape(len(m_values), len(times))
+            cols.append(col)
+    return np.array(cols, dtype=float).reshape(len(times), len(m_values)).T
 
 
 def sweep_cases():
@@ -504,21 +521,22 @@ def test_cli_error_tables_equal_the_per_point_loop(edit, tmp_path):
         assert np.array_equal(got.reshape(want.shape), want, equal_nan=True), name
 
 
-# drift, x0, m values, and the start of the failure the per-point loop meets first
+# drift, x0 and m values of runs that overflow; each fails at the first
+# time at which some m's error is undefined
 NILPOTENT = np.array([[-1.0, 100.0], [0.0, -1.0]])  # m = 1 reduces it to e^{49 t}
 SPLIT = np.array([[20.0, 0.0], [0.0, -20.0]])  # m = 1 reduces it to 0
 SKEW4 = np.triu(np.random.default_rng(7).standard_normal((4, 4)) * 30.0, 1) - np.eye(4)
 FAILURES = {
     # the reduced exponential overflows before the reduced state does
-    "reduced_overflow_first": (NILPOTENT, [1e-3, 1e-3], [2, 1], "matrix exponential overflowed"),
+    "reduced_overflow_first": (NILPOTENT, [1e-3, 1e-3], [2, 1]),
     # the reduced state overflows while its exponential is finite
-    "reduced_state_first": (NILPOTENT, [1e200, 1e200], [2, 1], "state diverged"),
+    "reduced_state_first": (NILPOTENT, [1e200, 1e200], [2, 1]),
     # e^{tA} overflows before e^{tA} x0 does
-    "full_overflow_first": (SPLIT, [1e-300, 1.0], [1], "matrix exponential overflowed"),
+    "full_overflow_first": (SPLIT, [1e-300, 1.0], [1]),
     # e^{tA} x0 overflows while e^{tA} is finite
-    "full_state_first": (SPLIT, [1e300, 1.0], [1], "state diverged"),
-    # m = 3 diverges at a later t than m = 1, but comes first
-    "first_m_wins": (SKEW4, [1e250] * 4, [3, 1], "state diverged"),
+    "full_state_first": (SPLIT, [1e300, 1.0], [1]),
+    # m = 1 diverges at an earlier t than m = 3, listed first
+    "first_m_wins": (SKEW4, [1e250] * 4, [3, 1]),
 }
 
 
@@ -527,19 +545,21 @@ FAILURES = {
 def test_reduction_failure_is_the_per_point_loops(case, entries, monkeypatch):
     if entries is not None:
         monkeypatch.setattr(analysis, "_STACK_ENTRIES", entries)
-    A, x0, m_values, message = FAILURES[case]
+    A, x0, m_values = FAILURES[case]
     x0 = np.array(x0)
     times = np.linspace(0.0, 200.0, 401)
     with pytest.raises(NumericFailure) as want:
         point_errors(A, x0, m_values, times)
-    assert str(want.value).startswith(message)
+    assert str(want.value).startswith("state diverged (operation=approx_error, t=")
     with pytest.raises(NumericFailure) as got:
         analysis._reduction_errors(A, x0, m_values, times)
     assert str(got.value) == str(want.value)
-    if case == "first_m_wins":  # m = 1 alone fails earlier
+    if case == "first_m_wins":  # the time m = 1 alone fails at, not m = 3's
         with pytest.raises(NumericFailure) as alone:
             analysis._reduction_errors(A, x0, [1], times)
-        assert alone.value.time < got.value.time
+        with pytest.raises(NumericFailure) as first:
+            analysis._reduction_errors(A, x0, [3], times)
+        assert got.value.time == alone.value.time < first.value.time
 
 
 def test_approx_error_memory_is_set_by_the_chunk_not_the_times():

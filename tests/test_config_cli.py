@@ -947,6 +947,103 @@ def test_cli_diverging_rk4_run_is_a_numeric_failure(tmp_path, capsys):
     assert not any(out.iterdir())
 
 
+HUGE = [[1e308, 1e308], [1e308, 1e308]]  # finite, but its 2-norm overflows
+
+
+def test_cli_approx_overflow_names_the_time(tmp_path, capsys):
+    # e^{20 t} overflows from t = 36 on while its state 1e-300 e^{20 t} stays
+    # finite: the error is undefined there, so the run fails at that time
+    case = {"label": "split", "A": [[20.0, 0.0], [0.0, -20.0]], "x0": [1e-300, 1.0],
+            "m_values": [1], "times": {"from": 1, "to": 100, "count": 100}}
+    config = _edited(
+        tmp_path, "reduction_sweep.json",
+        lambda raw: raw["experiment"]["approx"].update(cases=[case]),
+    )
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("approx", "--config", config, "--out", str(out)) == 3
+    assert caught == []
+    assert capsys.readouterr().err == (
+        "omega: numeric failure: state diverged (operation=approx_error, t=36)\n"
+    )
+    assert not any(out.iterdir())
+
+
+def test_cli_dwell_overflow_does_not_contract(tmp_path):
+    # Hurwitz, but ||e^{dA}||_2 is about 1e300 d e^{-d}: no dwell up to 50 works
+    def edit(raw):
+        raw["modes"][0]["A"] = [[-1.0, 1e300], [0.0, -1.0]]
+
+    config = _edited(tmp_path, "two_mode_contraction.json", edit)
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("dwell", "--config", config, "--out", str(out)) == 0
+    assert caught == []
+    report = json.loads((out / "dwell_report.json").read_text())
+    assert report["dwell"] is None
+    assert report["hurwitz"] == {"planar": True, "quad": True}
+
+
+@pytest.mark.parametrize(
+    "command, report, key, ranks",
+    [("ctrb", "ctrb_report.json", "kalman_rank", [2, 0]),
+     ("obs", "obs_report.json", "obs_rank", [1, 4])],
+)
+def test_cli_ranks_of_a_drift_whose_norm_overflows(tmp_path, command, report, key, ranks):
+    # B = [1, 0] reaches A B, a multiple of [1, 1]; H = [1, 1] sees only [1, 1]
+    def edit(raw):
+        raw["modes"][0].update(A=HUGE, B=[[1.0], [0.0]])
+
+    config = _edited(tmp_path, "two_mode_contraction.json", edit)
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(command, "--config", config, "--out", str(out)) == 0
+    assert caught == []
+    assert [r[key] for r in json.loads((out / report).read_text())] == ranks
+
+
+@pytest.mark.parametrize("with_errors", [False, True])
+def test_cli_reduced_model_overflow_is_a_numeric_failure(tmp_path, capsys, with_errors):
+    block = {"A": HUGE, "m_values": [1]}
+    if with_errors:
+        block.update(x0=[1.0, 1.0], times=[1.0])
+    config = _edited(
+        tmp_path, "reduction_sweep.json", lambda raw: raw["experiment"].update(reduce=block)
+    )
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("reduce", "--config", config, "--out", str(out)) == 3
+    assert caught == []
+    assert capsys.readouterr().err == (
+        "omega: numeric failure: reduced model overflowed (operation=reduce_model)\n"
+    )
+    assert not any(out.iterdir())
+
+
+def test_cli_json_with_an_overflowed_number_is_a_numeric_failure(tmp_path, capsys):
+    # the finite W has an operator norm above the float range
+    rule = {"explicit": [
+        {"from": 0, "to": 1, "W": [[1e308, 1e308]] * 4},
+        {"from": 1, "to": 0, "W": [[1, 0, 0, 0], [0, 1, 0, 0]]},
+    ]}
+
+    def edit(raw):
+        raw.update(transitions=rule, x0=[1e-300, 1e-300], horizon=5.0)
+
+    config = _edited(tmp_path, "two_mode_contraction.json", edit)
+    out = tmp_path / "o"
+    assert run_cli("embed", "--config", config, "--out", str(out)) == 3
+    assert capsys.readouterr().err == (
+        "omega: numeric failure: embedded_system.json would hold a non-finite "
+        "number (operation=write_json)\n"
+    )
+    assert not any(out.iterdir())
+
+
 def test_cli_embed_carries_the_disturbance(tmp_path):
     disturbance = {"eta": "sin1", "mu": 0.5}
     config = _edited(

@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 from crossdim import cli, export
 from crossdim.dynamics import Segment, Trajectory
-from crossdim.export import _format_rows, format_float, write_error_csv, write_trajectory_csv
+from crossdim.errors import NumericFailure
+from crossdim.export import (
+    _format_rows,
+    format_float,
+    write_error_csv,
+    write_json,
+    write_trajectory_csv,
+)
 
 
 def empty_trajectory():
@@ -29,6 +36,17 @@ def test_error_csv_rows(tmp_path):
     assert lines[0] == "t,m,E"
     assert lines[1] == "1,9,0.5"
     assert lines[2].endswith("nan")
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_json_refuses_a_non_finite_number(tmp_path, value):
+    path = tmp_path / "report.json"
+    with pytest.raises(NumericFailure) as exc:
+        write_json({"ok": 1.0, "bad": [np.float64(value)]}, path)
+    assert str(exc.value) == (
+        "report.json would hold a non-finite number (operation=write_json)"
+    )
+    assert not path.exists()
 
 
 def test_format_float_round_trips():
