@@ -4,7 +4,8 @@
 
 Commands: simulate, embed, dwell, ctrb, obs, chain, reduce, approx,
 reduce-vec, lattice.  Exit codes: 0 success, 2 validation error,
-3 numeric failure.
+3 numeric failure.  Each command computes and returns its artifacts;
+``export.publish`` writes them only after it has returned.
 """
 
 from __future__ import annotations
@@ -22,13 +23,7 @@ from .config import Scenario, load_scenario
 from .dkstp import bridge
 from .dynamics import closed_loop_drift, dwell_bound, embed_common, simulate
 from .errors import ConfigError, NumericFailure
-from .export import (
-    write_error_csv,
-    write_events_csv,
-    write_json,
-    write_outputs_csv,
-    write_trajectory_csv,
-)
+from .export import error_table, events_table, outputs_table, publish, trajectory_table
 
 
 def _each_mode(scenario: Scenario, analyse, field: str) -> list:
@@ -44,14 +39,13 @@ def _each_mode(scenario: Scenario, analyse, field: str) -> list:
     return results
 
 
-def cmd_simulate(scenario: Scenario, out: str) -> int:
+def cmd_simulate(scenario: Scenario) -> dict:
     traj = simulate(scenario.system, scenario.signal, scenario.x0, scenario.step)
-    outputs = traj.segment_outputs  # an overflowing output fails before any write
-    write_trajectory_csv(traj, os.path.join(out, "trajectory.csv"))
-    write_events_csv(traj.events, os.path.join(out, "events.csv"))
-    if outputs is not None:
-        write_outputs_csv(traj, os.path.join(out, "outputs.csv"))
-    return 0
+    artifacts = {"trajectory.csv": trajectory_table(traj),
+                 "events.csv": events_table(traj.events)}
+    if traj.output_map is not None:
+        artifacts["outputs.csv"] = outputs_table(traj)
+    return artifacts
 
 
 def _segment_gap(A: np.ndarray, B: np.ndarray) -> float:
@@ -61,7 +55,7 @@ def _segment_gap(A: np.ndarray, B: np.ndarray) -> float:
     return float(v_norm_rows(diff).max())
 
 
-def cmd_embed(scenario: Scenario, out: str) -> int:
+def cmd_embed(scenario: Scenario) -> dict:
     common_dim = scenario.common_dim()
     embedded = embed_common(scenario.system)
     original = simulate(scenario.system, scenario.signal, scenario.x0, scenario.step)
@@ -95,13 +89,11 @@ def cmd_embed(scenario: Scenario, out: str) -> int:
             for ev in mirrored.events
         ],
     }
-    write_json(dump, os.path.join(out, "embedded_system.json"))
-    write_json(report, os.path.join(out, "equivalence_report.json"))
-    write_trajectory_csv(mirrored, os.path.join(out, "embedded_trajectory.csv"))
-    return 0
+    return {"embedded_system.json": dump, "equivalence_report.json": report,
+            "embedded_trajectory.csv": trajectory_table(mirrored)}
 
 
-def cmd_dwell(scenario: Scenario, out: str) -> int:
+def cmd_dwell(scenario: Scenario) -> dict:
     block = scenario.block("dwell")
     drifts = _each_mode(scenario, closed_loop_drift, "feedback")
     delta = dwell_bound(scenario.system, block["gamma"], lipschitz=block["lipschitz"])
@@ -111,21 +103,19 @@ def cmd_dwell(scenario: Scenario, out: str) -> int:
     }
     report = {"gamma": block["gamma"], "lipschitz_override": block["lipschitz"],
               "dwell": delta, "hurwitz": hurwitz}
-    write_json(report, os.path.join(out, "dwell_report.json"))
-    return 0
+    return {"dwell_report.json": report}
 
 
-def cmd_ctrb(scenario: Scenario, out: str) -> int:
+def cmd_ctrb(scenario: Scenario) -> dict:
     keys = ("label", "dim", "kalman_rank", "fully_controllable")
     reports = [
         {key: getattr(rep, key) for key in keys}
         for rep in _each_mode(scenario, analysis.controllability_report, "inputs")
     ]
-    write_json(reports, os.path.join(out, "ctrb_report.json"))
-    return 0
+    return {"ctrb_report.json": reports}
 
 
-def cmd_obs(scenario: Scenario, out: str) -> int:
+def cmd_obs(scenario: Scenario) -> dict:
     output = scenario.system.output
     if output is None or output.matrix is None:
         raise ConfigError("output.H: the obs command needs a linear output map")
@@ -137,52 +127,45 @@ def cmd_obs(scenario: Scenario, out: str) -> int:
         return {"label": m.label, "dim": m.dim, "obs_rank": rank,
                 "fully_observable": rank == m.dim}
 
-    write_json(_each_mode(scenario, report, "drift"), os.path.join(out, "obs_report.json"))
-    return 0
+    return {"obs_report.json": _each_mode(scenario, report, "drift")}
 
 
-def cmd_chain(scenario: Scenario, out: str) -> int:
+def cmd_chain(scenario: Scenario) -> dict:
     block = scenario.block("chain")
     start, target = block["start"], block["target"]
     _each_mode(scenario, analysis._linear_pair, "inputs")
     chain = analysis.reachability_chain(scenario.system, start, target)
     labels = None if chain is None else [scenario.system.modes[i].label for i in chain]
     report = {"start": start, "target": target, "chain": chain, "labels": labels}
-    write_json(report, os.path.join(out, "chain_report.json"))
-    return 0
+    return {"chain_report.json": report}
 
 
-def _error_rows(A, x0, m_values, times) -> np.ndarray:
-    """(t, m, E) rows of the reduction error, all times for each reduced
-    dimension m in turn."""
-    errors = analysis._reduction_errors(A, x0, m_values, times)
-    t = np.tile(times, len(m_values))
-    m = np.repeat(m_values, len(times))
-    return np.column_stack((t, m, errors.ravel()))
+def _error_table(spec: dict) -> tuple:
+    """The reduction-error table of an experiment's A, x0, m_values and times."""
+    m_values, times = spec["m_values"], spec["times"]
+    errors = analysis._reduction_errors(spec["A"], spec["x0"], m_values, times)
+    return error_table(times, m_values, errors)
 
 
-def cmd_approx(scenario: Scenario, out: str) -> int:
-    for case in scenario.block("approx")["cases"]:
-        rows = _error_rows(case["A"], case["x0"], case["m_values"], case["times"])
-        write_error_csv(rows, os.path.join(out, f"error_{case['label']}.csv"))
-    return 0
+def cmd_approx(scenario: Scenario) -> dict:
+    cases = scenario.block("approx")["cases"]
+    return {f"error_{case['label']}.csv": _error_table(case) for case in cases}
 
 
-def cmd_reduce(scenario: Scenario, out: str) -> int:
+def cmd_reduce(scenario: Scenario) -> dict:
     block = scenario.block("reduce")
     A = block["A"]
     models = []
     for m in block["m_values"]:
         red = analysis.reduce_model(A, block["B"], block["C"], m)
         models.append({"m": m, "A_pi": red.A_pi, "B_pi": red.B_pi, "C_pi": red.C_pi})
-    write_json({"n": len(A), "models": models}, os.path.join(out, "reduced_models.json"))
+    artifacts = {"reduced_models.json": {"n": len(A), "models": models}}
     if block["x0"] is not None and block["times"] is not None:
-        rows = _error_rows(A, block["x0"], block["m_values"], block["times"])
-        write_error_csv(rows, os.path.join(out, "reduce_error.csv"))
-    return 0
+        artifacts["reduce_error.csv"] = _error_table(block)
+    return artifacts
 
 
-def cmd_reduce_vec(scenario: Scenario, out: str) -> int:
+def cmd_reduce_vec(scenario: Scenario) -> dict:
     results = []
     for op in scenario.block("vectors")["ops"]:
         kind, x = op["op"], op["x"]
@@ -195,11 +178,10 @@ def cmd_reduce_vec(scenario: Scenario, out: str) -> int:
             results.append({"op": kind, "result": v_norm(x)})
         else:
             results.append({"op": kind, "result": project(x, op["m"])})
-    write_json(results, os.path.join(out, "vector_ops.json"))
-    return 0
+    return {"vector_ops.json": results}
 
 
-def cmd_lattice(scenario: Scenario, out: str) -> int:
+def cmd_lattice(scenario: Scenario) -> dict:
     dims = scenario.block("lattice")["dims"]
     try:
         lattice = build_lattice(dims)
@@ -207,8 +189,7 @@ def cmd_lattice(scenario: Scenario, out: str) -> int:
         raise ConfigError(f"experiment.lattice.dims: {exc}") from None
     report = {"generators": sorted(dims), "nodes": sorted(lattice.dims),
               "edges": lattice.hasse_edges()}
-    write_json(report, os.path.join(out, "lattice.json"))
-    return 0
+    return {"lattice.json": report}
 
 
 COMMANDS = {
@@ -242,13 +223,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         scenario = load_scenario(args.config, seed=args.seed, step=args.step)
-        os.makedirs(args.out, exist_ok=True)
-        return COMMANDS[args.command](scenario, args.out)
+        os.makedirs(args.out, exist_ok=True)  # an unusable --out fails before the run
+        publish(COMMANDS[args.command](scenario), args.out)
+        return 0
     except NumericFailure as exc:
         print(f"omega: numeric failure: {exc}", file=sys.stderr)
         return 3
     except (ConfigError, ValueError) as exc:
         print(f"omega: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # load_scenario reports its own as a ConfigError
+        print(f"omega: --out: {exc}", file=sys.stderr)
         return 2
 
 

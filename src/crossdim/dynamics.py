@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .cdspace import as_entries, project, v_norm, v_norm_rows
 from .dkstp import bridge
@@ -78,8 +77,11 @@ def _expm_stack(A, ts: np.ndarray) -> np.ndarray:
 
     One ``scipy.linalg.expm`` call on the stack ``ts[:, None, None] * A``:
     scipy runs the same per-slice code as on a single matrix, so slice i is
-    e^{ts[i] A} bit for bit as :func:`expm` gives it.
+    e^{ts[i] A} bit for bit as :func:`expm` gives it.  scipy loads here, at
+    the first exponential, so a command that takes none never imports it.
     """
+    import scipy.linalg
+
     M = np.asarray(A, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("expm expects a square matrix")

@@ -1,7 +1,9 @@
-"""Deterministic CSV/JSON artifact writers.
+"""Deterministic CSV/JSON artifacts: table builders and their one writer.
 
-Floats print with 17 significant digits; rows use LF newlines regardless
-of platform, so equal inputs produce byte-identical files.
+A CSV table is ``(header, parts)``, each part ``(columns, suffixes)`` as
+:func:`_write_csv` prints it; :func:`publish` writes every artifact of a
+command.  Floats print with 17 significant digits; rows use LF newlines
+regardless of platform, so equal inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -17,12 +19,13 @@ import numpy as np
 from .errors import NumericFailure
 
 __all__ = [
+    "error_table",
+    "events_table",
     "format_float",
-    "write_error_csv",
-    "write_events_csv",
-    "write_json",
-    "write_outputs_csv",
-    "write_trajectory_csv",
+    "json_text",
+    "outputs_table",
+    "publish",
+    "trajectory_table",
 ]
 
 
@@ -231,25 +234,23 @@ def _format_rows(block: np.ndarray, suffixes: list) -> bytes:
     return text.reshape(-1).take(np.flatnonzero(kept)).tobytes()
 
 
-def _write_csv(path, header: list, parts) -> None:
+def _write_csv(fh, header: list, parts) -> None:
     """Write the header line, then each ``(columns, suffixes)`` part: arrays
     of equal length whose stacked columns :func:`_format_rows` prints."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(",".join(header).encode() + b"\n")
-        for columns, suffixes in parts:
-            columns = [np.asarray(c, dtype=float) for c in columns]
-            step = max(1, _BLOCK_CELLS // len(suffixes))
-            for k in range(0, len(columns[0]), step):
-                block = np.column_stack([c[k : k + step] for c in columns])
-                fh.write(_format_rows(block, suffixes))
+    fh.write(",".join(header).encode() + b"\n")
+    for columns, suffixes in parts:
+        columns = [np.asarray(c, dtype=float) for c in columns]
+        step = max(1, _BLOCK_CELLS // len(suffixes))
+        for k in range(0, len(columns[0]), step):
+            block = np.column_stack([c[k : k + step] for c in columns])
+            fh.write(_format_rows(block, suffixes))
 
 
 def _suffixes(cols: int, last: bytes = b"\n") -> list:
     return [b","] * (cols - 1) + [last]
 
 
-def write_trajectory_csv(traj, path):
+def trajectory_table(traj) -> tuple:
     """Rows: t, mode, dim, v_norm, x_0..x_{D-1}; short states padded with empties."""
     D = traj.max_dim
     header = ["t", "mode", "dim", "v_norm"] + [f"x_{i}" for i in range(D)]
@@ -259,34 +260,31 @@ def write_trajectory_csv(traj, path):
         suffixes = _suffixes(n + 2, b"," * (D - n) + b"\n")
         suffixes[0] = b",%d,%d," % (int(mode), n)
         parts.append(((seg.times, vnorms, seg.states), suffixes))
-    _write_csv(path, header, parts)
+    return header, parts
 
 
-def write_events_csv(events, path):
+def events_table(events) -> tuple:
     """Rows: t, pre_dim, post_dim, gap, amplitude."""
     # a whole number below 2**53 prints by %.17g as by str(int)
     columns = np.array(
         [(ev.time, ev.pre_dim, ev.post_dim, ev.gap, ev.amplitude) for ev in events], dtype=float
     ).reshape(-1, 5)
-    _write_csv(path, ["t", "pre_dim", "post_dim", "gap", "amplitude"], [((columns,), _suffixes(5))])
+    return ["t", "pre_dim", "post_dim", "gap", "amplitude"], [((columns,), _suffixes(5))]
 
 
-def write_outputs_csv(traj, path):
-    """Rows: t, y_0..y_{p-1} (only written when an output map is configured)."""
-    p = max(Y.shape[1] for Y in traj.segment_outputs)
-    parts = [
-        ((seg.times, Y), _suffixes(1 + Y.shape[1]))
-        for seg, Y in zip(traj.segments, traj.segment_outputs)
-    ]
-    _write_csv(path, ["t"] + [f"y_{i}" for i in range(p)], parts)
+def outputs_table(traj) -> tuple:
+    """Rows: t, y_0..y_{p-1}, for a trajectory with an output map."""
+    outputs = traj.segment_outputs
+    p = max(Y.shape[1] for Y in outputs)
+    parts = [((seg.times, Y), _suffixes(1 + Y.shape[1])) for seg, Y in zip(traj.segments, outputs)]
+    return ["t"] + [f"y_{i}" for i in range(p)], parts
 
 
-def write_error_csv(rows, path):
-    """Rows: t, m, E for reduction-error tables, given as a (k, 3) array or
-    a sequence of (t, m, E) with a whole-number m."""
-    # a whole number below 2**53 prints by %.17g as by str(int)
-    rows = np.asarray(rows, dtype=float).reshape(-1, 3)
-    _write_csv(path, ["t", "m", "E"], [((rows,), _suffixes(3))])
+def error_table(times, m_values, errors) -> tuple:
+    """Rows: t, m, E of a reduction-error table, every time for each reduced
+    dimension m in turn; ``errors[i]`` holds the errors of ``m_values[i]``."""
+    parts = [((times, row), [b",%d," % m, b"\n"]) for m, row in zip(m_values, errors)]
+    return ["t", "m", "E"], parts
 
 
 def _jsonable(obj):
@@ -303,16 +301,28 @@ def _jsonable(obj):
     return obj
 
 
-def write_json(obj, path):
-    """Write ``obj`` as indented JSON with sorted keys.  A non-finite number,
-    which JSON cannot hold, raises :class:`NumericFailure` naming the file,
-    and nothing is written."""
+def json_text(obj, name: str) -> bytes:
+    """``obj`` as indented JSON with sorted keys and a final newline.  A
+    non-finite number, which JSON cannot hold, raises :class:`NumericFailure`
+    naming the file ``name``."""
     try:
         text = json.dumps(_jsonable(obj), indent=2, sort_keys=True, allow_nan=False)
     except ValueError:
-        name = os.path.basename(path)
         msg = f"{name} would hold a non-finite number"
         raise NumericFailure(msg, operation="write_json") from None
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text + "\n")
+    return (text + "\n").encode()
+
+
+def publish(artifacts: dict, out) -> None:
+    """Write each artifact into the directory ``out``: a ``.json`` name's
+    object as :func:`json_text`, any other name's ``(header, parts)`` table
+    as CSV, streamed a block at a time.  Every JSON text is made first, so
+    an object JSON cannot hold raises before any file is written."""
+    texts = {name: json_text(obj, name)
+             for name, obj in artifacts.items() if name.endswith(".json")}
+    for name, artifact in artifacts.items():
+        with open(os.path.join(out, name), "wb") as fh:
+            if name in texts:
+                fh.write(texts[name])
+            else:
+                _write_csv(fh, *artifact)

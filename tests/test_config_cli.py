@@ -1,6 +1,8 @@
 import copy
+import errno
 import json
 import math
+import os
 import signal
 import warnings
 from importlib import resources
@@ -882,6 +884,39 @@ def test_cli_diverging_reduction_is_a_numeric_failure(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "omega: numeric failure: state diverged (operation=approx_error, t=94)\n"
     )
+    # the reduced models were computed, but a failed run writes nothing
+    assert not any((tmp_path / "o").iterdir())
+
+
+def test_cli_failed_run_keeps_the_files_in_out(tmp_path):
+    def edit(raw):
+        raw["experiment"]["reduce"]["A"][5][5] = 7.5  # diverges as above
+
+    config = _edited(tmp_path, "reduction_sweep.json", edit)
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "reduced_models.json").write_bytes(b"older run\n")
+    (out / "notes.txt").write_bytes(b"kept\n")
+    assert run_cli("reduce", "--config", config, "--out", str(out)) == 3
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert files == {"reduced_models.json": b"older run\n", "notes.txt": b"kept\n"}
+
+
+@pytest.mark.parametrize(
+    "out, bad, code",
+    [
+        ("file", "file", errno.EEXIST),  # --out is a file
+        ("file/o", "file/o", errno.ENOTDIR),  # --out is under a file
+        ("o", "o/lattice.json", errno.EISDIR),  # the artifact's name is a directory
+    ],
+)
+def test_cli_unusable_out_exits_2(tmp_path, capsys, out, bad, code):
+    (tmp_path / "file").write_text("x")
+    (tmp_path / "o" / "lattice.json").mkdir(parents=True)
+    config = scenario_path("two_mode_contraction.json")
+    assert run_cli("lattice", "--config", config, "--out", str(tmp_path / out)) == 2
+    reason = f"[Errno {code}] {os.strerror(code)}: {str(tmp_path / bad)!r}"
+    assert capsys.readouterr().err == f"omega: --out: {reason}\n"
 
 
 def _edited(tmp_path, name, edit) -> str:
@@ -950,15 +985,19 @@ def test_cli_diverging_rk4_run_is_a_numeric_failure(tmp_path, capsys):
 HUGE = [[1e308, 1e308], [1e308, 1e308]]  # finite, but its 2-norm overflows
 
 
-def test_cli_approx_overflow_names_the_time(tmp_path, capsys):
+@pytest.mark.parametrize("good_cases_first", [False, True])
+def test_cli_approx_overflow_names_the_time(tmp_path, capsys, good_cases_first):
     # e^{20 t} overflows from t = 36 on while its state 1e-300 e^{20 t} stays
-    # finite: the error is undefined there, so the run fails at that time
+    # finite: the error is undefined there, so the run fails at that time;
+    # the tables of the shipped cases before it are not written either
     case = {"label": "split", "A": [[20.0, 0.0], [0.0, -20.0]], "x0": [1e-300, 1.0],
             "m_values": [1], "times": {"from": 1, "to": 100, "count": 100}}
-    config = _edited(
-        tmp_path, "reduction_sweep.json",
-        lambda raw: raw["experiment"]["approx"].update(cases=[case]),
-    )
+
+    def edit(raw):
+        cases = raw["experiment"]["approx"]["cases"] if good_cases_first else []
+        raw["experiment"]["approx"]["cases"] = cases + [case]
+
+    config = _edited(tmp_path, "reduction_sweep.json", edit)
     out = tmp_path / "o"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -1,5 +1,4 @@
 import math
-import os
 from importlib import resources
 
 import numpy as np
@@ -8,45 +7,49 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossdim import cli, export
+from crossdim.config import load_scenario
 from crossdim.dynamics import Segment, Trajectory
-from crossdim.errors import NumericFailure
-from crossdim.export import (
-    _format_rows,
-    format_float,
-    write_error_csv,
-    write_json,
-    write_trajectory_csv,
-)
+from crossdim.errors import ConfigError, NumericFailure
+from crossdim.export import _format_rows, error_table, format_float, publish, trajectory_table
 
 
 def empty_trajectory():
     return Trajectory(segments=(), segment_modes=(), events=[])
 
 
+def published(tmp_path, name, table) -> str:
+    """The text ``publish`` writes for one CSV table."""
+    publish({name: table}, tmp_path)
+    return (tmp_path / name).read_bytes().decode()
+
+
 def test_empty_trajectory_writes_header_only(tmp_path):
-    path = tmp_path / "t.csv"
-    write_trajectory_csv(empty_trajectory(), path)
-    assert path.read_text() == "t,mode,dim,v_norm\n"
+    assert published(tmp_path, "t.csv", trajectory_table(empty_trajectory())) == (
+        "t,mode,dim,v_norm\n"
+    )
 
 
 def test_error_csv_rows(tmp_path):
-    path = tmp_path / "e.csv"
-    write_error_csv([(1.0, 9, 0.5), (2.0, 9, float("nan"))], path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,m,E"
-    assert lines[1] == "1,9,0.5"
-    assert lines[2].endswith("nan")
+    table = error_table([1.0, 2.0], [9, 12], [[0.5, float("nan")], [0.25, 1.0]])
+    lines = published(tmp_path, "e.csv", table).splitlines()
+    assert lines == ["t,m,E", "1,9,0.5", "2,9,nan", "1,12,0.25", "2,12,1"]
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_json_refuses_a_non_finite_number(tmp_path, value):
-    path = tmp_path / "report.json"
+    # the refusal comes before any file: the CSV and the good JSON named
+    # first are not written either
+    artifacts = {
+        "e.csv": error_table([1.0], [3], [[0.5]]),
+        "ok.json": {"ok": 1.0},
+        "report.json": {"ok": 1.0, "bad": [np.float64(value)]},
+    }
     with pytest.raises(NumericFailure) as exc:
-        write_json({"ok": 1.0, "bad": [np.float64(value)]}, path)
+        publish(artifacts, tmp_path)
     assert str(exc.value) == (
         "report.json would hold a non-finite number (operation=write_json)"
     )
-    assert not path.exists()
+    assert not any(tmp_path.iterdir())
 
 
 def test_format_float_round_trips():
@@ -60,9 +63,8 @@ def test_trajectory_rows_print_like_format_float(tmp_path):
     times = np.linspace(0.0, 1.0, len(special))
     segments = (Segment(times, states[:, :3]), Segment(times, states))
     traj = Trajectory(segments, (0, 1), [])
-    path = tmp_path / "t.csv"
     with np.errstate(invalid="ignore", over="ignore"):
-        write_trajectory_csv(traj, path)
+        text = published(tmp_path, "t.csv", trajectory_table(traj))
         vnorms = traj.segment_vnorms
     want = ["t,mode,dim,v_norm," + ",".join(f"x_{i}" for i in range(len(special)))]
     for mode, seg, v in zip((0, 1), segments, vnorms):
@@ -71,16 +73,20 @@ def test_trajectory_rows_print_like_format_float(tmp_path):
             cells = [format_float(t), str(mode), str(n), format_float(vn)]
             cells += [format_float(c) for c in x] + [""] * (len(special) - n)
             want.append(",".join(cells))
-    assert path.read_text() == "\n".join(want) + "\n"
+    assert text == "\n".join(want) + "\n"
 
 
 def test_long_files_are_written_whole(tmp_path):
-    # lines are written in chunks; every chunk boundary must keep its newline
-    path = tmp_path / "e.csv"
-    rows = [(0.5 * k, 3, 1.0 / (k + 1)) for k in range(3 * 4096 + 5)]
-    write_error_csv(rows, path)
-    want = ["t,m,E"] + [f"{format_float(t)},3,{format_float(e)}" for t, _, e in rows]
-    assert path.read_text() == "\n".join(want) + "\n"
+    # lines are written in blocks; every block and part boundary must keep
+    # its newline
+    times = 0.5 * np.arange(3 * 4096 + 5)
+    errors = [1.0 / (times + 1), 1.0 / (times + 2)]
+    want = ["t,m,E"] + [
+        f"{format_float(t)},{m},{format_float(e)}"
+        for m, row in zip((3, 4), errors) for t, e in zip(times, row)
+    ]
+    text = published(tmp_path, "e.csv", error_table(times, [3, 4], errors))
+    assert text == "\n".join(want) + "\n"
 
 
 # --- the block formatter prints every cell as "%.17g" % x ------------------
@@ -152,10 +158,8 @@ def test_wide_padding_prints_like_percent(tmp_path):
         times = k + np.linspace(0.0, 1.0, 1500)
         segments.append(Segment(times, rng.standard_normal((1500, n)) * 10.0 ** rng.integers(-8, 8, (1500, n))))
     traj = Trajectory(tuple(segments), (0, 1, 0), [])
-    path = tmp_path / "t.csv"
-    write_trajectory_csv(traj, path)
     want = _reference_trajectory(traj)
-    assert path.read_text() == "\n".join(want) + "\n"
+    assert published(tmp_path, "t.csv", trajectory_table(traj)) == "\n".join(want) + "\n"
     assert want[1].endswith("," * 98)
 
 
@@ -176,8 +180,11 @@ def _reference_outputs(traj):
     return lines
 
 
-def _reference_errors(rows):
-    return ["t,m,E"] + ["%.17g,%d,%.17g" % (t, int(m), e) for t, m, e in rows]
+def _reference_errors(times, m_values, errors):
+    return ["t,m,E"] + [
+        "%.17g,%d,%.17g" % (t, m, e)
+        for m, row in zip(m_values, errors) for t, e in zip(times, row)
+    ]
 
 
 SCENARIOS = sorted(p.name for p in (resources.files("crossdim") / "scenarios").iterdir())
@@ -185,27 +192,39 @@ SCENARIOS = sorted(p.name for p in (resources.files("crossdim") / "scenarios").i
 
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_shipped_csv_artifacts_print_like_percent(name, tmp_path, monkeypatch):
+    # every table a command builds is published and compared with the
+    # per-cell reference of the data it was built from
     references = {
-        "write_trajectory_csv": _reference_trajectory,
-        "write_events_csv": _reference_events,
-        "write_outputs_csv": _reference_outputs,
-        "write_error_csv": _reference_errors,
+        "trajectory_table": _reference_trajectory,
+        "events_table": _reference_events,
+        "outputs_table": _reference_outputs,
+        "error_table": _reference_errors,
     }
+    built = []
+
+    def recording(builder, reference):
+        def build(*data):
+            table = builder(*data)
+            built.append((table, reference(*data)))
+            return table
+
+        return build
+
+    for builder, reference in references.items():
+        monkeypatch.setattr(cli, builder, recording(getattr(export, builder), reference))
+    scenario = load_scenario(str(resources.files("crossdim") / "scenarios" / name))
     checked = []
-
-    def checking(writer, reference):
-        def write(data, path):
-            writer(data, path)
-            with open(path, "r", encoding="utf-8", newline="") as fh:
-                assert fh.read() == "\n".join(reference(data)) + "\n", path
-            checked.append(os.path.basename(path))
-
-        return write
-
-    for writer, reference in references.items():
-        monkeypatch.setattr(cli, writer, checking(getattr(export, writer), reference))
-    config = str(resources.files("crossdim") / "scenarios" / name)
     for command in ("simulate", "embed", "approx", "reduce"):
-        cli.main([command, "--config", config, "--out", str(tmp_path / command)])
-    written = {os.path.basename(p) for p in map(str, tmp_path.glob("*/*.csv"))}
-    assert written and written == set(checked)
+        try:
+            artifacts = cli.COMMANDS[command](scenario)
+        except ConfigError:  # the scenario has no block for this command
+            continue
+        out = tmp_path / command
+        out.mkdir()
+        publish(artifacts, out)
+        for file, table in artifacts.items():
+            if file.endswith(".csv"):
+                (lines,) = [lines for built_table, lines in built if built_table is table]
+                assert (out / file).read_bytes().decode() == "\n".join(lines) + "\n", file
+                checked.append(file)
+    assert checked and len(checked) == len(built)
