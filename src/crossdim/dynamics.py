@@ -69,6 +69,11 @@ _DWELL_TOL = 1e-3
 #: Samples per block of the exact linear flow: each block starts from its
 #: own matrix exponential, so rounding compounds over at most this many steps.
 _FLOW_BLOCK = 256
+#: Entries of one stack of (d, d) matrices: a stacked exponential, the
+#: powers of a flow block, or a flow's anchors hold at most
+#: max(1, _STACK_ENTRIES // d**2) slices, so memory does not grow with the
+#: number of times or samples.
+_STACK_ENTRIES = 1 << 15
 
 
 def _expm_stack(A, ts: np.ndarray) -> np.ndarray:
@@ -444,36 +449,68 @@ def _powers(G: np.ndarray, step: float, count: int) -> np.ndarray:
     return P
 
 
+def _block_flow(G: np.ndarray, z0: np.ndarray, step: float, count: int,
+                offset: float = 0.0):
+    """Samples z_k = e^{G (offset + k step)} z0 for k < ``count``, yielded
+    block by block as (m, d) arrays, in order.
+
+    Sample j*B + i is E^i, from :func:`_powers`, applied to the anchor
+    e^{G (offset + j B step)} z0, with E = e^{G step}: each anchor is its
+    own exponential, so rounding compounds over at most one block, never
+    over the whole grid (Moler & Van Loan, SIAM Review 2003, "Nineteen
+    dubious ways", method 19).  A flow of any length costs the step's
+    exponential plus one per anchor.  The block length B is ``_FLOW_BLOCK``,
+    or fewer for a large G, so that the B powers hold at most
+    ``_STACK_ENTRIES`` entries; the anchors' exponentials are stacked
+    :func:`_expm_stack` calls within the same budget, each slice equal bit
+    for bit to one :func:`expm`.  So the matrices held at once are set by
+    that budget, never by ``count``.  At offset 0 the first anchor is z0
+    itself.  An anchor that overflowed makes its block's samples
+    non-finite; where e^{G step} overflows, the first ``next`` raises
+    :class:`NumericFailure`.
+    """
+    per_stack = max(1, _STACK_ENTRIES // len(G) ** 2)
+    block = min(_FLOW_BLOCK, per_stack)
+    rows = _powers(G, step, min(count, block)).reshape(-1, z0.size)
+    starts = np.arange(0, count, block)
+    ts = offset + starts * step
+    if offset == 0.0:
+        anchors = itertools.chain([z0], _anchors(G, z0, ts[1:], per_stack))
+    else:
+        anchors = _anchors(G, z0, ts, per_stack)
+    for start, anchor in zip(starts, anchors):
+        m = min(block, count - start)
+        yield (rows[: m * z0.size] @ anchor).reshape(m, -1)  # one product per block
+
+
+def _anchors(G: np.ndarray, z0: np.ndarray, ts: np.ndarray, per_stack: int):
+    """e^{G t} z0 for every t of ``ts``, in order, from stacked exponentials
+    of ``per_stack`` times each."""
+    for lo in range(0, len(ts), per_stack):
+        for E in _expm_stack(G, ts[lo : lo + per_stack]):
+            yield E @ z0
+
+
 def _linear_flow(G: np.ndarray, z0: np.ndarray, times: np.ndarray, step: float):
     """Samples of z(t) = e^{G (t - t0)} z0 on a grid from :func:`_grid`.
 
-    Sample j*B + i of the uniform grid is E^i applied to the anchor
-    e^{G j B step} z0, with E = e^{G step}, B = ``_FLOW_BLOCK`` and the
-    powers from :func:`_powers`; each anchor is its own exponential, so
-    rounding compounds over at most one block, never over the whole grid.
-    The anchors' exponentials are one stacked :func:`_expm_stack` call,
-    equal bit for bit to one :func:`expm` each.  A final partial step
-    (shorter than ``step``) starts from the sample before it.  An anchor
-    that overflowed makes its block's samples non-finite; where e^{G step}
-    or the partial step's exponential overflows, the samples it would give
-    are NaN.
+    The uniform part of the grid is :func:`_block_flow`'s.  A final partial
+    step (shorter than ``step``) starts from the sample before it.  An
+    anchor that overflowed makes its block's samples non-finite; where
+    e^{G step} or the partial step's exponential overflows, the samples it
+    would give are NaN.
     """
     count = len(times)
     partial = count > 1 and abs(times[-1] - times[-2] - step) > _TIME_EPS
     uniform = count - 1 if partial else count
     Z = np.full((count, z0.size), np.nan)
     Z[0] = z0
+    start = 0
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            P = _powers(G, step, min(uniform, _FLOW_BLOCK))
-            rows = P.reshape(-1, z0.size)  # one matrix-vector product per block
-            starts = range(0, uniform, _FLOW_BLOCK)
-            if len(starts) > 1:
-                E = _expm_stack(G, np.array(starts[1:]) * step)
-            for j, start in enumerate(starts):
-                anchor = E[j - 1] @ z0 if j else z0
-                m = min(_FLOW_BLOCK, uniform - start)
-                Z[start : start + m] = (rows[: m * z0.size] @ anchor).reshape(m, -1)
+            for samples in _block_flow(G, z0, step, uniform):
+                Z[start : start + len(samples)] = samples
+                start += len(samples)
             if partial:
                 Z[-1] = expm(G, times[-1] - times[-2]) @ Z[-2]
         except NumericFailure:
@@ -677,13 +714,17 @@ def embed_common(system: DvSystem) -> DvSystem:
     dimension) whose trajectories from replicated initial states stay
     equivalent to the original ones; switches become explicit reset maps
     confined to the replicated subspaces, and their jump events carry the
-    same gaps and directions as the original impulse log.  The disturbance
-    is carried over, so the result is the whole model.
+    same gaps and directions as the original impulse log.  Each reset map
+    keeps its original's Lipschitz constant, which it equals exactly: the
+    lift into dimension n is a ``v_norm`` isometry, the block average out
+    of it does not expand, and replicated states attain the original's
+    bound.  The disturbance is carried over, so the result is the whole model.
     """
     dims = [m.dim for m in system.modes]
     n = math.lcm(*dims)
     table = {
-        (i, j): TransitionMap(n, n, bridge(n, dims[j]) @ tm.matrix @ bridge(dims[i], n))
+        (i, j): TransitionMap(n, n, bridge(n, dims[j]) @ tm.matrix @ bridge(dims[i], n),
+                              lipschitz=tm.lipschitz)
         for (i, j), tm in system.table.items()
     }
     return DvSystem(

@@ -39,12 +39,18 @@ GAP_ZERO_TOL = 1e-12
 
 @dataclass(frozen=True)
 class TransitionMap:
-    """Linear jump from ``source_dim`` into ``target_dim``; ``lipschitz`` is derived."""
+    """Linear jump from ``source_dim`` into ``target_dim``.
+
+    ``lipschitz`` is its Lipschitz constant in the normalized norm.  Left
+    out, it is ``op_vnorm(matrix)``, an SVD value that may lie an ulp or so
+    on either side of the exact constant.  A builder that knows the exact
+    constant passes it: :func:`nearest_map` and ``embed_common``.
+    """
 
     source_dim: int
     target_dim: int
     matrix: np.ndarray = field(repr=False)
-    lipschitz: float = field(init=False)
+    lipschitz: float | None = None
 
     def __post_init__(self):
         W = np.asarray(self.matrix, dtype=float)
@@ -58,7 +64,10 @@ class TransitionMap:
         W = W.copy()
         W.setflags(write=False)
         object.__setattr__(self, "matrix", W)
-        object.__setattr__(self, "lipschitz", op_vnorm(W))
+        if self.lipschitz is None:
+            object.__setattr__(self, "lipschitz", op_vnorm(W))
+        elif not self.lipschitz >= 0.0:  # inf bounds anything, as op_vnorm may give
+            raise ValueError(f"lipschitz must be nonnegative, got {self.lipschitz}")
 
     def __call__(self, x) -> np.ndarray:
         a = as_entries(x)
@@ -70,9 +79,9 @@ class TransitionMap:
 
 
 def lipschitz_of(W) -> float:
-    """Norm bound L with ||W x||_V <= L ||x||_V; the operator norm of the matrix."""
-    matrix = W.matrix if isinstance(W, TransitionMap) else W
-    return op_vnorm(matrix)
+    """Norm bound L with ||W x||_V <= L ||x||_V: the ``lipschitz`` of a
+    :class:`TransitionMap`, the operator norm of a matrix."""
+    return W.lipschitz if isinstance(W, TransitionMap) else op_vnorm(W)
 
 
 def identity_map(n: int) -> TransitionMap:
@@ -80,8 +89,13 @@ def identity_map(n: int) -> TransitionMap:
 
 
 def nearest_map(n_p: int, n_q: int) -> TransitionMap:
-    """Minimal-distance jump: project the state onto the destination dimension."""
-    return TransitionMap(n_p, n_q, bridge(n_q, n_p))
+    """Minimal-distance jump: project the state onto the destination dimension.
+
+    Its Lipschitz constant is exactly 1: the lift to the lcm dimension is
+    a ``v_norm`` isometry, the block average onto n_q an orthogonal
+    projection for ``v_inner``, and a constant state attains 1.
+    """
+    return TransitionMap(n_p, n_q, bridge(n_q, n_p), lipschitz=1.0)
 
 
 def drop_map(n: int, m: int, dropped_indices=None) -> TransitionMap:

@@ -10,7 +10,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossdim import analysis
+from crossdim import analysis, dynamics
 from crossdim.analysis import (
     aggregate_run,
     approx_error,
@@ -465,34 +465,112 @@ def point_errors(A, x0, m_values, times):
     return np.array(cols, dtype=float).reshape(len(times), len(m_values)).T
 
 
+def assert_like_the_loop(got, want, uniform: bool):
+    """``got`` equals the per-point loop's ``want``: bit for bit, or on a
+    uniform grid, which the block-power flow samples, to within 1e-10
+    relative plus 1e-13; NaN only where ``want`` is NaN."""
+    if not uniform:
+        assert np.array_equal(got, want, equal_nan=True)
+        return
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    close = np.abs(got - want) <= 1e-10 * np.abs(want) + 1e-13
+    assert close[~np.isnan(want)].all(), np.abs(got - want).max()
+
+
 def sweep_cases():
+    """(A, x0, m_values, times, uniform) of the shipped sweeps and a few more."""
     sc = load_scenario(str(SWEEP))
-    cases = [(c["A"], c["x0"], c["m_values"], c["times"]) for c in sc.block("approx")["cases"]]
+    cases = [(c["A"], c["x0"], c["m_values"], c["times"], True)
+             for c in sc.block("approx")["cases"]]
     red = sc.block("reduce")
-    cases.append((red["A"], red["x0"], red["m_values"], red["times"]))
+    cases.append((red["A"], red["x0"], red["m_values"], red["times"], True))
     rng = np.random.default_rng(1018)
     skew = np.triu(rng.standard_normal((5, 5)), 1) * 4.0 - 0.7 * np.eye(5)
     x5 = rng.standard_normal(5)
     cases += [
-        (skew, x5, [5, 1, 2, 3, 4, 7, 10], np.linspace(0.0, 6.0, 37)),  # non-normal, m == n
-        (skew, x5, [3, 5], np.array([4.5, 0.0, 1e-3, 2.0, 2.0, 7.25, 0.3])),  # explicit list
-        (cases[0][0], cases[0][1], [9, 11], np.empty(0)),  # count: 0
+        (skew, x5, [5, 1, 2, 3, 4, 7, 10], np.linspace(0.0, 6.0, 37), True),  # non-normal, m == n
+        (skew, x5, [3, 5], np.linspace(-3.0, 40.0, 520), True),  # 3 blocks, from a negative t
+        (skew, x5, [3, 5], np.array([4.5, 0.0, 1e-3, 2.0, 2.0, 7.25, 0.3]), False),  # a list
+        (skew, x5, [3, 5], np.array([0.0, 1.0, 2.0 + 1e-9]), False),  # not quite uniform
+        (skew, x5, [3, 5], np.array([0.0, 1.0]), False),  # two times
+        (cases[0][0], cases[0][1], [9, 11], np.empty(0), False),  # count: 0
     ]
     return cases
 
 
-@pytest.mark.parametrize("entries", [None, 1, 7 * 25])
+@pytest.mark.parametrize(
+    "entries", [None, 1, 7 * 25, pytest.param((3600, 300), id="3600-300")]
+)
 def test_reduction_errors_equal_the_per_point_loop(entries, monkeypatch):
-    # one chunk, one time per chunk, and chunks that end mid-grid
+    # one chunk, one time per chunk, chunks that end mid-grid, and flow
+    # blocks and anchor stacks that end mid-chunk; analysis sets the chunks,
+    # dynamics the flow blocks and the anchors per stack
     if entries is not None:
-        monkeypatch.setattr(analysis, "_STACK_ENTRIES", entries)
-    for A, x0, m_values, times in sweep_cases():
+        chunk, stack = entries if isinstance(entries, tuple) else (entries, entries)
+        monkeypatch.setattr(analysis, "_STACK_ENTRIES", chunk)
+        monkeypatch.setattr(dynamics, "_STACK_ENTRIES", stack)
+    for A, x0, m_values, times, uniform in sweep_cases():
+        assert (analysis._uniform_step(times) is not None) == uniform
         got = analysis._reduction_errors(A, x0, m_values, times)
-        assert np.array_equal(got, point_errors(A, x0, m_values, times), equal_nan=True)
+        assert_like_the_loop(got, point_errors(A, x0, m_values, times), uniform)
         for m, row in zip(m_values, got):
             series = approx_error(A, x0, m, list(times))
             assert np.array_equal(series.times, times)
             assert np.array_equal(series.values, row, equal_nan=True)
+
+
+@pytest.mark.parametrize(
+    "times", [[1.0, 1.0, 1.0], [2.0, 1.0, 0.0], [-1.7e308, 0.0, 1.7e308]]
+)
+def test_only_an_increasing_grid_is_uniform(times):
+    # t_last - t_0 of the last grid overflows: no grid, and no warning
+    assert analysis._uniform_step(np.array(times)) is None
+
+
+def test_uniform_sweep_takes_two_exponentials_per_flow(monkeypatch):
+    # the shipped sweep: 100 times, one block; a list of the same times takes
+    # one stacked exponential of all 100 per flow
+    calls = []
+    stack = dynamics._expm_stack
+
+    def spy(A, ts):
+        calls.append(len(ts))
+        return stack(A, ts)
+
+    monkeypatch.setattr(dynamics, "_expm_stack", spy)
+    monkeypatch.setattr(analysis, "_expm_stack", spy)
+    A, x0, m_values, times, _ = sweep_cases()[1]
+    analysis._reduction_errors(A, x0, m_values, times)
+    assert calls == [1] * 2 * (1 + len(m_values))  # the step's and the first anchor's
+    calls.clear()
+    analysis._reduction_errors(A, x0, m_values, list(times) + [100.0])
+    assert calls == [101] * (1 + len(m_values))
+
+
+def test_uniform_sweep_stays_finite_where_the_exponential_overflows(tmp_path):
+    # e^{36 A} overflows, but its state 1e-300 e^{720} is about 2.9e12: the
+    # error is defined at every time, as in closed form
+    A, x0 = np.diag([20.0, -20.0]), np.array([1e-300, 1.0])
+    times = np.linspace(1.0, 36.0, 36)
+    with pytest.raises(NumericFailure, match=r"t=36\)"):
+        point_errors(A, x0, [1], times)
+    exact = np.exp(np.outer(times, [20.0, -20.0]) + np.log(x0))
+    lifted = np.full_like(exact, 0.5)  # m = 1 reduces A to 0 and x0 to its mean
+    want = np.array([v_norm(y - x) / v_norm(x) for y, x in zip(lifted, exact)])
+    got = analysis._reduction_errors(A, x0, [1], times)[0]
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+    assert want[-1] == pytest.approx(1.0, abs=1e-12) and want[0] > 1e8
+
+    raw = json.loads(SWEEP.read_text())
+    raw["experiment"]["approx"]["cases"] = [
+        {"label": "split", "A": A.tolist(), "x0": x0.tolist(), "m_values": [1],
+         "times": {"from": 1, "to": 36, "count": 36}}
+    ]
+    config = tmp_path / "split.json"
+    config.write_text(json.dumps(raw))
+    assert main(["approx", "--config", str(config), "--out", str(tmp_path)]) == 0
+    rows = np.loadtxt(tmp_path / "error_split.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(rows[:, 0], times) and np.array_equal(rows[:, 2], got)
 
 
 @pytest.mark.parametrize("edit", ["shipped", "count_0_and_a_list"])
@@ -506,6 +584,8 @@ def test_cli_error_tables_equal_the_per_point_loop(edit, tmp_path):
     sc = load_scenario(str(config))
     tables = {f"error_{c['label']}.csv": c for c in sc.block("approx")["cases"]}
     tables["reduce_error.csv"] = sc.block("reduce")
+    specs = {f"error_{c['label']}.csv": c["times"] for c in raw["experiment"]["approx"]["cases"]}
+    specs["reduce_error.csv"] = raw["experiment"]["reduce"]["times"]
     for command in ("approx", "reduce"):
         assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 0
     for name, c in tables.items():
@@ -518,7 +598,10 @@ def test_cli_error_tables_equal_the_per_point_loop(edit, tmp_path):
             point_errors(c["A"], c["x0"], c["m_values"], ts).ravel(),
         ])
         assert lines[0] == "t,m,E"
-        assert np.array_equal(got.reshape(want.shape), want, equal_nan=True), name
+        got = got.reshape(want.shape)
+        assert np.array_equal(got[:, :2], want[:, :2]), name
+        grid = isinstance(specs[name], dict) and specs[name]["count"] >= 3
+        assert_like_the_loop(got[:, 2], want[:, 2], grid)
 
 
 # drift, x0 and m values of runs that overflow; each fails at the first

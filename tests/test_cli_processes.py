@@ -39,7 +39,9 @@ def test_commands_without_an_exponential_never_import_scipy(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command, name", [("simulate", "two_mode_contraction.json"), ("approx", "reduction_sweep.json")]
+    "command, name",
+    [("simulate", "two_mode_contraction.json"), ("approx", "reduction_sweep.json"),
+     ("reduce", "reduction_sweep.json"), ("embed", "feedback_switch_fixed.json")],
 )
 def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path, command, name):
     trees = []

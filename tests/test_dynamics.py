@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from importlib import resources
@@ -322,6 +323,29 @@ def test_linear_flow_stacks_its_anchors_bit_for_bit(partial, expm_spy):
             assert expm_spy["stacks"] == ([] if count <= B else [(count - 1) // B])
             assert expm_spy["expm"] <= 2
     assert overflowed
+
+
+def test_simulate_flow_memory_is_set_by_the_stack_budget():
+    # n = 64: blocks of 8 samples and stacks of 8 anchors, where a block of
+    # _FLOW_BLOCK powers alone would be 8.4 MB
+    n, step = 64, 1e-3
+    A = -0.1 * np.eye(n) + 0.006 * np.random.default_rng(3).standard_normal((n, n))
+    system = DvSystem((Mode("big", n, A),))
+    signal = fixed_signal(1.0, switch_times=[], n_modes=1)
+    count = 1001
+    powers = dynamics._FLOW_BLOCK * n * n * 8
+    bound = 8 * dynamics._STACK_ENTRIES * 8 + 2 * count * n * 8  # a few stacks, the samples
+    assert bound < powers / 2
+    tracemalloc.start()
+    try:
+        traj = simulate(system, signal, np.ones(n), step)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj.times) == count
+    want = scipy.linalg.expm(A) @ np.ones(n)
+    np.testing.assert_allclose(traj.final_state, want, rtol=1e-12)
+    assert peak < bound
 
 
 def test_exact_flow_does_not_compound_rounding():
@@ -842,7 +866,14 @@ def test_the_table_gives_dwell_its_lipschitz_and_embed_its_maps(rule):
     delta = dwell_bound(system, 0.03)
     assert delta is not None
     assert delta == dwell_bound(system, 0.03, lipschitz=largest)
-    assert embed_common(system).table.keys() == system.table.keys()
+    embedded = embed_common(system).table
+    assert embedded.keys() == system.table.keys()
+    # an embedded reset map's constant equals its original's exactly
+    for key, tm in system.table.items():
+        assert embedded[key].lipschitz == tm.lipschitz
+        assert embedded[key].lipschitz == pytest.approx(op_vnorm(embedded[key].matrix), rel=1e-14)
+    if rule == "nearest":
+        assert largest == 1.0
 
 
 # ----------------------------------------------------------------- dwell_bound

@@ -6,6 +6,7 @@ import pytest
 from crossdim.cdspace import kron_lift, project, v_norm
 from crossdim.dkstp import bridge
 from crossdim.switching import (
+    TransitionMap,
     add_map,
     compose_maps,
     drop_map,
@@ -105,6 +106,23 @@ def test_lipschitz_recomputable_and_bounding():
         for _ in range(50):
             x = RNG.standard_normal(tm.source_dim)
             assert v_norm(tm(x)) <= tm.lipschitz * v_norm(x) + 1e-9
+
+
+def test_nearest_maps_report_lipschitz_exactly_1():
+    # the SVD value lands an ulp below 1 for about a third of these pairs
+    eps = np.finfo(float).eps
+    for p in range(1, 41):
+        for q in range(1, 41):
+            tm = nearest_map(p, q)
+            assert tm.lipschitz == lipschitz_of(tm) == 1.0, (p, q)
+            assert abs(lipschitz_of(tm.matrix) - 1.0) <= 4 * eps, (p, q)
+            assert v_norm(tm(np.full(p, 3.0))) == pytest.approx(3.0, rel=4 * eps)  # attained
+
+
+@pytest.mark.parametrize("lipschitz", [math.nan, -1.0])
+def test_a_stated_lipschitz_must_be_nonnegative(lipschitz):
+    with pytest.raises(ValueError, match="lipschitz"):
+        TransitionMap(2, 2, np.eye(2), lipschitz=lipschitz)
 
 
 # ------------------------------------------------------------------- jump gaps
