@@ -222,7 +222,7 @@ def reachability_chain(system, start: int, target: int):
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReducedModel:
     """Least-squares compression/expansion of a linear system across dimensions."""
 
@@ -273,7 +273,7 @@ def reduce_model(A, B=None, C=None, m: int | None = None) -> ReducedModel:
     return ReducedModel(n, m, A_pi, B_pi, C_pi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErrorSeries:
     """Relative approximation errors over time; NaN marks undefined points."""
 
@@ -432,7 +432,7 @@ def span_membership(v, basis, x) -> bool:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AggregateResult:
     """Member trajectory, nominal trajectory, and the relative error between them."""
 

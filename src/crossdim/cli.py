@@ -11,6 +11,7 @@ reduce-vec, lattice.  Exit codes: 0 success, 2 validation error,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -206,7 +207,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``omega`` argument parser, built on first use and then shared:
+    parsing reads it and never changes it."""
     parser = argparse.ArgumentParser(
         prog="omega",
         description="Simulate and analyze dimension-varying systems from scenario files.",

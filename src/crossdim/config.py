@@ -14,8 +14,8 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 from types import MappingProxyType
 
 import numpy as np
@@ -44,13 +44,17 @@ _FIELDS = ("name", "modes", "signal", "transitions", "x0", "step", "horizon",
            "output", "disturbance", "experiment")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """A validated scenario, ready to run.
 
     ``experiment`` maps each block to a read-only mapping of its parsed
     fields, keyed by JSON name, defaults filled in; ``dwell`` and
     ``lattice``, whose fields all have defaults, are always there.
+    :attr:`normalized` is computed when first read: :func:`validate_config`
+    reads it before it returns, so later edits to the caller's dict do not
+    reach it, and :func:`load_scenario`, whose dict no one else holds,
+    leaves it to the first reader.
     """
 
     name: str
@@ -60,7 +64,12 @@ class Scenario:
     step: float
     horizon: float
     experiment: MappingProxyType
-    normalized: dict
+    _normalize: object = field(repr=False)  # () -> the normalized config
+
+    @cached_property
+    def normalized(self) -> dict:
+        """The canonical raw config, as :func:`normalize_config` gives it."""
+        return self._normalize()
 
     def block(self, key: str) -> MappingProxyType:
         """The parsed ``experiment.<key>`` block of a command that needs it."""
@@ -510,8 +519,17 @@ def validate_config(raw: dict, seed=None, step=None) -> Scenario:
 
     ``seed``/``step`` are command-line overrides applied before validation
     of the corresponding fields.  Every ``experiment`` block is parsed
-    here, so a malformed block fails every command.
+    here, so a malformed block fails every command.  The scenario's
+    :attr:`~Scenario.normalized` is fixed before this returns.
     """
+    scenario = _build_scenario(raw, seed, step)
+    scenario.normalized  # the caller keeps ``raw`` and may edit it later
+    return scenario
+
+
+def _build_scenario(raw, seed, step) -> Scenario:
+    """:func:`validate_config` without reading ``normalized``, which is
+    computed from ``raw`` when first read."""
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected a JSON object")
     for key in raw:
@@ -539,8 +557,8 @@ def validate_config(raw: dict, seed=None, step=None) -> Scenario:
     experiment = _parse_experiment(raw.get("experiment", {}), modes)
 
     system = DvSystem(modes, transitions, output, impulse_scale=mu, disturbance=disturbance)
-    normalized = normalize_config(raw, seed=seed, step=step_val)
-    return Scenario(name, system, signal, x0, step_val, horizon, experiment, normalized)
+    normalize = partial(normalize_config, raw, seed=seed, step=step_val)
+    return Scenario(name, system, signal, x0, step_val, horizon, experiment, normalize)
 
 
 def normalize_config(raw: dict, seed=None, step=None) -> dict:
@@ -573,4 +591,4 @@ def load_scenario(path, seed=None, step=None) -> Scenario:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    return validate_config(raw, seed=seed, step=step)
+    return _build_scenario(raw, seed, step)  # no one else holds ``raw``

@@ -142,7 +142,7 @@ class AffineFeedback:
         return self.K @ np.asarray(x, dtype=float) + self.u0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mode:
     """One fixed-dimension mode: drift plus optional input channels.
 
@@ -232,7 +232,7 @@ class Disturbance:
         return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutputMap:
     """Constant-dimension output, evaluated through the nominal dimension q.
 
@@ -277,7 +277,7 @@ class OutputMap:
         return np.array([self.func(x) for x in S], dtype=float).reshape(len(S), -1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DvSystem:
     """A dimension-varying system: modes, a transition rule, optional output
     and disturbance.
@@ -318,7 +318,7 @@ class DvSystem:
         return {(i, j): nearest_map(dims[i], dims[j]) for i, j in pairs}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Segment:
     """Samples of one dwell interval: constant dimension throughout."""
 
@@ -326,7 +326,7 @@ class Segment:
     states: np.ndarray  # shape (len(times), dim)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Simulation output: the integrated segments plus the jump events.
 
@@ -670,6 +670,8 @@ def simulate(
     foreign dimension is projected onto the first mode's dimension with an
     event at t = 0.  To run a mode under another feedback law or another
     disturbance, replace it in the system with ``dataclasses.replace``.
+    A state that diverges raises :class:`NumericFailure` naming the index
+    of its segment, as in ``Trajectory.segments``, besides mode and time.
     """
     n_modes = len(system.modes)
     unknown = sorted(m for m in signal.mode_indices if not 0 <= m < n_modes)
@@ -692,7 +694,11 @@ def simulate(
 
     segments = []
     for (ta, tb, mi), mj in zip(intervals, modes[1:] + [None]):
-        seg = integrate_mode(system.modes[mi], x, ta, tb, step, system.disturbance)
+        try:
+            seg = integrate_mode(system.modes[mi], x, ta, tb, step, system.disturbance)
+        except NumericFailure as exc:  # name the visit: a run may revisit a mode
+            raise NumericFailure(exc.reason, operation=exc.operation, time=exc.time,
+                                 segment=len(segments)) from None
         segments.append(seg)
         x = seg.states[-1]
         if mj not in (None, mi):

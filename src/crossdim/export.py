@@ -283,8 +283,10 @@ def outputs_table(traj) -> tuple:
 def error_table(times, m_values, errors) -> tuple:
     """Rows: t, m, E of a reduction-error table, every time for each reduced
     dimension m in turn; ``errors[i]`` holds the errors of ``m_values[i]``."""
-    parts = [((times, row), [b",%d," % m, b"\n"]) for m, row in zip(m_values, errors)]
-    return ["t", "m", "E"], parts
+    times = np.asarray(times, dtype=float)
+    ms = np.repeat(np.asarray(m_values, dtype=float), len(times))  # %.17g prints m as %d
+    columns = (np.tile(times, len(m_values)), ms, np.asarray(errors, dtype=float).reshape(-1))
+    return ["t", "m", "E"], [(columns, _suffixes(3))]
 
 
 def _jsonable(obj):

@@ -37,7 +37,7 @@ __all__ = [
 GAP_ZERO_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitionMap:
     """Linear jump from ``source_dim`` into ``target_dim``.
 
@@ -148,7 +148,7 @@ def jump_gap(pre, post) -> float:
     return v_dist(pre, post)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JumpEvent:
     """Record of one switch: states on both sides, gap, direction, impulse size.
 

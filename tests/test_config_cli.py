@@ -1,3 +1,4 @@
+import argparse
 import copy
 import errno
 import json
@@ -11,8 +12,9 @@ import numpy as np
 import pytest
 
 from crossdim.cdspace import project, v_dist, v_norm
+from crossdim import cli
 from crossdim.cli import main
-from crossdim.config import load_scenario, validate_config
+from crossdim.config import load_scenario, normalize_config, validate_config
 from crossdim.dynamics import embed_common, simulate
 from crossdim.errors import ConfigError
 
@@ -139,6 +141,34 @@ def test_seed_and_step_overrides():
     assert overridden.normalized["step"] == 0.02
 
 
+def test_load_scenario_normalizes_only_when_read(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return normalize_config(*args, **kwargs)
+
+    path = scenario_path("feedback_switch_random.json")
+    monkeypatch.setattr("crossdim.config.normalize_config", counted)
+    scenario = load_scenario(path, seed=5, step=0.02)
+    assert calls == []
+    normalized = scenario.normalized
+    assert scenario.normalized is normalized and len(calls) == 1
+    assert (normalized["signal"]["seed"], normalized["step"]) == (5, 0.02)
+    with open(path, "r", encoding="utf-8") as fh:
+        assert normalized == validate_config(json.load(fh), seed=5, step=0.02).normalized
+
+
+def test_normalized_config_is_fixed_at_validation():
+    raw = minimal_config()
+    scenario = validate_config(raw)
+    want = copy.deepcopy(scenario.normalized)
+    raw["name"] = "edited"
+    raw["modes"][0]["A"][0][1] = 5.0
+    raw["x0"].append(3.0)
+    assert scenario.normalized == want
+
+
 def test_random_signal_requires_seed():
     cfg = {
         **minimal_config(),
@@ -160,6 +190,33 @@ def test_load_scenario_bad_json(tmp_path):
 
 def run_cli(*args) -> int:
     return main(list(args))
+
+
+def test_two_runs_build_the_parser_once(tmp_path, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    try:
+        path = scenario_path("two_stage_steering.json")
+        with pytest.raises(SystemExit) as rejected:
+            run_cli("nonsense", "--config", path, "--out", str(tmp_path / "a"))
+        assert rejected.value.code == 2
+        assert "invalid choice: 'nonsense'" in capsys.readouterr().err
+        for out in ("b", "c"):
+            assert run_cli("ctrb", "--config", path, "--out", str(tmp_path / out)) == 0
+    finally:
+        cli.build_parser.cache_clear()
+    assert len(built) == 1
+    assert not (tmp_path / "a").exists()
+    assert (tmp_path / "b" / "ctrb_report.json").read_bytes() == (
+        tmp_path / "c" / "ctrb_report.json"
+    ).read_bytes()
 
 
 def test_cli_simulate_writes_artifacts(tmp_path):
@@ -977,7 +1034,7 @@ def test_cli_diverging_rk4_run_is_a_numeric_failure(tmp_path, capsys):
     assert caught == []
     assert capsys.readouterr().err == (
         "omega: numeric failure: state diverged in mode 'planar' "
-        "(operation=integrate_mode, t=2.34)\n"
+        "(operation=integrate_mode, segment=0, t=2.34)\n"
     )
     assert not any(out.iterdir())
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from crossdim.analysis import aggregate_run, approx_error, reduce_model
 from crossdim.cdspace import kron_lift, project, v_dist
 from crossdim import dynamics
 from crossdim.config import load_scenario
@@ -29,7 +30,7 @@ from crossdim.dynamics import (
 )
 from crossdim.errors import NumericFailure
 from crossdim.registry import get_field, get_output_function
-from crossdim.switching import TransitionMap, fixed_signal, nearest_map
+from crossdim.switching import TransitionMap, fixed_signal, make_jump_event, nearest_map
 from rk4_reference import rk4_mode, rk4_system
 
 RNG = np.random.default_rng(23)
@@ -685,6 +686,53 @@ def test_simulate_checks_the_rule_before_integrating(monkeypatch):
     assert calls == []
     simulate(system, fixed_signal(3.0, switch_times=[1.0], modes=[1]), [1.0, 2.0], 1e-2)
     assert len(calls) == 2
+
+
+def test_divergence_names_the_visit_that_diverged():
+    # mode 0 runs on [0, 1) and again on [2, 3]; the disturbance overflows
+    # RK4 only from t = 2.5, so the second visit, segment 2, diverges
+    mode = Mode("grow", 1, np.array([[1.0]]))
+    flip = {(0, 1): TransitionMap(1, 1, [[-1.0]]), (1, 0): TransitionMap(1, 1, [[-1.0]])}
+    kick = Disturbance(1, lambda t: np.array([1e308 if t >= 2.5 else 0.0]))
+    system = DvSystem((mode, replace(mode, label="flipped")), flip, disturbance=kick)
+    signal = fixed_signal(3.0, switch_times=[1.0, 2.0], modes=[1, 0])
+    with pytest.raises(NumericFailure) as err:
+        simulate(system, signal, [1.0], 0.1)
+    assert (err.value.operation, err.value.segment) == ("integrate_mode", 2)
+    assert str(err.value) == (
+        "state diverged in mode 'grow' (operation=integrate_mode, segment=2, t=2.6)"
+    )
+
+
+def _array_holders():
+    """(class name, builder) of every frozen dataclass that holds arrays."""
+    mode = Mode("a", 2, -np.eye(2))
+    scenario = str(resources.files("crossdim") / "scenarios" / "two_mode_contraction.json")
+    builders = {
+        "TransitionMap": lambda: nearest_map(2, 3),
+        "JumpEvent": lambda: make_jump_event(0.5, [1.0, 2.0], [1.0, 2.0, 3.0]),
+        "Mode": lambda: Mode("a", 2, -np.eye(2)),
+        "OutputMap": lambda: OutputMap.from_matrix([[1.0, 2.0]]),
+        "DvSystem": contraction_system,
+        "Segment": lambda: integrate_mode(mode, [1.0, 2.0], 0.0, 0.1, 0.01),
+        "Trajectory": lambda: simulate(contraction_system(), fixed_signal(1.0, n_modes=2),
+                                       [1.0, 2.0], 0.1),
+        "Scenario": lambda: load_scenario(scenario),
+        "ReducedModel": lambda: reduce_model(-np.eye(4), m=2),
+        "ErrorSeries": lambda: approx_error(-np.eye(4), [1.0, 2.0, 3.0, 4.0], 2, [1.0]),
+        "AggregateResult": lambda: aggregate_run(mode, Mode("b", 4, -np.eye(4)),
+                                                 [1.0, 2.0, 3.0, 4.0], 0.1, 0.01),
+    }
+    return [pytest.param(name, build, id=name) for name, build in builders.items()]
+
+
+@pytest.mark.parametrize("name, build", _array_holders())
+def test_array_holders_compare_by_identity(name, build):
+    a, b = build(), build()
+    assert type(a).__name__ == name
+    assert (a == a) is True and (a == b) is False and (a != b) is True
+    assert hash(a) == hash(a) and a in {a} and b not in {a}
+    assert len({a, b, a}) == 2
 
 
 def test_jump_overflow_names_the_switch_time():

@@ -35,6 +35,22 @@ def test_error_csv_rows(tmp_path):
     assert lines == ["t,m,E", "1,9,0.5", "2,9,nan", "1,12,0.25", "2,12,1"]
 
 
+def test_error_table_is_one_part_printed_like_percent(tmp_path):
+    # m is a float column, which %.17g prints as the integer
+    times = np.array([0.0, 0.1, 1 / 3, 2.5, 1e-7, 40.0])
+    m_values = [1, 9, 10, 12, 99, 100, 4096, 1_999_999]
+    rng = np.random.default_rng(3)
+    errors = rng.random((len(m_values), len(times))) * 10.0 ** rng.integers(-20, 5, (8, 6))
+    errors[1, 2] = errors[3] = errors[7, 5] = math.nan
+    header, parts = table = error_table(times, m_values, errors)
+    assert header == ["t", "m", "E"] and len(parts) == 1
+    want = "".join(
+        "%.17g,%d,%.17g\n" % (t, m, e)
+        for m, row in zip(m_values, errors) for t, e in zip(times, row)
+    )
+    assert published(tmp_path, "e.csv", table) == "t,m,E\n" + want
+
+
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_json_refuses_a_non_finite_number(tmp_path, value):
     # the refusal comes before any file: the CSV and the good JSON named
