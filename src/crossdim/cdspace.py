@@ -49,7 +49,7 @@ REDUCE_ATOL = 1e-12
 MAX_LATTICE_NODES = 256
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CdVector:
     """A point of the cross-dimensional space, stored in one fixed dimension.
 

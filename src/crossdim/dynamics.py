@@ -74,6 +74,10 @@ _FLOW_BLOCK = 256
 #: max(1, _STACK_ENTRIES // d**2) slices, so memory does not grow with the
 #: number of times or samples.
 _STACK_ENTRIES = 1 << 15
+#: Entries that one :func:`simulate` call keeps for reuse across the visits
+#: of its modes (:class:`_FlowCache`): a powers block and a stack of anchor
+#: exponentials each hold at most ``_STACK_ENTRIES``.
+_CACHE_ENTRIES = 4 * _STACK_ENTRIES
 
 
 def _expm_stack(A, ts: np.ndarray) -> np.ndarray:
@@ -449,8 +453,39 @@ def _powers(G: np.ndarray, step: float, count: int) -> np.ndarray:
     return P
 
 
+class _FlowCache:
+    """Exponentials that the exact flows of one :func:`simulate` call share
+    across the visits of its modes.
+
+    For each distinct generator G at the run's step, keyed by its bytes:
+    the :func:`_powers` block and the first stack of anchor exponentials
+    e^{G j B step}, j = 1, 2, ... of :func:`_block_flow`.  They depend only
+    on (G, step, j), never on the state a visit enters with, and a kept
+    slice is the one a new computation would give, bit for bit.  What is
+    kept holds at most ``_CACHE_ENTRIES`` entries, whatever the number of
+    samples, visits or modes; an array that does not fit is computed at
+    each visit, as without a cache.  ``_FlowCache(0)`` keeps nothing.
+    """
+
+    def __init__(self, budget: int = _CACHE_ENTRIES):
+        self.arrays, self.room = {}, budget
+
+    def get(self, key, d: int) -> np.ndarray:
+        """The stack of (d, d) matrices kept under ``key``; empty if none."""
+        return self.arrays.get(key, np.empty((0, d, d)))
+
+    def keep(self, key, A: np.ndarray) -> np.ndarray:
+        """``A``, kept under ``key`` in place of what was there if it fits."""
+        old = self.arrays.get(key)
+        grow = A.size - (0 if old is None else old.size)
+        if grow <= self.room:
+            self.arrays[key] = A
+            self.room -= grow
+        return A
+
+
 def _block_flow(G: np.ndarray, z0: np.ndarray, step: float, count: int,
-                offset: float = 0.0):
+                offset: float = 0.0, cache: _FlowCache | None = None):
     """Samples z_k = e^{G (offset + k step)} z0 for k < ``count``, yielded
     block by block as (m, d) arrays, in order.
 
@@ -467,38 +502,60 @@ def _block_flow(G: np.ndarray, z0: np.ndarray, step: float, count: int,
     that budget, never by ``count``.  At offset 0 the first anchor is z0
     itself.  An anchor that overflowed makes its block's samples
     non-finite; where e^{G step} overflows, the first ``next`` raises
-    :class:`NumericFailure`.
+    :class:`NumericFailure`.  A flow from offset 0 with a ``cache`` takes
+    the powers and the first stack of anchor exponentials kept there, and
+    keeps what it computes of them while they fit the cache's
+    ``_CACHE_ENTRIES`` (:class:`_FlowCache`), so memory stays set by the
+    budgets; each anchor is still that exponential applied to this z0.
     """
-    per_stack = max(1, _STACK_ENTRIES // len(G) ** 2)
+    d = len(G)
+    per_stack = max(1, _STACK_ENTRIES // d**2)
     block = min(_FLOW_BLOCK, per_stack)
-    rows = _powers(G, step, min(count, block)).reshape(-1, z0.size)
+    if cache is None or offset != 0.0:
+        cache = _FlowCache(0)
+    key = (G.tobytes(), step)
+    powers = cache.get(("powers", key), d)
+    if len(powers) < min(count, block):
+        powers = cache.keep(("powers", key), _powers(G, step, min(count, block)))
+    rows = powers.reshape(-1, z0.size)
     starts = np.arange(0, count, block)
     ts = offset + starts * step
     if offset == 0.0:
-        anchors = itertools.chain([z0], _anchors(G, z0, ts[1:], per_stack))
+        anchors = itertools.chain([z0], _anchors(G, z0, ts[1:], per_stack, cache, key))
     else:
-        anchors = _anchors(G, z0, ts, per_stack)
+        anchors = _anchors(G, z0, ts, per_stack, cache, key)
     for start, anchor in zip(starts, anchors):
         m = min(block, count - start)
         yield (rows[: m * z0.size] @ anchor).reshape(m, -1)  # one product per block
 
 
-def _anchors(G: np.ndarray, z0: np.ndarray, ts: np.ndarray, per_stack: int):
+def _anchors(G: np.ndarray, z0: np.ndarray, ts: np.ndarray, per_stack: int,
+             cache: _FlowCache, key):
     """e^{G t} z0 for every t of ``ts``, in order, from stacked exponentials
-    of ``per_stack`` times each."""
-    for lo in range(0, len(ts), per_stack):
+    of ``per_stack`` times each.  The first stack extends the one ``cache``
+    keeps under ``key``, which must hold the exponentials of the same
+    leading times."""
+    head = min(len(ts), per_stack)
+    first = cache.get(("anchors", key), len(G))
+    if len(first) < head:
+        more = _expm_stack(G, ts[len(first) : head])
+        first = cache.keep(("anchors", key), np.concatenate([first, more]) if len(first) else more)
+    for E in first[:head]:
+        yield E @ z0
+    for lo in range(head, len(ts), per_stack):
         for E in _expm_stack(G, ts[lo : lo + per_stack]):
             yield E @ z0
 
 
-def _linear_flow(G: np.ndarray, z0: np.ndarray, times: np.ndarray, step: float):
+def _linear_flow(G: np.ndarray, z0: np.ndarray, times: np.ndarray, step: float,
+                 cache: _FlowCache | None = None):
     """Samples of z(t) = e^{G (t - t0)} z0 on a grid from :func:`_grid`.
 
-    The uniform part of the grid is :func:`_block_flow`'s.  A final partial
-    step (shorter than ``step``) starts from the sample before it.  An
-    anchor that overflowed makes its block's samples non-finite; where
-    e^{G step} or the partial step's exponential overflows, the samples it
-    would give are NaN.
+    The uniform part of the grid is :func:`_block_flow`'s, with ``cache``.
+    A final partial step (shorter than ``step``) starts from the sample
+    before it.  An anchor that overflowed makes its block's samples
+    non-finite; where e^{G step} or the partial step's exponential
+    overflows, the samples it would give are NaN.
     """
     count = len(times)
     partial = count > 1 and abs(times[-1] - times[-2] - step) > _TIME_EPS
@@ -508,7 +565,7 @@ def _linear_flow(G: np.ndarray, z0: np.ndarray, times: np.ndarray, step: float):
     start = 0
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            for samples in _block_flow(G, z0, step, uniform):
+            for samples in _block_flow(G, z0, step, uniform, cache=cache):
                 Z[start : start + len(samples)] = samples
                 start += len(samples)
             if partial:
@@ -546,7 +603,8 @@ def _generator(mode: Mode) -> np.ndarray | None:
 
 
 def integrate_mode(
-    mode: Mode, x0, t0: float, t1: float, step: float, disturbance=None
+    mode: Mode, x0, t0: float, t1: float, step: float, disturbance=None,
+    cache: _FlowCache | None = None,
 ) -> Segment:
     """Integrate one mode, closed by its own feedback, over [t0, t1].
 
@@ -557,6 +615,9 @@ def integrate_mode(
     mode with RK4, give its drift as an evaluator ``lambda x: A @ x``.  An
     open-loop run is ``integrate_mode(replace(mode, feedback=None), ...)``.
     A non-finite sample on either path raises :class:`NumericFailure`.
+    :func:`simulate` passes one ``cache`` to every visit of a run, so that
+    the exact path reuses exponentials (:class:`_FlowCache`); the samples
+    are the same bit for bit with or without it.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -573,7 +634,7 @@ def integrate_mode(
     if G is not None:
         # a bordered G moves [x; 1]; the extra column is dropped at the end
         z = np.append(x, 1.0) if len(G) > x.size else x
-        states = np.ascontiguousarray(_linear_flow(G, z, times, step)[:, : mode.dim])
+        states = np.ascontiguousarray(_linear_flow(G, z, times, step, cache)[:, : mode.dim])
     else:
         states = np.full((len(times), x.size), np.nan)
         states[0] = x
@@ -672,6 +733,11 @@ def simulate(
     disturbance, replace it in the system with ``dataclasses.replace``.
     A state that diverges raises :class:`NumericFailure` naming the index
     of its segment, as in ``Trajectory.segments``, besides mode and time.
+
+    The visits of one call share a :class:`_FlowCache`: a mode on the exact
+    path builds its step powers and its first stack of anchor exponentials
+    once, and later visits reuse them.  It holds at most
+    ``_CACHE_ENTRIES`` matrix entries and lives only as long as the call.
     """
     n_modes = len(system.modes)
     unknown = sorted(m for m in signal.mode_indices if not 0 <= m < n_modes)
@@ -692,10 +758,10 @@ def simulate(
         events.append(make_jump_event(0.0, x, post, system.impulse_scale))
         x = post
 
-    segments = []
+    segments, cache = [], _FlowCache()
     for (ta, tb, mi), mj in zip(intervals, modes[1:] + [None]):
         try:
-            seg = integrate_mode(system.modes[mi], x, ta, tb, step, system.disturbance)
+            seg = integrate_mode(system.modes[mi], x, ta, tb, step, system.disturbance, cache)
         except NumericFailure as exc:  # name the visit: a run may revisit a mode
             raise NumericFailure(exc.reason, operation=exc.operation, time=exc.time,
                                  segment=len(segments)) from None

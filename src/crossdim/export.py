@@ -39,9 +39,12 @@ def format_float(v: float) -> str:
 #: Cells formatted and written per block.  A long trajectory's text never
 #: sits in memory whole (joining all ~29k rows of a shipped run at once
 #: raised peak RSS by about 9 MB), and a block's working arrays stay in a
-#: core's cache: blocks of 3072-6144 cells took about 165 ns per cell,
-#: blocks of 12288 about 290 (2 MB of L2 per core).
-_BLOCK_CELLS = 4096
+#: core's cache (2 MB of L2 per core).  On the tables of the
+#: trajectory-outputs benchmark, six-word slots, in one process with the
+#: sizes interleaved (least of 30 passes, 2-core Xeon VM): 8192 cells took
+#: about 180 ns per cell, 4096 and 12288 about 188, 16384 about 203; each
+#: call also pays about 90 us whatever its size.
+_BLOCK_CELLS = 8192
 
 # The block formatter prints every cell as ``"%.17g" % x`` does.  A finite
 # x with _LOW <= |x| <= _HIGH is scaled to y = |x| * 10^(16 - k) in
@@ -61,8 +64,9 @@ _EXP0 = 300  # offset of the exponent tables; every cell has |k| < 300
 # suffix, such as "," or "\n":
 #   word 0: "-0.000", then the first digit and "."
 #   words 1-4: four 4-digit limbs, each digit followed by "."
-#   word 5: "e", exponent sign, three exponent digits; the suffix starts
-#           in its last three bytes (byte 45) and runs on into more words
+#   word 5: "e", exponent sign, three exponent digits; the suffix fills its
+#           last three bytes (byte 45 on), and a longer one stands in as
+#           one byte there (see _layout)
 # so digit i sits at byte 6 + 2i and its "." at 7 + 2i.  A keep-mask picked
 # by (sign, layout, digit count) selects the cell's text; one compaction of
 # the kept bytes gives the CSV rows.  Layouts 0..20 print fixed-point with
@@ -70,6 +74,10 @@ _EXP0 = 300  # offset of the exponent tables; every cell has |k| < 300
 # d.ddde+XX and d.ddde+XXX.
 _WORDS = 6
 _DIGIT0, _EXP, _SUFFIX0 = 6, 40, 45
+#: One-byte stand-ins for the suffixes too long for a slot: no cell's text
+#: and no suffix holds a control byte, and no table has more distinct long
+#: suffixes in a row than there are stand-ins.
+_STAND_INS = [bytes([c]) for c in range(1, 32) if c != ord("\n")]
 _SCI2, _SCI3 = 21, 22
 _LAYOUTS = 23
 
@@ -153,23 +161,39 @@ def _below(yh, yl, bound):
     return (yh < bound) | ((yh == bound) & (yl < 0))
 
 
-def _slot_words(suffixes: list) -> int:
-    """Words per cell slot: room for the longest suffix."""
-    return -(-(_SUFFIX0 + max(len(s) for s in suffixes)) // 8)
+def _layout(suffixes: tuple) -> tuple:
+    """How the slots of a row of cells end: ``(tail, splices)``.
+
+    The splice rule: a suffix longer than the three bytes a slot has after
+    its exponent is printed as a one-byte stand-in, and ``splices`` lists
+    the ``(stand_in, suffix)`` pairs to substitute after the compaction.
+    The row's last suffix stands in as a bare newline when it ends in one
+    and no other suffix holds one (the padding of a short state); the
+    others take control bytes.  ``tail`` holds each column's last slot
+    word as text and as keep-mask, shape (2, cols) of uint64.
+    """
+    start = _SUFFIX0 - 8 * (_WORDS - 1)  # the suffix's first byte in that word
+    stand_ins = iter(_STAND_INS)
+    bare = suffixes[-1].endswith(b"\n") and b"\n" not in b"".join(suffixes[:-1])
+    splices, tail = {}, np.zeros((2, len(suffixes), 8), dtype=np.uint8)
+    for c, s in enumerate(suffixes):
+        if len(s) > 8 - start and s not in splices:
+            splices[s] = b"\n" if bare and c == len(suffixes) - 1 else next(stand_ins)
+        s = splices.get(s, s)
+        tail[0, c, start : start + len(s)] = np.frombuffer(s, dtype=np.uint8)
+        tail[1, c, start : start + len(s)] = True
+    return tail.view(np.uint64)[:, :, 0], [(stand_in, s) for s, stand_in in splices.items()]
 
 
-def _format_rows(block: np.ndarray, suffixes: list) -> bytes:
+def _format_rows(block: np.ndarray, layout: tuple) -> bytes:
     """The CSV text of a (rows, cols) float block, each cell printed as
     ``"%.17g" % x`` and followed by its column's suffix bytes.
 
-    Where the padding before the last suffix's newline (the empty cells of
-    a short state) would widen every cell's slot, the rows end in a bare
-    newline and the padding goes in after the compaction: no other suffix
-    holds a newline.
+    ``layout`` is :func:`_layout` of the column suffixes.  Every slot is
+    six words wide: a suffix that does not fit prints as a stand-in byte,
+    replaced once the kept bytes are compacted.
     """
-    last, bare = suffixes[-1], suffixes[:-1] + [b"\n"]
-    if last.endswith(b"\n") and _slot_words(suffixes) > _slot_words(bare):
-        return _format_rows(block, bare).replace(b"\n", last)
+    tail, splices = layout
     powers, first, limbs, exps, tz, base, keep = _tables()
     rows, cols = block.shape
     n = block.size
@@ -208,42 +232,40 @@ def _format_rows(block: np.ndarray, suffixes: list) -> bytes:
         zeros[more] += tz[limb[more, i]]
     index = np.signbit(v) * (_LAYOUTS * 18) + base[k + _EXP0] + (17 - zeros)
 
-    width = _slot_words(suffixes)
-    tail = np.zeros((2, cols, 8 * width), dtype=np.uint8)
-    for c, s in enumerate(suffixes):
-        tail[0, c, _SUFFIX0 : _SUFFIX0 + len(s)] = np.frombuffer(s, dtype=np.uint8)
-        tail[1, c, _SUFFIX0 : _SUFFIX0 + len(s)] = True
-    tail = tail.view(np.uint64)[:, :, _WORDS - 1 :]
-    buf = np.empty((n, width), dtype=np.uint64)
-    mask = np.empty_like(buf)
+    buf = np.empty((n, _WORDS), dtype=np.uint64)
     buf[:, 0] = first[top]
     buf[:, 1 : _WORDS - 1] = limbs[limb]
     buf[:, _WORDS - 1] = exps[k + _EXP0]
-    mask[:, :_WORDS] = keep.take(index, axis=0)
-    b3, m3 = buf.reshape(rows, cols, width), mask.reshape(rows, cols, width)
-    b3[:, :, _WORDS - 1] |= tail[0, :, 0]
-    m3[:, :, _WORDS - 1] |= tail[1, :, 0]
-    b3[:, :, _WORDS:] = tail[0, :, 1:]
-    m3[:, :, _WORDS:] = tail[1, :, 1:]
+    mask = keep.take(index, axis=0)
+    buf.reshape(rows, cols, _WORDS)[:, :, _WORDS - 1] |= tail[0]
+    mask.reshape(rows, cols, _WORDS)[:, :, _WORDS - 1] |= tail[1]
     text, kept = buf.view(np.uint8), mask.view(bool)
     for i in np.flatnonzero(~direct).tolist():
         cell = np.frombuffer(b"%.17g" % v[i], dtype=np.uint8)
         text[i, : cell.size] = cell
         kept[i, :_SUFFIX0] = False
         kept[i, : cell.size] = True
-    return text.reshape(-1).take(np.flatnonzero(kept)).tobytes()
+    out = text.reshape(-1).take(np.flatnonzero(kept)).tobytes()
+    for stand_in, s in splices:
+        out = out.replace(stand_in, s)
+    return out
 
 
 def _write_csv(fh, header: list, parts) -> None:
     """Write the header line, then each ``(columns, suffixes)`` part: arrays
-    of equal length whose stacked columns :func:`_format_rows` prints."""
+    of equal length whose stacked columns :func:`_format_rows` prints, a
+    block at a time.  Each distinct suffix list is laid out once."""
     fh.write(",".join(header).encode() + b"\n")
+    layouts = {}
     for columns, suffixes in parts:
         columns = [np.asarray(c, dtype=float) for c in columns]
+        key = tuple(suffixes)
+        if key not in layouts:
+            layouts[key] = _layout(key)
         step = max(1, _BLOCK_CELLS // len(suffixes))
         for k in range(0, len(columns[0]), step):
             block = np.column_stack([c[k : k + step] for c in columns])
-            fh.write(_format_rows(block, suffixes))
+            fh.write(_format_rows(block, layouts[key]))
 
 
 def _suffixes(cols: int, last: bytes = b"\n") -> list:

@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 
 from crossdim.analysis import aggregate_run, approx_error, reduce_model
-from crossdim.cdspace import kron_lift, project, v_dist
+from crossdim.cdspace import CdVector, kron_lift, project, v_dist
 from crossdim import dynamics
 from crossdim.config import load_scenario
 from crossdim.dkstp import bridge, op_vnorm
@@ -349,6 +349,76 @@ def test_simulate_flow_memory_is_set_by_the_stack_budget():
     assert peak < bound
 
 
+def revisiting_system(n, n_modes):
+    """``n_modes`` stable modes of dimension n, every pair joined by the
+    identity, and a signal that visits mode 0 three times with unequal dwells."""
+    rng = np.random.default_rng(n)
+    modes = tuple(
+        Mode(f"m{k}", n, -0.5 * np.eye(n) + 0.05 * rng.standard_normal((n, n)))
+        for k in range(n_modes)
+    )
+    identity = TransitionMap(n, n, np.eye(n))
+    rule = {(i, j): identity for i in range(n_modes) for j in range(n_modes) if i != j}
+    visits = [0, 1, 0, n_modes - 1, 0]
+    switch_times = [0.05, 0.08, 0.3, 0.33]
+    return DvSystem(modes, rule), fixed_signal(0.34, switch_times, modes=visits[1:])
+
+
+@pytest.mark.parametrize("n, n_modes", [(64, 2), (64, 3), (3, 2)])
+def test_revisits_reuse_the_flow_bit_for_bit(n, n_modes):
+    # n = 64: blocks and anchor stacks of 8, so the 220-step visit needs
+    # more anchors than the first stack holds; the arrays of three such
+    # modes do not all fit the cache, and what does not fit is recomputed
+    system, signal = revisiting_system(n, n_modes)
+    step = 1e-3
+    traj = simulate(system, signal, np.linspace(1.0, -1.0, n), step)
+    assert traj.segment_modes == (0, 1, 0, n_modes - 1, 0)
+    assert [len(seg.times) for seg in traj.segments] == [51, 31, 221, 31, 11]
+    for seg, mi in zip(traj.segments, traj.segment_modes):
+        alone = integrate_mode(system.modes[mi], seg.states[0], seg.times[0], seg.times[-1], step)
+        np.testing.assert_array_equal(seg.times, alone.times)
+        np.testing.assert_array_equal(seg.states, alone.states)
+
+
+def test_a_revisit_within_the_cache_takes_no_exponential(monkeypatch):
+    # mode 0 runs 0.3, then 0.2: its second visit needs fewer powers and
+    # anchors than the first kept
+    log = []
+    real_stack, real_integrate = dynamics._expm_stack, dynamics.integrate_mode
+
+    def stack(A, ts):
+        log.append("stack")
+        return real_stack(A, ts)
+
+    def integrate(mode, *args):
+        log.append(mode.label)
+        return real_integrate(mode, *args)
+
+    monkeypatch.setattr(dynamics, "_expm_stack", stack)
+    monkeypatch.setattr(dynamics, "integrate_mode", integrate)
+    system = contraction_system()
+    signal = fixed_signal(0.9, switch_times=[0.3, 0.7], modes=[1, 0])
+    simulate(system, signal, [1.0, 2.0], 1e-3)
+    assert log[0] == "planar" and log.count("planar") == 2
+    second = log.index("planar", 1)
+    assert "stack" in log[:second] and "stack" not in log[second:]
+
+
+def test_simulate_keeps_nothing_between_calls(monkeypatch):
+    counts = []
+    real_stack = dynamics._expm_stack
+    monkeypatch.setattr(
+        dynamics, "_expm_stack", lambda A, ts: counts.append(len(ts)) or real_stack(A, ts)
+    )
+    system, signal = revisiting_system(64, 3)
+    per_call = []
+    for _ in range(2):
+        counts.clear()
+        simulate(system, signal, np.ones(64), 1e-3)
+        per_call.append(list(counts))
+    assert per_call[0] and per_call[0] == per_call[1]
+
+
 def test_exact_flow_does_not_compound_rounding():
     # c03 at step 1e-4: the closed loop reaches (1.5e, 1.5e) at the handoff
     scenario = load_scenario(scenario_path("two_stage_steering.json"), step=1e-4)
@@ -438,10 +508,13 @@ def test_the_mode_chooses_the_integration_path(monkeypatch):
     ],
 )
 def test_shipped_scenarios_take_the_exact_path(monkeypatch, name):
-    calls = []
+    # no visit builds an RK4 right-hand side, and every generator a visit
+    # moves by has its step's exponential taken (the visits of one mode
+    # share it, so there can be fewer than one per segment)
+    calls = set()
     real_expm = dynamics.expm
     monkeypatch.setattr(
-        dynamics, "expm", lambda A, t=1.0: calls.append(t) or real_expm(A, t)
+        dynamics, "expm", lambda A, t=1.0: calls.add((A.tobytes(), t)) or real_expm(A, t)
     )
 
     def no_rk4(mode, disturbance):
@@ -450,7 +523,12 @@ def test_shipped_scenarios_take_the_exact_path(monkeypatch, name):
     monkeypatch.setattr(dynamics, "_mode_rhs", no_rk4)
     scenario = load_scenario(scenario_path(name))
     traj = simulate(scenario.system, scenario.signal, scenario.x0, scenario.step)
-    assert len(calls) >= sum(len(seg.times) > 1 for seg in traj.segments)
+    moved = {
+        dynamics._generator(scenario.system.modes[mi]).tobytes()
+        for seg, mi in zip(traj.segments, traj.segment_modes)
+        if len(seg.times) > 1
+    }
+    assert moved and {(G, scenario.step) for G in moved} <= calls
 
 
 def test_integrate_validates():
@@ -709,6 +787,7 @@ def _array_holders():
     mode = Mode("a", 2, -np.eye(2))
     scenario = str(resources.files("crossdim") / "scenarios" / "two_mode_contraction.json")
     builders = {
+        "CdVector": lambda: CdVector([1.0, 2.0]),
         "TransitionMap": lambda: nearest_map(2, 3),
         "JumpEvent": lambda: make_jump_event(0.5, [1.0, 2.0], [1.0, 2.0, 3.0]),
         "Mode": lambda: Mode("a", 2, -np.eye(2)),

@@ -10,7 +10,9 @@ from crossdim import cli, export
 from crossdim.config import load_scenario
 from crossdim.dynamics import Segment, Trajectory
 from crossdim.errors import ConfigError, NumericFailure
-from crossdim.export import _format_rows, error_table, format_float, publish, trajectory_table
+from crossdim.export import (
+    _format_rows, _layout, error_table, format_float, publish, trajectory_table,
+)
 
 
 def empty_trajectory():
@@ -113,7 +115,7 @@ def format_like_percent(values, cols=1):
     and the per-cell ``%`` reference for the same rows."""
     block = np.asarray(values, dtype=float).reshape(-1, cols)
     suffixes = [b";"] * (cols - 1) + [b"\n"]
-    got = _format_rows(block, suffixes).decode()
+    got = _format_rows(block, _layout(tuple(suffixes))).decode()
     want = "".join(";".join("%.17g" % c for c in row) + "\n" for row in block.tolist())
     return got, want
 
@@ -244,3 +246,37 @@ def test_shipped_csv_artifacts_print_like_percent(name, tmp_path, monkeypatch):
                 assert (out / file).read_bytes().decode() == "\n".join(lines) + "\n", file
                 checked.append(file)
     assert checked and len(checked) == len(built)
+
+
+# --- the splice rule: suffixes too long for a slot stand in as one byte ----
+
+
+@pytest.mark.parametrize("cols", [1, 2, 5])
+def test_suffixes_of_any_length_print_like_percent(tmp_path, cols):
+    # ",mode,dim," with 1- to 3-digit numbers after the first cell and
+    # padding before the newline make suffixes of 1 to 16 bytes; parts of
+    # 0, 1, block - 1, block and block + 1 rows, each with the cells that
+    # "%" prints scattered in
+    fallback = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -1e-310, 2.2250738585072014e-308]
+    rng = np.random.default_rng(cols)
+    block = export._BLOCK_CELLS // cols
+    parts, want = [], "h\n"
+    lengths = set()
+    for rows, (mode, dim, pad) in zip(
+        [0, 1, block - 1, block, block + 1],
+        [(7, 2, 0), (12, 345, 2), (999, 100, 3), (5, 67, 15), (100, 4, 1)],
+    ):
+        suffixes = [b","] * (cols - 1) + [b"," * pad + b"\n"]
+        if cols > 1:
+            suffixes[0] = b",%d,%d," % (mode, dim)
+        lengths |= {len(s) for s in suffixes}
+        values = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-30, 30, (rows, cols))
+        flat = values.reshape(-1)
+        spots = rng.choice(flat.size, min(flat.size, len(fallback)), replace=False)
+        flat[spots] = fallback[: len(spots)]
+        parts.append(((values,), suffixes))
+        for row in values.tolist():
+            want += "".join("%.17g" % c + s.decode() for c, s in zip(row, suffixes))
+    assert lengths >= {1, 3, 4, 16} | ({5, 9} if cols > 1 else set())
+    got = published(tmp_path, "t.csv", (["h"], parts))
+    assert got.splitlines(keepends=True) == want.splitlines(keepends=True)
