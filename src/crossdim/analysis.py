@@ -151,8 +151,6 @@ class ControllabilityReport:
     dim: int
     kalman_rank: int
     fully_controllable: bool
-    subspace_dim: int = 0
-    partially_controllable: bool = False
 
 
 def _linear_pair(mode: Mode):
@@ -163,23 +161,9 @@ def _linear_pair(mode: Mode):
     return mode.drift, B
 
 
-def controllability_report(mode: Mode, subspace_basis=None) -> ControllabilityReport:
-    A, B = _linear_pair(mode)
-    rank = ctrb_rank(A, B)
-    s = 0
-    partial = rank == mode.dim
-    if subspace_basis is not None:
-        S = np.asarray(subspace_basis, dtype=float)
-        s = 0 if S.size == 0 else S.shape[1]
-        partial = partial_ctrb(A, B, S)
-    return ControllabilityReport(
-        label=mode.label,
-        dim=mode.dim,
-        kalman_rank=rank,
-        fully_controllable=rank == mode.dim,
-        subspace_dim=s,
-        partially_controllable=partial,
-    )
+def controllability_report(mode: Mode) -> ControllabilityReport:
+    rank = ctrb_rank(*_linear_pair(mode))
+    return ControllabilityReport(mode.label, mode.dim, rank, rank == mode.dim)
 
 
 def reachability_chain(system, start: int, target: int):

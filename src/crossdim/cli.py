@@ -11,6 +11,7 @@ reduce-vec, lattice.  Exit codes: 0 success, 2 validation error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import os
@@ -108,12 +109,8 @@ def cmd_dwell(scenario: Scenario) -> dict:
 
 
 def cmd_ctrb(scenario: Scenario) -> dict:
-    keys = ("label", "dim", "kalman_rank", "fully_controllable")
-    reports = [
-        {key: getattr(rep, key) for key in keys}
-        for rep in _each_mode(scenario, analysis.controllability_report, "inputs")
-    ]
-    return {"ctrb_report.json": reports}
+    reports = _each_mode(scenario, analysis.controllability_report, "inputs")
+    return {"ctrb_report.json": [dataclasses.asdict(rep) for rep in reports]}
 
 
 def cmd_obs(scenario: Scenario) -> dict:
@@ -161,7 +158,7 @@ def cmd_reduce(scenario: Scenario) -> dict:
         red = analysis.reduce_model(A, block["B"], block["C"], m)
         models.append({"m": m, "A_pi": red.A_pi, "B_pi": red.B_pi, "C_pi": red.C_pi})
     artifacts = {"reduced_models.json": {"n": len(A), "models": models}}
-    if block["x0"] is not None and block["times"] is not None:
+    if block["times"] is not None:  # given with x0
         artifacts["reduce_error.csv"] = _error_table(block)
     return artifacts
 
@@ -233,7 +230,7 @@ def main(argv=None) -> int:
     except NumericFailure as exc:
         print(f"omega: numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # a ConfigError is one
         print(f"omega: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # load_scenario reports its own as a ConfigError

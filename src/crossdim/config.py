@@ -32,9 +32,20 @@ __all__ = ["Scenario", "load_scenario", "validate_config", "normalize_config"]
 #: the count of an experiment's time list; also the most switches a dwell
 #: pattern or random dwell bounds may ask for (horizon over the shortest
 #: dwell), (n + m) lcm(n, m) >= m max(n, m) for an experiment's reduction from
-#: n to m, and the N^2 entries of a drift ``embed`` lifts to the common
-#: dimension N.  It bounds the work and memory of a run before it starts.
+#: n to m, the rows of all error tables of one command, the lcm dimension a
+#: ``vectors`` distance lifts to, and the N^2 entries of a drift ``embed``
+#: lifts to the common dimension N.  It bounds the work and memory of a run
+#: before it starts.
 MAX_SAMPLES = 2_000_000
+
+#: Most maps, n (n - 1) for n modes, that ``DvSystem.table`` may build for a
+#: nearest rule; ``simulate``, ``dwell``, ``chain`` and ``embed`` read them all.
+#: At 64 modes of dimensions 1-3 (4032 maps) ``embed`` takes about 1.0 s on a
+#: 2-core Xeon VM, the others less.
+MAX_NEAREST_PAIRS = 4096
+
+#: The signal kinds that draw random dwells from ``dwell_bounds`` and a seed.
+_RANDOM_KINDS = ("random", "random-dwell")
 
 #: An ``approx`` case label names its table file, ``error_<label>.csv``.
 _FILE_LABEL = re.compile(r"[A-Za-z0-9_-]+")
@@ -57,12 +68,10 @@ class Scenario:
     leaves it to the first reader.
     """
 
-    name: str
     system: DvSystem
     signal: SwitchingSignal
     x0: np.ndarray
     step: float
-    horizon: float
     experiment: MappingProxyType
     _normalize: object = field(repr=False)  # () -> the normalized config
 
@@ -94,6 +103,18 @@ def _require(raw: dict, key: str, path: str):
     if key not in raw:
         _fail(path, f"missing required field {key!r}")
     return raw[key]
+
+
+def _builtin(lookup, name, path: str, dim: int | None = None):
+    """``lookup(name)`` from the registry; an unknown name, or with ``dim`` a
+    builtin of another dimension (its first entry), fails at ``path``."""
+    try:
+        found = lookup(name)
+    except ValueError as exc:
+        _fail(path, str(exc))
+    if dim is not None and found[0] != dim:
+        _fail(path, f"builtin has dimension {found[0]}, mode has {dim}")
+    return found
 
 
 def _as_object(value, path: str, required=(), optional=()) -> dict:
@@ -246,27 +267,29 @@ def _as_times(times, path: str) -> np.ndarray:
     return grid
 
 
+def _error_rows(total: int, spec: dict, path: str) -> int:
+    """``total`` plus the rows of the error table of ``spec``'s ``times`` and
+    ``m_values``; a sum above MAX_SAMPLES fails at ``path``."""
+    total += len(spec["times"]) * len(spec["m_values"])
+    if total > MAX_SAMPLES:
+        _fail(path, f"{total} error-table rows exceed the budget of {MAX_SAMPLES}")
+    return total
+
+
 def _build_mode(spec, idx: int) -> Mode:
     path = f"modes[{idx}]"
     _as_object(spec, path, ("dim",), ("label", "A", "drift", "B", "inputs", "feedback"))
     label = spec.get("label", f"mode{idx}")
     if not isinstance(label, str):
         _fail(f"{path}.label", "expected a string")
-    dim = _as_int(spec["dim"], f"{path}.dim")
-    if dim < 1:
-        _fail(f"{path}.dim", "must be >= 1")
+    dim = _as_dim(spec["dim"], f"{path}.dim")
 
     if ("A" in spec) == ("drift" in spec):
         _fail(path, "give exactly one of 'A' (matrix) or 'drift' (builtin name)")
     if "A" in spec:
         drift = _as_matrix(spec["A"], dim, dim, f"{path}.A")
     else:
-        try:
-            fdim, drift = registry.get_drift(spec["drift"])
-        except ValueError as exc:
-            _fail(f"{path}.drift", str(exc))
-        if fdim != dim:
-            _fail(f"{path}.drift", f"builtin has dimension {fdim}, mode has {dim}")
+        _, drift = _builtin(registry.get_drift, spec["drift"], f"{path}.drift", dim)
 
     inputs = None
     if "B" in spec and "inputs" in spec:
@@ -274,19 +297,11 @@ def _build_mode(spec, idx: int) -> Mode:
     if "B" in spec:
         inputs = _as_matrix(spec["B"], dim, None, f"{path}.B", flat="column")
     elif "inputs" in spec:
-        try:
-            gdim, inputs = registry.get_input_channels(spec["inputs"])
-        except ValueError as exc:
-            _fail(f"{path}.inputs", str(exc))
-        if gdim != dim:
-            _fail(f"{path}.inputs", f"builtin has dimension {gdim}, mode has {dim}")
+        _, inputs = _builtin(registry.get_input_channels, spec["inputs"], f"{path}.inputs", dim)
 
     feedback = None
     if "feedback" in spec:
-        try:
-            feedback = registry.get_feedback(spec["feedback"])
-        except ValueError as exc:
-            _fail(f"{path}.feedback", str(exc))
+        feedback = _builtin(registry.get_feedback, spec["feedback"], f"{path}.feedback")
         if inputs is None:
             _fail(path, "feedback requires input channels")
     try:
@@ -304,7 +319,7 @@ def _build_signal(spec, n_modes: int, horizon: float, seed_override) -> Switchin
     path = "signal"
     kind = _as_object(spec, path, ("kind",), _FIXED_FIELDS + _RANDOM_FIELDS)["kind"]
     initial = _as_index(spec.get("initial_mode", 0), f"{path}.initial_mode", n_modes)
-    if kind not in ("fixed", "random", "random-dwell"):
+    if kind not in ("fixed", *_RANDOM_KINDS):
         _fail(f"{path}.kind", "must be 'fixed' or 'random'")
     _as_object(spec, path, ("kind",), _FIXED_FIELDS if kind == "fixed" else _RANDOM_FIELDS)
     key = "dwell_pattern" if kind == "fixed" else "dwell_bounds"
@@ -382,10 +397,7 @@ def _build_output(spec) -> OutputMap | None:
             _fail(f"{path}.q", "must match the column count of H")
         return OutputMap.from_matrix(H)
     _as_object(spec, path, ("h",))  # a builtin carries its own q
-    try:
-        q, p, h = registry.get_output_function(spec["h"])
-    except ValueError as exc:
-        _fail(f"{path}.h", str(exc))
+    q, p, h = _builtin(registry.get_output_function, spec["h"], f"{path}.h")
     return OutputMap.from_function(h, q, p)
 
 
@@ -395,10 +407,7 @@ def _build_disturbance(spec) -> tuple:
         return None, 0.0
     path = "disturbance"
     name = _as_object(spec, path, ("eta",), ("mu",))["eta"]
-    try:
-        dim, fn = registry.get_time_signal(name)
-    except ValueError as exc:
-        _fail(f"{path}.eta", str(exc))
+    dim, fn = _builtin(registry.get_time_signal, name, f"{path}.eta")
     mu = _as_number(spec.get("mu", 0.0), f"{path}.mu")
     if mu < 0:
         _fail(f"{path}.mu", "must be >= 0")
@@ -430,7 +439,7 @@ def _parse_lattice(block, path: str, modes) -> dict:
 
 def _parse_approx(block, path: str, modes) -> dict:
     _as_object(block, path, optional=("cases",))
-    cases, labels = [], set()
+    cases, labels, rows = [], set(), 0
     for k, case in enumerate(_as_list(block.get("cases"), f"{path}.cases")):
         cpath = f"{path}.cases[{k}]"
         label = _as_object(case, cpath, ("label", "A", "x0", "m_values", "times"))["label"]
@@ -441,13 +450,15 @@ def _parse_approx(block, path: str, modes) -> dict:
         labels.add(label)
         A = _as_square(case["A"], f"{cpath}.A")
         n = len(A)
-        cases.append(MappingProxyType({
+        fields = {
             "label": label,
             "A": A,
             "x0": _as_vector(case["x0"], f"{cpath}.x0", n),
             "m_values": _as_dims(case["m_values"], f"{cpath}.m_values", n),
             "times": _as_times(case["times"], f"{cpath}.times"),
-        }))
+        }
+        rows = _error_rows(rows, fields, f"{cpath}.m_values")
+        cases.append(MappingProxyType(fields))
     return {"cases": tuple(cases)}
 
 
@@ -461,10 +472,13 @@ def _parse_reduce(block, path: str, modes) -> dict:
         out["B"] = _as_matrix(block["B"], n, None, f"{path}.B", "column")
     if "C" in block:
         out["C"] = _as_matrix(block["C"], None, n, f"{path}.C", "row")
+    if ("x0" in block) != ("times" in block):  # the error table needs both
+        missing = "times" if "x0" in block else "x0"
+        _fail(path, f"missing required field {missing!r}: x0 and times come together")
     if "x0" in block:
         out["x0"] = _as_vector(block["x0"], f"{path}.x0", n)
-    if "times" in block:
         out["times"] = _as_times(block["times"], f"{path}.times")
+        _error_rows(0, out, f"{path}.m_values")
     return out
 
 
@@ -490,6 +504,10 @@ def _parse_vectors(block, path: str, modes) -> dict:
             fields["tol"] = _as_number(op.get("tol", 1e-9), f"{opath}.tol", positive=True)
         elif kind == "distance":
             fields["y"] = _as_vector(op["y"], f"{opath}.y")
+            lift = math.lcm(len(fields["x"]), len(fields["y"]))
+            if lift > MAX_SAMPLES:
+                _fail(f"{opath}.y", f"the lift to dimension {lift} with x exceeds "
+                      f"the budget of {MAX_SAMPLES}")
         elif kind == "project":
             fields["m"] = _as_dim(op["m"], f"{opath}.m", len(fields["x"]))
         ops.append(MappingProxyType(fields))
@@ -536,7 +554,6 @@ def _build_scenario(raw, seed, step) -> Scenario:
         if key not in _FIELDS:
             _fail(key, "unknown field")
 
-    name = raw.get("name", "scenario")
     mode_specs = _as_list(_require(raw, "modes", "top level"), "modes")
     modes = tuple(_build_mode(spec, i) for i, spec in enumerate(mode_specs))
     labels = [m.label for m in modes]
@@ -551,6 +568,10 @@ def _build_scenario(raw, seed, step) -> Scenario:
         _fail("step", f"{samples} exceeds the budget of {MAX_SAMPLES}")
     signal = _build_signal(_require(raw, "signal", "top level"), len(modes), horizon, seed)
     transitions = _build_transitions(raw.get("transitions", "nearest"), modes, signal)
+    pairs = len(modes) * (len(modes) - 1)
+    if transitions == "nearest" and pairs > MAX_NEAREST_PAIRS:
+        _fail("modes", f"{pairs} ordered pairs of {len(modes)} modes under the nearest rule "
+              f"exceed the budget of {MAX_NEAREST_PAIRS}")
     x0 = _as_vector(_require(raw, "x0", "top level"), "x0")
     output = _build_output(raw.get("output"))
     disturbance, mu = _build_disturbance(raw.get("disturbance"))
@@ -558,7 +579,7 @@ def _build_scenario(raw, seed, step) -> Scenario:
 
     system = DvSystem(modes, transitions, output, impulse_scale=mu, disturbance=disturbance)
     normalize = partial(normalize_config, raw, seed=seed, step=step_val)
-    return Scenario(name, system, signal, x0, step_val, horizon, experiment, normalize)
+    return Scenario(system, signal, x0, step_val, experiment, normalize)
 
 
 def normalize_config(raw: dict, seed=None, step=None) -> dict:
@@ -572,7 +593,7 @@ def normalize_config(raw: dict, seed=None, step=None) -> dict:
         "step": float(step if step is not None else raw["step"]),
         "horizon": float(raw["horizon"]),
     }
-    if seed is not None and out["signal"].get("kind") in ("random", "random-dwell"):
+    if seed is not None and out["signal"].get("kind") in _RANDOM_KINDS:
         out["signal"]["seed"] = int(seed)
     for key in ("output", "disturbance", "experiment"):
         if raw.get(key) is not None:

@@ -75,8 +75,8 @@ _EXP0 = 300  # offset of the exponent tables; every cell has |k| < 300
 _WORDS = 6
 _DIGIT0, _EXP, _SUFFIX0 = 6, 40, 45
 #: One-byte stand-ins for the suffixes too long for a slot: no cell's text
-#: and no suffix holds a control byte, and no table has more distinct long
-#: suffixes in a row than there are stand-ins.
+#: and no suffix holds a control byte other than the newline, and no table
+#: has more distinct long suffixes in a row than there are stand-ins.
 _STAND_INS = [bytes([c]) for c in range(1, 32) if c != ord("\n")]
 _SCI2, _SCI3 = 21, 22
 _LAYOUTS = 23
@@ -167,18 +167,15 @@ def _layout(suffixes: tuple) -> tuple:
     The splice rule: a suffix longer than the three bytes a slot has after
     its exponent is printed as a one-byte stand-in, and ``splices`` lists
     the ``(stand_in, suffix)`` pairs to substitute after the compaction.
-    The row's last suffix stands in as a bare newline when it ends in one
-    and no other suffix holds one (the padding of a short state); the
-    others take control bytes.  ``tail`` holds each column's last slot
-    word as text and as keep-mask, shape (2, cols) of uint64.
+    ``tail`` holds each column's last slot word as text and as keep-mask,
+    shape (2, cols) of uint64.
     """
     start = _SUFFIX0 - 8 * (_WORDS - 1)  # the suffix's first byte in that word
     stand_ins = iter(_STAND_INS)
-    bare = suffixes[-1].endswith(b"\n") and b"\n" not in b"".join(suffixes[:-1])
     splices, tail = {}, np.zeros((2, len(suffixes), 8), dtype=np.uint8)
     for c, s in enumerate(suffixes):
         if len(s) > 8 - start and s not in splices:
-            splices[s] = b"\n" if bare and c == len(suffixes) - 1 else next(stand_ins)
+            splices[s] = next(stand_ins)
         s = splices.get(s, s)
         tail[0, c, start : start + len(s)] = np.frombuffer(s, dtype=np.uint8)
         tail[1, c, start : start + len(s)] = True

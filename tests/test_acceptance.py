@@ -6,11 +6,10 @@ lines as they print).  Tolerances are pinned here and nowhere else.
 
 import hashlib
 import math
-from importlib import resources
 
 import numpy as np
 
-from crossdim.analysis import approx_error, reduce_model, restrict_field, span_membership
+from crossdim.analysis import approx_error, restrict_field, span_membership
 from crossdim.cdspace import (
     kron_lift,
     project,
@@ -32,12 +31,9 @@ from crossdim.dynamics import (
 )
 from crossdim.registry import get_field, get_span_basis
 from rk4_reference import rk4_mode
+from testkit import eig_reduction_error, scenario_path
 
 RNG = np.random.default_rng(2024)
-
-
-def scenario_path(name: str) -> str:
-    return str(resources.files("crossdim") / "scenarios" / name)
 
 
 def report(num: int, name: str, ok: bool, detail: str = ""):
@@ -146,22 +142,6 @@ def test_c04_feedback_switching_decays():
         ok,
         f"start={start:.4f} finals=" + ",".join(f"{v:.3f}" for v in finals.values()),
     )
-
-
-def eig_flows(A, x0, times):
-    """Columns e^{tA} x0, one per time, as V diag(e^{lambda t}) V^-1 x0."""
-    lam, V = np.linalg.eig(A)
-    ts = np.asarray(times, dtype=float)
-    return (V @ (np.exp(np.outer(lam, ts)) * np.linalg.solve(V, x0)[:, None])).real
-
-
-def eig_reduction_error(A, x0, m, times):
-    """approx_error's series, with both flows taken by eigendecomposition."""
-    n = A.shape[0]
-    full = eig_flows(A, x0, times)
-    reduced = eig_flows(reduce_model(A, m=m).A_pi, bridge(m, n) @ x0, times)
-    lifted = bridge(n, m) @ reduced
-    return np.linalg.norm(lifted - full, axis=0) / np.linalg.norm(full, axis=0)
 
 
 def test_c05_reduction_error_tables():

@@ -2,7 +2,6 @@ import json
 import math
 import tracemalloc
 import warnings
-from importlib import resources
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ from hypothesis import strategies as st
 
 from crossdim import analysis, dynamics
 from crossdim.analysis import (
+    ControllabilityReport,
     aggregate_run,
     approx_error,
     controllability_report,
@@ -31,6 +31,7 @@ from crossdim.dkstp import bridge
 from crossdim.dynamics import DvSystem, Mode
 from crossdim.errors import NumericFailure
 from crossdim.registry import get_field, get_span_basis
+from testkit import SCENARIO_DIR, eig_reduction_error
 
 RNG = np.random.default_rng(31)
 
@@ -222,11 +223,11 @@ def test_partial_ctrb_rejects_dependent_basis():
 
 def test_controllability_report():
     rep = controllability_report(steering_system().modes[1])
-    assert rep.kalman_rank == 3 and rep.fully_controllable
-    rep2 = controllability_report(
-        steering_system().modes[0], subspace_basis=intersection_basis(2, 3)
-    )
-    assert rep2.partially_controllable and rep2.subspace_dim == 1
+    assert rep == ControllabilityReport("chain3", 3, 3, True)
+    # the planar mode is controllable only transverse to the replicated line,
+    # which test_partial_ctrb_on_the_replicated_line checks with partial_ctrb
+    rep2 = controllability_report(steering_system().modes[0])
+    assert rep2 == ControllabilityReport("planar", 2, 1, False)
 
 
 # ---------------------------------------------------------- reachability chain
@@ -257,6 +258,22 @@ def test_reachability_chain_respects_explicit_pairs():
     )
     system = DvSystem(modes, transitions={(1, 0): nearest_map(3, 2)})
     assert reachability_chain(system, 0, 1) is None
+
+
+def test_reachability_chain_passes_through_an_intermediate_mode():
+    # the only declared switches are 0 -> 1 and 1 -> 2, so the search must
+    # carry mode 1 into its next frontier to reach 2
+    from crossdim.switching import nearest_map
+
+    modes = (
+        Mode("chain3", 3, CHAIN3_A, inputs=CHAIN3_B),
+        Mode("double2", 2, np.array([[0.0, 1.0], [0.0, 0.0]]), inputs=np.array([[0.0], [1.0]])),
+        Mode("chain3b", 3, CHAIN3_A, inputs=CHAIN3_B),
+    )
+    table = {(0, 1): nearest_map(3, 2), (1, 2): nearest_map(2, 3)}
+    assert reachability_chain(DvSystem(modes, transitions=table), 0, 2) == [0, 1, 2]
+    del table[(1, 2)]
+    assert reachability_chain(DvSystem(modes, transitions=table), 0, 2) is None
 
 
 def test_reachability_chain_computes_each_basis_once(monkeypatch):
@@ -378,22 +395,6 @@ def test_approx_error_lossless_for_replicated_flow():
         assert series.max() <= 1e-10
 
 
-def eig_flows(A, x0, times):
-    """Columns e^{tA} x0, one per time, as V diag(e^{lambda t}) V^-1 x0."""
-    lam, V = np.linalg.eig(A)
-    ts = np.asarray(times, dtype=float)
-    return (V @ (np.exp(np.outer(lam, ts)) * np.linalg.solve(V, x0)[:, None])).real
-
-
-def eig_reduction_error(A, x0, m, times):
-    """approx_error's series, with both flows taken by eigendecomposition."""
-    n = A.shape[0]
-    full = eig_flows(A, x0, times)
-    reduced = eig_flows(reduce_model(A, m=m).A_pi, bridge(m, n) @ x0, times)
-    lifted = bridge(n, m) @ reduced
-    return np.linalg.norm(lifted - full, axis=0) / np.linalg.norm(full, axis=0)
-
-
 def test_approx_error_graded_decay_bounded():
     n = 10
     A = -0.001 * np.diag(np.arange(1.0, n + 1))
@@ -436,7 +437,7 @@ def test_approx_error_flags_vanishing_reference():
 
 # ------------------------------------- approx_error against a per-point loop
 
-SWEEP = resources.files("crossdim") / "scenarios" / "reduction_sweep.json"
+SWEEP = SCENARIO_DIR / "reduction_sweep.json"
 
 
 def point_errors(A, x0, m_values, times):
@@ -731,6 +732,17 @@ def test_aggregate_run_matches_reduction_error():
     result = aggregate_run(nominal, member, x0, 2.0, 0.05)
     series = approx_error(A, x0, m, result.times)
     np.testing.assert_allclose(result.errors.values, series.values, atol=1e-9)
+
+
+def test_aggregate_run_names_the_time_a_gap_overflows():
+    # the member holds 1e308; the nominal rotation, lifted back, is
+    # 1e308 cos t, so the gap passes the float range once cos t < -0.797
+    nominal = Mode("rotor", 2, np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    member = Mode("still", 1, np.zeros((1, 1)))
+    with pytest.raises(NumericFailure) as err:
+        aggregate_run(nominal, member, np.array([1e308]), 3.2, 0.01)
+    assert err.value.operation == "aggregate_run"
+    assert err.value.time == pytest.approx(np.arccos(1 - np.finfo(float).max / 1e308), abs=0.01)
 
 
 def test_aggregate_run_handles_foreign_start():

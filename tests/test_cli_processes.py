@@ -4,18 +4,14 @@ not depend on the BLAS thread count."""
 import os
 import subprocess
 import sys
-from importlib import resources
 from pathlib import Path
 
 import pytest
 
 import crossdim
+from testkit import scenario_path
 
 SRC = str(Path(crossdim.__file__).resolve().parent.parent)
-
-
-def scenario_path(name: str) -> str:
-    return str(resources.files("crossdim") / "scenarios" / name)
 
 
 def run_python(args, **env) -> str:

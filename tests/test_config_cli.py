@@ -4,9 +4,7 @@ import errno
 import json
 import math
 import os
-import signal
 import warnings
-from importlib import resources
 
 import numpy as np
 import pytest
@@ -14,9 +12,12 @@ import pytest
 from crossdim.cdspace import project, v_dist, v_norm
 from crossdim import cli
 from crossdim.cli import main
-from crossdim.config import load_scenario, normalize_config, validate_config
+from crossdim.config import (
+    MAX_NEAREST_PAIRS, load_scenario, normalize_config, validate_config,
+)
 from crossdim.dynamics import embed_common, simulate
 from crossdim.errors import ConfigError
+from testkit import run_bounded, scenario_path
 
 SCENARIOS = [
     "two_mode_contraction.json",
@@ -26,10 +27,6 @@ SCENARIOS = [
     "ddp_two_mode.json",
     "reduction_sweep.json",
 ]
-
-
-def scenario_path(name: str) -> str:
-    return str(resources.files("crossdim") / "scenarios" / name)
 
 
 def minimal_config():
@@ -640,21 +637,6 @@ def test_cli_approx_error_tables(tmp_path):
     assert max(float(r[2]) for r in rows) <= 0.05
 
 
-def run_cli_bounded(seconds, *args) -> int:
-    """``run_cli``, failing the test if it runs longer than ``seconds``."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"omega {args[0]} ran longer than {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        return run_cli(*args)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 @pytest.mark.parametrize(
     "field, mutate",
     [
@@ -678,7 +660,7 @@ def test_cli_non_finite_numbers_name_the_field(tmp_path, capsys, field, mutate):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(raw))
     out = tmp_path / "o"
-    assert run_cli_bounded(5, "simulate", "--config", str(bad), "--out", str(out)) == 2
+    assert run_bounded(5, ["simulate", "--config", str(bad), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"omega: {field}: must be finite")
     assert not out.exists()
 
@@ -692,7 +674,7 @@ def test_cli_lattice_size_is_bounded_before_the_work(tmp_path, capsys):
     ]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(raw))
-    assert run_cli_bounded(1, "lattice", "--config", str(bad), "--out", str(tmp_path / "o")) == 2
+    assert run_bounded(1, ["lattice", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith(
         "omega: experiment.lattice.dims: the lcm/gcd closure exceeds 256 nodes"
     )
@@ -749,6 +731,14 @@ def _coprime_modes(raw):
 
 def _rename(obj, old, new):
     obj[new] = obj.pop(old)
+
+
+def _approx_counts(count):
+    """Every ``approx`` case of reduction_sweep sampled at ``count`` times."""
+    def mutate(raw):
+        for case in raw["experiment"]["approx"]["cases"]:
+            case["times"]["count"] = count
+    return mutate
 
 
 @pytest.mark.parametrize(
@@ -898,6 +888,59 @@ def _rename(obj, old, new):
          "experiment.approx.cases[0].A: expected a numeric matrix"),
         ("embed", "two_mode_contraction.json", _coprime_modes,
          "modes: common dimension 1517: 2301289 drift entries exceed the budget"),
+        ("approx", "reduction_sweep.json",
+         lambda raw: raw["experiment"]["approx"]["cases"][0]["times"].update(count=-1),
+         "experiment.approx.cases[0].times.count: must be nonnegative"),
+        ("approx", "reduction_sweep.json",
+         lambda raw: raw["experiment"]["approx"]["cases"][0].update(times="x"),
+         "experiment.approx.cases[0].times: expected a list or an object"),
+        ("simulate", "two_mode_contraction.json",
+         lambda raw: raw["modes"][0].update(dim=0), "modes[0].dim: must be >= 1"),
+        ("simulate", "ddp_two_mode.json",
+         lambda raw: raw["modes"][0].update(drift="ddp3_drift"),
+         "modes[0].drift: builtin has dimension 3, mode has 2"),
+        ("simulate", "ddp_two_mode.json",
+         lambda raw: raw["modes"][0].update(B=[[1.0], [0.0]]),
+         "modes[0]: give at most one of 'B' and 'inputs'"),
+        ("simulate", "ddp_two_mode.json",
+         lambda raw: raw["modes"][0].update(inputs="ddp3_input"),
+         "modes[0].inputs: builtin has dimension 3, mode has 2"),
+        ("simulate", "feedback_switch_random.json",
+         lambda raw: raw["signal"].update(dwell_bounds=[2.0, 1.0]), "signal.dwell_bounds: "),
+        ("simulate", "two_mode_contraction.json",
+         lambda raw: raw.update(transitions=5),
+         "transitions: expected 'nearest' or {'explicit': [...]}"),
+        ("simulate", "ddp_two_mode.json",
+         lambda raw: raw["output"].update(H=[[1.0, 0.0]]),
+         "output: give exactly one of 'H' (matrix) or 'h' (builtin name)"),
+        ("simulate", "two_mode_contraction.json",
+         lambda raw: raw["output"].update(q=3), "output.q: must match the column count of H"),
+        ("simulate", "two_mode_contraction.json",
+         lambda raw: raw.update(disturbance={"eta": "nope"}),
+         "disturbance.eta: unknown time signal 'nope'"),
+        ("simulate", "two_mode_contraction.json",
+         lambda raw: raw.update(disturbance={"eta": "sin1", "mu": -1.0}),
+         "disturbance.mu: must be >= 0"),
+        ("simulate", "two_mode_contraction.json",
+         lambda raw: raw.update(experiment=[1]), "experiment: expected an object"),
+        ("simulate", "two_mode_contraction.json",
+         lambda raw: raw["modes"][1].update(label="planar"), "modes: labels must be unique"),
+        # budgets and pairing: each run below exited 0 before its check existed
+        ("reduce-vec", "two_stage_steering.json",
+         lambda raw: raw["experiment"]["vectors"]["ops"][1].update(x=[1.0] * 2003,
+                                                                   y=[0.5] * 2011),
+         "experiment.vectors.ops[1].y: the lift to dimension 4028033 with x exceeds the budget"),
+        ("approx", "reduction_sweep.json", _approx_counts(250_000),
+         "experiment.approx.cases[2].m_values: 2500000 error-table rows exceed the budget"),
+        ("simulate", "reduction_sweep.json",
+         lambda raw: raw["experiment"]["reduce"]["times"].update(count=1_500_000),
+         "experiment.reduce.m_values: 3000000 error-table rows exceed the budget"),
+        ("reduce", "reduction_sweep.json",
+         lambda raw: raw["experiment"]["reduce"].pop("times"),
+         "experiment.reduce: missing required field 'times'"),
+        ("reduce", "reduction_sweep.json",
+         lambda raw: raw["experiment"]["reduce"].pop("x0"),
+         "experiment.reduce: missing required field 'x0'"),
     ],
 )
 def test_cli_errors_name_the_field(tmp_path, capsys, command, name, mutate, message):
@@ -1203,3 +1246,57 @@ def test_cli_overflowing_distance_is_a_numeric_failure(tmp_path, capsys):
         "omega: numeric failure: mixed-dimension sum overflowed (operation=stp_sub)\n"
     )
     assert not any(out.iterdir())
+
+
+# ---------------------------------------------- every config branch and budget
+
+def write_config(tmp_path, raw) -> str:
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+@pytest.mark.parametrize("contents, message", [
+    ("[]", "top level: expected a JSON object"),
+    (None, "cannot read "),
+])
+def test_a_config_that_is_no_object_or_unreadable_exits_2(tmp_path, capsys, contents, message):
+    config = tmp_path / "scenario.json"
+    if contents is not None:
+        config.write_text(contents)
+    assert run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err.startswith(f"omega: {message}")
+
+
+def test_flat_input_matrix_reads_as_one_column():
+    raw = minimal_config()
+    raw["modes"][0]["B"] = [0.0, 1.0]
+    inputs = validate_config(raw).system.modes[0].inputs
+    assert inputs.shape == (2, 1) and inputs[:, 0].tolist() == [0.0, 1.0]
+
+
+def one_dim_modes(count):
+    return [{"label": f"m{i}", "dim": 1, "A": [[-1.0]]} for i in range(count)]
+
+
+def test_nearest_rule_pairs_are_bounded_before_the_table(tmp_path, capsys):
+    # 65 modes ask for 65 * 64 = 4160 nearest maps; 64 modes (4032) are in budget
+    raw = {**minimal_config(), "modes": one_dim_modes(64), "x0": [1.0]}
+    assert len(validate_config(raw).system.table) == 64 * 63 <= MAX_NEAREST_PAIRS
+    raw["modes"] = one_dim_modes(65)
+    config = write_config(tmp_path, raw)
+    for command in ("simulate", "ctrb"):
+        out = tmp_path / command
+        assert run_bounded(5, [command, "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "omega: modes: 4160 ordered pairs of 65 modes under the nearest rule exceed "
+            f"the budget of {MAX_NEAREST_PAIRS}")
+        assert not out.exists()
+
+
+def test_explicit_rule_maps_only_the_pairs_it_declares(tmp_path):
+    raw = {**minimal_config(), "modes": one_dim_modes(65), "x0": [1.0],
+           "transitions": {"explicit": [{"from": 0, "to": 1, "W": [[1.0]]}]}}
+    assert list(validate_config(raw).system.table) == [(0, 1)]
+    config = write_config(tmp_path, raw)
+    assert run_bounded(5, ["simulate", "--config", config, "--out", str(tmp_path / "o")]) == 0

@@ -12,21 +12,17 @@ import io
 import json
 import math
 import re
-import signal
 import tempfile
-from importlib import resources
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossdim.cli import COMMANDS, main
+from crossdim.cli import COMMANDS
+from testkit import SCENARIO_DIR, SHIPPED, run_bounded
 
-SCENARIOS = {
-    path.name: json.loads(path.read_text(encoding="utf-8"))
-    for path in (resources.files("crossdim") / "scenarios").iterdir()
-    if path.name.endswith(".json")
-}
+SCENARIOS = {name: json.loads((SCENARIO_DIR / name).read_text(encoding="utf-8"))
+             for name in SHIPPED}
 
 #: Replacements: wrong types, non-finite, negative, fractional and overflowing
 #: numbers, empty, ragged and mixed containers, and labels that are no file name.
@@ -86,23 +82,6 @@ def mutated_runs(draw):
     return draw(st.sampled_from(sorted(COMMANDS))), raw, inserted
 
 
-def run_bounded(argv) -> tuple:
-    """Exit code and stderr of ``omega argv``, failing past ``TIME_BOUND`` seconds."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"omega {argv[0]} ran longer than {TIME_BOUND} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, TIME_BOUND)
-    err = io.StringIO()
-    try:
-        with contextlib.redirect_stderr(err):
-            return main(argv), err.getvalue()
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(mutated_runs())
 def test_mutated_scenarios_exit_cleanly(run):
@@ -110,7 +89,10 @@ def test_mutated_scenarios_exit_cleanly(run):
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "scenario.json"
         config.write_text(json.dumps(raw), encoding="utf-8")
-        code, err = run_bounded([command, "--config", str(config), "--out", f"{tmp}/out"])
+        argv = [command, "--config", str(config), "--out", f"{tmp}/out"]
+        with contextlib.redirect_stderr(io.StringIO()) as stderr:
+            code = run_bounded(TIME_BOUND, argv)
+        err = stderr.getvalue()
     assert code in (0, 2, 3)
     if code == 2:
         message = err.strip().splitlines()[-1]

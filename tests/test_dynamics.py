@@ -2,7 +2,6 @@ import math
 import tracemalloc
 import warnings
 from dataclasses import replace
-from importlib import resources
 
 import numpy as np
 import pytest
@@ -32,6 +31,7 @@ from crossdim.errors import NumericFailure
 from crossdim.registry import get_field, get_output_function
 from crossdim.switching import TransitionMap, fixed_signal, make_jump_event, nearest_map
 from rk4_reference import rk4_mode, rk4_system
+from testkit import scenario_path
 
 RNG = np.random.default_rng(23)
 
@@ -437,10 +437,6 @@ def test_grid_matches_the_scalar_formula():
         assert dynamics._grid(t0, t1, step).tolist() == want
 
 
-def scenario_path(name: str) -> str:
-    return str(resources.files("crossdim") / "scenarios" / name)
-
-
 @pytest.mark.parametrize(
     "name",
     ["two_stage_steering.json", "feedback_switch_fixed.json", "feedback_switch_random.json"],
@@ -785,7 +781,7 @@ def test_divergence_names_the_visit_that_diverged():
 def _array_holders():
     """(class name, builder) of every frozen dataclass that holds arrays."""
     mode = Mode("a", 2, -np.eye(2))
-    scenario = str(resources.files("crossdim") / "scenarios" / "two_mode_contraction.json")
+    scenario = scenario_path("two_mode_contraction.json")
     builders = {
         "CdVector": lambda: CdVector([1.0, 2.0]),
         "TransitionMap": lambda: nearest_map(2, 3),

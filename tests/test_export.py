@@ -1,5 +1,4 @@
 import math
-from importlib import resources
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ from crossdim.errors import ConfigError, NumericFailure
 from crossdim.export import (
     _format_rows, _layout, error_table, format_float, publish, trajectory_table,
 )
+from testkit import SHIPPED, scenario_path
 
 
 def empty_trajectory():
@@ -205,10 +205,7 @@ def _reference_errors(times, m_values, errors):
     ]
 
 
-SCENARIOS = sorted(p.name for p in (resources.files("crossdim") / "scenarios").iterdir())
-
-
-@pytest.mark.parametrize("name", SCENARIOS)
+@pytest.mark.parametrize("name", SHIPPED)
 def test_shipped_csv_artifacts_print_like_percent(name, tmp_path, monkeypatch):
     # every table a command builds is published and compared with the
     # per-cell reference of the data it was built from
@@ -230,7 +227,7 @@ def test_shipped_csv_artifacts_print_like_percent(name, tmp_path, monkeypatch):
 
     for builder, reference in references.items():
         monkeypatch.setattr(cli, builder, recording(getattr(export, builder), reference))
-    scenario = load_scenario(str(resources.files("crossdim") / "scenarios" / name))
+    scenario = load_scenario(scenario_path(name))
     checked = []
     for command in ("simulate", "embed", "approx", "reduce"):
         try:

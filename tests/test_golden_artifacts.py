@@ -12,21 +12,19 @@ import hashlib
 import json
 import sys
 import tempfile
-from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from crossdim import cli
+from testkit import SHIPPED as SCENARIOS, scenario_path
 
 GOLDEN = Path(__file__).with_name("golden_artifacts.json")
-SCENARIOS = sorted(p.name for p in (resources.files("crossdim") / "scenarios").iterdir())
 
 
 def run(command: str, name: str, out: Path) -> dict:
     """The exit code of one ``omega`` call and the sha256 of each file it wrote."""
-    config = str(resources.files("crossdim") / "scenarios" / name)
-    code = cli.main([command, "--config", config, "--out", str(out)])
+    code = cli.main([command, "--config", scenario_path(name), "--out", str(out)])
     files = sorted(out.iterdir()) if out.exists() else []
     return {"exit": code, "artifacts": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                                         for p in files}}
