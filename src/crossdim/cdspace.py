@@ -53,13 +53,10 @@ MAX_LATTICE_NODES = 256
 class CdVector:
     """A point of the cross-dimensional space, stored in one fixed dimension.
 
-    ``canonical`` marks vectors already reduced to their minimal-dimension
-    representative; every routine here accepts plain sequences/arrays as
-    well, so wrapping is only needed when the flag matters.
+    Every routine here accepts plain sequences/arrays as well.
     """
 
     entries: np.ndarray
-    canonical: bool = False
 
     def __post_init__(self):
         a = np.asarray(self.entries, dtype=float)
@@ -119,12 +116,16 @@ def _divisors(n: int):
     return small + large[::-1]
 
 
-def _reduce_exact(a: np.ndarray) -> np.ndarray:
-    """Smallest-dimension representative under bitwise-equal block constancy.
+def _reduce_once(a: np.ndarray, rtol: float | None = None) -> np.ndarray:
+    """One step toward the smallest-dimension representative of ``a``.
 
-    Used inside binary operations: with exact equality the reduction never
-    perturbs entries, so metric identities survive to machine precision.
+    Bitwise-equal blocks always reduce and keep their entries bit-for-bit.
+    With ``rtol`` given, blocks within the tolerance reduce to their means;
+    without it only exact blocks count, so binary operations never perturb
+    entries and metric identities survive to machine precision.
     """
+    if rtol is not None:
+        thr = max(REDUCE_ATOL, rtol * float(np.max(np.abs(a))))
     n = a.size
     for d in _divisors(n):
         if d == n:
@@ -132,21 +133,10 @@ def _reduce_exact(a: np.ndarray) -> np.ndarray:
         blocks = a.reshape(d, n // d)
         if (blocks == blocks[:, :1]).all():
             return blocks[:, 0]
-    return a
-
-
-def _reduce_once(a: np.ndarray, rtol: float) -> np.ndarray:
-    thr = max(REDUCE_ATOL, rtol * float(np.max(np.abs(a)))) if a.size else REDUCE_ATOL
-    n = a.size
-    for d in _divisors(n):
-        if d == n:
-            break
-        blocks = a.reshape(d, n // d)
-        if (blocks == blocks[:, :1]).all():
-            return blocks[:, 0]  # exact structure: keep entries bit-for-bit
-        means = blocks.mean(axis=1, keepdims=True)
-        if np.max(np.abs(blocks - means)) <= thr:
-            return means[:, 0]
+        if rtol is not None:
+            means = blocks.mean(axis=1, keepdims=True)
+            if np.max(np.abs(blocks - means)) <= thr:
+                return means[:, 0]
     return a
 
 
@@ -163,14 +153,14 @@ def canonicalize(v, tol: float = REDUCE_RTOL) -> CdVector:
     while True:
         b = _reduce_once(a, tol)
         if b.size == a.size:
-            return CdVector(b, canonical=True)
+            return CdVector(b)
         a = b
 
 
 def _common_lift(x, y):
     """Lift both vectors (exactly reduced first) to their lcm dimension."""
-    a = _reduce_exact(as_entries(x))
-    b = _reduce_exact(as_entries(y))
+    a = _reduce_once(as_entries(x))
+    b = _reduce_once(as_entries(y))
     t = math.lcm(a.size, b.size)
     return np.repeat(a, t // a.size), np.repeat(b, t // b.size), t
 

@@ -372,6 +372,10 @@ def _build_transitions(spec, modes, signal) -> object:
         _as_object(entry, epath, ("from", "to", "W"))
         i = _as_index(entry["from"], f"{epath}.from", len(modes))
         j = _as_index(entry["to"], f"{epath}.to", len(modes))
+        if i == j:
+            _fail(f"{epath}.to", f"a map from mode {i} to itself is never applied")
+        if (i, j) in table:
+            _fail(epath, f"a second map for {i}->{j}")
         W = _as_matrix(entry["W"], modes[j].dim, modes[i].dim, f"{epath}.W")
         table[(i, j)] = TransitionMap(modes[i].dim, modes[j].dim, W)
     # every ordered pair the signal actually uses must be covered
@@ -397,8 +401,8 @@ def _build_output(spec) -> OutputMap | None:
             _fail(f"{path}.q", "must match the column count of H")
         return OutputMap.from_matrix(H)
     _as_object(spec, path, ("h",))  # a builtin carries its own q
-    q, p, h = _builtin(registry.get_output_function, spec["h"], f"{path}.h")
-    return OutputMap.from_function(h, q, p)
+    q, _, h = _builtin(registry.get_output_function, spec["h"], f"{path}.h")
+    return OutputMap.from_function(h, q)
 
 
 def _build_disturbance(spec) -> tuple:
@@ -553,6 +557,8 @@ def _build_scenario(raw, seed, step) -> Scenario:
     for key in raw:
         if key not in _FIELDS:
             _fail(key, "unknown field")
+    if not isinstance(raw.get("name", ""), str):
+        _fail("name", "expected a string")
 
     mode_specs = _as_list(_require(raw, "modes", "top level"), "modes")
     modes = tuple(_build_mode(spec, i) for i, spec in enumerate(mode_specs))
@@ -584,20 +590,12 @@ def _build_scenario(raw, seed, step) -> Scenario:
 
 def normalize_config(raw: dict, seed=None, step=None) -> dict:
     """Canonical form of a raw config (overrides applied, defaults filled)."""
-    out = {
-        "name": raw.get("name", "scenario"),
-        "modes": _jsonable(raw["modes"]),
-        "signal": _jsonable(dict(raw["signal"])),
-        "transitions": _jsonable(raw.get("transitions", "nearest")),
-        "x0": _jsonable(raw["x0"]),
-        "step": float(step if step is not None else raw["step"]),
-        "horizon": float(raw["horizon"]),
-    }
+    given = {key: value for key, value in raw.items() if value is not None}
+    out = _jsonable({"name": "scenario", "transitions": "nearest", **given})
+    out["step"] = float(step if step is not None else raw["step"])
+    out["horizon"] = float(raw["horizon"])
     if seed is not None and out["signal"].get("kind") in _RANDOM_KINDS:
         out["signal"]["seed"] = int(seed)
-    for key in ("output", "disturbance", "experiment"):
-        if raw.get(key) is not None:
-            out[key] = _jsonable(raw[key])
     return out
 
 

@@ -177,7 +177,7 @@ class Mode:
                 )
             A.setflags(write=False)
             object.__setattr__(self, "drift", A)
-        if self.inputs is not None and not self._inputs_callable():
+        if isinstance(self.inputs, np.ndarray) or not all(map(callable, self.inputs or ())):
             B = np.asarray(self.inputs, dtype=float).copy()
             if B.ndim == 1:
                 B = B.reshape(-1, 1)
@@ -194,11 +194,6 @@ class Mode:
                     f"mode {self.label!r}: feedback gain K must be "
                     f"{shape[0]}x{shape[1]}, got {self.feedback.K.shape}"
                 )
-
-    def _inputs_callable(self) -> bool:
-        return self.inputs is not None and not isinstance(
-            self.inputs, np.ndarray
-        ) and all(callable(g) for g in self.inputs)
 
     @property
     def is_linear(self) -> bool:
@@ -248,24 +243,20 @@ class OutputMap:
     q: int
     matrix: np.ndarray | None = None
     func: object = None
-    p: int | None = None
 
     @classmethod
     def from_matrix(cls, H) -> "OutputMap":
         H = np.asarray(H, dtype=float)
         if H.ndim == 1:
             H = H.reshape(1, -1)
-        return cls(q=H.shape[1], matrix=H, p=H.shape[0])
+        return cls(q=H.shape[1], matrix=H)
 
     @classmethod
-    def from_function(cls, h, q: int, p: int) -> "OutputMap":
-        return cls(q=q, func=h, p=p)
+    def from_function(cls, h, q: int) -> "OutputMap":
+        return cls(q=q, func=h)
 
     def __call__(self, x) -> np.ndarray:
-        a = as_entries(x)
-        if self.matrix is not None:
-            return self.matrix @ bridge(self.q, a.size) @ a
-        return lift_function(self.func, self.q, a)
+        return self.of_rows(as_entries(x)[None, :])[0]
 
     def of_rows(self, S) -> np.ndarray:
         """Outputs of every row of a (k, n) state array, as a (k, p) array.
@@ -287,7 +278,7 @@ class DvSystem:
     and disturbance.
 
     ``transitions`` is the string ``"nearest"`` or a mapping from ordered
-    mode-index pairs (i, j) to explicit transition maps; :attr:`table` is
+    mode-index pairs (i, j), i != j, to explicit transition maps; :attr:`table` is
     the rule as one mapping either way.  ``impulse_scale`` scales the
     logged impulse amplitude of every jump event, and ``disturbance``
     enters the drift of every mode while the system runs.
@@ -305,6 +296,11 @@ class DvSystem:
             raise ValueError("system needs at least one mode")
         if self.transitions != "nearest":
             for (i, j), tm in self.transitions.items():
+                if not (0 <= i < len(self.modes) and 0 <= j < len(self.modes)):
+                    raise ValueError(f"transition {i}->{j}: mode index out of range")
+                if i == j:
+                    raise ValueError(f"transition {i}->{j}: a switch into the same "
+                                     "mode is no jump, so its map is never applied")
                 src, dst = self.modes[i].dim, self.modes[j].dim
                 if (tm.source_dim, tm.target_dim) != (src, dst):
                     raise ValueError(

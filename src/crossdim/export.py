@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import os
 from fractions import Fraction
 
@@ -21,19 +20,11 @@ from .errors import NumericFailure
 __all__ = [
     "error_table",
     "events_table",
-    "format_float",
     "json_text",
     "outputs_table",
     "publish",
     "trajectory_table",
 ]
-
-
-def format_float(v: float) -> str:
-    v = float(v)
-    if math.isnan(v):
-        return "nan"
-    return f"{v:.17g}"
 
 
 #: Cells formatted and written per block.  A long trajectory's text never

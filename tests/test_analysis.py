@@ -750,3 +750,32 @@ def test_aggregate_run_handles_foreign_start():
     member = Mode("mem", 3, -0.5 * np.eye(3))
     result = aggregate_run(nominal, member, np.array([1.0, -2.0, 0.5]), 1.0, 0.05)
     assert np.all(np.isfinite(result.errors.values))
+
+
+# ------------------------------------------------------ library argument checks
+
+TWO_MODES = DvSystem((Mode("a", 2, -np.eye(2), np.eye(2)), Mode("b", 3, -np.eye(3), np.eye(3))))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ctrb_rank(np.eye(2), np.ones((3, 1))), "inconsistent shapes for the pair (A, B)"),
+    (lambda: partial_ctrb(np.eye(2), np.ones((2, 1)), np.ones((3, 1))),
+     "subspace basis must be n x s"),
+    (lambda: reachability_chain(TWO_MODES, 0, 2), "start/target mode index out of range"),
+    (lambda: approx_error(-np.eye(2), [1.0, 2.0, 3.0], 1, [0.5]),
+     "x0 must match the drift dimension"),
+])
+def test_argument_checks_raise_value_error(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_reduce_model_reads_flat_inputs_as_a_column_and_flat_outputs_as_a_row():
+    A = np.arange(16.0).reshape(4, 4)
+    b, c = np.arange(1.0, 5.0), np.arange(5.0, 9.0)
+    flat = reduce_model(A, b, c, m=2)
+    shaped = reduce_model(A, b[:, None], c[None, :], m=2)
+    assert flat.B_pi.shape == (2, 1) and flat.C_pi.shape == (1, 2)
+    np.testing.assert_array_equal(flat.B_pi, shaped.B_pi)
+    np.testing.assert_array_equal(flat.C_pi, shaped.C_pi)

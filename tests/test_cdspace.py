@@ -44,8 +44,7 @@ def test_canonicalize_constant_vector():
     assert out.entries[0] == 7.0
 
 
-def test_canonicalize_flags_and_validates():
-    assert canonicalize([1, 2]).canonical
+def test_canonicalize_validates():
     with pytest.raises(ValueError):
         canonicalize([])
     with pytest.raises(ValueError):
@@ -383,3 +382,17 @@ def test_lattice_closed_under_sup_inf():
         for b in lat.dims:
             assert lat.sup(a, b) in lat.dims
             assert lat.inf(a, b) in lat.dims
+
+
+# ------------------------------------------------------ library argument checks
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: CdVector([[1.0, 2.0]]), "CdVector entries must be a nonempty 1-d sequence"),
+    (lambda: kron_lift([1.0, 2.0], 0), "replication factor must be >= 1"),
+    (lambda: build_lattice([]), "dims must be nonempty"),
+    (lambda: build_lattice([2, 0]), "dims must be positive integers"),
+])
+def test_argument_checks_raise_value_error(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -1300,3 +1300,56 @@ def test_explicit_rule_maps_only_the_pairs_it_declares(tmp_path):
     assert list(validate_config(raw).system.table) == [(0, 1)]
     config = write_config(tmp_path, raw)
     assert run_bounded(5, ["simulate", "--config", config, "--out", str(tmp_path / "o")]) == 0
+
+
+REPLICATE_2_TO_4 = [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]
+MEAN_4_TO_2 = [[0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5]]
+
+
+def explicit_contraction(*extra):
+    """two_mode_contraction without its experiment block, under explicit
+    maps 0->1 (replication) and 1->0 (block mean) followed by ``extra``."""
+    with open(scenario_path("two_mode_contraction.json"), "r", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    del raw["experiment"]
+    raw["transitions"] = {"explicit": [
+        {"from": 0, "to": 1, "W": REPLICATE_2_TO_4},
+        {"from": 1, "to": 0, "W": MEAN_4_TO_2},
+        *extra,
+    ]}
+    return raw
+
+
+@pytest.mark.parametrize("extra, field, message", [
+    ({"from": 0, "to": 0, "W": (3 * np.eye(2)).tolist()},
+     "transitions.explicit[2].to", "a map from mode 0 to itself is never applied"),
+    ({"from": 1, "to": 0, "W": MEAN_4_TO_2},
+     "transitions.explicit[2]", "a second map for 1->0"),
+])
+def test_explicit_rule_declares_each_jump_once(tmp_path, capsys, extra, field, message):
+    # an unused self map would raise dwell's default L from 1 to 3 (D 2.427 ->
+    # 3.590), and a repeated pair would silently replace the earlier map
+    out = tmp_path / "out"
+    config = write_config(tmp_path, explicit_contraction())
+    assert run_cli("dwell", "--config", config, "--out", str(out)) == 0
+    capsys.readouterr()
+    config = write_config(tmp_path, explicit_contraction(extra))
+    for command in ("dwell", "embed"):
+        fresh = tmp_path / command
+        assert run_cli(command, "--config", config, "--out", str(fresh)) == 2
+        assert capsys.readouterr().err == f"omega: {field}: {message}\n"
+        assert not fresh.exists()
+
+
+@pytest.mark.parametrize("name", [[1, 2], None, 7, {"a": 1}])
+def test_scenario_name_must_be_a_string(name):
+    with pytest.raises(ConfigError) as err:
+        validate_config({**minimal_config(), "name": name})
+    assert str(err.value) == "name: expected a string"
+
+
+def test_normalized_name_defaults_to_scenario():
+    raw = minimal_config()
+    del raw["name"], raw["transitions"]
+    normalized = validate_config(raw).normalized
+    assert (normalized["name"], normalized["transitions"]) == ("scenario", "nearest")

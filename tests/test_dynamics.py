@@ -856,9 +856,9 @@ def test_simulate_output_map_linear_and_nonlinear():
         np.testing.assert_allclose(
             Y[k], H @ project(x, 2) if x.size != 2 else H @ x, atol=1e-12
         )
-    q, p, h = get_output_function("ddp_output6")
+    q, _, h = get_output_function("ddp_output6")
     system2 = DvSystem(
-        contraction_system().modes, output=OutputMap.from_function(h, q, p)
+        contraction_system().modes, output=OutputMap.from_function(h, q)
     )
     traj2 = simulate(system2, signal, [1.0, 2.0], 1e-1)
     assert traj2.segment_outputs[0][0][0] == pytest.approx(
@@ -1181,3 +1181,45 @@ def test_dwell_bound_validates():
         dwell_bound(contraction_system(), 1.5)
     with pytest.raises(ValueError):
         dwell_bound(DvSystem((Mode("f", 1, lambda x: -x),)), 0.1)
+
+
+# ------------------------------------------------------ library argument checks
+
+PLANAR = Mode("planar", 2, CONTRACT_A1)
+QUAD = Mode("quad", 4, CONTRACT_A2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: expm([[1.0, math.nan], [0.0, 1.0]]), "expm expects finite entries"),
+    (lambda: AffineFeedback([1.0, 2.0], [0.0]),
+     "feedback gain K must be a matrix, got shape (2,)"),
+    (lambda: Mode("m", 0, [[0.0]]), "mode dimension must be positive"),
+    (lambda: Mode("m", 2, np.eye(3)), "mode 'm': drift matrix must be 2x2, got (3, 3)"),
+    (lambda: Mode("m", 2, np.eye(2), np.ones((3, 1))), "mode 'm': input matrix needs 2 rows"),
+    (lambda: Mode("m", 1, [[0.0]], np.zeros((0, 1))), "mode 'm': input matrix needs 1 rows"),
+    (lambda: Disturbance(2, lambda t: [t, t, t])(0.5),
+     "disturbance evaluator returned dimension 3, expected 2"),
+    (lambda: DvSystem(()), "system needs at least one mode"),
+    (lambda: DvSystem((PLANAR, QUAD), {(0, 1): nearest_map(2, 3)}),
+     "transition 0->1 must map dimension 2 to 4"),
+    (lambda: integrate_mode(PLANAR, [1.0, 0.0], 1.0, 0.5, 0.1), "t1 must be >= t0"),
+    (lambda: lift_field(PLANAR, 0), "lift multiplier must be >= 1"),
+])
+def test_argument_checks_raise_value_error(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("pair, tm, message", [
+    ((0, 0), nearest_map(2, 2), "transition 0->0: a switch into the same mode "
+                                "is no jump, so its map is never applied"),
+    ((2, 0), nearest_map(2, 2), "transition 2->0: mode index out of range"),
+    ((-1, 0), nearest_map(4, 2), "transition -1->0: mode index out of range"),
+])
+def test_explicit_transitions_name_jumps_between_modes(pair, tm, message):
+    # a self map is never applied but would raise dwell_bound's default L,
+    # and -1 would silently name the last mode
+    with pytest.raises(ValueError) as exc:
+        DvSystem((PLANAR, QUAD), {(0, 1): nearest_map(2, 4), pair: tm})
+    assert str(exc.value) == message

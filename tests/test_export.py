@@ -10,9 +10,14 @@ from crossdim.config import load_scenario
 from crossdim.dynamics import Segment, Trajectory
 from crossdim.errors import ConfigError, NumericFailure
 from crossdim.export import (
-    _format_rows, _layout, error_table, format_float, publish, trajectory_table,
+    _format_rows, _layout, error_table, publish, trajectory_table,
 )
 from testkit import SHIPPED, scenario_path
+
+
+def format_float(v) -> str:
+    """A CSV cell as the export contract states it."""
+    return "%.17g" % v
 
 
 def empty_trajectory():

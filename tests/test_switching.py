@@ -6,6 +6,7 @@ import pytest
 from crossdim.cdspace import kron_lift, project, v_norm
 from crossdim.dkstp import bridge
 from crossdim.switching import (
+    SwitchingSignal,
     TransitionMap,
     add_map,
     compose_maps,
@@ -215,3 +216,26 @@ def test_signal_validation():
     with pytest.raises(ValueError):
         fixed_signal(5.0, dwell_pattern=[1.0, -1.0], n_modes=2)
 
+
+
+# ------------------------------------------------------ library argument checks
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: TransitionMap(2, 3, np.ones((2, 2))), "transition matrix must be 3x2, got (2, 2)"),
+    (lambda: TransitionMap(2, 2, [[1.0, math.inf], [0.0, 1.0]]),
+     "transition matrix must be finite"),
+    (lambda: nearest_map(2, 3)([1.0, 2.0, 3.0]), "transition expects dimension 2, got 3"),
+    (lambda: drop_map(3, 0), "target dimension must be positive"),
+    (lambda: SwitchingSignal("random", 0, (), (), 1.0), "unknown signal kind 'random'"),
+    (lambda: SwitchingSignal("fixed", 0, (), (), 0.0), "horizon must be positive"),
+    (lambda: SwitchingSignal("fixed", 0, (0.5,), (), 1.0),
+     "switch_times and modes_after lengths differ"),
+    (lambda: fixed_signal(2.0, [1.0], [1.0], n_modes=2),
+     "give switch_times or dwell_pattern, not both"),
+    (lambda: fixed_signal(2.0, [0.5, 1.0], modes=[1]), "modes list shorter than switch times"),
+    (lambda: fixed_signal(2.0, [1.0]), "need modes or n_modes to schedule switches"),
+])
+def test_argument_checks_raise_value_error(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
