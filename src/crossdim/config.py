@@ -402,7 +402,7 @@ def _build_output(spec) -> OutputMap | None:
         return OutputMap.from_matrix(H)
     _as_object(spec, path, ("h",))  # a builtin carries its own q
     q, _, h = _builtin(registry.get_output_function, spec["h"], f"{path}.h")
-    return OutputMap.from_function(h, q)
+    return OutputMap._from_columns(h, q)
 
 
 def _build_disturbance(spec) -> tuple:

@@ -22,7 +22,7 @@ import functools
 import itertools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -243,6 +243,8 @@ class OutputMap:
     q: int
     matrix: np.ndarray | None = None
     func: object = None
+    #: h takes k states at once, as a (q, k) array (see :meth:`_from_columns`)
+    _columns: bool = field(default=False, init=False, repr=False)
 
     @classmethod
     def from_matrix(cls, H) -> "OutputMap":
@@ -254,6 +256,16 @@ class OutputMap:
     @classmethod
     def from_function(cls, h, q: int) -> "OutputMap":
         return cls(q=q, func=h)
+
+    @classmethod
+    def _from_columns(cls, h, q: int) -> "OutputMap":
+        """The map of an h that acts on a state entry by entry, such as a
+        registry output function: given the (q, k) array of k states, h
+        returns their (p, k) outputs ((k,) when p = 1), equal bit for bit
+        to h on each state, in one call."""
+        out = cls(q=q, func=h)
+        object.__setattr__(out, "_columns", True)
+        return out
 
     def __call__(self, x) -> np.ndarray:
         return self.of_rows(as_entries(x)[None, :])[0]
@@ -269,6 +281,8 @@ class OutputMap:
             return ((self.matrix @ bridge(self.q, n)) @ S[:, :, None])[:, :, 0]
         if n != self.q:
             S = (bridge(self.q, n) @ S[:, :, None])[:, :, 0]
+        if self._columns:
+            return np.atleast_2d(np.asarray(self.func(S.T), dtype=float)).T
         return np.array([self.func(x) for x in S], dtype=float).reshape(len(S), -1)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import json
 import os
-from fractions import Fraction
 
 import numpy as np
 
@@ -29,12 +28,14 @@ __all__ = [
 
 #: Cells formatted and written per block.  A long trajectory's text never
 #: sits in memory whole (joining all ~29k rows of a shipped run at once
-#: raised peak RSS by about 9 MB), and a block's working arrays stay in a
-#: core's cache (2 MB of L2 per core).  On the tables of the
-#: trajectory-outputs benchmark, six-word slots, in one process with the
-#: sizes interleaved (least of 30 passes, 2-core Xeon VM): 8192 cells took
-#: about 180 ns per cell, 4096 and 12288 about 188, 16384 about 203; each
-#: call also pays about 90 us whatever its size.
+#: raised peak RSS by about 9 MB), and one block's workspace, about 1.1 MB
+#: at 8192 cells, stays in a core's cache (2 MB of L2 per core).  Writing
+#: the tables of the simulate and embed commands of the trajectory-outputs
+#: and feedback-rk4 benchmarks, in one process with the sizes interleaved
+#: (least of 10 passes, 2-core Xeon VM): 8192 and 10240 cells took about
+#: 131 ns per cell, 4096 and 6144 about 137, 2048 152, 12288 141 and 16384
+#: 146.  In perfbench's trajectory-outputs loop 4096 lowered peak RSS from
+#: 70.3 to 68.8 MB but raised the pass time by 9% (3 pairs).
 _BLOCK_CELLS = 8192
 
 # The block formatter prints every cell as ``"%.17g" % x`` does.  A finite
@@ -59,25 +60,29 @@ _EXP0 = 300  # offset of the exponent tables; every cell has |k| < 300
 #           last three bytes (byte 45 on), and a longer one stands in as
 #           one byte there (see _layout)
 # so digit i sits at byte 6 + 2i and its "." at 7 + 2i.  A keep-mask picked
-# by (sign, layout, digit count) selects the cell's text; one compaction of
-# the kept bytes gives the CSV rows.  Layouts 0..20 print fixed-point with
-# decimal exponent X = layout - 4 (%g's -4 <= X < 17); 21 and 22 print
-# d.ddde+XX and d.ddde+XXX.
+# by (sign, layout, digit count), 0xFF per kept byte, zeroes the rest of the
+# slot, and deleting every NUL byte leaves the CSV rows.  That rests on one
+# invariant: no cell's text, suffix or stand-in holds a NUL (_layout checks
+# the suffixes).  Layouts 0..20 print fixed-point with decimal exponent
+# X = layout - 4 (%g's -4 <= X < 17); 21 and 22 print d.ddde+XX and
+# d.ddde+XXX.
 _WORDS = 6
 _DIGIT0, _EXP, _SUFFIX0 = 6, 40, 45
 #: One-byte stand-ins for the suffixes too long for a slot: no cell's text
 #: and no suffix holds a control byte other than the newline, and no table
 #: has more distinct long suffixes in a row than there are stand-ins.
 _STAND_INS = [bytes([c]) for c in range(1, 32) if c != ord("\n")]
+_CONTROL = bytes(range(32)).replace(b"\n", b"")
 _SCI2, _SCI3 = 21, 22
 _LAYOUTS = 23
 
 
 def _keep(sign: int, layout: int, nd: int) -> np.ndarray:
     """Which bytes of a slot print a cell of this sign, layout and count of
-    significant digits."""
+    significant digits; the suffix bytes are always kept."""
     keep = np.zeros(8 * _WORDS, dtype=bool)
     keep[0] = sign
+    keep[_SUFFIX0:] = True
     digit = _DIGIT0 + 2 * np.arange(17)
     if layout < _SCI2:
         X = layout - 4
@@ -99,6 +104,15 @@ def _words(text: bytes) -> np.ndarray:
     return np.frombuffer(text, dtype=np.uint64)
 
 
+def _power(j: int) -> tuple:
+    """10^j as hi + lo: hi the double nearest 10^j, lo the double nearest
+    10^j - hi.  Each is one correctly rounded division of exact integers."""
+    num, den = (10**j, 1) if j >= 0 else (1, 10**-j)
+    hi = num / den
+    hi_num, hi_den = hi.as_integer_ratio()
+    return hi, (num * hi_den - hi_num * den) / (den * hi_den)
+
+
 @functools.cache
 def _tables():
     """Lookup tables, built on first use: the rows (hi, hi_hi, hi_lo, lo) of
@@ -106,15 +120,10 @@ def _tables():
     first digit, each 4-digit limb and each exponent; trailing zeros per
     limb ("0000" has 4); the keep-mask offset of each exponent's layout; and
     the keep-masks as words, indexed by (sign, layout, digit count)."""
-    hi, lo = [], []
-    for j in range(_J0, -_J0 + 1):
-        p = Fraction(10) ** j
-        hi.append(float(p))
-        lo.append(float(p - Fraction(hi[-1])))
-    hi = np.array(hi)
+    hi, lo = np.array([_power(j) for j in range(_J0, -_J0 + 1)]).T
     c = _SPLIT * hi
     hi_hi = c - (c - hi)
-    powers = np.column_stack([hi, hi_hi, hi - hi_hi, lo])
+    powers = np.array([hi, hi_hi, hi - hi_hi, lo])
     first = _words(b"".join(b"-0.000%d." % d for d in range(10)))
     fours = [b"%04d" % i for i in range(10000)]
     tz = np.array([4 - len(s.rstrip(b"0")) for s in fours])
@@ -123,13 +132,14 @@ def _tables():
     layouts = [e + 4 if -4 <= e < 17 else _SCI2 if abs(e) < 100 else _SCI3 for e in exps]
     exps = _words(b"".join(b"e%+04d\0\0\0" % e for e in exps))
     keep = [_keep(s, lay, nd) for s in (0, 1) for lay in range(_LAYOUTS) for nd in range(18)]
-    keep = np.array(keep).view(np.uint64)
+    keep = (np.array(keep, dtype=np.uint8) * 0xFF).view(np.uint64)
     return powers, first, limbs, exps, tz, 18 * np.array(layouts), keep
 
 
 def _scaled(x, k, powers):
     """y = x * 10^(16 - k) as the double-double (yh, yl), |error| < 1e-14."""
-    hi, hi_hi, hi_lo, lo = powers.take(16 - _J0 - k, axis=0).T
+    j = 16 - _J0 - k
+    hi, hi_hi, hi_lo, lo = (row.take(j) for row in powers)
     x_hi = _SPLIT * x
     x_hi -= x_hi - x
     x_lo = x - x_hi
@@ -158,33 +168,49 @@ def _layout(suffixes: tuple) -> tuple:
     The splice rule: a suffix longer than the three bytes a slot has after
     its exponent is printed as a one-byte stand-in, and ``splices`` lists
     the ``(stand_in, suffix)`` pairs to substitute after the compaction.
-    ``tail`` holds each column's last slot word as text and as keep-mask,
-    shape (2, cols) of uint64.
+    ``tail`` holds each column's last slot word, shape (cols,) of uint64.
+    A suffix may hold no control byte but the newline: a NUL would be
+    deleted with the unkept bytes, and the others stand in for suffixes.
     """
     start = _SUFFIX0 - 8 * (_WORDS - 1)  # the suffix's first byte in that word
     stand_ins = iter(_STAND_INS)
-    splices, tail = {}, np.zeros((2, len(suffixes), 8), dtype=np.uint8)
+    splices, tail = {}, np.zeros((len(suffixes), 8), dtype=np.uint8)
     for c, s in enumerate(suffixes):
+        if s.translate(None, _CONTROL) != s:
+            raise ValueError(f"suffix {s!r} holds a control byte other than the newline")
         if len(s) > 8 - start and s not in splices:
             splices[s] = next(stand_ins)
         s = splices.get(s, s)
-        tail[0, c, start : start + len(s)] = np.frombuffer(s, dtype=np.uint8)
-        tail[1, c, start : start + len(s)] = True
-    return tail.view(np.uint64)[:, :, 0], [(stand_in, s) for s, stand_in in splices.items()]
+        tail[c, start : start + len(s)] = np.frombuffer(s, dtype=np.uint8)
+    return tail.view(np.uint64)[:, 0], [(stand_in, s) for s, stand_in in splices.items()]
 
 
-def _format_rows(block: np.ndarray, layout: tuple) -> bytes:
+def _workspace(cells: int) -> tuple:
+    """The flat arrays every block of up to ``cells`` cells is formatted in:
+    the float cells, the slot words word-major, the slots and the 4-digit
+    limbs.  A block of n cells uses the first n, 6n, 6n and 4n entries, so
+    each of its arrays is contiguous."""
+    return (np.empty(cells), np.empty(_WORDS * cells, dtype=np.uint64),
+            np.empty(_WORDS * cells, dtype=np.uint64), np.empty(4 * cells, dtype=np.int64))
+
+
+def _format_rows(block: np.ndarray, layout: tuple, work: tuple | None = None) -> bytes:
     """The CSV text of a (rows, cols) float block, each cell printed as
     ``"%.17g" % x`` and followed by its column's suffix bytes.
 
-    ``layout`` is :func:`_layout` of the column suffixes.  Every slot is
-    six words wide: a suffix that does not fit prints as a stand-in byte,
-    replaced once the kept bytes are compacted.
+    ``layout`` is :func:`_layout` of the column suffixes, and ``work`` a
+    :func:`_workspace` of at least ``block.size`` cells (a fresh one by
+    default).  Every slot is six words wide: a suffix that does not fit
+    prints as a stand-in byte, replaced once the NUL bytes are deleted.
     """
     tail, splices = layout
     powers, first, limbs, exps, tz, base, keep = _tables()
     rows, cols = block.shape
     n = block.size
+    _, words, slots, limb = work if work is not None else _workspace(n)
+    words = words[: _WORDS * n].reshape(_WORDS, n)
+    slots = slots[: _WORDS * n].reshape(n, _WORDS)
+    limb = limb[: 4 * n].reshape(4, n)
     v = block.reshape(-1)
     a = np.abs(v)
     direct = (a >= _LOW) & (a <= _HIGH)
@@ -208,32 +234,37 @@ def _format_rows(block: np.ndarray, layout: tuple) -> bytes:
     carry = D == 10**17
     D[carry] = 10**16
     k += carry
+    k += _EXP0  # from here on, k indexes the exponent tables
 
-    limb = np.empty((n, 4), dtype=np.intp)
-    top, rest = np.divmod(D, 10**16)
-    limb[:, 0], rest = np.divmod(rest, 10**12)
-    limb[:, 1], rest = np.divmod(rest, 10**8)
-    limb[:, 2], limb[:, 3] = np.divmod(rest, 10**4)
-    zeros = tz[limb[:, 3]]
+    # the first digit and four 4-digit limbs of D; numpy divides by a
+    # Python int through multiply-and-shift, not the divide instruction
+    hi = D // 10**8
+    lo = D - hi * 10**8
+    top = hi // 10**8
+    hi -= top * 10**8
+    np.floor_divide(hi, 10**4, out=limb[0])
+    np.floor_divide(lo, 10**4, out=limb[2])
+    np.subtract(hi, limb[0] * 10**4, out=limb[1])
+    np.subtract(lo, limb[2] * 10**4, out=limb[3])
+    zeros = tz.take(limb[3])
     for i in (2, 1, 0):  # an all-zero limb: go on counting in the one before
         more = np.flatnonzero(zeros == 12 - 4 * i)
-        zeros[more] += tz[limb[more, i]]
-    index = np.signbit(v) * (_LAYOUTS * 18) + base[k + _EXP0] + (17 - zeros)
+        zeros[more] += tz.take(limb[i].take(more))
+    index = np.signbit(v) * (_LAYOUTS * 18) + base.take(k) + (17 - zeros)
 
-    buf = np.empty((n, _WORDS), dtype=np.uint64)
-    buf[:, 0] = first[top]
-    buf[:, 1 : _WORDS - 1] = limbs[limb]
-    buf[:, _WORDS - 1] = exps[k + _EXP0]
-    mask = keep.take(index, axis=0)
-    buf.reshape(rows, cols, _WORDS)[:, :, _WORDS - 1] |= tail[0]
-    mask.reshape(rows, cols, _WORDS)[:, :, _WORDS - 1] |= tail[1]
-    text, kept = buf.view(np.uint8), mask.view(bool)
+    # every index is in range: mode="clip" lets take write straight into out
+    first.take(top, out=words[0], mode="clip")
+    limbs.take(limb, out=words[1 : _WORDS - 1], mode="clip")
+    exps.take(k, out=words[_WORDS - 1], mode="clip")
+    words[_WORDS - 1].reshape(rows, cols)[:] |= tail
+    keep.take(index, axis=0, out=slots, mode="clip")
+    slots &= words.T
+    text = slots.view(np.uint8)
     for i in np.flatnonzero(~direct).tolist():
-        cell = np.frombuffer(b"%.17g" % v[i], dtype=np.uint8)
-        text[i, : cell.size] = cell
-        kept[i, :_SUFFIX0] = False
-        kept[i, : cell.size] = True
-    out = text.reshape(-1).take(np.flatnonzero(kept)).tobytes()
+        cell = b"%.17g" % v[i]
+        text[i, : len(cell)] = np.frombuffer(cell, dtype=np.uint8)
+        text[i, len(cell) : _SUFFIX0] = 0
+    out = slots.tobytes().translate(None, b"\0")
     for stand_in, s in splices:
         out = out.replace(stand_in, s)
     return out
@@ -242,18 +273,25 @@ def _format_rows(block: np.ndarray, layout: tuple) -> bytes:
 def _write_csv(fh, header: list, parts) -> None:
     """Write the header line, then each ``(columns, suffixes)`` part: arrays
     of equal length whose stacked columns :func:`_format_rows` prints, a
-    block at a time.  Each distinct suffix list is laid out once."""
+    block at a time.  Each distinct suffix list is laid out once, and one
+    workspace, sized to the largest block, serves every block."""
     fh.write(",".join(header).encode() + b"\n")
-    layouts = {}
+    blocked = []  # (2-D columns, suffixes, rows per block) of each part
     for columns, suffixes in parts:
         columns = [np.asarray(c, dtype=float) for c in columns]
-        key = tuple(suffixes)
-        if key not in layouts:
-            layouts[key] = _layout(key)
-        step = max(1, _BLOCK_CELLS // len(suffixes))
-        for k in range(0, len(columns[0]), step):
-            block = np.column_stack([c[k : k + step] for c in columns])
-            fh.write(_format_rows(block, layouts[key]))
+        columns = [c[:, None] if c.ndim == 1 else c for c in columns]
+        blocked.append((columns, tuple(suffixes), max(1, _BLOCK_CELLS // len(suffixes))))
+    layouts = {key: _layout(key) for _, key, _ in blocked}
+    # the tables live as long as the process: built above the workspace,
+    # they would keep its freed heap pages resident
+    _tables()
+    work = _workspace(max([min(len(c[0]), step) * len(key) for c, key, step in blocked], default=0))
+    for columns, key, step in blocked:
+        rows = len(columns[0])
+        for k in range(0, rows, step):
+            block = work[0][: min(step, rows - k) * len(key)].reshape(-1, len(key))
+            np.concatenate([c[k : k + step] for c in columns], axis=1, out=block)
+            fh.write(_format_rows(block, layouts[key], work))
 
 
 def _suffixes(cols: int, last: bytes = b"\n") -> list:

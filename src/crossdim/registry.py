@@ -60,7 +60,9 @@ INPUT_CHANNELS = {
     "ddp3_input": (3, (_ddp3_input,)),
 }
 
-#: Output functions: name -> (q, p, h) with h on R^q producing R^p.
+#: Output functions: name -> (q, p, h) with h on R^q producing R^p.  Each h
+#: acts on its argument entry by entry, so given the (q, k) array of k states
+#: it returns their (p, k) outputs at once; config builds its maps that way.
 OUTPUT_FUNCTIONS = {
     "ddp_output6": (6, 1, _ddp_output6),
 }

@@ -9,7 +9,7 @@ import scipy.linalg
 
 from crossdim.analysis import aggregate_run, approx_error, reduce_model
 from crossdim.cdspace import CdVector, kron_lift, project, v_dist
-from crossdim import dynamics
+from crossdim import dynamics, registry
 from crossdim.config import load_scenario
 from crossdim.dkstp import bridge, op_vnorm
 from crossdim.dynamics import (
@@ -864,6 +864,34 @@ def test_simulate_output_map_linear_and_nonlinear():
     assert traj2.segment_outputs[0][0][0] == pytest.approx(
         lift_function(h, q, traj2.segments[0].states[0])[0]
     )
+
+
+def test_registry_output_maps_take_each_segment_in_one_call(monkeypatch):
+    # config evaluates a registry output function once per segment, on all
+    # its states at once, bit for bit as the per-state map of from_function
+    q, p, h = get_output_function("ddp_output6")
+    calls = []
+
+    def counted(w):
+        calls.append(np.shape(w))
+        return h(w)
+
+    monkeypatch.setitem(registry.OUTPUT_FUNCTIONS, "ddp_output6", (q, p, counted))
+    scenario = load_scenario(scenario_path("ddp_two_mode.json"))
+    traj = simulate(scenario.system, scenario.signal, scenario.x0, scenario.step)
+    per_state = OutputMap.from_function(h, q)
+    for seg, Y in zip(traj.segments, traj.segment_outputs):
+        assert Y.shape == (len(seg.times), p)
+        assert np.array_equal(Y, per_state.of_rows(seg.states))
+    assert calls == [(q, len(seg.times)) for seg in traj.segments]
+    # several outputs come back one row per state; a library callable keeps
+    # the one-state contract
+    S = RNG.standard_normal((5, q))
+    h2 = lambda w: np.array([w[0] * w[1], w[2] - w[3]])  # noqa: E731
+    assert np.array_equal(OutputMap._from_columns(h2, q).of_rows(S),
+                          OutputMap.from_function(h2, q).of_rows(S))
+    assert np.array_equal(OutputMap.from_function(lambda x: [max(x)], q).of_rows(S),
+                          S.max(axis=1, keepdims=True))
 
 
 def test_simulate_overflowing_transition_is_a_numeric_failure():

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from crossdim.config import load_scenario
 from crossdim.dynamics import Segment, Trajectory
 from crossdim.errors import ConfigError, NumericFailure
 from crossdim.export import (
-    _format_rows, _layout, error_table, publish, trajectory_table,
+    _format_rows, _layout, _suffixes, _workspace, error_table, publish, trajectory_table,
 )
 from testkit import SHIPPED, scenario_path
 
@@ -159,6 +161,61 @@ def test_block_formatter_edge_values_print_like_percent():
         for cells in (values, spread):
             got, want = format_like_percent(cells[: cells.size // cols * cols], cols)
             assert got == want
+
+
+def test_power_table_holds_each_power_of_ten_as_nearest_double_plus_remainder():
+    # 10^j = hi + lo against exact rationals: hi the nearest double, lo the
+    # nearest double to the remainder, and hi split exactly for Dekker
+    hi, hi_hi, hi_lo, lo = export._tables()[0]
+    for i, j in enumerate(range(export._J0, -export._J0 + 1)):
+        p = Fraction(10) ** j
+        assert hi[i] == float(p) and lo[i] == float(p - Fraction(hi[i])), j
+    assert np.array_equal(hi_hi + hi_lo, hi)
+
+
+def test_blocks_of_every_shape_leave_no_stale_workspace_bytes(tmp_path):
+    # one file, one workspace: parts of 3, 1 and 2 columns with block + 1,
+    # 1 and block - 1 rows, so every block after the first reuses bytes a
+    # larger one wrote; the cells "%" prints are scattered in
+    fallback = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -1e-310]
+    rng = np.random.default_rng(22)
+    parts, want = [], "h\n"
+    for cols, rows in ((3, export._BLOCK_CELLS // 3 + 1), (1, 1), (2, export._BLOCK_CELLS // 2 - 1)):
+        values = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-30, 30, (rows, cols))
+        flat = values.reshape(-1)
+        spots = rng.choice(flat.size, min(flat.size, len(fallback)), replace=False)
+        flat[spots] = rng.choice(fallback, len(spots), replace=False)
+        parts.append(((values,), _suffixes(cols)))
+        want += "".join(",".join("%.17g" % c for c in row) + "\n" for row in values.tolist())
+    assert published(tmp_path, "t.csv", (["h"], parts)) == want
+
+
+def test_working_memory_does_not_grow_with_the_table(tmp_path):
+    # the traced peak of publishing 20 blocks exceeds that of 2 blocks by
+    # less than one block's workspace: no block's memory outlives it
+    export._tables()
+    workspace = sum(a.nbytes for a in _workspace(export._BLOCK_CELLS))
+
+    def peak(blocks):
+        times = np.arange(blocks * export._BLOCK_CELLS // 4) / 7.0
+        table = (["a", "b", "c", "d"], [((times, -times, times / 3, 1.5 * times), _suffixes(4))])
+        tracemalloc.start()
+        try:
+            publish({"t.csv": table}, tmp_path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(2), peak(20)
+    assert small > workspace and large - small < workspace
+
+
+@pytest.mark.parametrize("suffix", [b"\0", b",\0", b",7,\0,123,\n", b"\x01"])
+def test_layout_rejects_a_suffix_holding_a_control_byte(suffix):
+    # a NUL would be deleted with the unkept bytes, and the other control
+    # bytes, but the newline, stand in for long suffixes
+    with pytest.raises(ValueError, match="control byte"):
+        _layout((b",", suffix))
 
 
 def _reference_trajectory(traj):
