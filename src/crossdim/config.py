@@ -32,11 +32,18 @@ __all__ = ["Scenario", "load_scenario", "validate_config", "normalize_config"]
 #: the count of an experiment's time list; also the most switches a dwell
 #: pattern or random dwell bounds may ask for (horizon over the shortest
 #: dwell), (n + m) lcm(n, m) >= m max(n, m) for an experiment's reduction from
-#: n to m, the rows of all error tables of one command, the lcm dimension a
-#: ``vectors`` distance lifts to, and the N^2 entries of a drift ``embed``
-#: lifts to the common dimension N.  It bounds the work and memory of a run
-#: before it starts.
+#: n to m, the rows of all error tables of one command, and the lcm
+#: dimension a ``vectors`` distance lifts to.  It bounds the work and memory
+#: of a run before it starts.
 MAX_SAMPLES = 2_000_000
+
+#: Most matrix entries ``embed`` may build and write to
+#: ``embedded_system.json``: (modes + maps) N^2, one N x N drift per mode and
+#: one N x N map per pair of ``DvSystem.table``, for the common dimension N.
+#: At the bound ``embed`` takes about 1.4-2.0 s and 200 MB and writes about
+#: 17 MB on a 2-core Xeon VM (two modes of dimensions 17 and 29, or eight of
+#: dimensions 1-128, a few samples); its trajectory adds samples x N.
+MAX_EMBED_ENTRIES = 2**20
 
 #: Most maps, n (n - 1) for n modes, that ``DvSystem.table`` may build for a
 #: nearest rule; ``simulate``, ``dwell``, ``chain`` and ``embed`` read them all.
@@ -87,11 +94,14 @@ class Scenario:
         return self.experiment[key]
 
     def common_dim(self) -> int:
-        """The lcm N of the mode dimensions, which ``embed`` lifts every mode to."""
+        """The lcm N of the mode dimensions, which ``embed`` lifts every mode
+        to; its (modes + maps) N^2 entries above ``MAX_EMBED_ENTRIES`` fail
+        at ``modes``."""
         n = math.lcm(*(m.dim for m in self.system.modes))
-        if n * n > MAX_SAMPLES:
-            _fail("modes", f"common dimension {n}: {n * n} drift entries exceed "
-                  f"the budget of {MAX_SAMPLES}")
+        count = len(self.system.modes) + len(self.system.table)
+        if count * n * n > MAX_EMBED_ENTRIES:
+            _fail("modes", f"common dimension {n}: {count} matrices of {n * n} entries "
+                  f"exceed the budget of {MAX_EMBED_ENTRIES}")
         return n
 
 

@@ -22,6 +22,7 @@ import functools
 import itertools
 import logging
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +67,13 @@ _MAX_DWELL = 50.0
 _DWELL_GRID = 0.05
 _DWELL_CHUNK = 32
 _DWELL_TOL = 1e-3
+#: dwell_bound's screen (:class:`_DwellScreen`): the safety factor of its
+#: rounding band, and the widest band, relative to a grid point's screened
+#: norm, with which the point may still be decided by that norm rather than
+#: by the exact per-point test.
+_DWELL_SLACK = 16.0
+_DWELL_BAND = 2.0**-16
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 #: Samples per block of the exact linear flow: each block starts from its
 #: own matrix exponential, so rounding compounds over at most this many steps.
 _FLOW_BLOCK = 256
@@ -86,7 +94,10 @@ def _expm_stack(A, ts: np.ndarray) -> np.ndarray:
 
     One ``scipy.linalg.expm`` call on the stack ``ts[:, None, None] * A``:
     scipy runs the same per-slice code as on a single matrix, so slice i is
-    e^{ts[i] A} bit for bit as :func:`expm` gives it.  scipy loads here, at
+    e^{ts[i] A} bit for bit as :func:`expm` gives it.  scipy loops over the
+    slices in Python, so a stack saves calls but not time per slice: about
+    14-18 us for 2 x 2, 16-20 us for 4 x 4 and 25-30 us for 10 x 10 at
+    stacks of 1 to 128 (one thread, 2-core Xeon VM).  scipy loads here, at
     the first exponential, so a command that takes none never imports it.
     """
     import scipy.linalg
@@ -444,22 +455,21 @@ def _grid(t0: float, t1: float, step: float) -> np.ndarray:
     return times
 
 
-def _powers(G: np.ndarray, step: float, count: int) -> np.ndarray:
-    """E^0 ... E^{count-1} of E = e^{G step}, stacked, by doubling.
+def _powers(E: np.ndarray, count: int) -> np.ndarray:
+    """E^0 ... E^{count-1}, stacked, by doubling; for a stack E of (d, d)
+    matrices, the powers of each, shape (count, *E.shape).
 
     Block s..2s-1 is E^s times block 0..s-1, so about log2(count) stacked
     products build them and each power is a product of about 2 log2(count)
-    factors.
+    factors.  E itself is read only when count > 1.
     """
-    P = np.empty((count, len(G), len(G)))
-    P[0] = np.eye(len(G))
-    if count > 1:
-        E = expm(G, step)
-        s = 1
-        while s < count:
-            m = min(s, count - s)
-            P[s : s + m] = (P[s - 1] @ E) @ P[:m]
-            s *= 2
+    P = np.empty((count, *E.shape))
+    P[0] = np.eye(E.shape[-1])
+    s = 1
+    while s < count:
+        m = min(s, count - s)
+        P[s : s + m] = (P[s - 1] @ E) @ P[:m]
+        s *= 2
     return P
 
 
@@ -524,9 +534,10 @@ def _block_flow(G: np.ndarray, z0: np.ndarray, step: float, count: int,
     if cache is None or offset != 0.0:
         cache = _FlowCache(0)
     key = (G.tobytes(), step)
-    powers = cache.get(("powers", key), d)
-    if len(powers) < min(count, block):
-        powers = cache.keep(("powers", key), _powers(G, step, min(count, block)))
+    powers, need = cache.get(("powers", key), d), min(count, block)
+    if len(powers) < need:
+        E = expm(G, step) if need > 1 else G  # E^0 = I needs no exponential
+        powers = cache.keep(("powers", key), _powers(E, need))
     rows = powers.reshape(-1, z0.size)
     starts = np.arange(0, count, block)
     ts = offset + starts * step
@@ -838,22 +849,130 @@ def closed_loop_drift(mode: Mode) -> np.ndarray:
     )
 
 
-def _first_contracting(mats, ds: np.ndarray, lipschitz: float, bound: float):
+def _contracting(A: np.ndarray, ds: np.ndarray, lipschitz: float, bound: float) -> np.ndarray:
+    """Mask of the dwells d of ``ds`` with L ||e^{d A}||_2 <= bound: the
+    exact per-point test, one stacked exponential and one stacked 2-norm.
+
+    An exponential that overflowed does not contract: its true 2-norm lies
+    beyond the float range.
+    """
+    E = _expm_stack(A, ds)
+    finite = np.isfinite(E).all(axis=(1, 2))
+    ok = np.zeros(len(ds), dtype=bool)
+    with np.errstate(over="ignore"):
+        # the largest singular value, which LAPACK returns first: equal bit
+        # for bit to np.linalg.norm(E_i, 2), without its axis handling
+        ok[finite] = lipschitz * np.linalg.svd(E[finite], compute_uv=False)[:, 0] <= bound
+    return ok
+
+
+class _DwellScreen:
+    """One mode's contraction test on runs of :func:`dwell_bound`'s grid
+    points, screened by powers of one step exponential; every point gets
+    the answer of :func:`_contracting`, the exact per-point test.
+
+    E = e^{hA}, h = ``_DWELL_GRID``, is one :func:`_expm_stack` slice, and
+    the powers E^k and |E|^k (entrywise absolute values), k <
+    ``_DWELL_CHUNK``, are built once, on first use, by :func:`_powers`.  A
+    run t_0 < t_1 < ... of grid points, t_k = t_0 + k h up to the rounding
+    of the grid's sums, takes one exact anchor X = e^{t_0 A}, and point k
+    is screened by n_k = ||E^k X||_2: one stacked product, and the largest
+    eigenvalue of each (E^k X)^T (E^k X) (Moler & Van Loan, SIAM Review
+    2003, method 19).
+
+    The rounding band of point k, a bound on how far n_k lies from the norm
+    the exact test computes, with K the run's last offset, d the dimension
+    and u the unit roundoff, is
+
+        err_k = _DWELL_SLACK u (K + 2) d (|| |E|^k |X| ||_F + (d + t_k ||A||_F) H^4).
+
+    Its first term bounds the rounding of the product of K + 1 factors,
+    which is at most gamma_{(K+1) d} |E|^k |X| entrywise (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., section 3.5), and of the
+    2-norm.  The second bounds the error of the exponentials, the exact
+    test's own included: a backward error of about u ||tA|| and the
+    rounding of d x d squarings move e^{tA} by about u (d + ||tA||) H^2, and
+    the powers carry that over by up to H^2 more, where H = sqrt(kappa(V))
+    >= sup_t ||e^{tA}||_2 for the solution V of A^T V + V A = -I.  A point
+    is decided by n_k when err_k <= ``_DWELL_BAND`` n_k and
+    |L n_k - bound| > L err_k, and by :func:`_contracting` otherwise; a
+    strongly non-normal mode, whose H is large, takes it at every point.  A
+    run whose anchor or products are not finite takes it whole.
+    """
+
+    def __init__(self, A: np.ndarray, lipschitz: float, bound: float):
+        self.A, self.lipschitz, self.bound = A, lipschitz, bound
+        self.powers = None  # built on first use by _build
+
+    def _build(self):
+        """(E^k and |E|^k stacked, ||A||_F, H^4), or () when no point's band
+        could be small: scipy finds the Lyapunov equation ill-conditioned
+        (it warns), the least band _DWELL_SLACK u 2 d^2 H^3 exceeds
+        ``_DWELL_BAND``, or the powers are not finite."""
+        import scipy.linalg
+
+        A, d = self.A, len(self.A)
+        with np.errstate(all="ignore"), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            V = scipy.linalg.solve_continuous_lyapunov(A.T, -np.eye(d))
+            if caught or not np.isfinite(V).all():
+                return ()
+            lo, hi = np.linalg.eigvalsh(V)[[0, -1]]
+            least = _DWELL_SLACK * _UNIT_ROUNDOFF * 2 * d * d * (hi / lo) ** 1.5
+            if not (lo > 0 and least <= _DWELL_BAND):
+                return ()
+            E = _expm_stack(A, np.array([_DWELL_GRID]))[0]
+            powers = _powers(np.stack([E, np.abs(E)]), _DWELL_CHUNK)
+            if not np.isfinite(powers).all():
+                return ()
+            return powers, np.linalg.norm(A), (hi / lo) ** 2
+
+    def contracting(self, ts: np.ndarray, ks: np.ndarray) -> np.ndarray:
+        """Mask of the points ``ts`` that contract; ``ks`` are their grid
+        offsets from ts[0] (increasing, below ``_DWELL_CHUNK``)."""
+        A, L, bound = self.A, self.lipschitz, self.bound
+        if self.powers is None:
+            self.powers = self._build()
+        if not self.powers:
+            return _contracting(A, ts, L, bound)
+        X = _expm_stack(A, ts[:1])[0]
+        if not np.isfinite(X).all():
+            return _contracting(A, ts, L, bound)
+        powers, norm, hump4 = self.powers
+        with np.errstate(all="ignore"):
+            MR = powers[ks] @ np.stack([X, np.abs(X)])  # E^k X and |E|^k |X|
+            if not np.isfinite(MR).all():
+                return _contracting(A, ts, L, bound)
+            M = MR[:, 0]
+            n = np.sqrt(np.linalg.eigvalsh(np.swapaxes(M, 1, 2) @ M)[:, -1])
+            scale = _DWELL_SLACK * _UNIT_ROUNDOFF * (ks[-1] + 2) * len(A)
+            err = scale * (np.linalg.norm(MR[:, 1], axis=(1, 2)) + (len(A) + ts * norm) * hump4)
+            ok = L * n <= bound
+            exact = ~((err <= _DWELL_BAND * n) & (np.abs(L * n - bound) > L * err))
+        if exact.any():
+            ok[exact] = _contracting(A, ts[exact], L, bound)
+        return ok
+
+
+def _first_contracting(mats, ds: np.ndarray, lipschitz: float, bound: float,
+                       screens=None):
     """Index into ``ds`` of the first dwell d with L ||e^{d A}||_2 <= bound
     for every A of ``mats``, or None.
 
-    Each mode takes one stacked exponential and one stacked 2-norm, on the
-    dwells where every earlier mode contracted; with L > 0, L * max_i n_i
-    <= bound is the same test as every L * n_i <= bound, since rounding is
-    monotone.  An exponential that overflowed does not contract: its true
-    2-norm lies beyond the float range.
+    Each mode is tested on the dwells where every earlier mode contracted,
+    by :func:`_contracting`, or with ``screens`` (one :class:`_DwellScreen`
+    per mode; ``ds`` then is a run of consecutive grid points) by its
+    screen, which gives the same answers.  With L > 0, L * max_i n_i <=
+    bound is the same test as every L * n_i <= bound, since rounding is
+    monotone.
     """
     alive = np.arange(len(ds))
-    for A in mats:
-        E = _expm_stack(A, ds[alive])
-        finite = np.isfinite(E).all(axis=(1, 2))
-        norms = np.linalg.norm(E[finite], 2, axis=(1, 2))
-        alive = alive[finite][lipschitz * norms <= bound]
+    for i, A in enumerate(mats):
+        if screens is None:
+            ok = _contracting(A, ds[alive], lipschitz, bound)
+        else:
+            ok = screens[i].contracting(ds[alive], alive - alive[0])
+        alive = alive[ok]
         if not len(alive):
             return None
     return int(alive[0])
@@ -869,9 +988,12 @@ def dwell_bound(
     and L is the largest transition Lipschitz constant (or the explicit
     override, which must be positive and finite): a scan on a grid of
     ``_DWELL_GRID``, then bisection to within ``_DWELL_TOL``.  The scan
-    takes ``_DWELL_CHUNK`` grid points at a time, one stacked exponential
-    per mode (:func:`_first_contracting`), and each bisection step takes
-    the same test on one dwell; the result is the point-by-point scan's
+    takes ``_DWELL_CHUNK`` grid points at a time (:func:`_first_contracting`):
+    each mode screens them by powers of one step exponential from one exact
+    anchor per chunk (:class:`_DwellScreen`), and a point whose screened
+    norm lies within the screen's rounding band of 1 - gamma, or whose band
+    is not small, takes the exact per-point test (:func:`_contracting`), as
+    each bisection step does.  So the result is the point-by-point scan's
     bit for bit.  A dwell whose exponential overflows does not contract,
     so an overflow raises no :class:`NumericFailure`.  Returns None when a
     mode is not Hurwitz or no dwell up to ``_MAX_DWELL`` works.  Raises
@@ -892,8 +1014,9 @@ def dwell_bound(
 
     # 0, then the dwells a loop adding _DWELL_GRID reaches, bit for bit
     grid = np.cumsum(np.r_[0.0, np.full(round(_MAX_DWELL / _DWELL_GRID), _DWELL_GRID)])
+    screens = [_DwellScreen(A, lipschitz, bound) for A in mats]
     for c in range(1, len(grid), _DWELL_CHUNK):
-        hit = _first_contracting(mats, grid[c : c + _DWELL_CHUNK], lipschitz, bound)
+        hit = _first_contracting(mats, grid[c : c + _DWELL_CHUNK], lipschitz, bound, screens)
         if hit is not None:
             lo, hi = float(grid[c + hit - 1]), float(grid[c + hit])
             break

@@ -13,7 +13,7 @@ from crossdim.cdspace import project, v_dist, v_norm
 from crossdim import cli
 from crossdim.cli import main
 from crossdim.config import (
-    MAX_NEAREST_PAIRS, load_scenario, normalize_config, validate_config,
+    MAX_EMBED_ENTRIES, MAX_NEAREST_PAIRS, load_scenario, normalize_config, validate_config,
 )
 from crossdim.dynamics import embed_common, simulate
 from crossdim.errors import ConfigError
@@ -723,7 +723,7 @@ def _nonlinear_second_mode(raw):
 
 
 def _coprime_modes(raw):
-    # lcm(37, 41) = 1517 and 1517^2 = 2301289 drift entries, over the budget
+    # lcm(37, 41) = 1517: 2 drifts and 2 maps of 1517^2 entries, over the budget
     raw["modes"] = [{"label": f"m{n}", "dim": n, "A": (-np.eye(n)).tolist()} for n in (37, 41)]
     raw["x0"] = [1.0] * 37
     del raw["output"]
@@ -887,7 +887,7 @@ def _approx_counts(count):
          lambda raw: raw["experiment"]["approx"]["cases"][0]["A"][3].__setitem__(2, False),
          "experiment.approx.cases[0].A: expected a numeric matrix"),
         ("embed", "two_mode_contraction.json", _coprime_modes,
-         "modes: common dimension 1517: 2301289 drift entries exceed the budget"),
+         "modes: common dimension 1517: 4 matrices of 2301289 entries exceed the budget"),
         ("approx", "reduction_sweep.json",
          lambda raw: raw["experiment"]["approx"]["cases"][0]["times"].update(count=-1),
          "experiment.approx.cases[0].times.count: must be nonnegative"),
@@ -967,6 +967,40 @@ def test_embed_budget_leaves_other_commands_alone(tmp_path):
         out = tmp_path / command
         assert run_cli(command, "--config", str(config), "--out", str(out)) == code
     assert not any((tmp_path / "embed").iterdir())
+
+
+def diagonal_modes(*dims):
+    return [{"label": f"m{n}", "dim": n, "A": (-np.eye(n)).tolist()} for n in dims]
+
+
+@pytest.mark.parametrize("dims, common", [((23, 24), 552), ((37, 38), 1406)])
+def test_embed_bounds_every_matrix_it_writes(tmp_path, capsys, dims, common):
+    # 2 drifts and 2 nearest maps of common^2 entries each: within the N^2
+    # budget, but over MAX_EMBED_ENTRIES in all; (37, 38) used to take 24 s,
+    # 1.3 GB and write 191 MB
+    raw = {**minimal_config(), "modes": diagonal_modes(*dims), "x0": [1.0] * dims[0],
+           "signal": {"kind": "fixed", "dwell_pattern": [0.005]}, "step": 0.001,
+           "horizon": 0.002}
+    assert 4 * common**2 > MAX_EMBED_ENTRIES
+    out = tmp_path / "out"
+    assert run_bounded(5, ["embed", "--config", write_config(tmp_path, raw),
+                           "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"omega: modes: common dimension {common}: 4 matrices of {common**2} entries "
+        f"exceed the budget of {MAX_EMBED_ENTRIES}\n")
+    assert not any(out.iterdir())
+
+
+def test_embed_budget_counts_modes_and_maps():
+    # N = 493: 4 matrices of 243049 entries fit; 8 modes of dimensions 1-128
+    # give N = 128 and 8 + 56 matrices, exactly the budget
+    for dims, common in (((29, 17), 493), ((1, 2, 4, 8, 16, 32, 64, 128), 128)):
+        raw = {**minimal_config(), "modes": diagonal_modes(*dims), "x0": [1.0] * dims[0]}
+        assert validate_config(raw).common_dim() == common
+    assert (8 + 8 * 7) * 128**2 == MAX_EMBED_ENTRIES
+    raw["modes"].append({"label": "ninth", "dim": 1, "A": [[-1.0]]})
+    with pytest.raises(ConfigError, match="^modes: common dimension 128: 81 matrices"):
+        validate_config(raw).common_dim()
 
 
 def test_cli_diverging_reduction_is_a_numeric_failure(tmp_path, capsys):

@@ -284,7 +284,7 @@ def per_anchor_flow(G, z0, times, step):
     Z[0] = z0
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            rows = dynamics._powers(G, step, min(uniform, B)).reshape(-1, z0.size)
+            rows = dynamics._powers(expm(G, step), min(uniform, B)).reshape(-1, z0.size)
             for start in range(0, uniform, B):
                 anchor = z0 if start == 0 else expm(G, start * step) @ z0
                 m = min(B, uniform - start)
@@ -1168,18 +1168,110 @@ def test_dwell_scan_matches_the_scalar_scan_on_random_hurwitz_systems(monkeypatc
     assert hits >= 20  # the cases reach past the first chunk of 32 points
 
 
-def test_dwell_scan_stacks_each_chunk_once_per_mode(expm_spy):
+@pytest.fixture
+def expm_slices(monkeypatch):
+    """Counts the matrices ``scipy.linalg.expm`` exponentiates: a stacked
+    call costs one slice per matrix of the stack."""
+    seen = {"slices": 0}
+    scipy_expm = scipy.linalg.expm
+
+    def spy(X):
+        X = np.asarray(X)
+        seen["slices"] += 1 if X.ndim == 2 else len(X)
+        return scipy_expm(X)
+
+    monkeypatch.setattr(scipy.linalg, "expm", spy)
+    return seen
+
+
+def test_dwell_scan_takes_few_exponential_slices(expm_slices, expm_spy):
     scenario = load_scenario(scenario_path("two_mode_contraction.json"))
     block = scenario.experiment["dwell"]
     delta = dwell_bound(scenario.system, block["gamma"], lipschitz=block["lipschitz"])
     assert delta == 3.5898437499999947
-    points = math.ceil(delta / dynamics._DWELL_GRID)
-    chunks = math.ceil(points / dynamics._DWELL_CHUNK)
-    halvings = 6  # the bisection halves 0.05 down to 0.05 / 64 < _DWELL_TOL
-    stacks = expm_spy["stacks"]
-    assert len(stacks) <= len(scenario.system.modes) * (chunks + halvings)
-    assert max(stacks) <= dynamics._DWELL_CHUNK
+    # one step exponential and one anchor per chunk and mode, and the 2 x 6
+    # halvings of the bisection; one exponential per grid point took 130
+    assert expm_slices["slices"] <= 24
     assert expm_spy["expm"] == 0
+
+
+def dwell_grid():
+    """The grid points dwell_bound scans, as it builds them."""
+    count = round(dynamics._MAX_DWELL / dynamics._DWELL_GRID)
+    return np.cumsum(np.r_[0.0, np.full(count, dynamics._DWELL_GRID)])
+
+
+def grid_crossings(A, lipschitz, count):
+    """Up to ``count`` grid indices j whose L ||e^{t_j A}||_2, as the exact
+    test computes it, lies in [0.5, 1) below every earlier point's: with
+    1 - gamma equal to it, the scan's first contracting point is j."""
+    grid, found, lowest = dwell_grid(), [], math.inf
+    for j in range(1, len(grid)):
+        value = lipschitz * np.linalg.norm(expm(A, grid[j]), 2)
+        if 0.5 <= value < min(lowest, 1.0):
+            found.append(j)
+        lowest = min(lowest, value)
+        if len(found) == count or lowest < 0.5:
+            break
+    return found
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 32])
+def test_dwell_screen_sends_a_point_on_the_bound_to_the_exact_test(monkeypatch, chunk):
+    monkeypatch.setattr(dynamics, "_DWELL_CHUNK", chunk)
+    rotation = np.array([[-0.3, 4.0], [-1.0, -0.3]])
+    dense = np.random.default_rng(6).standard_normal((6, 6))
+    dense -= (np.linalg.eigvals(dense).real.max() + 0.3) * np.eye(6)
+    cases = 0
+    for A, lipschitz in [(CONTRACT_A1, 1.0), (CONTRACT_A2, 2.0), (rotation, 1.0), (dense, 1.0)]:
+        for j in grid_crossings(A, lipschitz, 12):
+            # 1 - gamma is L ||e^{t_j A}||_2 exactly, so the screened norm at
+            # t_j lies inside the band and only the exact test decides it
+            bound = lipschitz * np.linalg.norm(expm(A, dwell_grid()[j]), 2)
+            gamma = 1.0 - bound
+            assert 1.0 - gamma == bound
+            got = dwell_bound(DvSystem((Mode("m", len(A), A),)), gamma, lipschitz=lipschitz)
+            want = scalar_dwell_bound([A], gamma, lipschitz)
+            assert got == want and dwell_grid()[j - 1] < want <= dwell_grid()[j]
+            cases += 1
+    assert cases >= 30
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 32])
+def test_dwell_screen_falls_back_for_a_strongly_non_normal_mode(monkeypatch, chunk):
+    monkeypatch.setattr(dynamics, "_DWELL_CHUNK", chunk)
+    exact = dynamics._contracting
+    runs = []
+
+    def spy(A, ds, lipschitz, bound):
+        runs.append(len(ds))
+        return exact(A, ds, lipschitz, bound)
+
+    monkeypatch.setattr(dynamics, "_contracting", spy)
+    steep = np.array([[-1.0, 1e8], [0.0, -1.0]])
+    # ||e^{tA}||_2 is about 1e8 t e^{-t}: it contracts from t of about 21.6 on
+    for gamma, lipschitz in [(0.03, 1.0), (0.2, 3.0)]:
+        runs.clear()
+        system = DvSystem((Mode("steep", 2, steep), Mode("calm", 2, -np.eye(2))))
+        got = dwell_bound(system, gamma, lipschitz=lipschitz)
+        assert got == scalar_dwell_bound([steep, -np.eye(2)], gamma, lipschitz)
+        assert got is not None and got > 20.0
+        # the band is not small, so whole runs of grid points take the exact test
+        assert max(runs) == chunk
+
+
+@pytest.mark.parametrize("n, scale, case", [(7, 1000.0, 23), (7, 3000.0, 14)])
+def test_dwell_screen_leaves_a_large_hump_to_the_exact_test(n, scale, case):
+    # triangular, with couplings in the thousands: sup_t ||e^{tA}||_2 is huge,
+    # and near the crossing the exact test's own exponential errs by more
+    # than the screen's factor norms show, so only the hump term of the band
+    # sends these points to it
+    rng = np.random.default_rng([n, case])
+    A = np.triu(rng.standard_normal((n, n)), 1) * scale
+    A[np.diag_indices(n)] = -rng.uniform(0.3, 3.0, n)
+    got = dwell_bound(DvSystem((Mode("m", n, A),)), 0.1, lipschitz=1.0)
+    assert got == scalar_dwell_bound([A], 0.1, 1.0)
+    assert got is not None and got > 30.0
 
 
 def test_dwell_scan_counts_an_overflow_as_no_contraction():
