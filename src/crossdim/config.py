@@ -23,7 +23,7 @@ import numpy as np
 from . import registry
 from .dynamics import Disturbance, DvSystem, Mode, OutputMap
 from .errors import ConfigError
-from .export import _jsonable
+from .export import _tolist
 from .switching import SwitchingSignal, TransitionMap, fixed_signal, random_signal
 
 __all__ = ["Scenario", "load_scenario", "validate_config", "normalize_config"]
@@ -601,7 +601,8 @@ def _build_scenario(raw, seed, step) -> Scenario:
 def normalize_config(raw: dict, seed=None, step=None) -> dict:
     """Canonical form of a raw config (overrides applied, defaults filled)."""
     given = {key: value for key, value in raw.items() if value is not None}
-    out = _jsonable({"name": "scenario", "transitions": "nearest", **given})
+    out = json.loads(json.dumps({"name": "scenario", "transitions": "nearest", **given},
+                                default=_tolist))
     out["step"] = float(step if step is not None else raw["step"])
     out["horizon"] = float(raw["horizon"])
     if seed is not None and out["signal"].get("kind") in _RANDOM_KINDS:

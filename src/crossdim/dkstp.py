@@ -84,9 +84,12 @@ def op_vnorm(A) -> float:
     """Operator norm of a matrix acting on the cross-dimensional space.
 
     For an m x n matrix this is sqrt(n/m) times the largest singular value
-    (the spectral norm, computed exactly by SVD); it bounds
-    ``v_norm(dk_apply(A, x)) / v_norm(x)`` over vectors of every dimension,
-    with equality approached along the top right-singular direction.
+    (the spectral norm); it bounds ``v_norm(dk_apply(A, x)) / v_norm(x)``
+    over vectors of every dimension, with equality approached along the top
+    right-singular direction.  The value returned is that of a rounded SVD,
+    which may lie an ulp or so on either side of the exact norm: for 527 of
+    the 1600 bridge matrices ``bridge(q, p)`` with p, q <= 40 it reads below
+    their exact operator norm 1.
     """
     M = _as_matrix(A)
     m, n = M.shape

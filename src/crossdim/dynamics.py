@@ -67,7 +67,7 @@ _MAX_DWELL = 50.0
 _DWELL_GRID = 0.05
 _DWELL_CHUNK = 32
 _DWELL_TOL = 1e-3
-#: dwell_bound's screen (:class:`_DwellScreen`): the safety factor of its
+#: dwell_bound's screen (:func:`_screened`): the safety factor of its
 #: rounding band, and the widest band, relative to a grid point's screened
 #: norm, with which the point may still be decided by that norm rather than
 #: by the exact per-point test.
@@ -866,19 +866,41 @@ def _contracting(A: np.ndarray, ds: np.ndarray, lipschitz: float, bound: float) 
     return ok
 
 
-class _DwellScreen:
-    """One mode's contraction test on runs of :func:`dwell_bound`'s grid
-    points, screened by powers of one step exponential; every point gets
-    the answer of :func:`_contracting`, the exact per-point test.
+def _dwell_screen(A: np.ndarray):
+    """One mode's screen for :func:`_screened`: (E^k and |E|^k stacked,
+    ||A||_F, H^4), or None when no point's band could be small: scipy finds
+    the Lyapunov equation ill-conditioned (it warns), or the least band
+    _DWELL_SLACK u 2 d^2 H^3 exceeds ``_DWELL_BAND``."""
+    import scipy.linalg
+
+    d = len(A)
+    with np.errstate(all="ignore"), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        V = scipy.linalg.solve_continuous_lyapunov(A.T, -np.eye(d))
+        if caught or not np.isfinite(V).all():
+            return None
+        lo, hi = np.linalg.eigvalsh(V)[[0, -1]]
+        least = _DWELL_SLACK * _UNIT_ROUNDOFF * 2 * d * d * (hi / lo) ** 1.5
+        if not (lo > 0 and least <= _DWELL_BAND):
+            return None
+        E = _expm_stack(A, np.array([_DWELL_GRID]))[0]
+        return _powers(np.stack([E, np.abs(E)]), _DWELL_CHUNK), np.linalg.norm(A), (hi / lo) ** 2
+
+
+def _screened(A: np.ndarray, screen, ts: np.ndarray, ks: np.ndarray,
+              lipschitz: float, bound: float) -> np.ndarray:
+    """Mask of the points ``ts`` where L ||e^{tA}||_2 <= bound, by one
+    mode's :func:`_dwell_screen` ``screen``; ``ks`` are their grid offsets
+    from ts[0] (increasing, below ``_DWELL_CHUNK``).  Every point gets the
+    answer of :func:`_contracting`, the exact per-point test.
 
     E = e^{hA}, h = ``_DWELL_GRID``, is one :func:`_expm_stack` slice, and
-    the powers E^k and |E|^k (entrywise absolute values), k <
-    ``_DWELL_CHUNK``, are built once, on first use, by :func:`_powers`.  A
-    run t_0 < t_1 < ... of grid points, t_k = t_0 + k h up to the rounding
-    of the grid's sums, takes one exact anchor X = e^{t_0 A}, and point k
-    is screened by n_k = ||E^k X||_2: one stacked product, and the largest
-    eigenvalue of each (E^k X)^T (E^k X) (Moler & Van Loan, SIAM Review
-    2003, method 19).
+    the screen holds the powers E^k and |E|^k (entrywise absolute values),
+    k < ``_DWELL_CHUNK``, built by :func:`_powers`.  A run t_0 < t_1 < ...
+    of grid points, t_k = t_0 + k h up to the rounding of the grid's sums,
+    takes one exact anchor X = e^{t_0 A}, and point k is screened by n_k =
+    ||E^k X||_2: one stacked product, and the largest eigenvalue of each
+    (E^k X)^T (E^k X) (Moler & Van Loan, SIAM Review 2003, method 19).
 
     The rounding band of point k, a bound on how far n_k lies from the norm
     the exact test computes, with K the run's last offset, d the dimension
@@ -895,63 +917,27 @@ class _DwellScreen:
     the powers carry that over by up to H^2 more, where H = sqrt(kappa(V))
     >= sup_t ||e^{tA}||_2 for the solution V of A^T V + V A = -I.  A point
     is decided by n_k when err_k <= ``_DWELL_BAND`` n_k and
-    |L n_k - bound| > L err_k, and by :func:`_contracting` otherwise; a
-    strongly non-normal mode, whose H is large, takes it at every point.  A
-    run whose anchor or products are not finite takes it whole.
+    |L n_k - bound| > L err_k.  It takes :func:`_contracting` otherwise,
+    when the mode has no screen (a strongly non-normal mode, whose H is
+    large), or when the run's products are not finite.
     """
-
-    def __init__(self, A: np.ndarray, lipschitz: float, bound: float):
-        self.A, self.lipschitz, self.bound = A, lipschitz, bound
-        self.powers = None  # built on first use by _build
-
-    def _build(self):
-        """(E^k and |E|^k stacked, ||A||_F, H^4), or () when no point's band
-        could be small: scipy finds the Lyapunov equation ill-conditioned
-        (it warns), the least band _DWELL_SLACK u 2 d^2 H^3 exceeds
-        ``_DWELL_BAND``, or the powers are not finite."""
-        import scipy.linalg
-
-        A, d = self.A, len(self.A)
-        with np.errstate(all="ignore"), warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            V = scipy.linalg.solve_continuous_lyapunov(A.T, -np.eye(d))
-            if caught or not np.isfinite(V).all():
-                return ()
-            lo, hi = np.linalg.eigvalsh(V)[[0, -1]]
-            least = _DWELL_SLACK * _UNIT_ROUNDOFF * 2 * d * d * (hi / lo) ** 1.5
-            if not (lo > 0 and least <= _DWELL_BAND):
-                return ()
-            E = _expm_stack(A, np.array([_DWELL_GRID]))[0]
-            powers = _powers(np.stack([E, np.abs(E)]), _DWELL_CHUNK)
-            if not np.isfinite(powers).all():
-                return ()
-            return powers, np.linalg.norm(A), (hi / lo) ** 2
-
-    def contracting(self, ts: np.ndarray, ks: np.ndarray) -> np.ndarray:
-        """Mask of the points ``ts`` that contract; ``ks`` are their grid
-        offsets from ts[0] (increasing, below ``_DWELL_CHUNK``)."""
-        A, L, bound = self.A, self.lipschitz, self.bound
-        if self.powers is None:
-            self.powers = self._build()
-        if not self.powers:
-            return _contracting(A, ts, L, bound)
-        X = _expm_stack(A, ts[:1])[0]
-        if not np.isfinite(X).all():
-            return _contracting(A, ts, L, bound)
-        powers, norm, hump4 = self.powers
-        with np.errstate(all="ignore"):
-            MR = powers[ks] @ np.stack([X, np.abs(X)])  # E^k X and |E|^k |X|
-            if not np.isfinite(MR).all():
-                return _contracting(A, ts, L, bound)
-            M = MR[:, 0]
-            n = np.sqrt(np.linalg.eigvalsh(np.swapaxes(M, 1, 2) @ M)[:, -1])
-            scale = _DWELL_SLACK * _UNIT_ROUNDOFF * (ks[-1] + 2) * len(A)
-            err = scale * (np.linalg.norm(MR[:, 1], axis=(1, 2)) + (len(A) + ts * norm) * hump4)
-            ok = L * n <= bound
-            exact = ~((err <= _DWELL_BAND * n) & (np.abs(L * n - bound) > L * err))
-        if exact.any():
-            ok[exact] = _contracting(A, ts[exact], L, bound)
-        return ok
+    if screen is None:
+        return _contracting(A, ts, lipschitz, bound)
+    powers, norm, hump4 = screen
+    X = _expm_stack(A, ts[:1])[0]
+    with np.errstate(all="ignore"):
+        MR = powers[ks] @ np.stack([X, np.abs(X)])  # E^k X and |E|^k |X|
+        if not np.isfinite(MR).all():
+            return _contracting(A, ts, lipschitz, bound)
+        M = MR[:, 0]
+        n = np.sqrt(np.linalg.eigvalsh(np.swapaxes(M, 1, 2) @ M)[:, -1])
+        scale = _DWELL_SLACK * _UNIT_ROUNDOFF * (ks[-1] + 2) * len(A)
+        err = scale * (np.linalg.norm(MR[:, 1], axis=(1, 2)) + (len(A) + ts * norm) * hump4)
+        ok = lipschitz * n <= bound
+        exact = ~((err <= _DWELL_BAND * n) & (np.abs(lipschitz * n - bound) > lipschitz * err))
+    if exact.any():
+        ok[exact] = _contracting(A, ts[exact], lipschitz, bound)
+    return ok
 
 
 def _first_contracting(mats, ds: np.ndarray, lipschitz: float, bound: float,
@@ -960,19 +946,15 @@ def _first_contracting(mats, ds: np.ndarray, lipschitz: float, bound: float,
     for every A of ``mats``, or None.
 
     Each mode is tested on the dwells where every earlier mode contracted,
-    by :func:`_contracting`, or with ``screens`` (one :class:`_DwellScreen`
-    per mode; ``ds`` then is a run of consecutive grid points) by its
-    screen, which gives the same answers.  With L > 0, L * max_i n_i <=
-    bound is the same test as every L * n_i <= bound, since rounding is
-    monotone.
+    by :func:`_screened` with its screen from ``screens`` (one
+    :func:`_dwell_screen` per mode; ``ds`` then is a run of consecutive grid
+    points), or without one, by :func:`_contracting`; both give the same
+    answers.  With L > 0, L * max_i n_i <= bound is the same test as every
+    L * n_i <= bound, since rounding is monotone.
     """
     alive = np.arange(len(ds))
-    for i, A in enumerate(mats):
-        if screens is None:
-            ok = _contracting(A, ds[alive], lipschitz, bound)
-        else:
-            ok = screens[i].contracting(ds[alive], alive - alive[0])
-        alive = alive[ok]
+    for A, screen in zip(mats, screens or [None] * len(mats)):
+        alive = alive[_screened(A, screen, ds[alive], alive - alive[0], lipschitz, bound)]
         if not len(alive):
             return None
     return int(alive[0])
@@ -990,14 +972,15 @@ def dwell_bound(
     ``_DWELL_GRID``, then bisection to within ``_DWELL_TOL``.  The scan
     takes ``_DWELL_CHUNK`` grid points at a time (:func:`_first_contracting`):
     each mode screens them by powers of one step exponential from one exact
-    anchor per chunk (:class:`_DwellScreen`), and a point whose screened
-    norm lies within the screen's rounding band of 1 - gamma, or whose band
-    is not small, takes the exact per-point test (:func:`_contracting`), as
-    each bisection step does.  So the result is the point-by-point scan's
-    bit for bit.  A dwell whose exponential overflows does not contract,
-    so an overflow raises no :class:`NumericFailure`.  Returns None when a
-    mode is not Hurwitz or no dwell up to ``_MAX_DWELL`` works.  Raises
-    ``ValueError`` for a mode whose closed loop is not linear.
+    anchor per chunk (:func:`_screened`).  A point whose mode has no
+    usable screen, whose screened norm lies within its rounding band of
+    1 - gamma, or whose chunk's products are not finite takes the exact
+    per-point test (:func:`_contracting`), as each bisection step does.
+    So the result is the point-by-point scan's bit for bit.  A dwell whose
+    exponential overflows does not contract, so an overflow raises no
+    :class:`NumericFailure`.  Returns None when a mode is not Hurwitz or no
+    dwell up to ``_MAX_DWELL`` works.  Raises ``ValueError`` for a mode
+    whose closed loop is not linear.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
@@ -1014,7 +997,7 @@ def dwell_bound(
 
     # 0, then the dwells a loop adding _DWELL_GRID reaches, bit for bit
     grid = np.cumsum(np.r_[0.0, np.full(round(_MAX_DWELL / _DWELL_GRID), _DWELL_GRID)])
-    screens = [_DwellScreen(A, lipschitz, bound) for A in mats]
+    screens = [_dwell_screen(A) for A in mats]
     for c in range(1, len(grid), _DWELL_CHUNK):
         hit = _first_contracting(mats, grid[c : c + _DWELL_CHUNK], lipschitz, bound, screens)
         if hit is not None:

@@ -194,20 +194,20 @@ def _workspace(cells: int) -> tuple:
             np.empty(_WORDS * cells, dtype=np.uint64), np.empty(4 * cells, dtype=np.int64))
 
 
-def _format_rows(block: np.ndarray, layout: tuple, work: tuple | None = None) -> bytes:
+def _format_rows(block: np.ndarray, layout: tuple, work: tuple) -> bytes:
     """The CSV text of a (rows, cols) float block, each cell printed as
     ``"%.17g" % x`` and followed by its column's suffix bytes.
 
     ``layout`` is :func:`_layout` of the column suffixes, and ``work`` a
-    :func:`_workspace` of at least ``block.size`` cells (a fresh one by
-    default).  Every slot is six words wide: a suffix that does not fit
-    prints as a stand-in byte, replaced once the NUL bytes are deleted.
+    :func:`_workspace` of at least ``block.size`` cells.  Every slot is six
+    words wide: a suffix that does not fit prints as a stand-in byte,
+    replaced once the NUL bytes are deleted.
     """
     tail, splices = layout
     powers, first, limbs, exps, tz, base, keep = _tables()
     rows, cols = block.shape
     n = block.size
-    _, words, slots, limb = work if work is not None else _workspace(n)
+    _, words, slots, limb = work
     words = words[: _WORDS * n].reshape(_WORDS, n)
     slots = slots[: _WORDS * n].reshape(n, _WORDS)
     limb = limb[: 4 * n].reshape(4, n)
@@ -337,18 +337,10 @@ def error_table(times, m_values, errors) -> tuple:
     return ["t", "m", "E"], [(columns, _suffixes(3))]
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+def _tolist(obj):
+    """``json``'s ``default`` hook: a numpy array or scalar as its Python
+    value (a float64 scalar, a float subclass, never reaches it)."""
+    return obj.tolist()
 
 
 def json_text(obj, name: str) -> bytes:
@@ -356,7 +348,7 @@ def json_text(obj, name: str) -> bytes:
     non-finite number, which JSON cannot hold, raises :class:`NumericFailure`
     naming the file ``name``."""
     try:
-        text = json.dumps(_jsonable(obj), indent=2, sort_keys=True, allow_nan=False)
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False, default=_tolist)
     except ValueError:
         msg = f"{name} would hold a non-finite number"
         raise NumericFailure(msg, operation="write_json") from None

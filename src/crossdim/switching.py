@@ -10,6 +10,7 @@ dwell times.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate, cycle, takewhile
 
 import numpy as np
 
@@ -251,6 +252,13 @@ def _round_robin(initial_mode: int, n_modes: int, count: int):
     return tuple((initial_mode + 1 + k) % n_modes for k in range(count))
 
 
+def _switch_times(dwells, horizon: float) -> tuple:
+    """The running sums of the iterable ``dwells``, kept while they stay
+    below ``horizon``; the first dwell whose sum reaches it is the last one
+    taken."""
+    return tuple(takewhile(lambda t: t < horizon, accumulate(dwells)))
+
+
 def fixed_signal(
     horizon: float,
     switch_times=None,
@@ -271,17 +279,9 @@ def fixed_signal(
         pattern = [float(d) for d in dwell_pattern]
         if not pattern or any(d <= 0 for d in pattern):
             raise ValueError("dwell_pattern entries must be positive")
-        times = []
-        t, k = 0.0, 0
-        while True:
-            t += pattern[k % len(pattern)]
-            if t >= horizon:
-                break
-            times.append(t)
-            k += 1
+        times = _switch_times(cycle(pattern), horizon)
     else:
-        times = [float(t) for t in (switch_times or [])]
-        times = [t for t in times if t < horizon]
+        times = tuple(t for t in map(float, switch_times or []) if t < horizon)
     if modes is not None:
         modes = tuple(int(m) for m in modes)[: len(times)]
         if len(modes) != len(times):
@@ -290,9 +290,7 @@ def fixed_signal(
         if n_modes is None:
             raise ValueError("need modes or n_modes to schedule switches")
         modes = _round_robin(initial_mode, n_modes, len(times))
-    return SwitchingSignal(
-        "fixed", initial_mode, tuple(times), modes, float(horizon)
-    )
+    return SwitchingSignal("fixed", initial_mode, times, modes, float(horizon))
 
 
 def random_signal(
@@ -310,18 +308,12 @@ def random_signal(
     if not 0.0 < dmin <= dmax:
         raise ValueError("dwell bounds must satisfy 0 < dmin <= dmax")
     rng = np.random.default_rng(int(seed))
-    times = []
-    t = 0.0
-    while True:
-        t += float(rng.uniform(dmin, dmax))
-        if t >= horizon:
-            break
-        times.append(t)
+    times = _switch_times(iter(lambda: float(rng.uniform(dmin, dmax)), None), horizon)
     modes = _round_robin(initial_mode, n_modes, len(times))
     return SwitchingSignal(
         "random-dwell",
         initial_mode,
-        tuple(times),
+        times,
         modes,
         float(horizon),
         dwell_bounds=(dmin, dmax),

@@ -764,6 +764,7 @@ TWO_MODES = DvSystem((Mode("a", 2, -np.eye(2), np.eye(2)), Mode("b", 3, -np.eye(
     (lambda: reachability_chain(TWO_MODES, 0, 2), "start/target mode index out of range"),
     (lambda: approx_error(-np.eye(2), [1.0, 2.0, 3.0], 1, [0.5]),
      "x0 must match the drift dimension"),
+    (lambda: intersection_basis(0, 2), "dimensions must be positive"),
 ])
 def test_argument_checks_raise_value_error(call, message):
     with pytest.raises(ValueError) as exc:

@@ -10,6 +10,7 @@ from crossdim.cdspace import (
     MAX_LATTICE_NODES,
     CdVector,
     angle,
+    as_entries,
     build_lattice,
     canonicalize,
     equivalent,
@@ -72,6 +73,20 @@ def test_canonicalize_idempotent_and_equivalent(base, k):
     np.testing.assert_array_equal(once.entries, twice.entries)
     assert v.size % once.dim == 0
     assert equivalent(v, once)
+
+
+def test_cd_vector_has_a_length_and_converts_to_any_dtype():
+    x = CdVector([1.0, 2.5, -3.0])
+    assert len(x) == x.dim == 3
+    single = np.asarray(x, dtype=np.float32)
+    assert single.dtype == np.float32
+    np.testing.assert_array_equal(single, [1.0, 2.5, -3.0])
+    assert np.asarray(x) is x.entries
+
+
+def test_as_entries_reads_a_scalar_as_a_one_vector():
+    np.testing.assert_array_equal(as_entries(3.0), [3.0])
+    assert as_entries(3.0).shape == (1,)
 
 
 # ------------------------------------------------------------------ equivalent
@@ -337,6 +352,12 @@ def test_lattice_sup_inf():
     assert lat.inf(4, 6) == 2
     with pytest.raises(ValueError):
         lat.sup(5, 2)
+
+
+def test_lattice_membership():
+    lat = build_lattice([2, 3])
+    assert 2 in lat and 6 in lat and 1 in lat
+    assert 4 not in lat
 
 
 def test_lattice_singleton():

@@ -878,6 +878,9 @@ def _approx_counts(count):
          lambda raw: raw.update(x0=[1.0, None]),
          "x0: expected a numeric vector"),
         ("simulate", "two_mode_contraction.json",
+         lambda raw: raw.update(x0=[]),
+         "x0: expected a nonempty vector"),
+        ("simulate", "two_mode_contraction.json",
          lambda raw: raw["modes"][0].update(A=[[True, "2"], [-10.0, -6.0]]),
          "modes[0].A: expected a numeric matrix"),
         ("reduce", "reduction_sweep.json",

@@ -76,6 +76,12 @@ def test_dk_product_row_times_ones():
     np.testing.assert_allclose(dk_product([[1.0, 1.0]], [[1], [1], [1]]), [[2.0]])
 
 
+def test_dk_product_reads_a_flat_left_factor_as_one_row():
+    row, N = np.array([1.0, 2.0]), np.arange(12.0).reshape(4, 3)
+    np.testing.assert_array_equal(dk_product(row, N), dk_product(row[None, :], N))
+    assert dk_product(row, N).shape == (1, 3)
+
+
 def test_dk_product_factors_through_bridge():
     # reference: the definition (n/t)(A (x) 1_{t/n}^T)(B (x) 1_{t/p}), t = lcm(n, p)
     for _ in range(1000):

@@ -18,6 +18,7 @@ from crossdim.dynamics import (
     DvSystem,
     Mode,
     OutputMap,
+    Trajectory,
     closed_loop_drift,
     dwell_bound,
     embed_common,
@@ -539,6 +540,20 @@ def test_integrate_rejects_wrong_evaluator_shape():
     bad = Mode("bad", 3, lambda x: np.zeros(1))
     with pytest.raises(ValueError):
         integrate_mode(bad, np.ones(3), 0.0, 1.0, 0.1)
+
+
+def test_flat_input_and_output_matrices_read_as_a_column_and_a_row():
+    mode = Mode("m", 3, -np.eye(3), [1.0, 2.0, 3.0])
+    assert mode.inputs.shape == (3, 1) and mode.n_inputs == 1
+    np.testing.assert_array_equal(mode.inputs[:, 0], [1.0, 2.0, 3.0])
+    assert Mode("m", 3, -np.eye(3)).n_inputs == 0
+    flat = OutputMap.from_matrix([1.0, 2.0])
+    assert flat.q == 2 and flat.matrix.shape == (1, 2)
+    np.testing.assert_array_equal(flat([1.0, 1.0]), [3.0])
+
+
+def test_a_trajectory_without_segments_has_no_sample_times():
+    assert Trajectory((), (), []).times.shape == (0,)
 
 
 # ------------------------------------------------------------------ lift_field
@@ -1288,6 +1303,37 @@ def test_dwell_scan_counts_an_overflow_as_no_contraction():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert dwell_bound(DvSystem((steep,)), 0.5) is None
+
+
+@pytest.mark.parametrize("k", [0, 1, 7, 31])
+def test_dwell_screen_sends_a_run_whose_products_are_not_finite_to_the_exact_test(
+        monkeypatch, k):
+    scenario = load_scenario(scenario_path("two_mode_contraction.json"))
+    block = scenario.experiment["dwell"]
+    lipschitz, bound = block["lipschitz"], 1.0 - block["gamma"]
+    A = closed_loop_drift(scenario.system.modes[0])
+    powers, norm, hump4 = dynamics._dwell_screen(A)
+    powers = powers.copy()
+    powers[k, 0, 1, 1] = np.nan  # one entry of E^k
+    exact, handed, answers = dynamics._contracting, [], set()
+
+    def spy(A, ds, lipschitz, bound):
+        handed.append(len(ds))
+        return exact(A, ds, lipschitz, bound)
+
+    monkeypatch.setattr(dynamics, "_contracting", spy)
+    grid = dwell_grid()
+    for c in range(1, 7 * dynamics._DWELL_CHUNK, 3):
+        ts = grid[c : c + dynamics._DWELL_CHUNK]
+        handed.clear()
+        got = dynamics._screened(A, (powers, norm, hump4), ts, np.arange(len(ts)),
+                                 lipschitz, bound)
+        # every point of the run, in one exact test
+        assert handed == [len(ts)]
+        want = exact(A, ts, lipschitz, bound)
+        np.testing.assert_array_equal(got, want)
+        answers.update(want.tolist())
+    assert answers == {False, True}
 
 
 @pytest.mark.parametrize("lipschitz", [math.nan, math.inf, -math.inf, -1.0, 0.0])

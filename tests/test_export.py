@@ -122,7 +122,7 @@ def format_like_percent(values, cols=1):
     and the per-cell ``%`` reference for the same rows."""
     block = np.asarray(values, dtype=float).reshape(-1, cols)
     suffixes = [b";"] * (cols - 1) + [b"\n"]
-    got = _format_rows(block, _layout(tuple(suffixes))).decode()
+    got = _format_rows(block, _layout(tuple(suffixes)), _workspace(block.size)).decode()
     want = "".join(";".join("%.17g" % c for c in row) + "\n" for row in block.tolist())
     return got, want
 

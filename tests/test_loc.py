@@ -1,0 +1,44 @@
+"""tools/loc.py counts code lines: no blank, comment or docstring line."""
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "loc.py"
+_spec = importlib.util.spec_from_file_location("loc", TOOL)
+loc = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(loc)
+
+SOURCE = '''"""Module docstring,
+over two lines."""
+
+import math  # a trailing comment keeps its line
+
+
+class Box:
+    """Class docstring."""
+
+    # a comment line
+    def area(self, side):
+        """Function docstring,
+
+        with a blank line inside it."""
+        text = """a string that is
+no docstring"""
+        return math.prod([side, side]), text
+'''
+
+
+def test_code_lines_skip_blank_comment_and_docstring_lines():
+    # import, class, def, the two lines of ``text`` and the return
+    assert loc.code_lines(SOURCE) == 6
+
+
+def test_code_lines_of_a_one_line_function_with_a_docstring():
+    assert loc.code_lines('def f():\n    "Doc."\n    return 1\n') == 2
+    assert loc.code_lines("") == 0
+
+
+def test_the_tool_counts_the_package_in_the_working_tree():
+    counts = loc.counts_now()
+    assert counts["src/crossdim/dynamics.py"] > 0
+    assert all(name.startswith("src/crossdim/") for name in counts)
