@@ -117,7 +117,8 @@ def expm(A, t: float = 1.0) -> np.ndarray:
     Al-Mohy & Higham (SIAM J. Matrix Anal. Appl., 2009): the backward error
     is at the level of unit roundoff.  A non-finite result raises
     :class:`NumericFailure`.  Many times t take one stacked call,
-    :func:`_expm_stack`, whose slices equal this result bit for bit.
+    :func:`_expm_stack`, whose slices equal this result bit for bit; the
+    package takes every exponential of its own from there.
     """
     E = _expm_stack(A, np.array([float(t)]))[0]
     if not np.isfinite(E).all():
@@ -477,22 +478,20 @@ class _FlowCache:
     """Exponentials that the exact flows of one :func:`simulate` call share
     across the visits of its modes.
 
-    For each distinct generator G at the run's step, keyed by its bytes:
-    the :func:`_powers` block and the first stack of anchor exponentials
-    e^{G j B step}, j = 1, 2, ... of :func:`_block_flow`.  They depend only
-    on (G, step, j), never on the state a visit enters with, and a kept
-    slice is the one a new computation would give, bit for bit.  What is
-    kept holds at most ``_CACHE_ENTRIES`` entries, whatever the number of
-    samples, visits or modes; an array that does not fit is computed at
-    each visit, as without a cache.  ``_FlowCache(0)`` keeps nothing.
+    ``arrays`` maps ("powers", key) and ("anchors", key), key being
+    (G's bytes, step, offset), to the :func:`_powers` block and to the first
+    stack of anchor exponentials e^{G (offset + j B step)}, j = 0, 1, ...
+    of :func:`_block_flow`.  They depend only on the key and j, never on
+    the state a visit enters with, and a kept slice is the one a new
+    :func:`_expm_stack` call would give, bit for bit, non-finite where that
+    exponential overflowed.  What is kept holds at most ``_CACHE_ENTRIES``
+    entries, whatever the number of samples, visits or modes; an array that
+    does not fit is computed at each visit, as without a cache.
+    ``_FlowCache(0)`` keeps nothing.
     """
 
     def __init__(self, budget: int = _CACHE_ENTRIES):
         self.arrays, self.room = {}, budget
-
-    def get(self, key, d: int) -> np.ndarray:
-        """The stack of (d, d) matrices kept under ``key``; empty if none."""
-        return self.arrays.get(key, np.empty((0, d, d)))
 
     def keep(self, key, A: np.ndarray) -> np.ndarray:
         """``A``, kept under ``key`` in place of what was there if it fits."""
@@ -513,59 +512,45 @@ def _block_flow(G: np.ndarray, z0: np.ndarray, step: float, count: int,
     e^{G (offset + j B step)} z0, with E = e^{G step}: each anchor is its
     own exponential, so rounding compounds over at most one block, never
     over the whole grid (Moler & Van Loan, SIAM Review 2003, "Nineteen
-    dubious ways", method 19).  A flow of any length costs the step's
-    exponential plus one per anchor.  The block length B is ``_FLOW_BLOCK``,
-    or fewer for a large G, so that the B powers hold at most
-    ``_STACK_ENTRIES`` entries; the anchors' exponentials are stacked
-    :func:`_expm_stack` calls within the same budget, each slice equal bit
-    for bit to one :func:`expm`.  So the matrices held at once are set by
-    that budget, never by ``count``.  At offset 0 the first anchor is z0
-    itself.  An anchor that overflowed makes its block's samples
-    non-finite; where e^{G step} overflows, the first ``next`` raises
-    :class:`NumericFailure`.  A flow from offset 0 with a ``cache`` takes
-    the powers and the first stack of anchor exponentials kept there, and
-    keeps what it computes of them while they fit the cache's
-    ``_CACHE_ENTRIES`` (:class:`_FlowCache`), so memory stays set by the
-    budgets; each anchor is still that exponential applied to this z0.
+    dubious ways", method 19).  The block length B is ``_FLOW_BLOCK``, or
+    fewer for a large G, so that the B powers hold at most
+    ``_STACK_ENTRIES`` entries.  E and the anchors are :func:`_expm_stack`
+    slices, the anchors in stacks within the same budget, so the matrices
+    held at once are set by that budget, never by ``count``; a flow of any
+    length costs E plus one slice per anchor, and the anchor at t = 0 is
+    e^{0 G} = I, which takes no exponential.  An exponential that
+    overflowed is used as it is, so its samples are non-finite and the
+    caller finds them; nothing raises.  With a ``cache``, the flow takes
+    the powers and the first stack of anchors kept under (G, step, offset)
+    and keeps what it computes of them while they fit the cache's
+    ``_CACHE_ENTRIES`` (:class:`_FlowCache`); each anchor is still that
+    exponential applied to this z0.
     """
     d = len(G)
     per_stack = max(1, _STACK_ENTRIES // d**2)
     block = min(_FLOW_BLOCK, per_stack)
-    if cache is None or offset != 0.0:
-        cache = _FlowCache(0)
-    key = (G.tobytes(), step)
-    powers, need = cache.get(("powers", key), d), min(count, block)
-    if len(powers) < need:
-        E = expm(G, step) if need > 1 else G  # E^0 = I needs no exponential
+    cache = _FlowCache(0) if cache is None else cache
+    key = (G.tobytes(), step, offset)
+    powers, need = cache.arrays.get(("powers", key), ()), min(count, block)
+    if len(powers) < need:  # E^0 = I needs no exponential
+        E = _expm_stack(G, np.array([step]))[0] if need > 1 else G
         powers = cache.keep(("powers", key), _powers(E, need))
     rows = powers.reshape(-1, z0.size)
-    starts = np.arange(0, count, block)
-    ts = offset + starts * step
-    if offset == 0.0:
-        anchors = itertools.chain([z0], _anchors(G, z0, ts[1:], per_stack, cache, key))
-    else:
-        anchors = _anchors(G, z0, ts, per_stack, cache, key)
-    for start, anchor in zip(starts, anchors):
-        m = min(block, count - start)
-        yield (rows[: m * z0.size] @ anchor).reshape(m, -1)  # one product per block
-
-
-def _anchors(G: np.ndarray, z0: np.ndarray, ts: np.ndarray, per_stack: int,
-             cache: _FlowCache, key):
-    """e^{G t} z0 for every t of ``ts``, in order, from stacked exponentials
-    of ``per_stack`` times each.  The first stack extends the one ``cache``
-    keeps under ``key``, which must hold the exponentials of the same
-    leading times."""
-    head = min(len(ts), per_stack)
-    first = cache.get(("anchors", key), len(G))
-    if len(first) < head:
-        more = _expm_stack(G, ts[len(first) : head])
-        first = cache.keep(("anchors", key), np.concatenate([first, more]) if len(first) else more)
-    for E in first[:head]:
-        yield E @ z0
-    for lo in range(head, len(ts), per_stack):
-        for E in _expm_stack(G, ts[lo : lo + per_stack]):
-            yield E @ z0
+    ts = offset + np.arange(0, count, block) * step
+    # the first stack extends what is kept; at offset 0 it opens with
+    # e^{0 G} = I, which takes no exponential
+    anchors = cache.arrays.get(("anchors", key), (np.eye(d),) if offset == 0.0 else ())
+    for lo in range(0, len(ts), per_stack):
+        hi = min(lo + per_stack, len(ts))
+        if len(anchors) < hi - lo:
+            more = _expm_stack(G, ts[lo + len(anchors) : hi])
+            anchors = np.concatenate([anchors, more]) if len(anchors) else more
+            if not lo:
+                cache.keep(("anchors", key), anchors)
+        for j, E in enumerate(anchors[: hi - lo], lo):
+            m = min(block, count - j * block)
+            yield (rows[: m * z0.size] @ (E @ z0)).reshape(m, -1)  # one product per block
+        anchors = ()
 
 
 def _linear_flow(G: np.ndarray, z0: np.ndarray, times: np.ndarray, step: float,
@@ -574,25 +559,18 @@ def _linear_flow(G: np.ndarray, z0: np.ndarray, times: np.ndarray, step: float,
 
     The uniform part of the grid is :func:`_block_flow`'s, with ``cache``.
     A final partial step (shorter than ``step``) starts from the sample
-    before it.  An anchor that overflowed makes its block's samples
-    non-finite; where e^{G step} or the partial step's exponential
-    overflows, the samples it would give are NaN.
+    before it, by one more :func:`_expm_stack` slice.  An exponential that
+    overflowed makes the samples it gives non-finite.
     """
-    count = len(times)
-    partial = count > 1 and abs(times[-1] - times[-2] - step) > _TIME_EPS
-    uniform = count - 1 if partial else count
-    Z = np.full((count, z0.size), np.nan)
-    Z[0] = z0
+    partial = len(times) > 1 and abs(times[-1] - times[-2] - step) > _TIME_EPS
+    Z = np.empty((len(times), z0.size))
     start = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            for samples in _block_flow(G, z0, step, uniform, cache=cache):
-                Z[start : start + len(samples)] = samples
-                start += len(samples)
-            if partial:
-                Z[-1] = expm(G, times[-1] - times[-2]) @ Z[-2]
-        except NumericFailure:
-            pass  # a step's exponential overflowed: the samples not reached stay NaN
+        for samples in _block_flow(G, z0, step, len(times) - partial, cache=cache):
+            Z[start : start + len(samples)] = samples
+            start += len(samples)
+        if partial:
+            Z[-1] = _expm_stack(G, times[-1:] - times[-2])[0] @ Z[-2]
     return Z
 
 
@@ -635,10 +613,13 @@ def integrate_mode(
     evaluators, disturbances) uses classical RK4.  To integrate a linear
     mode with RK4, give its drift as an evaluator ``lambda x: A @ x``.  An
     open-loop run is ``integrate_mode(replace(mode, feedback=None), ...)``.
-    A non-finite sample on either path raises :class:`NumericFailure`.
+    A non-finite sample on either path raises :class:`NumericFailure` at
+    its time; on the exact path that is the one overflow rule, since an
+    exponential that overflowed is used as it is (:func:`_block_flow`).
     :func:`simulate` passes one ``cache`` to every visit of a run, so that
-    the exact path reuses exponentials (:class:`_FlowCache`); the samples
-    are the same bit for bit with or without it.
+    the exact path reuses the step powers and the first anchor stack kept
+    under (G, step, 0) (:class:`_FlowCache`); the samples are the same bit
+    for bit with or without it.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -757,8 +738,11 @@ def simulate(
 
     The visits of one call share a :class:`_FlowCache`: a mode on the exact
     path builds its step powers and its first stack of anchor exponentials
-    once, and later visits reuse them.  It holds at most
+    once, kept under (G, step, 0) since every visit's flow starts from its
+    own t0, and later visits reuse them.  It holds at most
     ``_CACHE_ENTRIES`` matrix entries and lives only as long as the call.
+    An exponential that overflowed is kept as it is, so every visit that
+    uses it fails with its first non-finite sample, as without the cache.
     """
     n_modes = len(system.modes)
     unknown = sorted(m for m in signal.mode_indices if not 0 <= m < n_modes)

@@ -9,6 +9,7 @@ dwell times.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import accumulate, cycle, takewhile
 
@@ -212,8 +213,7 @@ class SwitchingSignal:
     def __post_init__(self):
         if self.kind not in ("fixed", "random-dwell"):
             raise ValueError(f"unknown signal kind {self.kind!r}")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        _check_horizon(self.horizon)
         if len(self.switch_times) != len(self.modes_after):
             raise ValueError("switch_times and modes_after lengths differ")
         ts = self.switch_times
@@ -252,10 +252,21 @@ def _round_robin(initial_mode: int, n_modes: int, count: int):
     return tuple((initial_mode + 1 + k) % n_modes for k in range(count))
 
 
+def _check_horizon(horizon: float) -> None:
+    """``ValueError`` unless ``horizon`` is positive and finite: a sum of
+    dwells never reaches inf, and every comparison with NaN is false."""
+    if not horizon > 0:
+        raise ValueError("horizon must be positive")
+    if horizon == math.inf:
+        raise ValueError("horizon must be finite")
+
+
 def _switch_times(dwells, horizon: float) -> tuple:
     """The running sums of the iterable ``dwells``, kept while they stay
     below ``horizon``; the first dwell whose sum reaches it is the last one
-    taken."""
+    taken.  A horizon that is not positive and finite raises ``ValueError``
+    before any dwell is drawn."""
+    _check_horizon(horizon)
     return tuple(takewhile(lambda t: t < horizon, accumulate(dwells)))
 
 

@@ -251,23 +251,18 @@ def test_linear_flow_matches_eigendecomposition(partial):
 
 @pytest.fixture
 def expm_spy(monkeypatch):
-    """Counts scalar ``expm`` calls and the ``_expm_stack`` calls made
-    outside them (their lengths), while the test runs."""
+    """Records the times of every ``_expm_stack`` call, one list per call,
+    and counts the calls of the public ``expm``, while the test runs."""
     seen = {"expm": 0, "stacks": []}
-    stack, scalar, inside = dynamics._expm_stack, dynamics.expm, []
+    stack, scalar = dynamics._expm_stack, dynamics.expm
 
     def spy_stack(A, ts):
-        if not inside:
-            seen["stacks"].append(len(ts))
+        seen["stacks"].append(ts.tolist())
         return stack(A, ts)
 
     def spy_expm(A, t=1.0):
         seen["expm"] += 1
-        inside.append(t)
-        try:
-            return scalar(A, t)
-        finally:
-            inside.pop()
+        return scalar(A, t)
 
     monkeypatch.setattr(dynamics, "_expm_stack", spy_stack)
     monkeypatch.setattr(dynamics, "expm", spy_expm)
@@ -320,11 +315,49 @@ def test_linear_flow_stacks_its_anchors_bit_for_bit(partial, expm_spy):
             assert first == count or not np.isfinite(got[first]).all()
             np.testing.assert_array_equal(got[:first], want[:first])
             overflowed += first < count
-            # one stack for every anchor, none when the grid has no anchor;
-            # scalar expm only for the step and the partial step
-            assert expm_spy["stacks"] == ([] if count <= B else [(count - 1) // B])
-            assert expm_spy["expm"] <= 2
+            # one slice for the step, one stack for every anchor (none when
+            # the grid has no anchor past t0), one slice for the partial step
+            step = [[h]] if count > 1 else []
+            anchors = [] if count <= B else [(count - 1) // B]
+            last = [[times[-1] - times[-2]]] if partial else []
+            stacks = expm_spy["stacks"]
+            assert stacks[: len(step)] == step and stacks[len(stacks) - len(last) :] == last
+            assert [len(ts) for ts in stacks[len(step) : len(stacks) - len(last)]] == anchors
+            assert expm_spy["expm"] == 0
     assert overflowed
+
+
+def flow_bits(*args):
+    """The samples of ``dynamics._block_flow(*args)``, all blocks, as bytes."""
+    return np.concatenate(list(dynamics._block_flow(*args))).tobytes()
+
+
+@pytest.mark.parametrize("count", [2, dynamics._FLOW_BLOCK + 1, 3 * dynamics._FLOW_BLOCK + 7])
+def test_a_flow_kept_at_a_nonzero_offset_gives_the_same_bits(count, expm_spy):
+    G, step = np.array([[-0.3, 1.0], [-1.0, -0.3]]), 1e-3
+    z0, z1 = np.array([1.0, -2.0]), np.array([-0.5, 3.0])
+    cache = dynamics._FlowCache()
+    for offset, z in [(0.37, z0), (0.37, z1), (0.5, z0), (0.37, z1)]:
+        alone = flow_bits(G, z, step, count, offset)
+        expm_spy["stacks"] = []
+        assert flow_bits(G, z, step, count, offset, cache) == alone
+        # the powers and anchors kept for (G, step, offset) serve every
+        # state; another offset has its own
+        assert (expm_spy["stacks"] == []) == (offset == 0.37 and z is z1), offset
+    assert expm_spy["expm"] == 0
+
+
+@pytest.mark.parametrize("x0", [[1.0, 0.0], [0.0, 1.0]])
+def test_a_step_exponential_that_overflows_fails_at_the_first_step(x0):
+    # e^{800 t} overflows for t >= 1 while x0 itself is finite: the grid
+    # has whole steps without and with a partial step, one step, and only
+    # a partial step
+    mode = Mode("fast", 2, np.array([[800.0, 0.0], [0.0, -1.0]]))
+    for t1, step in [(3.0, 1.0), (3.5, 1.0), (1.0, 1.0), (1.5, 2.0)]:
+        with pytest.raises(NumericFailure) as err:
+            integrate_mode(mode, x0, 0.0, t1, step)
+        assert err.value.time == min(t1, step)
+        assert err.value.operation == "integrate_mode"
 
 
 def test_simulate_flow_memory_is_set_by_the_stack_budget():
@@ -454,9 +487,9 @@ def test_feedback_scenarios_exact_path_matches_rk4(name):
 
 def test_the_mode_chooses_the_integration_path(monkeypatch):
     calls = []
-    real_expm = dynamics.expm
+    real_stack = dynamics._expm_stack
     monkeypatch.setattr(
-        dynamics, "expm", lambda A, t=1.0: calls.append(t) or real_expm(A, t)
+        dynamics, "_expm_stack", lambda A, ts: calls.append(ts) or real_stack(A, ts)
     )
     A = np.array([[-1.0, 0.5], [0.0, -2.0]])
     B = np.array([[1.0], [0.0]])
@@ -509,10 +542,13 @@ def test_shipped_scenarios_take_the_exact_path(monkeypatch, name):
     # moves by has its step's exponential taken (the visits of one mode
     # share it, so there can be fewer than one per segment)
     calls = set()
-    real_expm = dynamics.expm
-    monkeypatch.setattr(
-        dynamics, "expm", lambda A, t=1.0: calls.add((A.tobytes(), t)) or real_expm(A, t)
-    )
+    real_stack = dynamics._expm_stack
+
+    def stack(A, ts):
+        calls.update((A.tobytes(), t) for t in ts.tolist())
+        return real_stack(A, ts)
+
+    monkeypatch.setattr(dynamics, "_expm_stack", stack)
 
     def no_rk4(mode, disturbance):
         raise AssertionError(f"mode {mode.label!r} runs RK4")

@@ -42,3 +42,17 @@ def test_the_tool_counts_the_package_in_the_working_tree():
     counts = loc.counts_now()
     assert counts["src/crossdim/dynamics.py"] > 0
     assert all(name.startswith("src/crossdim/") for name in counts)
+
+
+def test_a_revision_git_cannot_read_exits_2_with_gits_message(tmp_path, monkeypatch, capsys):
+    assert loc.main(["no/such/revision"]) == 2
+    first = capsys.readouterr()
+    assert first.out == "" and first.err.startswith("fatal: ") and first.err.count("\n") == 1
+    # a tree that is no git checkout: git may not look above tmp_path
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+    monkeypatch.delenv("GIT_DIR", raising=False)
+    monkeypatch.setattr(loc, "ROOT", tmp_path)
+    assert loc.main([]) == 2
+    second = capsys.readouterr()
+    assert second.out == "" and second.err.startswith("fatal: not a git repository")
+    assert second.err.count("\n") == 1

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import crossdim
 from crossdim.cdspace import kron_lift, project, v_norm
 from crossdim.dkstp import bridge
 from crossdim.switching import (
@@ -216,6 +221,32 @@ def test_signal_validation():
     with pytest.raises(ValueError):
         fixed_signal(5.0, dwell_pattern=[1.0, -1.0], n_modes=2)
 
+
+
+def test_a_horizon_that_is_not_positive_and_finite_raises_before_any_dwell():
+    # a fresh process with a timeout: a builder that sums dwells towards an
+    # infinite horizon fails the test instead of hanging it
+    code = (
+        "import math\n"
+        "from crossdim.switching import fixed_signal, random_signal\n"
+        "for h in (math.inf, math.nan, -math.inf, 0.0):\n"
+        "    for make in (lambda: fixed_signal(h, dwell_pattern=[1.0], n_modes=2),\n"
+        "                 lambda: random_signal(h, (0.5, 1.0), seed=3, n_modes=2)):\n"
+        "        try:\n"
+        "            make()\n"
+        "        except ValueError as exc:\n"
+        "            print(exc)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(crossdim.__file__).resolve().parent.parent)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    finite, positive = "horizon must be finite", "horizon must be positive"
+    assert done.stdout.splitlines() == 2 * [finite] + 6 * [positive]
+    for h, message in [(math.inf, finite), (math.nan, positive)]:
+        with pytest.raises(ValueError, match=message):
+            SwitchingSignal("fixed", 0, (), (), h)
+        with pytest.raises(ValueError, match=message):
+            fixed_signal(h, switch_times=[1.0], n_modes=2)
 
 
 # ------------------------------------------------------ library argument checks

@@ -8,6 +8,8 @@ the total net change last. A code line is a line that holds a token other
 than a comment, and that token is not part of a module, class or function
 docstring as ``ast`` finds them; so blank lines, comment lines and
 docstring prose are not counted, and deleting prose is no code reduction.
+When git cannot read REV, or the tree is no git checkout, it prints git's
+message and exits 2.
 """
 
 import argparse
@@ -69,7 +71,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", nargs="?", default="HEAD", help="git revision (default HEAD)")
     args = parser.parse_args(argv)
-    before, after = counts_at(args.rev), counts_now()
+    try:
+        before = counts_at(args.rev)
+    except subprocess.CalledProcessError as exc:
+        print(exc.stderr.strip().splitlines()[0], file=sys.stderr)
+        return 2
+    after = counts_now()
     width = max(map(len, [*before, *after, "total"]))
     print(f"{'module':<{width}} {args.rev[:10]:>10} {'tree':>6} {'change':>7}")
     for name in sorted({*before, *after}):
