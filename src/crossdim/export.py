@@ -118,8 +118,9 @@ def _tables():
     """Lookup tables, built on first use: the rows (hi, hi_hi, hi_lo, lo) of
     10^j = hi + lo with hi split for Dekker's product; slot words for the
     first digit, each 4-digit limb and each exponent; trailing zeros per
-    limb ("0000" has 4); the keep-mask offset of each exponent's layout; and
-    the keep-masks as words, indexed by (sign, layout, digit count)."""
+    limb ("0000" has 4); per exponent, the keep-mask index of a positive
+    17-digit cell in its layout, from which each trailing zero counts one
+    down; and the keep-masks as words, indexed by (sign, layout, digit count)."""
     hi, lo = np.array([_power(j) for j in range(_J0, -_J0 + 1)]).T
     c = _SPLIT * hi
     hi_hi = c - (c - hi)
@@ -133,11 +134,13 @@ def _tables():
     exps = _words(b"".join(b"e%+04d\0\0\0" % e for e in exps))
     keep = [_keep(s, lay, nd) for s in (0, 1) for lay in range(_LAYOUTS) for nd in range(18)]
     keep = (np.array(keep, dtype=np.uint8) * 0xFF).view(np.uint64)
-    return powers, first, limbs, exps, tz, 18 * np.array(layouts), keep
+    return powers, first, limbs, exps, tz, 18 * np.array(layouts) + 17, keep
 
 
 def _scaled(x, k, powers):
-    """y = x * 10^(16 - k) as the double-double (yh, yl), |error| < 1e-14."""
+    """y = x * 10^(16 - k) as yh + yl, |error| < 1e-14: yh is x * hi rounded
+    and yl the rest, not renormalised, so |yl| is at most about
+    ulp(yh) / 2 + yh * 2**-53, under 20 while yh < 1.1e17."""
     j = 16 - _J0 - k
     hi, hi_hi, hi_lo, lo = (row.take(j) for row in powers)
     x_hi = _SPLIT * x
@@ -151,15 +154,14 @@ def _scaled(x, k, powers):
     x_lo *= hi_lo
     e += x_lo
     e += x * lo
-    yh = p + e
-    p -= yh
-    p += e
-    return yh, p
+    return p, e
 
 
 def _below(yh, yl, bound):
-    """yh + yl < bound, elementwise."""
-    return (yh < bound) | ((yh == bound) & (yl < 0))
+    """yh + yl < bound, exactly, elementwise: yh - bound is exact within a
+    factor 2 of the bound (Sterbenz) and far larger than yl outside it, and
+    rounding keeps the sign of a sum."""
+    return (yh - bound) + yl < 0
 
 
 def _layout(suffixes: tuple) -> tuple:
@@ -218,22 +220,34 @@ def _format_rows(block: np.ndarray, layout: tuple, work: tuple) -> bytes:
     k = np.floor(np.log10(x)).astype(np.int64)
     yh, yl = _scaled(x, k, powers)
     # log10 may land one decade off near powers of ten: step k once, and
-    # leave to ``%`` a cell that is still out of [1e16, 1e17)
-    step = _below(yh, yl, 1e17).astype(np.int64) - 1 + _below(yh, yl, 1e16)
-    if step.any():
-        redo = np.flatnonzero(step)
-        k[redo] -= step[redo]
+    # leave to ``%`` a cell that is still out of [1e16, 1e17).  Near either
+    # bound |yl| < 20, so yh + yl lies on the same side of it as yh unless yh
+    # is within 32 of it: only those cells need the exact comparison
+    edge = np.flatnonzero((yh <= 1e16 + 32) | (yh >= 1e17 - 32))
+    eh, el = yh[edge], yl[edge]
+    step = _below(eh, el, 1e17).astype(np.int64) - 1 + _below(eh, el, 1e16)
+    moved = step != 0
+    redo = edge[moved]
+    if redo.size:
+        k[redo] -= step[moved]
         yh[redo], yl[redo] = _scaled(x[redo], k[redo], powers)
         direct[redo] &= ~_below(yh[redo], yl[redo], 1e16) & _below(yh[redo], yl[redo], 1e17)
-    # yh >= 1e16 > 2**53 is an integer, so yl holds the fraction
-    whole = np.floor(yl)
-    frac = yl - whole
-    direct &= np.abs(frac - 0.5) >= _TIE
-    D = yh.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
-    D[~direct] = 10**16
-    carry = D == 10**17
+    # y >= 1e16 puts yh above 2**53, an integer, so round(y) = yh + r with r
+    # the integer nearest yl.  One floor, r = floor(yl + 0.5), finds it
+    # unless that sum rounds across an integer, which needs yl within 2e-15
+    # of a half; then |yl - r| is within as much of 0.5, and the tie band
+    # sends the cell to ``%`` (at the band's edge both paths print the same)
+    r = yl + 0.5
+    np.floor(r, out=r)
+    D = yh.astype(np.int64)
+    D += r.astype(np.int64)
+    yl -= r
+    direct &= np.abs(yl) <= 0.5 - _TIE
+    slow = np.flatnonzero(~direct)
+    D[slow] = 10**16
+    carry = np.flatnonzero(D == 10**17)
     D[carry] = 10**16
-    k += carry
+    k[carry] += 1
     k += _EXP0  # from here on, k indexes the exponent tables
 
     # the first digit and four 4-digit limbs of D; numpy divides by a
@@ -247,10 +261,14 @@ def _format_rows(block: np.ndarray, layout: tuple, work: tuple) -> bytes:
     np.subtract(hi, limb[0] * 10**4, out=limb[1])
     np.subtract(lo, limb[2] * 10**4, out=limb[3])
     zeros = tz.take(limb[3])
+    more = np.flatnonzero(zeros == 4)
     for i in (2, 1, 0):  # an all-zero limb: go on counting in the one before
-        more = np.flatnonzero(zeros == 12 - 4 * i)
-        zeros[more] += tz.take(limb[i].take(more))
-    index = np.signbit(v) * (_LAYOUTS * 18) + base.take(k) + (17 - zeros)
+        z = tz.take(limb[i].take(more))
+        zeros[more] += z
+        more = more[z == 4]
+    index = base.take(k)
+    index -= zeros
+    index += np.signbit(v) * (_LAYOUTS * 18)
 
     # every index is in range: mode="clip" lets take write straight into out
     first.take(top, out=words[0], mode="clip")
@@ -260,7 +278,7 @@ def _format_rows(block: np.ndarray, layout: tuple, work: tuple) -> bytes:
     keep.take(index, axis=0, out=slots, mode="clip")
     slots &= words.T
     text = slots.view(np.uint8)
-    for i in np.flatnonzero(~direct).tolist():
+    for i in slow.tolist():
         cell = b"%.17g" % v[i]
         text[i, : len(cell)] = np.frombuffer(cell, dtype=np.uint8)
         text[i, len(cell) : _SUFFIX0] = 0

@@ -137,18 +137,30 @@ def test_block_formatter_prints_any_bit_pattern_like_percent(bits):
 
 def edge_values():
     # zeros, nan and inf go to "%"; powers of ten and their neighbours make
-    # log10 land a decade off; exact ties at the 17th digit (N + 0.25 and
+    # log10 land a decade off, and a few ulps from them the scaled value
+    # lands next to 1e16 or 1e17; exact ties at the 17th digit (N + 0.25 and
     # N + 0.75 near 1e15, N + 0.125 and N + 0.375 near 1e14) must round half
     # to even; values beyond 1e-260..1e290 go to "%"
     tens = np.array([float(f"1e{p}") for p in range(-323, 309)])
     ties = np.arange(10**15, 10**15 + 200, dtype=float)
     ties14 = np.arange(10**14, 10**14 + 200, dtype=float)
+    # exactly one, two and three all-zero trailing limbs of four digits
+    zero_limbs = np.array([1.0009765625, 1.015625, 1.5, 1.0009765625e12, 1.015625e20, 1.5e20])
+    # x = m * 2**-34 in [2**18, 2**19) scales by 10**11 to m * 5**11 / 2**23,
+    # whose fraction runs over the multiples of 2**-23 (5**11 is odd): it
+    # lies 8 * 2**-23 from a half, just inside the tie band, or 9 * 2**-23,
+    # just outside
+    inv = pow(5**11, -1, 2**23)
+    near_ties = np.array([math.ldexp(((2**22 + t) * inv) % 2**23 + 2**52 + i * 2**23, -34)
+                          for t in (-9, -8, 8, 9) for i in range(8)])
     values = [
         [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf],
         [5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308],
         [1e16, 1e17, 9.999999999999999e16, 1e16 - 2, 1e17 - 16, 2.0**53, 2.0**53 + 2],
         tens, np.nextafter(tens, 0.0), np.nextafter(tens, math.inf), -tens,
+        *(tens * (1 + u * 2.0**-52) for u in (-3, -2, 2, 3)),
         ties + 0.25, ties + 0.75, -(ties + 0.75), ties14 + 0.125, -(ties14 + 0.375),
+        zero_limbs, -zero_limbs, near_ties, -near_ties,
     ]
     return np.concatenate([np.asarray(v, dtype=float) for v in values])
 

@@ -10,7 +10,10 @@ first on even pairs and the change first on odd ones. The workload's pairs
 and the median and quartiles of ``setup_s``, ``pass_ref`` and
 ``peak_rss_mb`` on each side go into the record under the workload's name,
 beside the entries of workloads recorded before; each side's commit,
-source digest and provenance come from perfbench's details line.
+source digest and provenance come from perfbench's details line.  The
+record is rewritten after every pair, and a single pair has a median but
+no quartiles.  A run that exits non-zero stops the tool with exit code 2,
+after printing its side, seed, exit code and the tail of its stderr.
 """
 
 import argparse
@@ -34,8 +37,27 @@ def run(checkout: str, workload: str, seed: int, seconds: str) -> tuple:
 
 
 def spread(values: list) -> dict:
+    if len(values) < 2:
+        return {"median": statistics.median(values)}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
+
+
+def write(path: Path, workload: str, seeds: list, seconds: float, pairs: list, provenance: dict):
+    """Put the workload's pairs and their summary into the record at ``path``."""
+    record = json.loads(path.read_text()) if path.exists() else {"workloads": {}}
+    for side in SIDES:
+        prov = provenance[side]
+        record[side] = {"commit": prov["commit"], "src_sha256": prov["src_sha256"],
+                        "provenance": prov}
+    summary = {name: {side: spread([p[side][name] for p in pairs]) for side in SIDES}
+               for name in METRICS}
+    for name in METRICS:
+        summary[name]["change_lower_in"] = sum(p["change"][name] < p["parent"][name] for p in pairs)
+    record["workloads"][workload] = {
+        "seeds": seeds, "seconds": seconds, "pairs_run": len(pairs),
+        "summary": summary, "pairs": pairs}
+    path.write_text(json.dumps(record, indent=1) + "\n")
 
 
 def main(argv=None) -> int:
@@ -53,27 +75,21 @@ def main(argv=None) -> int:
     for i, seed in enumerate(range(first, last + 1)):
         pair = {"seed": seed, "order": list(SIDES if i % 2 == 0 else SIDES[::-1])}
         for side in pair["order"]:
-            details, result = run(checkouts[side], args.workload, seed, args.seconds)
+            try:
+                details, result = run(checkouts[side], args.workload, seed, args.seconds)
+            except subprocess.CalledProcessError as failed:
+                tail = "\n".join((failed.stderr or "").splitlines()[-20:])
+                print(f"{side} run of seed {seed} exited with {failed.returncode}:\n{tail}",
+                      file=sys.stderr)
+                return 2
             provenance.setdefault(side, details["provenance"])
             pair[side] = {name: result["metrics"][name]["value"] for name in METRICS}
             pair[side].update(correct=result["correct"], failed=result["failed"],
                               attempted=result["attempted"], cmd_ref=details["cmd_ref"])
         pairs.append(pair)
         print(json.dumps(pair), flush=True)
-    path = Path(args.record)
-    record = json.loads(path.read_text()) if path.exists() else {"workloads": {}}
-    for side in SIDES:
-        prov = provenance[side]
-        record[side] = {"commit": prov["commit"], "src_sha256": prov["src_sha256"],
-                        "provenance": prov}
-    summary = {name: {side: spread([p[side][name] for p in pairs]) for side in SIDES}
-               for name in METRICS}
-    for name in METRICS:
-        summary[name]["change_lower_in"] = sum(p["change"][name] < p["parent"][name] for p in pairs)
-    record["workloads"][args.workload] = {
-        "seeds": [first, last], "seconds": float(args.seconds), "pairs_run": len(pairs),
-        "summary": summary, "pairs": pairs}
-    path.write_text(json.dumps(record, indent=1) + "\n")
+        write(Path(args.record), args.workload, [first, last], float(args.seconds), pairs,
+              provenance)
     return 0
 
 
