@@ -1,7 +1,6 @@
 """Cross-dimensional Euclidean space and dimension-varying system toolkit."""
 
 from .cdspace import (
-    CdVector,
     SubspaceLattice,
     angle,
     build_lattice,
@@ -57,8 +56,6 @@ from .switching import (
     compose_maps,
     drop_map,
     fixed_signal,
-    jump_gap,
-    lipschitz_of,
     nearest_map,
     random_signal,
 )

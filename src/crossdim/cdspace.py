@@ -7,6 +7,10 @@ path-connected metric space whose slices of fixed dimension keep the
 ordinary Euclidean geometry (the metric is the dimension-normalized
 2-norm, so the scale factor per slice is 1/sqrt(n)).
 
+A point is carried as any of its representatives: a nonempty finite 1-d
+float array (:func:`as_entries`).  Every routine here takes array-likes
+and returns plain arrays.
+
 This module provides the canonical (minimal-dimension) representative of
 an equivalence class, mixed-dimension addition, the normalized inner
 product / norm / distance, least-squares projections between dimensions,
@@ -24,7 +28,6 @@ from .dkstp import bridge
 from .errors import NumericFailure
 
 __all__ = [
-    "CdVector",
     "SubspaceLattice",
     "angle",
     "build_lattice",
@@ -49,42 +52,9 @@ REDUCE_ATOL = 1e-12
 MAX_LATTICE_NODES = 256
 
 
-@dataclass(frozen=True, eq=False)
-class CdVector:
-    """A point of the cross-dimensional space, stored in one fixed dimension.
-
-    Every routine here accepts plain sequences/arrays as well.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.entries, dtype=float)
-        if a.ndim != 1 or a.size == 0:
-            raise ValueError("CdVector entries must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("CdVector entries must be finite")
-        a = a.copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "entries", a)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.size
-
-    def __len__(self) -> int:
-        return self.entries.size
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return self.entries.astype(dtype)
-        return self.entries
-
-
 def as_entries(x) -> np.ndarray:
-    """Coerce ``x`` (CdVector or array-like) to a finite 1-d float array."""
-    if isinstance(x, CdVector):
-        return x.entries
+    """Coerce array-like ``x`` to a point of the space: a nonempty finite
+    1-d float array (a scalar reads as a vector of dimension 1)."""
     a = np.asarray(x, dtype=float)
     if a.ndim == 0:
         a = a.reshape(1)
@@ -140,20 +110,20 @@ def _reduce_once(a: np.ndarray, rtol: float | None = None) -> np.ndarray:
     return a
 
 
-def canonicalize(v, tol: float = REDUCE_RTOL) -> CdVector:
+def canonicalize(v, tol: float = REDUCE_RTOL) -> np.ndarray:
     """Return the least-dimension vector equivalent to ``v`` within ``tol``.
 
     Divisor dimensions are tried in ascending order, so the first hit is the
     unique minimal representative.  Blocks that are equal only within the
     tolerance are replaced by their means; exact blocks are kept bit-for-bit.
     The result is reduced again until stable, which makes the operation
-    idempotent.
+    idempotent.  It is a new array, never ``v`` itself or a view of it.
     """
     a = as_entries(v)
     while True:
         b = _reduce_once(a, tol)
         if b.size == a.size:
-            return CdVector(b)
+            return b.copy()
         a = b
 
 
@@ -165,21 +135,21 @@ def _common_lift(x, y):
     return np.repeat(a, t // a.size), np.repeat(b, t // b.size), t
 
 
-def _finite(c: np.ndarray, operation: str) -> CdVector:
+def _finite(c: np.ndarray, operation: str) -> np.ndarray:
     """A sum of two finite lifts, or NumericFailure where it overflowed."""
     if np.isfinite(c).all():
-        return CdVector(c)
+        return c
     raise NumericFailure("mixed-dimension sum overflowed", operation=operation)
 
 
-def stp_add(x, y) -> CdVector:
+def stp_add(x, y) -> np.ndarray:
     """Mixed-dimension addition: lift both to the lcm dimension, then add."""
     a, b, _ = _common_lift(x, y)
     with np.errstate(over="ignore"):
         return _finite(a + b, "stp_add")
 
 
-def stp_sub(x, y) -> CdVector:
+def stp_sub(x, y) -> np.ndarray:
     """Mixed-dimension subtraction in the lcm dimension."""
     a, b, _ = _common_lift(x, y)
     with np.errstate(over="ignore"):

@@ -169,7 +169,7 @@ def cmd_reduce_vec(scenario: Scenario) -> dict:
         kind, x = op["op"], op["x"]
         if kind == "canonicalize":
             vec = canonicalize(x, op["tol"])
-            results.append({"op": kind, "result": vec.entries, "dim": vec.dim})
+            results.append({"op": kind, "result": vec, "dim": vec.size})
         elif kind == "distance":
             results.append({"op": kind, "result": v_dist(x, op["y"])})
         elif kind == "norm":

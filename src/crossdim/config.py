@@ -258,7 +258,8 @@ def _as_vector(value, path: str, length: int | None = None) -> np.ndarray:
 
 
 def _as_times(times, path: str) -> np.ndarray:
-    """``times``: a list of numbers, or ``{from, to, count}`` for a uniform grid."""
+    """``times``: a list of numbers, or ``{from, to, count}`` for a uniform
+    grid whose span to - from is finite."""
     if isinstance(times, dict):
         _as_object(times, path, ("count", "from", "to"))
         count = _as_int(times["count"], f"{path}.count")
@@ -268,6 +269,8 @@ def _as_times(times, path: str) -> np.ndarray:
             _fail(f"{path}.count", f"{count} samples exceeds the budget of {MAX_SAMPLES}")
         start = _as_number(times["from"], f"{path}.from")
         stop = _as_number(times["to"], f"{path}.to")
+        if not math.isfinite(stop - start):  # np.linspace would overflow
+            _fail(f"{path}.to", "the span to - from exceeds the float range")
         grid = np.linspace(start, stop, count)
     elif isinstance(times, list):
         grid = np.array(_as_entries(times, path, _as_number, nonempty=False))

@@ -582,7 +582,9 @@ def _generator(mode: Mode) -> np.ndarray | None:
     u = K x + u0 through a constant input matrix gives A + B K, bordered by
     the column B u0 and a zero row when u0 != 0, so that [x; 1] evolves by
     G (Van Loan, IEEE TAC 1978).  An evaluator drift or feedback, or
-    feedback through state-dependent channels, has no G.
+    feedback through state-dependent channels, has no G.  A G that
+    overflows from finite A, B, K and u0 raises :class:`NumericFailure`
+    naming the mode.
     """
     if not mode.is_linear:
         return None
@@ -591,14 +593,14 @@ def _generator(mode: Mode) -> np.ndarray | None:
         return mode.drift
     if not (isinstance(fb, AffineFeedback) and isinstance(B, np.ndarray)):
         return None
-    G = mode.drift + B @ fb.K
-    if not fb.u0.any():
-        return G
-    n = mode.dim
-    bordered = np.zeros((n + 1, n + 1))
-    bordered[:n, :n] = G
-    bordered[:n, n] = B @ fb.u0
-    return bordered
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = mode.drift + B @ fb.K
+        if fb.u0.any():
+            G = np.block([[G, (B @ fb.u0)[:, None]], [np.zeros(mode.dim + 1)]])
+    if not np.isfinite(G).all():
+        raise NumericFailure(f"closed loop of mode {mode.label!r} overflowed",
+                             operation="closed_loop")
+    return G
 
 
 def integrate_mode(
@@ -820,7 +822,8 @@ def closed_loop_drift(mode: Mode) -> np.ndarray:
     A mode without feedback gives its drift.  Any other closed loop (a
     nonlinear drift, a feedback evaluator, or an affine feedback with an
     offset u0 != 0, whose equilibrium is not the origin) has no such matrix
-    and raises ``ValueError`` naming the mode.
+    and raises ``ValueError`` naming the mode; an A + B K that overflows
+    raises :class:`NumericFailure` naming it.
     """
     if not mode.is_linear:
         raise ValueError(f"mode {mode.label!r}: dwell analysis requires a linear drift")
@@ -964,7 +967,8 @@ def dwell_bound(
     exponential overflows does not contract, so an overflow raises no
     :class:`NumericFailure`.  Returns None when a mode is not Hurwitz or no
     dwell up to ``_MAX_DWELL`` works.  Raises ``ValueError`` for a mode
-    whose closed loop is not linear.
+    whose closed loop is not linear, and :class:`NumericFailure` for one
+    whose A + B K overflows.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")

@@ -15,7 +15,7 @@ from itertools import accumulate, cycle, takewhile
 
 import numpy as np
 
-from .cdspace import as_entries, stp_sub, v_dist, v_norm
+from .cdspace import as_entries, stp_sub, v_norm
 from .dkstp import bridge, op_vnorm
 from .errors import NumericFailure
 
@@ -27,9 +27,6 @@ __all__ = [
     "compose_maps",
     "drop_map",
     "fixed_signal",
-    "identity_map",
-    "jump_gap",
-    "lipschitz_of",
     "make_jump_event",
     "nearest_map",
     "random_signal",
@@ -78,16 +75,6 @@ class TransitionMap:
                 f"transition expects dimension {self.source_dim}, got {a.size}"
             )
         return self.matrix @ a
-
-
-def lipschitz_of(W) -> float:
-    """Norm bound L with ||W x||_V <= L ||x||_V: the ``lipschitz`` of a
-    :class:`TransitionMap`, the operator norm of a matrix."""
-    return W.lipschitz if isinstance(W, TransitionMap) else op_vnorm(W)
-
-
-def identity_map(n: int) -> TransitionMap:
-    return TransitionMap(n, n, np.eye(n))
 
 
 def nearest_map(n_p: int, n_q: int) -> TransitionMap:
@@ -145,11 +132,6 @@ def compose_maps(first: TransitionMap, second: TransitionMap) -> TransitionMap:
     )
 
 
-def jump_gap(pre, post) -> float:
-    """Distance between pre- and post-switch states; zero iff the switch is continuous."""
-    return v_dist(pre, post)
-
-
 @dataclass(frozen=True, eq=False)
 class JumpEvent:
     """Record of one switch: states on both sides, gap, direction, impulse size.
@@ -182,10 +164,10 @@ def make_jump_event(time: float, pre, post, mu: float = 0.0) -> JumpEvent:
     pre = as_entries(pre).copy()
     post = as_entries(post).copy()
     try:
-        d = stp_sub(post, pre).entries
+        d = stp_sub(post, pre)
     except NumericFailure:
         raise NumericFailure("jump gap overflowed", operation="jump", time=time) from None
-    gap = v_norm(d)  # jump_gap(pre, post) bit for bit: -(a - b) == b - a
+    gap = v_norm(d)  # v_dist(pre, post) bit for bit: -(a - b) == b - a
     direction = None
     if gap > GAP_ZERO_TOL * max(1.0, v_norm(pre)):
         direction = d / gap

@@ -384,6 +384,20 @@ def test_reduce_model_overflow_is_a_numeric_failure():
     assert str(exc.value) == "reduced model overflowed (operation=reduce_model)"
 
 
+def test_reduce_model_svd_failure_is_a_numeric_failure(monkeypatch):
+    def diverge(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "pinv", diverge)
+    with pytest.raises(NumericFailure) as exc:
+        reduce_model(np.eye(4), m=2)
+    assert exc.value.operation == "reduce_model"
+    assert str(exc.value) == (
+        "singular value decomposition did not converge (operation=reduce_model)"
+    )
+    assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+
+
 # ----------------------------------------------------------------- approx_error
 
 def test_approx_error_lossless_for_replicated_flow():

@@ -733,6 +733,16 @@ def _rename(obj, old, new):
     obj[new] = obj.pop(old)
 
 
+def _huge_span(block, count):
+    """The ``reduce`` times, or those of the first ``approx`` case, of
+    reduction_sweep as ``count`` points from -1e308 to 1e308."""
+    def mutate(raw):
+        e = raw["experiment"]
+        spec = e["reduce"] if block == "reduce" else e["approx"]["cases"][0]
+        spec["times"] = {"from": -1e308, "to": 1e308, "count": count}
+    return mutate
+
+
 def _approx_counts(count):
     """Every ``approx`` case of reduction_sweep sampled at ``count`` times."""
     def mutate(raw):
@@ -944,6 +954,15 @@ def _approx_counts(count):
         ("reduce", "reduction_sweep.json",
          lambda raw: raw["experiment"]["reduce"].pop("x0"),
          "experiment.reduce: missing required field 'x0'"),
+        # a span beyond the float range overflows np.linspace for every count
+        ("approx", "reduction_sweep.json", _huge_span("approx", 3),
+         "experiment.approx.cases[0].times.to: the span to - from exceeds the float range"),
+        ("approx", "reduction_sweep.json", _huge_span("approx", 0),
+         "experiment.approx.cases[0].times.to: the span to - from exceeds the float range"),
+        ("reduce", "reduction_sweep.json", _huge_span("reduce", 3),
+         "experiment.reduce.times.to: the span to - from exceeds the float range"),
+        ("reduce", "reduction_sweep.json", _huge_span("reduce", 0),
+         "experiment.reduce.times.to: the span to - from exceeds the float range"),
     ],
 )
 def test_cli_errors_name_the_field(tmp_path, capsys, command, name, mutate, message):
@@ -1281,6 +1300,42 @@ def test_cli_overflowing_distance_is_a_numeric_failure(tmp_path, capsys):
     assert run_cli("reduce-vec", "--config", config, "--out", str(out)) == 3
     assert capsys.readouterr().err == (
         "omega: numeric failure: mixed-dimension sum overflowed (operation=stp_sub)\n"
+    )
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command, code", [
+    ("simulate", 3), ("embed", 3), ("dwell", 3), ("ctrb", 0), ("obs", 0),
+])
+def test_cli_overflowing_closed_loop_names_the_mode(tmp_path, capsys, command, code):
+    # finite A, B and K whose A + B K overflows in mode 'spatial'
+    def edit(raw):
+        raw["modes"][1]["B"][0][0] = -1e308
+        raw["output"] = {"H": [[1.0, 1.0]], "q": 2}  # for obs
+
+    config = _edited(tmp_path, "feedback_switch_random.json", edit)
+    out = tmp_path / "o"
+    assert run_cli(command, "--config", config, "--out", str(out)) == code
+    err = capsys.readouterr().err
+    if code == 3:
+        assert err.startswith("omega: numeric failure: closed loop of mode 'spatial' "
+                              "overflowed (operation=closed_loop")
+        assert not any(out.iterdir())
+    else:
+        assert err == ""
+
+
+def test_cli_reduce_svd_failure_is_a_numeric_failure(tmp_path, capsys, monkeypatch):
+    def diverge(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "pinv", diverge)
+    out = tmp_path / "o"
+    assert run_cli("reduce", "--config", scenario_path("reduction_sweep.json"),
+                   "--out", str(out)) == 3
+    assert capsys.readouterr().err == (
+        "omega: numeric failure: singular value decomposition did not converge "
+        "(operation=reduce_model)\n"
     )
     assert not any(out.iterdir())
 

@@ -25,10 +25,12 @@ SCENARIOS = {name: json.loads((SCENARIO_DIR / name).read_text(encoding="utf-8"))
              for name in SHIPPED}
 
 #: Replacements: wrong types, non-finite, negative, fractional and overflowing
-#: numbers, empty, ragged and mixed containers, and labels that are no file name.
+#: numbers, the finite extremes of the float range, empty, ragged and mixed
+#: containers, and labels that are no file name.
 VALUES = (
     None, True, "x", "7", "a/b", "/../../x", math.nan, math.inf, -1, 0, 1, 1.5, 7.5,
-    10**400, [], {}, [0.5], [1, "a"], [[1.0], [1.0, 2.0]], {"a": 1},
+    10**400, 1e308, -1e308, 5e-324, [], {}, [0.5], [1, "a"], [[1.0], [1.0, 2.0]],
+    {"a": 1},
 )
 
 #: Keys no object of a scenario reads: misspellings and a stray field.

@@ -6,6 +6,7 @@ import pytest
 
 from crossdim.cdspace import kron_lift, project, stp_add, v_norm
 from crossdim.dkstp import _bridge, bridge, dk_apply, dk_product, op_vnorm
+from crossdim.errors import NumericFailure
 
 RNG = np.random.default_rng(7)
 
@@ -143,7 +144,7 @@ def test_dk_apply_of_a_sum_projects_the_foreign_term():
         A = rng.standard_normal((n, n))
         x, eta = rng.standard_normal(n), rng.standard_normal(l)
         np.testing.assert_allclose(
-            dk_apply(A, stp_add(x, eta).entries), A @ (x + project(eta, n)), atol=1e-12
+            dk_apply(A, stp_add(x, eta)), A @ (x + project(eta, n)), atol=1e-12
         )
 
 
@@ -198,6 +199,18 @@ def test_op_vnorm_bound_is_tight():
         # replicated copies of that direction stay extremal
         ratio3 = v_norm(dk_apply(A, kron_lift(x, 3))) / v_norm(kron_lift(x, 3))
         assert ratio3 >= 0.99 * bound - 1e-12
+
+
+def test_op_vnorm_svd_failure_is_a_numeric_failure(monkeypatch):
+    def diverge(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "norm", diverge)
+    with pytest.raises(NumericFailure) as exc:
+        op_vnorm(np.eye(3))
+    assert exc.value.operation == "op_vnorm"
+    assert str(exc.value) == "singular value decomposition did not converge (operation=op_vnorm)"
+    assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
 
 
 def test_matrix_validation():

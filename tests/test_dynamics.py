@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 from crossdim.analysis import aggregate_run, approx_error, reduce_model
-from crossdim.cdspace import CdVector, kron_lift, project, v_dist
+from crossdim.cdspace import kron_lift, project, v_dist
 from crossdim import dynamics, registry
 from crossdim.config import load_scenario
 from crossdim.dkstp import bridge, op_vnorm
@@ -834,7 +834,6 @@ def _array_holders():
     mode = Mode("a", 2, -np.eye(2))
     scenario = scenario_path("two_mode_contraction.json")
     builders = {
-        "CdVector": lambda: CdVector([1.0, 2.0]),
         "TransitionMap": lambda: nearest_map(2, 3),
         "JumpEvent": lambda: make_jump_event(0.5, [1.0, 2.0], [1.0, 2.0, 3.0]),
         "Mode": lambda: Mode("a", 2, -np.eye(2)),

@@ -12,7 +12,7 @@ import pytest
 import crossdim
 
 PACKAGE = {
-    "AffineFeedback", "AggregateResult", "CdVector", "ConfigError",
+    "AffineFeedback", "AggregateResult", "ConfigError",
     "ControllabilityReport", "Disturbance", "DvSystem", "ErrorSeries",
     "JumpEvent", "Mode", "NumericFailure", "OutputMap", "ReducedModel",
     "SubspaceLattice", "SwitchingSignal", "Trajectory", "TransitionMap",
@@ -20,8 +20,8 @@ PACKAGE = {
     "build_lattice", "canonicalize", "closed_loop_drift", "compose_maps",
     "ctrb_rank", "dk_apply", "dk_product", "drop_map", "dwell_bound",
     "embed_common", "equivalent", "expm", "fixed_signal", "integrate_mode",
-    "intersection_basis", "jump_gap", "kron_lift", "lift_field",
-    "lift_function", "lipschitz_of", "nearest_map", "obs_rank", "op_vnorm",
+    "intersection_basis", "kron_lift", "lift_field",
+    "lift_function", "nearest_map", "obs_rank", "op_vnorm",
     "partial_ctrb", "project", "random_signal", "reachability_chain",
     "reduce_model", "restrict_field", "simulate", "span_membership",
     "stp_add", "stp_sub", "v_dist", "v_inner", "v_norm",
@@ -35,7 +35,7 @@ LAYERS = {
         "reduce_model", "restrict_field", "span_membership",
     },
     "cdspace": {
-        "CdVector", "SubspaceLattice", "angle", "build_lattice", "canonicalize",
+        "SubspaceLattice", "angle", "build_lattice", "canonicalize",
         "equivalent", "kron_lift", "project", "stp_add", "stp_sub", "v_dist",
         "v_inner", "v_norm", "v_norm_rows",
     },
@@ -57,8 +57,8 @@ LAYERS = {
     },
     "switching": {
         "JumpEvent", "SwitchingSignal", "TransitionMap", "add_map",
-        "compose_maps", "drop_map", "fixed_signal", "identity_map", "jump_gap",
-        "lipschitz_of", "make_jump_event", "nearest_map", "random_signal",
+        "compose_maps", "drop_map", "fixed_signal", "make_jump_event",
+        "nearest_map", "random_signal",
     },
 }
 

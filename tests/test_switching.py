@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import crossdim
-from crossdim.cdspace import kron_lift, project, v_norm
-from crossdim.dkstp import bridge
+from crossdim.cdspace import kron_lift, project, v_dist, v_norm
+from crossdim.dkstp import bridge, op_vnorm
 from crossdim.switching import (
     SwitchingSignal,
     TransitionMap,
@@ -17,9 +17,6 @@ from crossdim.switching import (
     compose_maps,
     drop_map,
     fixed_signal,
-    identity_map,
-    jump_gap,
-    lipschitz_of,
     make_jump_event,
     nearest_map,
     random_signal,
@@ -86,7 +83,7 @@ def test_compose_maps():
         combined.matrix, [[1, 0, 0], [0, 1, 0], [1, 0, 0], [0, 1, 0]]
     )
     assert (combined.source_dim, combined.target_dim) == (3, 4)
-    same = compose_maps(identity_map(3), drop_map(3, 2))
+    same = compose_maps(nearest_map(3, 3), drop_map(3, 2))
     np.testing.assert_array_equal(same.matrix, drop_map(3, 2).matrix)
     with pytest.raises(ValueError):
         compose_maps(drop_map(3, 2), drop_map(3, 2))
@@ -102,13 +99,13 @@ def test_compose_lipschitz_submultiplicative():
 
 def test_lipschitz_values():
     assert drop_map(3, 2).lipschitz == pytest.approx(math.sqrt(1.5), abs=1e-12)
-    assert identity_map(6).lipschitz == pytest.approx(1.0, abs=1e-12)
+    assert nearest_map(6, 6).lipschitz == pytest.approx(1.0, abs=1e-12)
     assert add_map(2, 4).lipschitz == pytest.approx(1.0, abs=1e-12)
 
 
 def test_lipschitz_recomputable_and_bounding():
     for tm in (nearest_map(5, 3), drop_map(6, 2), add_map(3, 7)):
-        assert tm.lipschitz == pytest.approx(lipschitz_of(tm.matrix), abs=1e-12)
+        assert tm.lipschitz == pytest.approx(op_vnorm(tm.matrix), abs=1e-12)
         for _ in range(50):
             x = RNG.standard_normal(tm.source_dim)
             assert v_norm(tm(x)) <= tm.lipschitz * v_norm(x) + 1e-9
@@ -120,8 +117,8 @@ def test_nearest_maps_report_lipschitz_exactly_1():
     for p in range(1, 41):
         for q in range(1, 41):
             tm = nearest_map(p, q)
-            assert tm.lipschitz == lipschitz_of(tm) == 1.0, (p, q)
-            assert abs(lipschitz_of(tm.matrix) - 1.0) <= 4 * eps, (p, q)
+            assert tm.lipschitz == 1.0, (p, q)
+            assert abs(op_vnorm(tm.matrix) - 1.0) <= 4 * eps, (p, q)
             assert v_norm(tm(np.full(p, 3.0))) == pytest.approx(3.0, rel=4 * eps)  # attained
 
 
@@ -134,12 +131,12 @@ def test_a_stated_lipschitz_must_be_nonnegative(lipschitz):
 # ------------------------------------------------------------------- jump gaps
 
 def test_jump_gap_examples():
-    assert jump_gap([1, 1], [1, 1, 1]) == 0.0
-    assert jump_gap([2, 1], [2, 1.5, 1]) == pytest.approx(
+    assert v_dist([1, 1], [1, 1, 1]) == 0.0
+    assert v_dist([2, 1], [2, 1.5, 1]) == pytest.approx(
         math.sqrt(1 / 12), abs=1e-12
     )
     x = RNG.standard_normal(4)
-    assert jump_gap(x, -x) == pytest.approx(2 * v_norm(x), rel=1e-12)
+    assert v_dist(x, -x) == pytest.approx(2 * v_norm(x), rel=1e-12)
 
 
 def test_nearest_jump_gap_is_orthogonal_residual():
@@ -149,7 +146,7 @@ def test_nearest_jump_gap_is_orthogonal_residual():
         m = int(RNG.integers(1, 9))
         x = RNG.standard_normal(n)
         post = project(x, m)
-        gap = jump_gap(x, post)
+        gap = v_dist(x, post)
         assert gap**2 == pytest.approx(
             v_norm(x) ** 2 - v_norm(post) ** 2, abs=1e-9
         )
