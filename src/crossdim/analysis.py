@@ -358,6 +358,8 @@ def _reduction_errors(A, x0, m_values, times) -> np.ndarray:
     flows = [(A, x0)] + [(reduce_model(A, m=m).A_pi, project(x0, m)) for m in m_values]
     backs = [bridge(n, m) for m in m_values]
     ts = np.asarray(times, dtype=float)
+    if not np.isfinite(ts).all():
+        raise ValueError("times must be finite")
     size = max(1, _STACK_ENTRIES // max((n, *m_values)) ** 2)
     step = _uniform_step(ts)
     if step is not None:
@@ -379,7 +381,7 @@ def approx_error(A, x0, m: int, times) -> ErrorSeries:
     uniform increasing grid of times both flows are sampled by one block
     power flow each, to within rounding of an exponential per time; see
     :func:`_reduction_errors` for when that applies and how a failure is
-    named.
+    named.  A time that is not finite raises ``ValueError``.
     """
     ts = np.asarray(list(times), dtype=float)
     return ErrorSeries(ts, _reduction_errors(A, x0, (m,), ts)[0])

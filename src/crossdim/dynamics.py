@@ -621,10 +621,11 @@ def integrate_mode(
     :func:`simulate` passes one ``cache`` to every visit of a run, so that
     the exact path reuses the step powers and the first anchor stack kept
     under (G, step, 0) (:class:`_FlowCache`); the samples are the same bit
-    for bit with or without it.
+    for bit with or without it.  A step that is not positive and finite, or
+    a t0 or t1 that is not finite, raises ``ValueError``.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not (0 < step < math.inf and math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError("step must be positive and finite, and t0 and t1 finite")
     x = as_entries(x0).copy()
     if x.size != mode.dim:
         raise ValueError(
@@ -746,12 +747,11 @@ def simulate(
     An exponential that overflowed is kept as it is, so every visit that
     uses it fails with its first non-finite sample, as without the cache.
     """
-    n_modes = len(system.modes)
-    unknown = sorted(m for m in signal.mode_indices if not 0 <= m < n_modes)
-    if unknown:
-        raise ValueError(f"signal references unknown mode indices {unknown}")
     intervals = signal.intervals()
     modes = [mi for _, _, mi in intervals]
+    unknown = sorted({m for m in modes if not 0 <= m < len(system.modes)})
+    if unknown:
+        raise ValueError(f"signal references unknown mode indices {unknown}")
     rule = system.table
     for mi, mj in zip(modes, modes[1:]):
         if mi != mj and (mi, mj) not in rule:

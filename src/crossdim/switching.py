@@ -10,6 +10,7 @@ dwell times.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, cycle, takewhile
 
@@ -178,27 +179,26 @@ def make_jump_event(time: float, pre, post, mu: float = 0.0) -> JumpEvent:
 class SwitchingSignal:
     """Piecewise-constant right-continuous mode schedule on [0, horizon].
 
-    ``switch_times`` are strictly increasing and inside (0, horizon);
-    ``modes_after[k]`` is the mode active from ``switch_times[k]`` on.
-    Random-dwell signals are materialized eagerly, so the schedule is a
-    pure function of (seed, bounds, horizon).
+    The signal is its schedule and nothing else: ``initial_mode`` is
+    active from 0, ``switch_times`` are finite, strictly increasing and
+    inside (0, horizon), and ``modes_after[k]`` is the mode active from
+    ``switch_times[k]`` on.  Two signals with equal schedules compare
+    equal, however they were built; how a builder drew one (kind, dwell
+    bounds, seed) is kept by the config that asked for it.
     """
 
-    kind: str
     initial_mode: int
     switch_times: tuple
     modes_after: tuple
     horizon: float
-    dwell_bounds: tuple | None = None
-    seed: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("fixed", "random-dwell"):
-            raise ValueError(f"unknown signal kind {self.kind!r}")
         _check_horizon(self.horizon)
         if len(self.switch_times) != len(self.modes_after):
             raise ValueError("switch_times and modes_after lengths differ")
         ts = self.switch_times
+        if not all(map(math.isfinite, ts)):
+            raise ValueError("switch times must be finite")
         if any(t2 <= t1 for t1, t2 in zip(ts, ts[1:])):
             raise ValueError("switch times must be strictly increasing")
         if ts and (ts[0] <= 0.0 or ts[-1] >= self.horizon):
@@ -210,13 +210,10 @@ class SwitchingSignal:
         return min(b - a for a, b in zip(pts, pts[1:]))
 
     def mode_at(self, t: float) -> int:
-        mode = self.initial_mode
-        for ts, m in zip(self.switch_times, self.modes_after):
-            if t >= ts:
-                mode = m
-            else:
-                break
-        return mode
+        """The mode active at time ``t``; ``ValueError`` for a NaN ``t``."""
+        if math.isnan(t):
+            raise ValueError("time must not be NaN")
+        return ((self.initial_mode,) + self.modes_after)[bisect_right(self.switch_times, t)]
 
     def intervals(self):
         """Dwell intervals as (t_start, t_end, mode) triples covering [0, horizon]."""
@@ -224,10 +221,6 @@ class SwitchingSignal:
         ends = self.switch_times + (self.horizon,)
         modes = (self.initial_mode,) + self.modes_after
         return list(zip(starts, ends, modes))
-
-    @property
-    def mode_indices(self):
-        return {self.initial_mode, *self.modes_after}
 
 
 def _round_robin(initial_mode: int, n_modes: int, count: int):
@@ -270,11 +263,12 @@ def fixed_signal(
         raise ValueError("give switch_times or dwell_pattern, not both")
     if dwell_pattern is not None:
         pattern = [float(d) for d in dwell_pattern]
-        if not pattern or any(d <= 0 for d in pattern):
+        if not pattern or not all(d > 0 for d in pattern):  # NaN is not positive
             raise ValueError("dwell_pattern entries must be positive")
         times = _switch_times(cycle(pattern), horizon)
     else:
-        times = tuple(t for t in map(float, switch_times or []) if t < horizon)
+        # a NaN time is kept, so that SwitchingSignal rejects it
+        times = tuple(t for t in map(float, switch_times or []) if not t >= horizon)
     if modes is not None:
         modes = tuple(int(m) for m in modes)[: len(times)]
         if len(modes) != len(times):
@@ -283,7 +277,7 @@ def fixed_signal(
         if n_modes is None:
             raise ValueError("need modes or n_modes to schedule switches")
         modes = _round_robin(initial_mode, n_modes, len(times))
-    return SwitchingSignal("fixed", initial_mode, times, modes, float(horizon))
+    return SwitchingSignal(initial_mode, times, modes, float(horizon))
 
 
 def random_signal(
@@ -298,18 +292,9 @@ def random_signal(
     Bit-reproducible for equal (seed, bounds, horizon).
     """
     dmin, dmax = (float(b) for b in dwell_bounds)
-    if not 0.0 < dmin <= dmax:
-        raise ValueError("dwell bounds must satisfy 0 < dmin <= dmax")
+    if not 0.0 < dmin <= dmax < math.inf:
+        raise ValueError("dwell bounds must satisfy 0 < dmin <= dmax < inf")
     rng = np.random.default_rng(int(seed))
     times = _switch_times(iter(lambda: float(rng.uniform(dmin, dmax)), None), horizon)
-    modes = _round_robin(initial_mode, n_modes, len(times))
-    return SwitchingSignal(
-        "random-dwell",
-        initial_mode,
-        times,
-        modes,
-        float(horizon),
-        dwell_bounds=(dmin, dmax),
-        seed=int(seed),
-    )
-
+    return SwitchingSignal(initial_mode, times, _round_robin(initial_mode, n_modes, len(times)),
+                           float(horizon))

@@ -449,6 +449,14 @@ def test_approx_error_flags_vanishing_reference():
     assert math.isnan(series.values[0])
 
 
+@pytest.mark.parametrize("times", [[0.0, math.nan], [math.inf], [0.0, 1.0, -math.inf]])
+def test_approx_error_takes_finite_times(times):
+    # not "state diverged": the fault is the argument, not the flow
+    with pytest.raises(ValueError) as exc:
+        approx_error(-np.eye(2), [1.0, 2.0], 1, times)
+    assert str(exc.value) == "times must be finite"
+
+
 # ------------------------------------- approx_error against a per-point loop
 
 SWEEP = SCENARIO_DIR / "reduction_sweep.json"

@@ -17,6 +17,7 @@ from crossdim.config import (
 )
 from crossdim.dynamics import embed_common, simulate
 from crossdim.errors import ConfigError
+from crossdim.switching import random_signal
 from testkit import run_bounded, scenario_path
 
 SCENARIOS = [
@@ -130,9 +131,10 @@ def test_seed_and_step_overrides():
         },
     }
     base = validate_config(cfg)
-    assert base.signal.seed == 1
+    assert base.signal == random_signal(1.0, (0.1, 0.3), 1, 2, 0)
     overridden = validate_config(cfg, seed=2, step=0.02)
-    assert overridden.signal.seed == 2
+    assert overridden.signal == random_signal(1.0, (0.1, 0.3), 2, 2, 0)
+    assert overridden.signal != base.signal
     assert overridden.step == 0.02
     assert overridden.normalized["signal"]["seed"] == 2
     assert overridden.normalized["step"] == 0.02
@@ -689,10 +691,11 @@ def test_signal_from_config():
     cfg["signal"] = {"kind": "fixed", "switch_times": []}
     assert validate_config(cfg).signal.switch_times == ()
     cfg["signal"] = {"kind": "random", "dwell_bounds": [0.1, 0.3], "seed": 4}
-    assert validate_config(cfg).signal.seed == 4
-    assert validate_config(cfg, seed=5).signal.seed == 5
+    assert validate_config(cfg).signal == random_signal(1.0, (0.1, 0.3), 4, 3, 0)
+    assert validate_config(cfg, seed=5).signal == random_signal(1.0, (0.1, 0.3), 5, 3, 0)
+    assert validate_config(cfg, seed=5).signal != validate_config(cfg).signal
     del cfg["signal"]["seed"]
-    assert validate_config(cfg, seed=5).signal.seed == 5
+    assert validate_config(cfg, seed=5).signal == random_signal(1.0, (0.1, 0.3), 5, 3, 0)
     with pytest.raises(ConfigError, match=r"^signal: missing required field 'seed'"):
         validate_config(cfg)
     cfg["signal"]["kind"] = "sometimes"

@@ -1412,6 +1412,37 @@ def test_argument_checks_raise_value_error(call, message):
     assert str(exc.value) == message
 
 
+DECAY = Mode("decay", 1, [[-1.0]])
+
+
+@pytest.mark.parametrize("t0, t1, step", [
+    (0.0, 1.0, math.inf), (0.0, 1.0, math.nan), (0.0, 1.0, 0.0), (0.0, 1.0, -0.1),
+    (math.nan, 1.0, 0.1), (0.0, math.nan, 0.1), (0.0, math.inf, 0.1), (-math.inf, 1.0, 0.1),
+])
+@pytest.mark.parametrize("mode", [DECAY, Mode("decay_rk4", 1, lambda x: -x)],
+                         ids=["exact", "rk4"])
+def test_integrate_mode_takes_finite_times_and_a_positive_finite_step(mode, t0, t1, step):
+    # an infinite step once gave one sample stamped t1 that held x0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            integrate_mode(mode, [1.0], t0, t1, step)
+    assert str(exc.value) == "step must be positive and finite, and t0 and t1 finite"
+
+
+@pytest.mark.parametrize("run", [
+    lambda: simulate(DvSystem((DECAY,)), fixed_signal(1.0, n_modes=1), [1.0], step=math.inf),
+    lambda: simulate(DvSystem((DECAY,)), fixed_signal(1.0, n_modes=1), [1.0], step=math.nan),
+    lambda: aggregate_run(DECAY, Mode("b", 2, -np.eye(2)), [1.0, 1.0], math.nan, 0.1),
+    lambda: aggregate_run(DECAY, Mode("b", 2, -np.eye(2)), [1.0, 1.0], 1.0, math.inf),
+])
+def test_runs_take_a_finite_horizon_and_a_positive_finite_step(run):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^step must be positive"):
+            run()
+
+
 @pytest.mark.parametrize("pair, tm, message", [
     ((0, 0), nearest_map(2, 2), "transition 0->0: a switch into the same mode "
                                 "is no jump, so its map is never applied"),

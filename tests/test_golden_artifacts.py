@@ -6,6 +6,11 @@ not alter an artifact, such as a speed-up.  A change that alters artifacts
 on purpose rewrites the file and says so::
 
     PYTHONPATH=src python tests/test_golden_artifacts.py
+
+``EXPM_WORK`` pins the matrix exponentials of every command that exits 0 on
+a shipped scenario: the (calls, slices) of ``_expm_stack``, through which
+every exponential of ``dynamics`` and ``analysis`` goes.  A change that
+alters a count on purpose updates the pin and says so, as with the file.
 """
 
 import hashlib
@@ -16,10 +21,34 @@ from pathlib import Path
 
 import pytest
 
-from crossdim import cli
+from crossdim import analysis, cli, dynamics
 from testkit import SHIPPED as SCENARIOS, scenario_path
 
 GOLDEN = Path(__file__).with_name("golden_artifacts.json")
+
+#: (calls, slices) of ``_expm_stack`` for each command that exits 0, by scenario.
+EXPM_WORK = {
+    "simulate": {"ddp_two_mode": (4, 8), "feedback_switch_fixed": (4, 12),
+                 "feedback_switch_random": (10, 20), "reduction_sweep": (1, 1),
+                 "two_mode_contraction": (4, 30), "two_stage_steering": (4, 80)},
+    "embed": {"ddp_two_mode": (8, 16), "feedback_switch_fixed": (8, 24),
+              "feedback_switch_random": (20, 40), "reduction_sweep": (2, 2),
+              "two_mode_contraction": (8, 60), "two_stage_steering": (8, 160)},
+    "dwell": {"ddp_two_mode": (0, 0), "feedback_switch_fixed": (0, 0),
+              "feedback_switch_random": (0, 0), "reduction_sweep": (27, 27),
+              "two_mode_contraction": (15, 15)},
+    "approx": {"reduction_sweep": (26, 26)},
+    "reduce": {"reduction_sweep": (6, 6)},
+    "ctrb": {name: (0, 0) for name in ("feedback_switch_fixed", "feedback_switch_random",
+                                       "reduction_sweep", "two_mode_contraction",
+                                       "two_stage_steering")},
+    "obs": {"two_mode_contraction": (0, 0)},
+    "chain": {"two_stage_steering": (0, 0)},
+    "reduce-vec": {"two_stage_steering": (0, 0)},
+    "lattice": {name: (0, 0) for name in ("ddp_two_mode", "feedback_switch_fixed",
+                                          "feedback_switch_random", "reduction_sweep",
+                                          "two_mode_contraction", "two_stage_steering")},
+}
 
 
 def run(command: str, name: str, out: Path) -> dict:
@@ -49,6 +78,27 @@ def test_golden_file_covers_every_command_and_scenario(golden):
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_artifacts_match_the_golden_digests(golden, tmp_path, command, name, capsys):
     assert run(command, name, tmp_path / "out") == golden[f"{command} {name}"]
+
+
+def test_expm_work_pins_every_command_that_exits_0(golden):
+    pinned = {f"{c} {n}.json" for c, names in EXPM_WORK.items() for n in names}
+    assert pinned == {key for key, r in golden.items() if r["exit"] == 0}
+
+
+@pytest.mark.parametrize("command, name", [
+    (c, n) for c, names in sorted(EXPM_WORK.items()) for n in sorted(names)])
+def test_expm_work_of_each_command(monkeypatch, tmp_path, command, name):
+    work, real = [0, 0], dynamics._expm_stack
+
+    def spy(A, ts):
+        work[0] += 1
+        work[1] += len(ts)
+        return real(A, ts)
+
+    monkeypatch.setattr(dynamics, "_expm_stack", spy)
+    monkeypatch.setattr(analysis, "_expm_stack", spy)
+    assert run(command, f"{name}.json", tmp_path / "out")["exit"] == 0
+    assert tuple(work) == EXPM_WORK[command][name]
 
 
 if __name__ == "__main__":

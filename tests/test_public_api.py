@@ -1,9 +1,11 @@
 """The public API, pinned as literal sets.
 
 README.md keeps every public name unless a change removes it on purpose and
-says so; a removal or an addition therefore shows up as an edit here.
+says so; a removal or an addition therefore shows up as an edit here.  The
+same holds for the fields of every public frozen dataclass, pinned in order.
 """
 
+import dataclasses
 import importlib
 import inspect
 
@@ -62,6 +64,26 @@ LAYERS = {
     },
 }
 
+#: The fields of every dataclass a layer exports, in declaration order.
+FIELDS = {
+    "AffineFeedback": ("K", "u0"),
+    "AggregateResult": ("times", "member_states", "nominal_states", "errors"),
+    "ControllabilityReport": ("label", "dim", "kalman_rank", "fully_controllable"),
+    "Disturbance": ("dim", "evaluator"),
+    "DvSystem": ("modes", "transitions", "output", "impulse_scale", "disturbance"),
+    "ErrorSeries": ("times", "values"),
+    "JumpEvent": ("time", "pre_state", "post_state", "gap", "direction", "amplitude"),
+    "Mode": ("label", "dim", "drift", "inputs", "feedback"),
+    "OutputMap": ("q", "matrix", "func", "_columns"),
+    "ReducedModel": ("source_dim", "target_dim", "A_pi", "B_pi", "C_pi"),
+    "Scenario": ("system", "signal", "x0", "step", "experiment", "_normalize"),
+    "Segment": ("times", "states"),
+    "SubspaceLattice": ("dims", "edges"),
+    "SwitchingSignal": ("initial_mode", "switch_times", "modes_after", "horizon"),
+    "Trajectory": ("segments", "segment_modes", "events", "output_map"),
+    "TransitionMap": ("source_dim", "target_dim", "matrix", "lipschitz"),
+}
+
 #: Layers without an ``__all__``: the CLI entry point and the error types.
 UNLISTED = {"cli", "errors"}
 
@@ -84,3 +106,15 @@ def test_layer_all(layer):
 @pytest.mark.parametrize("layer", sorted(UNLISTED))
 def test_unlisted_layers_stay_unlisted(layer):
     assert not hasattr(importlib.import_module(f"crossdim.{layer}"), "__all__")
+
+
+def test_public_dataclass_fields():
+    classes = {
+        name: value for layer in LAYERS
+        for name, value in vars(importlib.import_module(f"crossdim.{layer}")).items()
+        if name in LAYERS[layer] and dataclasses.is_dataclass(value)
+    }
+    assert sorted(classes) == sorted(FIELDS)
+    for name, cls in classes.items():
+        assert cls.__dataclass_params__.frozen, name
+        assert tuple(f.name for f in dataclasses.fields(cls)) == FIELDS[name], name

@@ -219,6 +219,66 @@ def test_signal_validation():
         fixed_signal(5.0, dwell_pattern=[1.0, -1.0], n_modes=2)
 
 
+def test_a_signal_is_its_schedule():
+    sig = fixed_signal(5.0, switch_times=[1.0, 2.5], modes=[1, 0], n_modes=2)
+    assert sig == SwitchingSignal(0, (1.0, 2.5), (1, 0), 5.0)
+    assert hash(sig) == hash(SwitchingSignal(0, (1.0, 2.5), (1, 0), 5.0))
+    drawn = random_signal(20.0, (0.5, 2.0), seed=9, n_modes=2)
+    assert drawn == fixed_signal(20.0, switch_times=drawn.switch_times, n_modes=2)
+    assert not hasattr(sig, "mode_indices")
+
+
+def _mode_at_by_loop(sig, t):
+    """The mode at ``t`` by a walk over the switches, as mode_at once was."""
+    mode = sig.initial_mode
+    for ts, m in zip(sig.switch_times, sig.modes_after):
+        if t >= ts:
+            mode = m
+        else:
+            break
+    return mode
+
+
+def test_mode_at_agrees_with_a_walk_over_the_switches():
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        count = int(rng.integers(0, 8))
+        horizon = float(rng.uniform(1.0, 10.0))
+        times = tuple(sorted(set(rng.uniform(0.0, horizon, count).tolist()) - {0.0}))
+        modes = tuple(int(m) for m in rng.integers(0, 4, len(times)))
+        sig = SwitchingSignal(int(rng.integers(0, 4)), times, modes, horizon)
+        probes = [-math.inf, math.inf, -1.0, 0.0, horizon, 2 * horizon, *times,
+                  *(np.nextafter(t, -math.inf) for t in times),
+                  *rng.uniform(-1.0, horizon + 1.0, 20).tolist()]
+        for t in probes:
+            assert sig.mode_at(t) == _mode_at_by_loop(sig, t), (sig, t)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: fixed_signal(5.0, switch_times=[1.0, math.nan, 2.0], n_modes=2),
+     "switch times must be finite"),
+    (lambda: fixed_signal(5.0, switch_times=[math.nan], n_modes=2),
+     "switch times must be finite"),
+    (lambda: fixed_signal(5.0, dwell_pattern=[math.nan], n_modes=2),
+     "dwell_pattern entries must be positive"),
+    (lambda: fixed_signal(5.0, dwell_pattern=[1.0, math.nan], n_modes=2),
+     "dwell_pattern entries must be positive"),
+    (lambda: SwitchingSignal(0, (math.nan,), (1,), 5.0), "switch times must be finite"),
+    (lambda: SwitchingSignal(0, (1.0, math.nan, 2.0), (1, 0, 1), 5.0),
+     "switch times must be finite"),
+    (lambda: SwitchingSignal(0, (1.0, math.inf), (1, 0), 5.0), "switch times must be finite"),
+    (lambda: random_signal(10.0, (1.0, math.inf), 1, 2),
+     "dwell bounds must satisfy 0 < dmin <= dmax < inf"),
+    (lambda: random_signal(10.0, (math.nan, 2.0), 1, 2),
+     "dwell bounds must satisfy 0 < dmin <= dmax < inf"),
+    (lambda: fixed_signal(5.0, switch_times=[1.0], n_modes=2).mode_at(math.nan),
+     "time must not be NaN"),
+])
+def test_a_nan_in_a_schedule_is_rejected(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
 
 def test_a_horizon_that_is_not_positive_and_finite_raises_before_any_dwell():
     # a fresh process with a timeout: a builder that sums dwells towards an
@@ -241,7 +301,7 @@ def test_a_horizon_that_is_not_positive_and_finite_raises_before_any_dwell():
     assert done.stdout.splitlines() == 2 * [finite] + 6 * [positive]
     for h, message in [(math.inf, finite), (math.nan, positive)]:
         with pytest.raises(ValueError, match=message):
-            SwitchingSignal("fixed", 0, (), (), h)
+            SwitchingSignal(0, (), (), h)
         with pytest.raises(ValueError, match=message):
             fixed_signal(h, switch_times=[1.0], n_modes=2)
 
@@ -254,9 +314,8 @@ def test_a_horizon_that_is_not_positive_and_finite_raises_before_any_dwell():
      "transition matrix must be finite"),
     (lambda: nearest_map(2, 3)([1.0, 2.0, 3.0]), "transition expects dimension 2, got 3"),
     (lambda: drop_map(3, 0), "target dimension must be positive"),
-    (lambda: SwitchingSignal("random", 0, (), (), 1.0), "unknown signal kind 'random'"),
-    (lambda: SwitchingSignal("fixed", 0, (), (), 0.0), "horizon must be positive"),
-    (lambda: SwitchingSignal("fixed", 0, (0.5,), (), 1.0),
+    (lambda: SwitchingSignal(0, (), (), 0.0), "horizon must be positive"),
+    (lambda: SwitchingSignal(0, (0.5,), (), 1.0),
      "switch_times and modes_after lengths differ"),
     (lambda: fixed_signal(2.0, [1.0], [1.0], n_modes=2),
      "give switch_times or dwell_pattern, not both"),
