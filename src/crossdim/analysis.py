@@ -17,11 +17,11 @@ from .cdspace import project, v_norm_rows
 from .dkstp import bridge
 from .dynamics import (
     _STACK_ENTRIES,
-    _TIME_EPS,
     Mode,
     Segment,
     _block_flow,
     _expm_stack,
+    _on_lattice,
     integrate_mode,
 )
 from .errors import NumericFailure
@@ -287,16 +287,16 @@ def _uniform_step(ts: np.ndarray) -> float | None:
     """The step of ``ts`` when it is a uniform increasing grid, else None.
 
     Uniform means at least 3 points and, with step = (t_last - t_0) /
-    (count - 1) > 0, every |t_k - (t_0 + k step)| <= _TIME_EPS max(1, |t_k|):
-    ``{from, to, count}`` times (``np.linspace``) always are.
+    (count - 1) > 0, every t_k on the lattice t_0 + k step by
+    :func:`~crossdim.dynamics._on_lattice`: ``{from, to, count}`` times
+    (``np.linspace``) always are.
     """
     if ts.size < 3:
         return None
     step = (float(ts[-1]) - float(ts[0])) / (ts.size - 1)  # a float overflows to inf silently
     if not 0.0 < step < math.inf:
         return None
-    drift = np.abs(ts - (ts[0] + np.arange(ts.size) * step))
-    return step if (drift <= _TIME_EPS * np.maximum(1.0, np.abs(ts))).all() else None
+    return step if _on_lattice(ts, ts[0] + np.arange(ts.size) * step).all() else None
 
 
 def _regroup(blocks, size: int):

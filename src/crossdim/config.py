@@ -33,8 +33,8 @@ __all__ = ["Scenario", "load_scenario", "validate_config", "normalize_config"]
 #: pattern or random dwell bounds may ask for (horizon over the shortest
 #: dwell), (n + m) lcm(n, m) >= m max(n, m) for an experiment's reduction from
 #: n to m, the rows of all error tables of one command, and the lcm
-#: dimension a ``vectors`` distance lifts to.  It bounds the work and memory
-#: of a run before it starts.
+#: dimensions that the ``vectors`` distances of one command lift to, in all.
+#: It bounds the work and memory of a run before it starts.
 MAX_SAMPLES = 2_000_000
 
 #: Most matrix entries ``embed`` may build and write to
@@ -50,9 +50,6 @@ MAX_EMBED_ENTRIES = 2**20
 #: At 64 modes of dimensions 1-3 (4032 maps) ``embed`` takes about 1.0 s on a
 #: 2-core Xeon VM, the others less.
 MAX_NEAREST_PAIRS = 4096
-
-#: The signal kinds that draw random dwells from ``dwell_bounds`` and a seed.
-_RANDOM_KINDS = ("random", "random-dwell")
 
 #: An ``approx`` case label names its table file, ``error_<label>.csv``.
 _FILE_LABEL = re.compile(r"[A-Za-z0-9_-]+")
@@ -332,7 +329,7 @@ def _build_signal(spec, n_modes: int, horizon: float, seed_override) -> Switchin
     path = "signal"
     kind = _as_object(spec, path, ("kind",), _FIXED_FIELDS + _RANDOM_FIELDS)["kind"]
     initial = _as_index(spec.get("initial_mode", 0), f"{path}.initial_mode", n_modes)
-    if kind not in ("fixed", *_RANDOM_KINDS):
+    if kind not in ("fixed", "random"):
         _fail(f"{path}.kind", "must be 'fixed' or 'random'")
     _as_object(spec, path, ("kind",), _FIXED_FIELDS if kind == "fixed" else _RANDOM_FIELDS)
     key = "dwell_pattern" if kind == "fixed" else "dwell_bounds"
@@ -506,7 +503,7 @@ _OP_FIELDS = {"canonicalize": ((), ("tol",)), "distance": (("y",), ()),
 
 def _parse_vectors(block, path: str, modes) -> dict:
     _as_object(block, path, optional=("ops",))
-    ops = []
+    ops, lifted = [], 0
     for k, op in enumerate(_as_list(block.get("ops"), f"{path}.ops")):
         opath = f"{path}.ops[{k}]"
         if not isinstance(op, dict) or "op" not in op:
@@ -522,9 +519,10 @@ def _parse_vectors(block, path: str, modes) -> dict:
         elif kind == "distance":
             fields["y"] = _as_vector(op["y"], f"{opath}.y")
             lift = math.lcm(len(fields["x"]), len(fields["y"]))
-            if lift > MAX_SAMPLES:
-                _fail(f"{opath}.y", f"the lift to dimension {lift} with x exceeds "
-                      f"the budget of {MAX_SAMPLES}")
+            lifted += lift
+            if lifted > MAX_SAMPLES:
+                _fail(f"{opath}.y", f"the lift to dimension {lift} with x exceeds the budget "
+                      f"of {MAX_SAMPLES} entries that the ops lift in all ({lifted})")
         elif kind == "project":
             fields["m"] = _as_dim(op["m"], f"{opath}.m", len(fields["x"]))
         ops.append(MappingProxyType(fields))
@@ -608,7 +606,7 @@ def normalize_config(raw: dict, seed=None, step=None) -> dict:
                                 default=_tolist))
     out["step"] = float(step if step is not None else raw["step"])
     out["horizon"] = float(raw["horizon"])
-    if seed is not None and out["signal"].get("kind") in _RANDOM_KINDS:
+    if seed is not None and out["signal"].get("kind") == "random":
         out["signal"]["seed"] = int(seed)
     return out
 
@@ -624,4 +622,8 @@ def load_scenario(path, seed=None, step=None) -> Scenario:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:  # json reads nesting by recursion
+        raise ConfigError(f"{path}: invalid JSON: nested too deeply") from exc
+    except ValueError as exc:  # an integer of too many digits, or bytes that are not UTF-8
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     return _build_scenario(raw, seed, step)  # no one else holds ``raw``

@@ -59,6 +59,10 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 DEFAULT_STEP = 1e-3
+#: The time tolerance: t counts as the lattice time s when
+#: |t - s| <= _TIME_EPS max(1, |t|) (:func:`_on_lattice`).  By it
+#: :func:`_grid` decides whether a segment's t1 is a lattice sample, and
+#: ``analysis._uniform_step`` whether a list of times is a uniform grid.
 _TIME_EPS = 1e-12
 #: dwell_bound's search: the longest dwell tried, the scan grid, the grid
 #: points per stacked exponential, and the bisection tolerance (the returned
@@ -445,15 +449,27 @@ def _mode_rhs(mode: Mode, disturbance):
     return rhs
 
 
-def _grid(t0: float, t1: float, step: float) -> np.ndarray:
-    """Uniform grid t0 + i*step, final partial step shortened to land exactly on t1."""
-    span = t1 - t0
-    n_full = int(math.floor(span / step + _TIME_EPS))
-    times = t0 + np.arange(n_full + 1) * step
-    if t1 - times[-1] > _TIME_EPS * max(1.0, abs(t1)):
-        return np.append(times, t1)
-    times[-1] = t1
-    return times
+def _on_lattice(t, lattice_t):
+    """Whether time(s) ``t`` count as the lattice time(s) ``lattice_t``: within
+    ``_TIME_EPS`` max(1, |t|), elementwise."""
+    return np.abs(t - lattice_t) <= _TIME_EPS * np.maximum(1.0, np.abs(t))
+
+
+def _grid(t0: float, t1: float, step: float) -> tuple[np.ndarray, int]:
+    """The sample times of [t0, t1] at ``step`` and how many lie on the
+    lattice t0 + k step: the one place that decides where the last lands.
+
+    t1 is the last lattice sample when the lattice time nearest it is on
+    the lattice by :func:`_on_lattice` (it is then replaced by t1);
+    otherwise t1 follows the lattice times below it as one shorter step.
+    """
+    n = round((t1 - t0) / step)
+    times = t0 + np.arange(n + 1) * step
+    if _on_lattice(t1, times[-1]):
+        times[-1] = t1
+        return times, len(times)
+    times = times[:-1] if times[-1] > t1 else times
+    return np.append(times, t1), len(times)
 
 
 def _powers(E: np.ndarray, count: int) -> np.ndarray:
@@ -553,27 +569,6 @@ def _block_flow(G: np.ndarray, z0: np.ndarray, step: float, count: int,
         anchors = ()
 
 
-def _linear_flow(G: np.ndarray, z0: np.ndarray, times: np.ndarray, step: float,
-                 cache: _FlowCache | None = None):
-    """Samples of z(t) = e^{G (t - t0)} z0 on a grid from :func:`_grid`.
-
-    The uniform part of the grid is :func:`_block_flow`'s, with ``cache``.
-    A final partial step (shorter than ``step``) starts from the sample
-    before it, by one more :func:`_expm_stack` slice.  An exponential that
-    overflowed makes the samples it gives non-finite.
-    """
-    partial = len(times) > 1 and abs(times[-1] - times[-2] - step) > _TIME_EPS
-    Z = np.empty((len(times), z0.size))
-    start = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for samples in _block_flow(G, z0, step, len(times) - partial, cache=cache):
-            Z[start : start + len(samples)] = samples
-            start += len(samples)
-        if partial:
-            Z[-1] = _expm_stack(G, times[-1:] - times[-2])[0] @ Z[-2]
-    return Z
-
-
 def _generator(mode: Mode) -> np.ndarray | None:
     """Matrix G of the exact flow of ``mode`` closed by its feedback, or
     None when the mode moves by RK4; the one decision of the path.
@@ -634,12 +629,16 @@ def integrate_mode(
         )
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
-    times = _grid(t0, t1, step)
+    times, lattice = _grid(t0, t1, step)
     G = _generator(mode) if disturbance is None else None
     if G is not None:
         # a bordered G moves [x; 1]; the extra column is dropped at the end
         z = np.append(x, 1.0) if len(G) > x.size else x
-        states = np.ascontiguousarray(_linear_flow(G, z, times, step, cache)[:, : mode.dim])
+        with np.errstate(over="ignore", invalid="ignore"):
+            Z = list(_block_flow(G, z, step, lattice, cache=cache))
+            if lattice < len(times):  # the shorter last step, from the sample before it
+                Z.append((_expm_stack(G, times[-1:] - times[-2])[0] @ Z[-1][-1])[None])
+        states = np.ascontiguousarray(np.concatenate(Z)[:, : mode.dim])
     else:
         states = np.full((len(times), x.size), np.nan)
         states[0] = x

@@ -1,10 +1,12 @@
-"""Named built-in fields, channels and laws referenced by scenario files.
+"""Named built-in fields, channels and laws.
 
 Scenario configs cannot carry arbitrary code, so drifts, input channels,
-output functions, feedback laws, disturbances, and span bases are looked
-up here by name.  Linear drifts are kept as matrices and feedback laws,
-which are affine, as gain and offset data, not evaluators, so the modes
-built from them move by their exact flow.  Library users can pass their
+output functions, feedback laws and disturbances are looked up here by
+name.  No config names a span basis (``SPAN_BASES``,
+:func:`get_span_basis`) or one of :func:`get_field`'s evaluators; those
+serve library callers.  Linear drifts are kept as matrices and feedback
+laws, which are affine, as gain and offset data, not evaluators, so the
+modes built from them move by their exact flow.  Library users can pass their
 own callables directly and never touch this module.
 """
 

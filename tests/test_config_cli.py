@@ -191,6 +191,30 @@ def run_cli(*args) -> int:
     return main(list(args))
 
 
+def _huge_step(path):
+    """A scenario whose ``step`` is an integer of 5000 digits, beyond what
+    Python converts from a string."""
+    raw = {**minimal_config(), "step": "STEP"}
+    path.write_text(json.dumps(raw).replace('"STEP"', "1" * 5000))
+
+
+@pytest.mark.parametrize(
+    "write, reason",
+    [
+        (lambda p: p.write_text("[" * 200_000 + "]" * 200_000), "nested too deeply"),
+        (_huge_step, "Exceeds the limit (4300 digits)"),
+        (lambda p: p.write_bytes(b'{"name": "\xff"}'), "'utf-8' codec can't decode"),
+    ],
+)
+def test_cli_json_that_python_cannot_read_names_the_file(tmp_path, capsys, write, reason):
+    bad = tmp_path / "bad.json"
+    write(bad)
+    assert run_cli("simulate", "--config", str(bad), "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"omega: {bad}: invalid JSON: ") and reason in err
+    assert "Traceback" not in err
+
+
 def test_two_runs_build_the_parser_once(tmp_path, monkeypatch, capsys):
     built = []
     init = argparse.ArgumentParser.__init__
@@ -946,6 +970,15 @@ def _approx_counts(count):
          lambda raw: raw["experiment"]["vectors"]["ops"][1].update(x=[1.0] * 2003,
                                                                    y=[0.5] * 2011),
          "experiment.vectors.ops[1].y: the lift to dimension 4028033 with x exceeds the budget"),
+        # ops[0] lifts 1999000 entries and fits; ops[1] lifts as many, beyond the total
+        ("reduce-vec", "two_stage_steering.json",
+         lambda raw: raw["experiment"]["vectors"].update(
+             ops=[{"op": "distance", "x": [1.0] * 1999, "y": [0.5] * 1000}] * 2),
+         "experiment.vectors.ops[1].y: the lift to dimension 1999000 with x exceeds the budget "
+         "of 2000000 entries that the ops lift in all (3998000)"),
+        ("simulate", "feedback_switch_random.json",
+         lambda raw: raw["signal"].update(kind="random-dwell"),
+         "signal.kind: must be 'fixed' or 'random'"),
         ("approx", "reduction_sweep.json", _approx_counts(250_000),
          "experiment.approx.cases[2].m_values: 2500000 error-table rows exceed the budget"),
         ("simulate", "reduction_sweep.json",

@@ -269,23 +269,21 @@ def expm_spy(monkeypatch):
     return seen
 
 
-def per_anchor_flow(G, z0, times, step):
-    """The exact linear flow with one scalar ``expm`` per block anchor; the
-    samples from an overflowed exponential on are NaN."""
+def per_anchor_flow(G, z0, times, lattice, step):
+    """The exact linear flow on ``times`` from ``dynamics._grid``, whose first
+    ``lattice`` times lie on the lattice, with one scalar ``expm`` per block
+    anchor; the samples from an overflowed exponential on are NaN."""
     B = dynamics._FLOW_BLOCK
-    count = len(times)
-    partial = count > 1 and abs(times[-1] - times[-2] - step) > 1e-12
-    uniform = count - 1 if partial else count
-    Z = np.full((count, z0.size), np.nan)
+    Z = np.full((len(times), z0.size), np.nan)
     Z[0] = z0
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            rows = dynamics._powers(expm(G, step), min(uniform, B)).reshape(-1, z0.size)
-            for start in range(0, uniform, B):
+            rows = dynamics._powers(expm(G, step), min(lattice, B)).reshape(-1, z0.size)
+            for start in range(0, lattice, B):
                 anchor = z0 if start == 0 else expm(G, start * step) @ z0
-                m = min(B, uniform - start)
+                m = min(B, lattice - start)
                 Z[start : start + m] = (rows[: m * z0.size] @ anchor).reshape(m, -1)
-            if partial:
+            if lattice < len(times):
                 Z[-1] = expm(G, times[-1] - times[-2]) @ Z[-2]
         except NumericFailure:
             pass
@@ -296,25 +294,34 @@ def per_anchor_flow(G, z0, times, step):
 def test_linear_flow_stacks_its_anchors_bit_for_bit(partial, expm_spy):
     B = dynamics._FLOW_BLOCK
     A = np.array([[-0.3, 1.0], [-1.0, -0.3]])
-    bordered = np.zeros((3, 3))
-    bordered[:2, :2], bordered[1, 2] = A + [[0.0, 0.0], [0.5, -0.2]], 0.7
+    # u = [0.5, -0.2] x + 0.7 through the second channel: a bordered generator
+    bordered = Mode("bordered", 2, A, inputs=np.array([[0.0], [1.0]]),
+                    feedback=AffineFeedback([[0.5, -0.2]], [0.7]))
     # the anchor of block 1, e^{rate B h}, overflows while E^{B-1} does not
     overflows = np.array([[math.log(np.finfo(float).max) / ((B - 0.5) * 1e-3)]])
     t0, h = 0.5, 1e-3
     overflowed = 0
-    for G in (A, bordered, random_stable(5), overflows):
-        z0 = np.linspace(1.0, -2.0, len(G))
+    for mode in (Mode("open", 2, A), bordered, Mode("stable", 5, random_stable(5)),
+                 Mode("overflows", 1, overflows)):
+        G = dynamics._generator(mode)
+        x0 = np.linspace(1.0, -2.0, mode.dim)
+        z0 = np.append(x0, 1.0)[: len(G)]
         for count in (1, B, B + 1, 3 * B + 7):
-            times = dynamics._grid(t0, t0 + (count - 1 + (0.4 if partial else 0.0)) * h, h)
-            want = per_anchor_flow(G, z0, times, h)
+            t1 = t0 + (count - 1 + (0.4 if partial else 0.0)) * h
+            times, lattice = dynamics._grid(t0, t1, h)
+            assert (lattice, len(times)) == (count, count + partial)
+            want = per_anchor_flow(G, z0, times, lattice, h)[:, : mode.dim]
             expm_spy["expm"], expm_spy["stacks"] = 0, []
-            got = dynamics._linear_flow(G, z0, times, h)
             # the same first non-finite sample, and the samples before it bit for bit
             bad = ~np.isfinite(want).all(axis=1)
-            first = int(bad.argmax()) if bad.any() else count
-            assert first == count or not np.isfinite(got[first]).all()
-            np.testing.assert_array_equal(got[:first], want[:first])
-            overflowed += first < count
+            first = int(bad.argmax()) if bad.any() else len(times)
+            if first < len(times):
+                with pytest.raises(NumericFailure) as err:
+                    integrate_mode(mode, x0, t0, t1, h)
+                assert err.value.time == times[first]
+            else:
+                got = integrate_mode(mode, x0, t0, t1, h).states
+            overflowed += first < len(times)
             # one slice for the step, one stack for every anchor (none when
             # the grid has no anchor past t0), one slice for the partial step
             step = [[h]] if count > 1 else []
@@ -324,6 +331,11 @@ def test_linear_flow_stacks_its_anchors_bit_for_bit(partial, expm_spy):
             assert stacks[: len(step)] == step and stacks[len(stacks) - len(last) :] == last
             assert [len(ts) for ts in stacks[len(step) : len(stacks) - len(last)]] == anchors
             assert expm_spy["expm"] == 0
+            if first < len(times):  # the samples integrate_mode computed before it raised
+                blocks = dynamics._block_flow(G, z0, h, lattice)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = np.concatenate(list(blocks))[:, : mode.dim]
+            np.testing.assert_array_equal(got[:first], want[:first])
     assert overflowed
 
 
@@ -460,15 +472,74 @@ def test_exact_flow_does_not_compound_rounding():
     assert np.abs(traj.events[0].pre_state - 1.5 * math.e).max() <= 1e-13
 
 
+def scalar_grid(t0, t1, step):
+    """The sample times of [t0, t1] by the scalar formula: t0 + i step up to
+    t1, the last snapped to t1 within 1e-12 max(1, |t1|), else t1 appended."""
+    n_full = int(math.floor((t1 - t0) / step + 1e-12))
+    want = [t0 + i * step for i in range(n_full + 1)]
+    if t1 - want[-1] > 1e-12 * max(1.0, abs(t1)):
+        want.append(t1)
+    else:
+        want[-1] = t1
+    return want
+
+
 def test_grid_matches_the_scalar_formula():
-    for t0, t1, step in [(0.0, 1.0, 1e-3), (0.3, 4.0, 1e-4), (1.7, 2.2, 0.03), (2.0, 2.0, 0.1)]:
-        n_full = int(math.floor((t1 - t0) / step + 1e-12))
-        want = [t0 + i * step for i in range(n_full + 1)]
-        if t1 - want[-1] > 1e-12 * max(1.0, abs(t1)):
-            want.append(t1)
-        else:
-            want[-1] = t1
-        assert dynamics._grid(t0, t1, step).tolist() == want
+    # a seeded sweep over |t0| up to 1e7, with t1 on, near and between
+    # lattice times, at every step of at least 3 _TIME_EPS max(1, |t1|)
+    rng = np.random.default_rng(30)
+    cases = [(0.0, 1.0, 1e-3), (0.3, 4.0, 1e-4), (1.7, 2.2, 0.03), (2.0, 2.0, 0.1),
+             (28.800000000000004, 29.0, 1e-3), (1e6, 1e6 + 1.0, 1e-3)]
+    while len(cases) < 3000:
+        t0 = float(rng.choice([0.0, 1.0, -1.0]) * 10.0 ** rng.uniform(-3.0, 7.0))
+        step = float(10.0 ** rng.uniform(-6.0, 0.0))
+        frac = rng.choice([0.0, 0.4, 0.5, 1.0 - 1e-9, 1e-9, 1e-12])
+        t1 = t0 + (int(rng.integers(0, 1000)) + frac) * step
+        t1 += float(rng.choice([-1.0, 0.0, 1.0]) * rng.uniform(0.0, 2e-12) * max(1.0, abs(t1)))
+        if t0 <= t1 and step >= 3 * dynamics._TIME_EPS * max(1.0, abs(t1)):
+            cases.append((t0, t1, step))
+    tails = 0
+    for t0, t1, step in cases:
+        want = scalar_grid(t0, t1, step)
+        times, lattice = dynamics._grid(t0, t1, step)
+        assert times.tolist() == want, (t0, t1, step)
+        # every sample before t1 is a lattice time, and the flow takes a
+        # tail exponential only where the scalar rule did
+        assert len(times) - 1 <= lattice <= len(times)
+        tail = lattice < len(times)
+        on = lattice if tail else lattice - 1
+        np.testing.assert_array_equal(times[:on], t0 + np.arange(on) * step)
+        assert not tail or abs(want[-1] - want[-2] - step) > 1e-12, (t0, t1, step)
+        tails += tail
+    assert 0 < tails < len(cases)
+
+
+def test_a_segment_far_from_zero_takes_no_tail_exponential(expm_spy):
+    # [1e6, 1e6 + 1] at step 1e-3 ends on its lattice as at t0 = 0: the
+    # step, then one stack of the three anchors past t0
+    A = np.array([[-0.3, 1.0], [-1.0, -0.3]])
+    for t0 in (0.0, 1e4, 1e6):
+        expm_spy["stacks"] = []
+        seg = integrate_mode(Mode("m", 2, A), [1.0, 0.0], t0, t0 + 1.0, 1e-3)
+        assert len(seg.times) == 1001 and seg.times[-1] == t0 + 1.0
+        assert [len(ts) for ts in expm_spy["stacks"]] == [1, 3], t0
+
+
+def test_the_last_dwell_of_two_mode_contraction_ends_on_its_lattice(expm_spy):
+    # its last sample, 29.0, lies 4e-15 below the lattice time 200 steps from
+    # 28.800000000000004: a lattice sample, so the dwell takes the step's
+    # exponential and no tail slice
+    scenario = load_scenario(scenario_path("two_mode_contraction.json"))
+    traj = simulate(scenario.system, scenario.signal, scenario.x0, scenario.step)
+    seg, mode = traj.segments[-1], scenario.system.modes[traj.segment_modes[-1]]
+    assert (seg.times[0], seg.times[-1], len(seg.times)) == (28.800000000000004, 29.0, 201)
+    times, lattice = dynamics._grid(seg.times[0], seg.times[-1], scenario.step)
+    assert lattice == len(times) == 201
+    np.testing.assert_array_equal(times, seg.times)
+    expm_spy["stacks"] = []
+    alone = integrate_mode(mode, seg.states[0], seg.times[0], seg.times[-1], scenario.step)
+    assert expm_spy["stacks"] == [[scenario.step]]
+    np.testing.assert_array_equal(alone.states, seg.states)
 
 
 @pytest.mark.parametrize(
