@@ -277,9 +277,13 @@ def _relative_errors(approx: np.ndarray, exact: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         gap = approx - exact
         denom = v_norm_rows(exact)
-        diverged = ~np.isfinite(exact).all(axis=1) | (
-            (denom != 0.0) & ~np.isfinite(gap).all(axis=1)
-        )
+        # a non-finite exact row makes its gap non-finite too, so a finite
+        # gap needs no row mask
+        diverged = np.zeros(len(exact), dtype=bool)
+        if not np.isfinite(gap).all():
+            diverged = ~np.isfinite(exact).all(axis=1) | (
+                (denom != 0.0) & ~np.isfinite(gap).all(axis=1)
+            )
         return np.where(denom == 0.0, np.nan, v_norm_rows(gap) / denom), diverged
 
 

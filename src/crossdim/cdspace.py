@@ -50,6 +50,8 @@ REDUCE_ATOL = 1e-12
 #: Most nodes :func:`build_lattice` closes.  k distinct primes close to 2^k
 #: nodes and the Hasse edges cost O(N^3), so the work is bounded here.
 MAX_LATTICE_NODES = 256
+#: The least normal float: a sum of squares below it has lost digits.
+_TINY = float(np.finfo(float).tiny)
 
 
 def as_entries(x) -> np.ndarray:
@@ -163,8 +165,18 @@ def v_inner(x, y) -> float:
 
 
 def v_norm(x) -> float:
-    """Dimension-normalized norm ||x||_2 / sqrt(dim x); constant under lifting."""
-    return float(v_norm_rows(as_entries(x)[None, :])[0])
+    """Dimension-normalized norm ||x||_2 / sqrt(dim x); constant under lifting.
+
+    The sum of squares is one dot product, the one :func:`v_norm_rows` makes
+    per row, so both give the same bits; a sum that overflows or falls
+    below the least normal float is left to :func:`v_norm_rows`'s rescaling.
+    """
+    a = as_entries(x)
+    with np.errstate(over="ignore"):
+        s = float(a @ a)
+    if not _TINY <= s < math.inf:
+        return float(v_norm_rows(a[None, :])[0])
+    return math.sqrt(s) / math.sqrt(a.size)
 
 
 def v_norm_rows(S) -> np.ndarray:
@@ -178,7 +190,7 @@ def v_norm_rows(S) -> np.ndarray:
     with np.errstate(over="ignore"):
         squares = (S[:, None, :] @ S[:, :, None]).ravel()
     norms = np.sqrt(squares) / root
-    bad = (squares == np.inf) | (squares < np.finfo(float).tiny)
+    bad = (squares == np.inf) | (squares < _TINY)
     if bad.any():
         bad[bad] = S[bad].any(axis=1)
         scale = np.abs(S[bad]).max(axis=1)

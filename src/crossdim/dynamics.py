@@ -395,9 +395,8 @@ class Trajectory:
         for seg in self.segments:
             with np.errstate(over="ignore", invalid="ignore"):
                 Y = self.output_map.of_rows(seg.states)
-            bad = ~np.isfinite(Y).all(axis=1)
-            if bad.any():
-                t = float(seg.times[bad.argmax()])
+            if not np.isfinite(Y).all():  # the row mask only to name the first
+                t = float(seg.times[(~np.isfinite(Y).all(axis=1)).argmax()])
                 raise NumericFailure("output map overflowed", operation="output", time=t)
             outputs.append(Y)
         return outputs
@@ -522,7 +521,7 @@ class _FlowCache:
 def _block_flow(G: np.ndarray, z0: np.ndarray, step: float, count: int,
                 offset: float = 0.0, cache: _FlowCache | None = None):
     """Samples z_k = e^{G (offset + k step)} z0 for k < ``count``, yielded
-    block by block as (m, d) arrays, in order.
+    in order as (m, d) arrays.
 
     Sample j*B + i is E^i, from :func:`_powers`, applied to the anchor
     e^{G (offset + j B step)} z0, with E = e^{G step}: each anchor is its
@@ -541,21 +540,33 @@ def _block_flow(G: np.ndarray, z0: np.ndarray, step: float, count: int,
     and keeps what it computes of them while they fit the cache's
     ``_CACHE_ENTRIES`` (:class:`_FlowCache`); each anchor is still that
     exponential applied to this z0.
+
+    The flow is yielded a stack at a time.  One stacked product applies
+    every anchor of a stack to z0; one more applies the powers to those
+    block starts and yields the stack's whole blocks as one array, split
+    so that no array holds more than ``_STACK_ENTRIES`` entries.  A partial
+    last block is its own product and its own array.  numpy runs a stacked
+    matrix-vector product as one gemv per slice, the call a single block
+    makes, so the samples are bit for bit those of a block at a time.
+    Gemm batching, ``rows @ starts.T``, would change them (gemm differs
+    from gemv for d = 2..11).
     """
     d = len(G)
     per_stack = max(1, _STACK_ENTRIES // d**2)
     block = min(_FLOW_BLOCK, per_stack)
+    per_yield = max(1, _STACK_ENTRIES // (block * d))  # whole blocks per array
     cache = _FlowCache(0) if cache is None else cache
     key = (G.tobytes(), step, offset)
     powers, need = cache.arrays.get(("powers", key), ()), min(count, block)
     if len(powers) < need:  # E^0 = I needs no exponential
         E = _expm_stack(G, np.array([step]))[0] if need > 1 else G
         powers = cache.keep(("powers", key), _powers(E, need))
-    rows = powers.reshape(-1, z0.size)
+    rows = powers.reshape(-1, d)
     ts = offset + np.arange(0, count, block) * step
+    full = count // block  # the blocks of B samples; a last one may be shorter
     # the first stack extends what is kept; at offset 0 it opens with
     # e^{0 G} = I, which takes no exponential
-    anchors = cache.arrays.get(("anchors", key), (np.eye(d),) if offset == 0.0 else ())
+    anchors = cache.arrays.get(("anchors", key), np.eye(d)[None] if offset == 0.0 else ())
     for lo in range(0, len(ts), per_stack):
         hi = min(lo + per_stack, len(ts))
         if len(anchors) < hi - lo:
@@ -563,9 +574,13 @@ def _block_flow(G: np.ndarray, z0: np.ndarray, step: float, count: int,
             anchors = np.concatenate([anchors, more]) if len(anchors) else more
             if not lo:
                 cache.keep(("anchors", key), anchors)
-        for j, E in enumerate(anchors[: hi - lo], lo):
-            m = min(block, count - j * block)
-            yield (rows[: m * z0.size] @ (E @ z0)).reshape(m, -1)  # one product per block
+        starts = anchors[: hi - lo] @ z0  # one gemv per anchor
+        for j in range(lo, min(hi, full), per_yield):
+            k = min(j + per_yield, hi, full)
+            yield (rows @ starts[j - lo : k - lo, :, None]).reshape(-1, d)
+        if hi > full:  # the partial last block
+            m = count - full * block
+            yield (rows[: m * d] @ starts[-1]).reshape(m, d)
         anchors = ()
 
 
@@ -661,12 +676,11 @@ def integrate_mode(
                 states[k] = x
                 if not np.all(np.isfinite(x)):
                     break  # the samples not reached stay NaN
-    bad = ~np.isfinite(states).all(axis=1)
-    if bad.any():
+    if not np.isfinite(states).all():  # the row mask only to name the first
         raise NumericFailure(
             f"state diverged in mode {mode.label!r}",
             operation="integrate_mode",
-            time=float(times[np.argmax(bad)]),
+            time=float(times[(~np.isfinite(states).all(axis=1)).argmax()]),
         )
     return Segment(times, states)
 

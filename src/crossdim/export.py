@@ -299,7 +299,7 @@ def _write_csv(fh, header: list, parts) -> None:
         columns = [np.asarray(c, dtype=float) for c in columns]
         columns = [c[:, None] if c.ndim == 1 else c for c in columns]
         blocked.append((columns, tuple(suffixes), max(1, _BLOCK_CELLS // len(suffixes))))
-    layouts = {key: _layout(key) for _, key, _ in blocked}
+    layouts = {key: _layout(key) for key in dict.fromkeys(key for _, key, _ in blocked)}
     # the tables live as long as the process: built above the workspace,
     # they would keep its freed heap pages resident
     _tables()

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crossdim.cdspace import (
@@ -208,6 +208,43 @@ def test_v_norm_rows_equal_one_row_calls(rows):
     assert ((norms > 0) == S.any(axis=1)).all()
     assert (norms - top <= slack).all()
     assert (top / math.sqrt(S.shape[1]) - norms <= slack).all()
+
+
+#: Entries whose squares overflow, fall below the least normal float or
+#: into the subnormals, or neither.
+extreme_floats = st.builds(
+    lambda scale, mantissa, sign: sign * scale * mantissa,
+    st.sampled_from([0.0, 5e-324, 1e-310, 1e-200, 1e-160, 1e-154, 1.0, 1e154, 1e160, 1e200]),
+    st.floats(1.0, 9.99),
+    st.sampled_from([1.0, -1.0]),
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.one_of(extreme_floats, finite_floats), min_size=1, max_size=20))
+@example([0.0])
+@example([0.0] * 20)
+@example([5e-324, -5e-324, 0.0])
+@example([1e200, -1e200, 1e-200])
+def test_v_norm_is_the_row_kernel_bit_for_bit(x):
+    a = np.array(x, dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one, rows = v_norm(a), v_norm_rows(a[None])
+    assert np.float64(one).tobytes() == rows[0].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 10, 12, 16, 20])
+def test_v_norm_is_the_row_kernel_on_random_rows(n):
+    # rows of one magnitude from 1e-200 to 1e200, every 7th spread over
+    # ten decades within the row
+    rng = np.random.default_rng(n)
+    S = rng.standard_normal((2000, n)) * 10.0 ** rng.integers(-200, 201, (2000, 1))
+    S[::7] *= 10.0 ** rng.integers(-5, 6, (len(S[::7]), n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one = np.array([v_norm(x) for x in S])
+        assert one.tobytes() == v_norm_rows(S).tobytes()
 
 
 def test_v_dist_examples():

@@ -372,6 +372,46 @@ def test_a_step_exponential_that_overflows_fails_at_the_first_step(x0):
         assert err.value.operation == "integrate_mode"
 
 
+def per_block_flow(G, z0, step, count, offset):
+    """The samples of ``dynamics._block_flow``, a block at a time: each
+    block's anchor is its own exponential (I at t = 0) applied to z0, and
+    the block is one product of the step powers with that start."""
+    d = len(G)
+    B = min(dynamics._FLOW_BLOCK, max(1, dynamics._STACK_ENTRIES // d**2))
+    E = dynamics._expm_stack(G, np.array([step]))[0] if min(count, B) > 1 else G
+    rows = dynamics._powers(E, min(count, B)).reshape(-1, d)
+    blocks = []
+    for start in range(0, count, B):
+        t = offset + start * step
+        anchor = np.eye(d) if t == 0.0 else dynamics._expm_stack(G, np.array([t]))[0]
+        m = min(B, count - start)
+        blocks.append((rows[: m * d] @ (anchor @ z0)).reshape(m, d))
+    return np.concatenate(blocks)
+
+
+@pytest.mark.parametrize("small", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 11, 12, 13, 20])
+def test_block_flow_is_the_per_block_flow_bit_for_bit(d, small, monkeypatch):
+    if small:  # stacks of 5 anchors and blocks of 5 samples
+        monkeypatch.setattr(dynamics, "_STACK_ENTRIES", 5 * d * d)
+    per_stack = max(1, dynamics._STACK_ENTRIES // d**2)
+    B = min(dynamics._FLOW_BLOCK, per_stack)
+    rng = np.random.default_rng(d)
+    G = -0.5 * np.eye(d) + rng.standard_normal((d, d)) / math.sqrt(d)
+    z0 = rng.standard_normal(d)
+    # whole blocks filling one stack, or three stacks when they are small,
+    # then a partial tail
+    whole = 3 * B * (per_stack if small else 1)
+    for count in (1, 2, B, whole, whole + B // 2 + 1):
+        for offset in (0.0, 0.37):
+            want = per_block_flow(G, z0, 1e-2, count, offset).tobytes()
+            cache = dynamics._FlowCache()
+            for kept in (None, cache, cache):  # no cache, one it fills, one it serves
+                arrays = list(dynamics._block_flow(G, z0, 1e-2, count, offset, kept))
+                assert max(a.size for a in arrays) <= dynamics._STACK_ENTRIES
+                assert np.concatenate(arrays).tobytes() == want, (count, offset)
+
+
 def test_simulate_flow_memory_is_set_by_the_stack_budget():
     # n = 64: blocks of 8 samples and stacks of 8 anchors, where a block of
     # _FLOW_BLOCK powers alone would be 8.4 MB
@@ -1025,6 +1065,33 @@ def test_simulate_overflowing_transition_is_a_numeric_failure():
     with pytest.raises(NumericFailure, match="transition 0->1") as info:
         simulate(system, signal, [1e10, 1e10], 1e-2)
     assert (info.value.operation, info.value.time) == ("transition", 1.0)
+
+
+def test_a_flow_overflowing_in_a_later_visit_names_its_sample_and_segment():
+    # mode 0 runs on [0, 0.05] and again from 0.1, after mode 1 has damped
+    # the state to about 1e-7; x_0 = 1e-7 e^{1183 (t - 0.1)} first overflows
+    # at t = 0.714, sample 614 of the visit, inside its third block
+    ident = TransitionMap(2, 2, np.eye(2))
+    grow = Mode("grow", 2, np.diag([1183.0, -1.0]))
+    damp = Mode("damp", 2, np.diag([-1500.0, -1.0]))
+    system = DvSystem((grow, damp), {(0, 1): ident, (1, 0): ident})
+    signal = fixed_signal(1.0, switch_times=[0.05, 0.1], modes=[1, 0])
+    with pytest.raises(NumericFailure) as err:
+        simulate(system, signal, [1.0, 1.0], 1e-3)
+    assert 2 * dynamics._FLOW_BLOCK <= 614 < 3 * dynamics._FLOW_BLOCK
+    assert (err.value.operation, err.value.segment, err.value.time) == ("integrate_mode", 2, 0.714)
+
+
+def test_an_output_overflowing_mid_segment_names_its_sample():
+    # y = 1e308 e^t overflows first at the sample t = 0.587, the 288th of
+    # the second segment [0.3, 1]; the output names no segment
+    one = TransitionMap(1, 1, [[1.0]])
+    modes = (Mode("grow", 1, [[1.0]]), Mode("again", 1, [[1.0]]))
+    system = DvSystem(modes, {(0, 1): one, (1, 0): one}, output=OutputMap.from_matrix([[1e308]]))
+    traj = simulate(system, fixed_signal(1.0, switch_times=[0.3], modes=[1]), [1.0], 1e-3)
+    with pytest.raises(NumericFailure, match="output map overflowed") as err:
+        traj.segment_outputs
+    assert (err.value.operation, err.value.segment, err.value.time) == ("output", None, 0.587)
 
 
 def test_overflowing_output_is_a_numeric_failure_at_its_first_sample():

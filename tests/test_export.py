@@ -222,6 +222,16 @@ def test_working_memory_does_not_grow_with_the_table(tmp_path):
     assert small > workspace and large - small < workspace
 
 
+def test_each_distinct_suffix_list_is_laid_out_once(tmp_path, monkeypatch):
+    # five parts with two suffix lists, as segments of two modes alternate
+    keys = []
+    monkeypatch.setattr(export, "_layout", lambda key: keys.append(key) or _layout(key))
+    narrow, wide = _suffixes(2), _suffixes(3)
+    parts = [((np.ones((4, 2 + k % 2)),), wide if k % 2 else narrow) for k in range(5)]
+    publish({"t.csv": (["a", "b", "c"], parts)}, tmp_path)
+    assert keys == [tuple(narrow), tuple(wide)]
+
+
 @pytest.mark.parametrize("suffix", [b"\0", b",\0", b",7,\0,123,\n", b"\x01"])
 def test_layout_rejects_a_suffix_holding_a_control_byte(suffix):
     # a NUL would be deleted with the unkept bytes, and the other control
