@@ -1,11 +1,15 @@
 """The cross-dimensional Euclidean space.
 
-Vectors of different lengths are compared by replicating entries with
-all-ones Kronecker factors until they share the least-common-multiple
-dimension.  Identifying vectors at replication distance zero yields a
-path-connected metric space whose slices of fixed dimension keep the
-ordinary Euclidean geometry (the metric is the dimension-normalized
-2-norm, so the scale factor per slice is 1/sqrt(n)).
+A vector of dimension n reads as the step function on [0, 1) that takes
+its entry i on [i/n, (i+1)/n); replicating entries with all-ones Kronecker
+factors leaves that function as it is.  Two vectors of dimensions n and m
+are compared on the n + m - gcd(n, m) pieces that their blocks share, each
+weighted by its length: the same sums as over their lifts to the
+least-common-multiple dimension, at O(n + m) cost, without building the
+lifts.  Identifying vectors at distance zero yields a path-connected
+metric space whose slices of fixed dimension keep the ordinary Euclidean
+geometry (the metric is the dimension-normalized 2-norm, so the scale
+factor per slice is 1/sqrt(n)).
 
 A point is carried as any of its representatives: a nonempty finite 1-d
 float array (:func:`as_entries`).  Every routine here takes array-likes
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dkstp import bridge
+from .dkstp import _overlaps, bridge
 from .errors import NumericFailure
 
 __all__ = [
@@ -138,7 +142,7 @@ def _common_lift(x, y):
 
 
 def _finite(c: np.ndarray, operation: str) -> np.ndarray:
-    """A sum of two finite lifts, or NumericFailure where it overflowed."""
+    """A sum of two finite arrays, or NumericFailure where it overflowed."""
     if np.isfinite(c).all():
         return c
     raise NumericFailure("mixed-dimension sum overflowed", operation=operation)
@@ -159,9 +163,15 @@ def stp_sub(x, y) -> np.ndarray:
 
 
 def v_inner(x, y) -> float:
-    """Dimension-normalized inner product: (1/t) <lift x, lift y> at t = lcm."""
-    a, b, t = _common_lift(x, y)
-    return float(a @ b) / t
+    """Dimension-normalized inner product: (1/t) <lift x, lift y> at t = lcm.
+
+    The lifts are step functions on [0, 1) that share n + m - gcd(n, m)
+    pieces, so the sum runs over the pieces, each weighted by its length.
+    """
+    a, b = as_entries(x), as_entries(y)
+    i, j, count, t = _overlaps(a.size, b.size)
+    with np.errstate(over="ignore"):
+        return float((count * a[i]) @ b[j]) / t
 
 
 def v_norm(x) -> float:
@@ -186,22 +196,39 @@ def v_norm_rows(S) -> np.ndarray:
     normal float, is divided by its largest |entry| first.
     """
     S = np.asarray(S, dtype=float)
-    root = math.sqrt(S.shape[1])
+    return _norm_rows(S, None, S.shape[1])
+
+
+def _norm_rows(S: np.ndarray, count, t: int) -> np.ndarray:
+    """sqrt(sum_k count[k] S[r, k]^2 / t) for every row r of S, with every
+    count 1 when ``count`` is None; the rescaling is that of :func:`v_norm_rows`."""
+    root = math.sqrt(t)
     with np.errstate(over="ignore"):
-        squares = (S[:, None, :] @ S[:, :, None]).ravel()
+        W = S if count is None else count * S
+        squares = (W[:, None, :] @ S[:, :, None]).ravel()
     norms = np.sqrt(squares) / root
     bad = (squares == np.inf) | (squares < _TINY)
     if bad.any():
         bad[bad] = S[bad].any(axis=1)
         scale = np.abs(S[bad]).max(axis=1)
         R = S[bad] / scale[:, None]
-        norms[bad] = scale * (np.sqrt((R[:, None, :] @ R[:, :, None]).ravel()) / root)
+        W = R if count is None else count * R
+        norms[bad] = scale * (np.sqrt((W[:, None, :] @ R[:, :, None]).ravel()) / root)
     return norms
+
+
+def _dist_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """:func:`v_dist` between paired rows of a (k, n) and a (k, m) array,
+    summed over the pieces that the blocks of n and m share."""
+    i, j, count, t = _overlaps(A.shape[1], B.shape[1])
+    with np.errstate(over="ignore"):
+        D = _finite(A[:, i] - B[:, j], "stp_sub")
+    return _norm_rows(D, count, t)
 
 
 def v_dist(x, y) -> float:
     """Metric induced by :func:`v_norm` on mixed-dimension differences."""
-    return v_norm(stp_sub(x, y))
+    return float(_dist_rows(as_entries(x)[None], as_entries(y)[None])[0])
 
 
 def equivalent(x, y, tol: float = REDUCE_RTOL) -> bool:

@@ -13,14 +13,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import math
 import os
 import sys
 
 import numpy as np
 
 from . import analysis
-from .cdspace import build_lattice, canonicalize, project, v_dist, v_norm, v_norm_rows
+from .cdspace import _dist_rows, build_lattice, canonicalize, project, v_dist, v_norm
 from .config import Scenario, load_scenario
 from .dkstp import bridge
 from .dynamics import closed_loop_drift, dwell_bound, embed_common, simulate
@@ -50,13 +49,6 @@ def cmd_simulate(scenario: Scenario) -> dict:
     return artifacts
 
 
-def _segment_gap(A: np.ndarray, B: np.ndarray) -> float:
-    """Largest ``v_dist`` between paired rows of two state arrays, via their lcm lift."""
-    t = math.lcm(A.shape[1], B.shape[1])
-    diff = np.repeat(A, t // A.shape[1], axis=1) - np.repeat(B, t // B.shape[1], axis=1)
-    return float(v_norm_rows(diff).max())
-
-
 def cmd_embed(scenario: Scenario) -> dict:
     common_dim = scenario.common_dim()
     embedded = embed_common(scenario.system)
@@ -64,7 +56,7 @@ def cmd_embed(scenario: Scenario) -> dict:
     lifted_x0 = project(scenario.x0, common_dim)
     mirrored = simulate(embedded, scenario.signal, lifted_x0, scenario.step)
     gap = max(
-        _segment_gap(a.states, b.states)
+        float(_dist_rows(a.states, b.states).max())
         for a, b in zip(original.segments, mirrored.segments)
     )
     dump = {

@@ -32,8 +32,7 @@ __all__ = ["Scenario", "load_scenario", "validate_config", "normalize_config"]
 #: the count of an experiment's time list; also the most switches a dwell
 #: pattern or random dwell bounds may ask for (horizon over the shortest
 #: dwell), (n + m) lcm(n, m) >= m max(n, m) for an experiment's reduction from
-#: n to m, the rows of all error tables of one command, and the lcm
-#: dimensions that the ``vectors`` distances of one command lift to, in all.
+#: n to m, and the rows of all error tables of one command.
 #: It bounds the work and memory of a run before it starts.
 MAX_SAMPLES = 2_000_000
 
@@ -503,7 +502,7 @@ _OP_FIELDS = {"canonicalize": ((), ("tol",)), "distance": (("y",), ()),
 
 def _parse_vectors(block, path: str, modes) -> dict:
     _as_object(block, path, optional=("ops",))
-    ops, lifted = [], 0
+    ops = []
     for k, op in enumerate(_as_list(block.get("ops"), f"{path}.ops")):
         opath = f"{path}.ops[{k}]"
         if not isinstance(op, dict) or "op" not in op:
@@ -518,11 +517,6 @@ def _parse_vectors(block, path: str, modes) -> dict:
             fields["tol"] = _as_number(op.get("tol", 1e-9), f"{opath}.tol", positive=True)
         elif kind == "distance":
             fields["y"] = _as_vector(op["y"], f"{opath}.y")
-            lift = math.lcm(len(fields["x"]), len(fields["y"]))
-            lifted += lift
-            if lifted > MAX_SAMPLES:
-                _fail(f"{opath}.y", f"the lift to dimension {lift} with x exceeds the budget "
-                      f"of {MAX_SAMPLES} entries that the ops lift in all ({lifted})")
         elif kind == "project":
             fields["m"] = _as_dim(op["m"], f"{opath}.m", len(fields["x"]))
         ops.append(MappingProxyType(fields))

@@ -47,19 +47,33 @@ def bridge(n: int, p: int) -> np.ndarray:
     return _bridge(n, p)
 
 
+@functools.lru_cache(maxsize=BRIDGE_CACHE_SIZE)
+def _overlaps(n: int, p: int) -> tuple:
+    """The pieces shared by the partitions of [0, 1) into n and into p blocks.
+
+    Returns ``(i, j, count, t)`` with t = lcm(n, p): piece k lies in block
+    ``i[k]`` of n and block ``j[k]`` of p and is ``count[k]`` units of 1/t
+    long.  There are n + p - gcd(n, p) pieces, and their lengths sum to t.
+    The arrays are cached and read-only.
+    """
+    t = math.lcm(n, p)
+    a, b = t // n, t // p
+    cuts = np.union1d(np.arange(n + 1) * a, np.arange(p + 1) * b)
+    i, j, count = cuts[:-1] // a, cuts[:-1] // b, np.diff(cuts)
+    for arr in (i, j, count):
+        arr.setflags(write=False)
+    return i, j, count, t
+
+
 # The cache sits behind a plain function so that call tracing, which wraps
 # only plain functions (perfbench/tracing.py), still counts bridge calls.
 @functools.lru_cache(maxsize=BRIDGE_CACHE_SIZE)
 def _bridge(n: int, p: int) -> np.ndarray:
-    # Entry (i, j) of the product of the Kronecker factors counts the overlap
-    # of the blocks [i a, (i + 1) a) and [j b, (j + 1) b) of {0, ..., t - 1},
-    # so only n x p arrays are ever allocated.
-    t = math.lcm(n, p)
-    a, b = t // n, t // p
-    lo = np.maximum.outer(np.arange(n) * a, np.arange(p) * b)
-    hi = np.minimum.outer(np.arange(1, n + 1) * a, np.arange(1, p + 1) * b)
-    counts = np.maximum(hi - lo, 0)
-    B = (n / t) * counts
+    # Entry (i, j) is n/t times the overlap of block i of n and block j of p,
+    # in units of 1/t, so only n x p arrays are ever allocated.
+    i, j, count, t = _overlaps(n, p)
+    B = np.zeros((n, p))
+    B[i, j] = (n / t) * count
     B.setflags(write=False)
     return B
 

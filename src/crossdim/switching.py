@@ -168,7 +168,7 @@ def make_jump_event(time: float, pre, post, mu: float = 0.0) -> JumpEvent:
         d = stp_sub(post, pre)
     except NumericFailure:
         raise NumericFailure("jump gap overflowed", operation="jump", time=time) from None
-    gap = v_norm(d)  # v_dist(pre, post) bit for bit: -(a - b) == b - a
+    gap = v_norm(d)  # v_dist(pre, post) to a few ulp, summed over the lift d
     direction = None
     if gap > GAP_ZERO_TOL * max(1.0, v_norm(pre)):
         direction = d / gap

@@ -562,6 +562,21 @@ def test_cli_reduce_vec_report(tmp_path):
     assert ops[2]["result"] == [1.5, 3.5]
 
 
+@pytest.mark.parametrize("mutate, distances", [
+    # lcm 4028033 and, twice, 1999000: no distance lifts, so none has a budget
+    (lambda raw: raw["experiment"]["vectors"]["ops"][1].update(x=[1.0] * 2003,
+                                                               y=[0.5] * 2011), {1: 0.5}),
+    (lambda raw: raw["experiment"]["vectors"].update(
+        ops=[{"op": "distance", "x": [1.0] * 1999, "y": [0.5] * 1000}] * 2), {0: 0.5, 1: 0.5}),
+], ids=["2003x2011", "1999x1000-twice"])
+def test_cli_reduce_vec_distances_of_large_lcm(tmp_path, mutate, distances):
+    config = _edited(tmp_path, "two_stage_steering.json", mutate)
+    out = tmp_path / "o"
+    assert run_bounded(5, ["reduce-vec", "--config", config, "--out", str(out)]) == 0
+    ops = json.loads((out / "vector_ops.json").read_text())
+    assert {k: op["result"] for k, op in enumerate(ops) if op["op"] == "distance"} == distances
+
+
 def test_cli_dwell_report(tmp_path):
     out = tmp_path / "o"
     assert (
@@ -966,16 +981,6 @@ def _approx_counts(count):
         ("simulate", "two_mode_contraction.json",
          lambda raw: raw["modes"][1].update(label="planar"), "modes: labels must be unique"),
         # budgets and pairing: each run below exited 0 before its check existed
-        ("reduce-vec", "two_stage_steering.json",
-         lambda raw: raw["experiment"]["vectors"]["ops"][1].update(x=[1.0] * 2003,
-                                                                   y=[0.5] * 2011),
-         "experiment.vectors.ops[1].y: the lift to dimension 4028033 with x exceeds the budget"),
-        # ops[0] lifts 1999000 entries and fits; ops[1] lifts as many, beyond the total
-        ("reduce-vec", "two_stage_steering.json",
-         lambda raw: raw["experiment"]["vectors"].update(
-             ops=[{"op": "distance", "x": [1.0] * 1999, "y": [0.5] * 1000}] * 2),
-         "experiment.vectors.ops[1].y: the lift to dimension 1999000 with x exceeds the budget "
-         "of 2000000 entries that the ops lift in all (3998000)"),
         ("simulate", "feedback_switch_random.json",
          lambda raw: raw["signal"].update(kind="random-dwell"),
          "signal.kind: must be 'fixed' or 'random'"),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from crossdim.cdspace import kron_lift, project, stp_add, v_norm
-from crossdim.dkstp import _bridge, bridge, dk_apply, dk_product, op_vnorm
+from crossdim.dkstp import _bridge, _overlaps, bridge, dk_apply, dk_product, op_vnorm
 from crossdim.errors import NumericFailure
 
 RNG = np.random.default_rng(7)
@@ -42,6 +42,45 @@ def test_bridge_equals_kronecker_definition_bit_for_bit():
             B, ref = bridge(n, p), kronecker_bridge(n, p)
             assert B.dtype == ref.dtype and B.shape == ref.shape
             assert B.tobytes() == ref.tobytes(), (n, p)
+
+
+def outer_bridge(n, p):
+    """The bridge as built from n x p outer arrays of block overlaps."""
+    t = math.lcm(n, p)
+    a, b = t // n, t // p
+    lo = np.maximum.outer(np.arange(n) * a, np.arange(p) * b)
+    hi = np.minimum.outer(np.arange(1, n + 1) * a, np.arange(1, p + 1) * b)
+    return (n / t) * np.maximum(hi - lo, 0)
+
+
+def test_bridge_equals_the_outer_overlap_construction_bit_for_bit():
+    for n in range(1, 41):
+        for p in range(1, 41):
+            B, ref = bridge(n, p), outer_bridge(n, p)
+            assert B.dtype == ref.dtype and B.shape == ref.shape
+            assert B.tobytes() == ref.tobytes(), (n, p)
+
+
+def test_overlaps_are_the_shared_pieces_of_both_partitions():
+    for n in range(1, 41):
+        for p in range(1, 41):
+            i, j, count, t = _overlaps(n, p)
+            assert t == math.lcm(n, p)
+            assert len(i) == len(j) == len(count) == n + p - math.gcd(n, p)
+            assert count.sum() == t and (count > 0).all()
+            # each piece lies in block i of n and block j of p, in order
+            ends = np.cumsum(count)
+            starts = ends - count
+            assert (starts >= i * (t // n)).all() and (ends <= (i + 1) * (t // n)).all()
+            assert (starts >= j * (t // p)).all() and (ends <= (j + 1) * (t // p)).all()
+
+
+def test_overlaps_are_cached_and_read_only():
+    pieces = _overlaps(4, 6)
+    assert _overlaps(4, 6) is pieces
+    for arr in pieces[:3]:
+        with pytest.raises(ValueError):
+            arr[0] = 1
 
 
 def test_bridge_allocates_about_its_result():

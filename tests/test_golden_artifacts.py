@@ -3,7 +3,8 @@ sha256 of every artifact must match ``golden_artifacts.json``.
 
 This makes "byte-identical" a checked property of any change that should
 not alter an artifact, such as a speed-up.  A change that alters artifacts
-on purpose rewrites the file and says so::
+on purpose rewrites the file and says so, and ``test_oracle.py`` must still
+accept the new artifacts::
 
     PYTHONPATH=src python tests/test_golden_artifacts.py
 
