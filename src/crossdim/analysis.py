@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cdspace import project, v_norm_rows
-from .dkstp import bridge
+from .dkstp import _bridge_pinv, bridge
 from .dynamics import (
     _STACK_ENTRIES,
     Mode,
@@ -225,7 +225,10 @@ def reduce_model(A, B=None, C=None, m: int | None = None) -> ReducedModel:
     with the pseudoinverse P^+ (every bridge has full rank, so this is
     ``P A P^T (P P^T)^{-1}`` when compressing and ``P A (P^T P)^{-1} P^T``
     when expanding).  Inputs project directly, ``P B``, and outputs
-    transform like the drift's right factor, ``C P^+``.
+    transform like the drift's right factor, ``C P^+``.  P^+ is
+    ``np.linalg.pinv(P)``, computed once per (m, n) and cached beside the
+    bridge, so a sweep over many drifts or many calls with one m pays one
+    SVD; an SVD that does not converge raises :class:`NumericFailure`.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
@@ -243,7 +246,7 @@ def reduce_model(A, B=None, C=None, m: int | None = None) -> ReducedModel:
             C = C.reshape(1, -1)
     P = bridge(m, n)
     try:
-        P_plus = np.linalg.pinv(P)
+        P_plus = _bridge_pinv(m, n)
     except np.linalg.LinAlgError as exc:
         raise NumericFailure(
             "singular value decomposition did not converge", operation="reduce_model"
@@ -340,9 +343,13 @@ def _reduction_errors(A, x0, m_values, times) -> np.ndarray:
     The full flow e^{tA} x0 and every reduced flow are sampled a chunk of
     times at a time, ``_STACK_ENTRIES // d**2`` times per chunk for the
     largest dimension d, so memory does not grow with the number of times.
-    On a uniform increasing grid (:func:`_uniform_step`) each flow is the
-    block-power flow of :func:`_block_flow`: the step's exponential plus
-    one per block of up to ``_FLOW_BLOCK`` times, in place of one per time.
+    Every reduced drift takes its P^+ from :func:`reduce_model`'s cache, so
+    a bridge pays one SVD however often it recurs.  On a uniform increasing
+    grid (:func:`_uniform_step`) each flow is the block-power flow of
+    :func:`_block_flow`: one exponential per block of up to ``_FLOW_BLOCK``
+    times, in place of one per time, plus the step's unless the grid starts
+    at its own step, as ``{from: 1, to: 100, count: 100}`` does, where the
+    first anchor is the step's exponential.
     Its samples lie within rounding of the exponential at each time (a
     relative drift of about 1e-12 in the errors), and its states can stay
     finite where e^{tA} alone overflows.  Any other ``times`` take one

@@ -98,9 +98,15 @@ def _reduce_once(a: np.ndarray, rtol: float | None = None) -> np.ndarray:
     Bitwise-equal blocks always reduce and keep their entries bit-for-bit.
     With ``rtol`` given, blocks within the tolerance reduce to their means;
     without it only exact blocks count, so binary operations never perturb
-    entries and metric identities survive to machine precision.
+    entries and metric identities survive to machine precision.  Every
+    proper block holds at least two entries and the first starts with a[0]
+    and a[1], so without ``rtol`` a vector whose first two entries differ is
+    its own representative.
     """
-    if rtol is not None:
+    if rtol is None:
+        if a.size > 1 and a[0] != a[1]:
+            return a
+    else:
         thr = max(REDUCE_ATOL, rtol * float(np.max(np.abs(a))))
     n = a.size
     for d in _divisors(n):

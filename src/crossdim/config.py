@@ -16,6 +16,7 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
+from itertools import chain
 from types import MappingProxyType
 
 import numpy as np
@@ -195,8 +196,15 @@ def _as_dims(value, path: str, n: int | None = None) -> tuple:
 
 def _as_array(value, path: str, kind: str) -> np.ndarray:
     """A finite, read-only float array of JSON numbers (no strings, booleans
-    or nulls, as in :func:`_as_number`); ``kind`` ("matrix", "vector") names it."""
-    nested = [value]
+    or nulls, as in :func:`_as_number`); ``kind`` ("matrix", "vector") names it.
+
+    A list of numbers or a list of lists of numbers passes one C-level type
+    pass; deeper nesting and every bad leaf take the walk over each entry.
+    """
+    kinds = set(map(type, value)) if type(value) is list else {type(value)}
+    if kinds == {list}:
+        kinds = set(map(type, chain.from_iterable(value)))
+    nested = [] if kinds <= {int, float} else [value]
     for entry in nested:  # every entry of the nested lists, appended as reached
         if entry is None or isinstance(entry, (str, bool)):
             _fail(path, f"expected a numeric {kind}")

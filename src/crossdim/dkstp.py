@@ -19,7 +19,8 @@ from .errors import NumericFailure
 
 __all__ = ["bridge", "dk_product", "dk_apply", "op_vnorm"]
 
-#: Number of distinct (n, p) bridge matrices kept by the cache.
+#: Number of distinct (n, p) bridge matrices kept by the cache, and of their
+#: pseudo-inverses.
 BRIDGE_CACHE_SIZE = 256
 
 
@@ -76,6 +77,16 @@ def _bridge(n: int, p: int) -> np.ndarray:
     B[i, j] = (n / t) * count
     B.setflags(write=False)
     return B
+
+
+@functools.lru_cache(maxsize=BRIDGE_CACHE_SIZE)
+def _bridge_pinv(n: int, p: int) -> np.ndarray:
+    """``np.linalg.pinv(bridge(n, p))``, the p x n pseudo-inverse, cached
+    beside the bridge and read-only.  A ``LinAlgError`` of the SVD
+    propagates and is not cached."""
+    P = np.linalg.pinv(_bridge(n, p))
+    P.setflags(write=False)
+    return P
 
 
 def dk_product(M, N) -> np.ndarray:

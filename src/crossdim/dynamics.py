@@ -533,7 +533,10 @@ def _block_flow(G: np.ndarray, z0: np.ndarray, step: float, count: int,
     slices, the anchors in stacks within the same budget, so the matrices
     held at once are set by that budget, never by ``count``; a flow of any
     length costs E plus one slice per anchor, and the anchor at t = 0 is
-    e^{0 G} = I, which takes no exponential.  An exponential that
+    e^{0 G} = I, which takes no exponential.  E and the anchors that the
+    first stack lacks are one :func:`_expm_stack` call, and a time in both
+    is one slice: on a grid that starts at its own step (offset = step) the
+    first anchor is E itself.  An exponential that
     overflowed is used as it is, so its samples are non-finite and the
     caller finds them; nothing raises.  With a ``cache``, the flow takes
     the powers and the first stack of anchors kept under (G, step, offset)
@@ -557,23 +560,32 @@ def _block_flow(G: np.ndarray, z0: np.ndarray, step: float, count: int,
     per_yield = max(1, _STACK_ENTRIES // (block * d))  # whole blocks per array
     cache = _FlowCache(0) if cache is None else cache
     key = (G.tobytes(), step, offset)
-    powers, need = cache.arrays.get(("powers", key), ()), min(count, block)
-    if len(powers) < need:  # E^0 = I needs no exponential
-        E = _expm_stack(G, np.array([step]))[0] if need > 1 else G
-        powers = cache.keep(("powers", key), _powers(E, need))
-    rows = powers.reshape(-1, d)
     ts = offset + np.arange(0, count, block) * step
     full = count // block  # the blocks of B samples; a last one may be shorter
+    powers, need = cache.arrays.get(("powers", key), ()), min(count, block)
     # the first stack extends what is kept; at offset 0 it opens with
     # e^{0 G} = I, which takes no exponential
     anchors = cache.arrays.get(("anchors", key), np.eye(d)[None] if offset == 0.0 else ())
+    lack = ts[len(anchors) : per_stack]
+    want_E, E = need > max(1, len(powers)), G  # E^0 = I needs no exponential
+    if want_E or lack.size:
+        # E and the first stack's missing anchors are one stacked exponential,
+        # E being the anchor at t = step where the grid has one
+        hit = np.flatnonzero(lack == step)
+        fresh = _expm_stack(G, np.append(lack, step) if want_E and not hit.size else lack)
+        if want_E:
+            E = fresh[hit[0] if hit.size else -1]
+        if lack.size:
+            fresh = fresh[: lack.size]
+            anchors = cache.keep(("anchors", key),
+                                 np.concatenate([anchors, fresh]) if len(anchors) else fresh)
+    if len(powers) < need:
+        powers = cache.keep(("powers", key), _powers(E, need))
+    rows = powers.reshape(-1, d)
     for lo in range(0, len(ts), per_stack):
         hi = min(lo + per_stack, len(ts))
-        if len(anchors) < hi - lo:
-            more = _expm_stack(G, ts[lo + len(anchors) : hi])
-            anchors = np.concatenate([anchors, more]) if len(anchors) else more
-            if not lo:
-                cache.keep(("anchors", key), anchors)
+        if lo:
+            anchors = _expm_stack(G, ts[lo:hi])
         starts = anchors[: hi - lo] @ z0  # one gemv per anchor
         for j in range(lo, min(hi, full), per_yield):
             k = min(j + per_yield, hi, full)
@@ -581,7 +593,6 @@ def _block_flow(G: np.ndarray, z0: np.ndarray, step: float, count: int,
         if hi > full:  # the partial last block
             m = count - full * block
             yield (rows[: m * d] @ starts[-1]).reshape(m, d)
-        anchors = ()
 
 
 def _generator(mode: Mode) -> np.ndarray | None:

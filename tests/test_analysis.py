@@ -9,7 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossdim import analysis, dynamics
+from crossdim import analysis, dkstp, dynamics
 from crossdim.analysis import (
     ControllabilityReport,
     aggregate_run,
@@ -389,6 +389,7 @@ def test_reduce_model_svd_failure_is_a_numeric_failure(monkeypatch):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(np.linalg, "pinv", diverge)
+    dkstp._bridge_pinv.cache_clear()  # so that the failure is not cached away
     with pytest.raises(NumericFailure) as exc:
         reduce_model(np.eye(4), m=2)
     assert exc.value.operation == "reduce_model"
@@ -550,9 +551,10 @@ def test_only_an_increasing_grid_is_uniform(times):
     assert analysis._uniform_step(np.array(times)) is None
 
 
-def test_uniform_sweep_takes_two_exponentials_per_flow(monkeypatch):
-    # the shipped sweep: 100 times, one block; a list of the same times takes
-    # one stacked exponential of all 100 per flow
+def test_uniform_sweep_takes_one_exponential_per_flow(monkeypatch):
+    # the shipped sweep: 100 times from its own step, one block, whose anchor
+    # at t = 1 is the step's exponential; a list of the same times takes one
+    # stacked exponential of all 100 per flow
     calls = []
     stack = dynamics._expm_stack
 
@@ -564,7 +566,7 @@ def test_uniform_sweep_takes_two_exponentials_per_flow(monkeypatch):
     monkeypatch.setattr(analysis, "_expm_stack", spy)
     A, x0, m_values, times, _ = sweep_cases()[1]
     analysis._reduction_errors(A, x0, m_values, times)
-    assert calls == [1] * 2 * (1 + len(m_values))  # the step's and the first anchor's
+    assert calls == [1] * (1 + len(m_values))  # the step's, which is the first anchor
     calls.clear()
     analysis._reduction_errors(A, x0, m_values, list(times) + [100.0])
     assert calls == [101] * (1 + len(m_values))

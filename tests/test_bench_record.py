@@ -1,5 +1,6 @@
 """tools/bench_record.py keeps every pair it ran: one pair has no quartiles,
-and a failing run stops the tool with its stderr shown."""
+a failing run stops the tool with its stderr shown, and the last lines
+summarize each metric."""
 
 import importlib.util
 import json
@@ -60,3 +61,17 @@ def test_a_failing_run_keeps_the_pairs_before_it_and_shows_its_stderr(
     assert entry["pairs_run"] == 1 and entry["pairs"][0]["seed"] == 1
     assert set(entry["summary"]["setup_s"]["parent"]) == {"median"}
     assert record["change"]["src_sha256"] == "new" * 8
+
+
+def test_the_last_lines_summarize_each_metric(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bench_record, "run", fake_run([]))
+    assert bench_record.main(argv(tmp_path, "1-3")) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3:] == [
+        f"w {name}: parent 3 (q 2.5-3.5) -> change 2.5 (q 2-3), change lower in 3/3"
+        for name in bench_record.METRICS]
+    # one pair has a median alone
+    monkeypatch.setattr(bench_record, "run", fake_run([]))
+    assert bench_record.main(argv(tmp_path, "7-7")) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "w peak_rss_mb: parent 8 -> change 7.5, change lower in 1/1")

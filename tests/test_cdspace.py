@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from crossdim.cdspace import (
     MAX_LATTICE_NODES,
+    _reduce_once,
     angle,
     as_entries,
     build_lattice,
@@ -84,6 +85,48 @@ def test_canonicalize_returns_a_new_array(v):
     assert not np.shares_memory(out, a)
     out[0] = -1.0
     assert a.tolist() == v
+
+
+def divisor_walk(a: np.ndarray) -> np.ndarray:
+    """The exact reduction step as a walk over the blocks of every proper
+    divisor, with no shortcut: the reference of ``_reduce_once``."""
+    n = a.size
+    for d in range(1, n):
+        if n % d == 0:
+            blocks = a.reshape(d, n // d)
+            if (blocks == blocks[:, :1]).all():
+                return blocks[:, 0]
+    return a
+
+
+def test_the_exact_reduction_step_is_the_divisor_walk():
+    # small integer entries make ties and repeats common; a perturbed entry
+    # usually leaves the vector irreducible; a NaN entry never reduces
+    rng = np.random.default_rng(3311)
+    vectors = [np.array(v) for v in ([1.0], [0.0, -0.0], [1.0, 1.0, 2.0], [1.0, 2.0, 1.0, 2.0],
+                                     [np.nan, np.nan], [2.0, 2.0, np.nan, np.nan])]
+    for _ in range(3000):
+        base = rng.integers(-2, 3, size=int(rng.integers(1, 7))).astype(float)
+        v = np.repeat(base, int(rng.integers(1, 5)))
+        kind = rng.integers(4)
+        if kind == 1:
+            v[rng.integers(v.size)] = rng.standard_normal()
+        elif kind == 2:
+            v[rng.integers(v.size)] = np.nan
+        elif kind == 3 and v.size > 1:
+            v[1] = v[0]
+        vectors.append(v)
+    seen = set()
+    for v in vectors:
+        want, got = divisor_walk(v), _reduce_once(v)
+        assert got.tobytes() == want.tobytes() and (got is v) == (want is v), v
+        if np.isnan(v).any():
+            seen.add("NaN")
+        elif want.size < v.size:
+            seen.add("reducible")
+        else:
+            seen.add("tied first pair" if v.size > 1 and v[0] == v[1] else "irreducible")
+    assert seen == {"NaN", "reducible", "tied first pair", "irreducible"}
 
 
 def test_as_entries_reads_a_scalar_as_a_one_vector():

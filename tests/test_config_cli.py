@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from crossdim.cdspace import project, v_dist, v_norm
-from crossdim import cli
+from crossdim import cli, dkstp
 from crossdim.cli import main
 from crossdim.config import (
     MAX_EMBED_ENTRIES, MAX_NEAREST_PAIRS, load_scenario, normalize_config, validate_config,
@@ -1004,6 +1004,23 @@ def _approx_counts(count):
          "experiment.reduce.times.to: the span to - from exceeds the float range"),
         ("reduce", "reduction_sweep.json", _huge_span("reduce", 0),
          "experiment.reduce.times.to: the span to - from exceeds the float range"),
+        # ragged lists, which the one type pass of 1-d and 2-d lists may not accept
+        ("lattice", "two_mode_contraction.json",
+         lambda raw: raw["modes"][0].update(A=[[3.0, 2.0], [-10.0]]),
+         "modes[0].A: expected a numeric matrix\n"),
+        ("lattice", "two_mode_contraction.json",
+         lambda raw: raw["modes"][0].update(A=[[3.0, 2.0], -10.0]),
+         "modes[0].A: expected a numeric matrix\n"),
+        ("lattice", "two_mode_contraction.json",
+         lambda raw: raw["modes"][0].update(A=[[[3.0], [2.0, 1.0]], [[-10.0], [-6.0]]]),
+         "modes[0].A: expected a numeric matrix\n"),
+        ("lattice", "two_mode_contraction.json",
+         lambda raw: raw["modes"][0].update(A=[[], []]),
+         "modes[0].A: expected 2 columns, got 0\n"),
+        ("lattice", "two_mode_contraction.json",
+         lambda raw: raw.update(x0=[[1.0], [2.0, 3.0]]), "x0: expected a numeric vector\n"),
+        ("lattice", "two_mode_contraction.json",
+         lambda raw: raw.update(x0=[1.0, [2.0]]), "x0: expected a numeric vector\n"),
     ],
 )
 def test_cli_errors_name_the_field(tmp_path, capsys, command, name, mutate, message):
@@ -1017,6 +1034,36 @@ def test_cli_errors_name_the_field(tmp_path, capsys, command, name, mutate, mess
     assert run_cli(command, "--config", str(bad), "--out", str(out)) == 2
     assert capsys.readouterr().err.startswith(f"omega: {message}")
     assert not any(out.glob("error_*"))
+
+
+def _leaf_at_depth(value: list, leaf, depth: int) -> None:
+    """Put ``leaf`` ``depth`` lists deep as the last entry of ``value``,
+    wrapping a number in lists where the value is not that deep."""
+    for _ in range(depth - 1):
+        if not isinstance(value[-1], list):
+            value[-1] = [value[-1]]
+        value = value[-1]
+    value[-1] = leaf
+
+
+@pytest.mark.parametrize("field, path, kind", [
+    (("modes", 0, "A"), "modes[0].A", "matrix"), (("x0",), "x0", "vector")], ids=["A", "x0"])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("leaf", [True, "1.0", None, {"v": 1.0}],
+                         ids=["bool", "str", "None", "dict"])
+def test_cli_array_leaves_that_are_not_numbers_exit_2(
+        tmp_path, capsys, field, path, kind, depth, leaf):
+    # the one type pass of 1-d and 2-d lists hands every bad leaf to the
+    # full walk, so the message is the walk's at every depth
+    raw = json.loads(open(scenario_path("two_mode_contraction.json"), encoding="utf-8").read())
+    holder = raw
+    for key in field[:-1]:
+        holder = holder[key]
+    _leaf_at_depth(holder[field[-1]], leaf, depth)
+    config = tmp_path / "leaf.json"
+    config.write_text(json.dumps(raw))
+    assert run_cli("lattice", "--config", str(config), "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == f"omega: {path}: expected a numeric {kind}\n"
 
 
 def test_embed_budget_leaves_other_commands_alone(tmp_path):
@@ -1371,6 +1418,7 @@ def test_cli_reduce_svd_failure_is_a_numeric_failure(tmp_path, capsys, monkeypat
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(np.linalg, "pinv", diverge)
+    dkstp._bridge_pinv.cache_clear()  # so that the failure is not cached away
     out = tmp_path / "o"
     assert run_cli("reduce", "--config", scenario_path("reduction_sweep.json"),
                    "--out", str(out)) == 3

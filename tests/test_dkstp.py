@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from crossdim.cdspace import kron_lift, project, stp_add, v_norm
-from crossdim.dkstp import _bridge, _overlaps, bridge, dk_apply, dk_product, op_vnorm
+from crossdim.dkstp import (
+    _bridge,
+    _bridge_pinv,
+    _overlaps,
+    bridge,
+    dk_apply,
+    dk_product,
+    op_vnorm,
+)
 from crossdim.errors import NumericFailure
 
 RNG = np.random.default_rng(7)
@@ -101,6 +109,29 @@ def test_bridge_is_cached_and_read_only():
     assert bridge(3, 5) is B
     with pytest.raises(ValueError):
         B[0, 0] = 1.0
+
+
+def test_bridge_pinv_is_the_pseudo_inverse_bit_for_bit():
+    _bridge_pinv.cache_clear()
+    for m in range(1, 21):
+        for n in range(1, 21):
+            P = _bridge_pinv(m, n)
+            assert P.tobytes() == np.linalg.pinv(bridge(m, n)).tobytes(), (m, n)
+            assert P.shape == (n, m) and _bridge_pinv(m, n) is P
+            with pytest.raises(ValueError):
+                P[0, 0] = 1.0
+
+
+def test_a_failed_pinv_is_not_cached(monkeypatch):
+    def diverge(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    _bridge_pinv.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "pinv", diverge)
+        with pytest.raises(np.linalg.LinAlgError):
+            _bridge_pinv(3, 7)
+    assert _bridge_pinv(3, 7).tobytes() == np.linalg.pinv(bridge(3, 7)).tobytes()
 
 
 # ------------------------------------------------------------------ dk_product

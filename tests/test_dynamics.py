@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 from crossdim.analysis import aggregate_run, approx_error, reduce_model
-from crossdim.cdspace import kron_lift, project, v_dist
+from crossdim.cdspace import kron_lift, project, stp_sub, v_dist, v_norm
 from crossdim import dynamics, registry
 from crossdim.config import load_scenario
 from crossdim.dkstp import bridge, op_vnorm
@@ -322,14 +322,11 @@ def test_linear_flow_stacks_its_anchors_bit_for_bit(partial, expm_spy):
             else:
                 got = integrate_mode(mode, x0, t0, t1, h).states
             overflowed += first < len(times)
-            # one slice for the step, one stack for every anchor (none when
-            # the grid has no anchor past t0), one slice for the partial step
-            step = [[h]] if count > 1 else []
-            anchors = [] if count <= B else [(count - 1) // B]
+            # one stack of every anchor past t0 and then the step (none for
+            # one sample), one slice for the partial step
+            head = [(np.arange(B, count, B) * h).tolist() + [h]] if count > 1 else []
             last = [[times[-1] - times[-2]]] if partial else []
-            stacks = expm_spy["stacks"]
-            assert stacks[: len(step)] == step and stacks[len(stacks) - len(last) :] == last
-            assert [len(ts) for ts in stacks[len(step) : len(stacks) - len(last)]] == anchors
+            assert expm_spy["stacks"] == head + last
             assert expm_spy["expm"] == 0
             if first < len(times):  # the samples integrate_mode computed before it raised
                 blocks = dynamics._block_flow(G, z0, h, lattice)
@@ -410,6 +407,29 @@ def test_block_flow_is_the_per_block_flow_bit_for_bit(d, small, monkeypatch):
                 arrays = list(dynamics._block_flow(G, z0, 1e-2, count, offset, kept))
                 assert max(a.size for a in arrays) <= dynamics._STACK_ENTRIES
                 assert np.concatenate(arrays).tobytes() == want, (count, offset)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 10, 13])
+def test_a_grid_from_its_own_step_takes_the_step_as_an_anchor(d, expm_spy):
+    # offset = step: the first anchor is E = e^{G step}; offset = (1 - B) step:
+    # the second is, once there are two.  Either way the flow equals the
+    # reference that takes E and every anchor from calls of their own, and
+    # one stacked call computes each distinct time once.
+    step = 2.0**-6  # so that (1 - B) step + B step is step exactly
+    B = min(dynamics._FLOW_BLOCK, max(1, dynamics._STACK_ENTRIES // d**2))
+    rng = np.random.default_rng(33 + d)
+    G = -0.5 * np.eye(d) + rng.standard_normal((d, d)) / math.sqrt(d)
+    z0 = rng.standard_normal(d)
+    for count in (2, B, B + 1, 3 * B + 7):
+        for offset in (step, (1 - B) * step):
+            want = per_block_flow(G, z0, step, count, offset).tobytes()
+            ts = offset + np.arange(0, count, B) * step
+            cache = dynamics._FlowCache()
+            for kept, slices in ((None, [len(set(ts) | {step})]), (cache, [len(set(ts) | {step})]),
+                                 (cache, [])):  # no cache, one it fills, one it serves
+                expm_spy["stacks"] = []
+                assert flow_bits(G, z0, step, count, offset, kept) == want, (count, offset)
+                assert [len(ts) for ts in expm_spy["stacks"]] == slices, (count, offset)
 
 
 def test_simulate_flow_memory_is_set_by_the_stack_budget():
@@ -555,14 +575,14 @@ def test_grid_matches_the_scalar_formula():
 
 
 def test_a_segment_far_from_zero_takes_no_tail_exponential(expm_spy):
-    # [1e6, 1e6 + 1] at step 1e-3 ends on its lattice as at t0 = 0: the
-    # step, then one stack of the three anchors past t0
+    # [1e6, 1e6 + 1] at step 1e-3 ends on its lattice as at t0 = 0: one
+    # stack of the three anchors past t0 and the step
     A = np.array([[-0.3, 1.0], [-1.0, -0.3]])
     for t0 in (0.0, 1e4, 1e6):
         expm_spy["stacks"] = []
         seg = integrate_mode(Mode("m", 2, A), [1.0, 0.0], t0, t0 + 1.0, 1e-3)
         assert len(seg.times) == 1001 and seg.times[-1] == t0 + 1.0
-        assert [len(ts) for ts in expm_spy["stacks"]] == [1, 3], t0
+        assert [len(ts) for ts in expm_spy["stacks"]] == [4], t0
 
 
 def test_the_last_dwell_of_two_mode_contraction_ends_on_its_lattice(expm_spy):
@@ -838,9 +858,13 @@ def test_simulate_logs_one_event_per_switch():
         assert mode == mi
         assert seg.states.shape[1] == system.modes[mi].dim
         assert seg.times[0] == ta and seg.times[-1] == tb
-    # gap at each switch equals the logged value
+    # the logged gap is its definition, the norm of post - pre in the lcm
+    # lift, bit for bit; v_dist sums over the overlap pieces and agrees to a
+    # few ulp (test_switching.py pins the bound)
     for ev in traj.events:
-        assert ev.gap == v_dist(ev.pre_state, ev.post_state)
+        assert ev.gap == v_norm(stp_sub(ev.post_state, ev.pre_state))
+        dist = v_dist(ev.pre_state, ev.post_state)
+        assert abs(ev.gap - dist) <= 6 * np.spacing(max(ev.gap, dist))
 
 
 def test_simulate_projects_foreign_initial_state():

@@ -29,17 +29,17 @@ GOLDEN = Path(__file__).with_name("golden_artifacts.json")
 
 #: (calls, slices) of ``_expm_stack`` for each command that exits 0, by scenario.
 EXPM_WORK = {
-    "simulate": {"ddp_two_mode": (4, 8), "feedback_switch_fixed": (4, 12),
-                 "feedback_switch_random": (10, 20), "reduction_sweep": (1, 1),
-                 "two_mode_contraction": (4, 30), "two_stage_steering": (4, 80)},
-    "embed": {"ddp_two_mode": (8, 16), "feedback_switch_fixed": (8, 24),
-              "feedback_switch_random": (20, 40), "reduction_sweep": (2, 2),
-              "two_mode_contraction": (8, 60), "two_stage_steering": (8, 160)},
+    "simulate": {"ddp_two_mode": (2, 8), "feedback_switch_fixed": (2, 12),
+                 "feedback_switch_random": (8, 20), "reduction_sweep": (1, 1),
+                 "two_mode_contraction": (2, 30), "two_stage_steering": (2, 80)},
+    "embed": {"ddp_two_mode": (4, 16), "feedback_switch_fixed": (4, 24),
+              "feedback_switch_random": (16, 40), "reduction_sweep": (2, 2),
+              "two_mode_contraction": (4, 60), "two_stage_steering": (4, 160)},
     "dwell": {"ddp_two_mode": (0, 0), "feedback_switch_fixed": (0, 0),
               "feedback_switch_random": (0, 0), "reduction_sweep": (27, 27),
               "two_mode_contraction": (15, 15)},
-    "approx": {"reduction_sweep": (26, 26)},
-    "reduce": {"reduction_sweep": (6, 6)},
+    "approx": {"reduction_sweep": (13, 13)},
+    "reduce": {"reduction_sweep": (3, 3)},
     "ctrb": {name: (0, 0) for name in ("feedback_switch_fixed", "feedback_switch_random",
                                        "reduction_sweep", "two_mode_contraction",
                                        "two_stage_steering")},

@@ -169,6 +169,25 @@ def test_jump_event_continuous_switch_has_no_direction():
     assert ev.amplitude == pytest.approx(0.0, abs=1e-12)
 
 
+#: Most ulp by which a jump gap, summed over the lcm lift of post - pre, and
+#: ``v_dist``, summed over the overlap pieces, differ at dims 1-8 (5 seen in
+#: 200000 seeded pairs).
+GAP_ULP = 6
+
+
+def test_jump_gap_is_v_dist_within_a_few_ulp():
+    rng = np.random.default_rng(33843)
+    worst, differ = 0.0, 0
+    for _ in range(20000):
+        pre = rng.standard_normal(int(rng.integers(1, 9)))
+        post = rng.standard_normal(int(rng.integers(1, 9)))
+        gap, dist = make_jump_event(0.0, pre, post).gap, v_dist(pre, post)
+        worst = max(worst, abs(gap - dist) / np.spacing(max(gap, dist)))
+        differ += gap != dist
+    assert worst <= GAP_ULP
+    assert differ  # the two sums round alike only by chance
+
+
 # --------------------------------------------------------------------- signals
 
 def test_fixed_signal_from_dwell_pattern():

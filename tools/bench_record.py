@@ -12,8 +12,13 @@ and the median and quartiles of ``setup_s``, ``pass_ref`` and
 beside the entries of workloads recorded before; each side's commit,
 source digest and provenance come from perfbench's details line.  The
 record is rewritten after every pair, and a single pair has a median but
-no quartiles.  A run that exits non-zero stops the tool with exit code 2,
-after printing its side, seed, exit code and the tail of its stderr.
+no quartiles.  After the last pair it prints one line per metric, such as
+
+    analysis-sweep pass_ref: parent 61.9 (q 61.1-62.3) -> change 54.2 (q 53.9-54.8), change lower in 5/5
+
+so that a change log can quote the record as it stands.  A run that exits
+non-zero stops the tool with exit code 2, after printing its side, seed,
+exit code and the tail of its stderr.
 """
 
 import argparse
@@ -43,6 +48,27 @@ def spread(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def summarize(pairs: list) -> dict:
+    """Each metric's median and quartiles per side, and how many pairs the
+    change side reads lower in."""
+    summary = {name: {side: spread([p[side][name] for p in pairs]) for side in SIDES}
+               for name in METRICS}
+    for name in METRICS:
+        summary[name]["change_lower_in"] = sum(p["change"][name] < p["parent"][name] for p in pairs)
+    return summary
+
+
+def summary_lines(workload: str, summary: dict, pairs_run: int) -> list:
+    """One line per metric: parent -> change median (quartiles), change-lower count."""
+    def side(s: dict) -> str:
+        q = f" (q {s['q1']:.4g}-{s['q3']:.4g})" if "q1" in s else ""
+        return f"{s['median']:.4g}{q}"
+
+    return [f"{workload} {name}: parent {side(summary[name]['parent'])} -> change "
+            f"{side(summary[name]['change'])}, change lower in "
+            f"{summary[name]['change_lower_in']}/{pairs_run}" for name in METRICS]
+
+
 def write(path: Path, workload: str, seeds: list, seconds: float, pairs: list, provenance: dict):
     """Put the workload's pairs and their summary into the record at ``path``."""
     record = json.loads(path.read_text()) if path.exists() else {"workloads": {}}
@@ -50,13 +76,9 @@ def write(path: Path, workload: str, seeds: list, seconds: float, pairs: list, p
         prov = provenance[side]
         record[side] = {"commit": prov["commit"], "src_sha256": prov["src_sha256"],
                         "provenance": prov}
-    summary = {name: {side: spread([p[side][name] for p in pairs]) for side in SIDES}
-               for name in METRICS}
-    for name in METRICS:
-        summary[name]["change_lower_in"] = sum(p["change"][name] < p["parent"][name] for p in pairs)
     record["workloads"][workload] = {
         "seeds": seeds, "seconds": seconds, "pairs_run": len(pairs),
-        "summary": summary, "pairs": pairs}
+        "summary": summarize(pairs), "pairs": pairs}
     path.write_text(json.dumps(record, indent=1) + "\n")
 
 
@@ -90,6 +112,7 @@ def main(argv=None) -> int:
         print(json.dumps(pair), flush=True)
         write(Path(args.record), args.workload, [first, last], float(args.seconds), pairs,
               provenance)
+    print("\n".join(summary_lines(args.workload, summarize(pairs), len(pairs))))
     return 0
 
 
