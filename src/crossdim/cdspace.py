@@ -6,14 +6,16 @@ factors leaves that function as it is.  Two vectors of dimensions n and m
 are compared on the n + m - gcd(n, m) pieces that their blocks share, each
 weighted by its length: the same sums as over their lifts to the
 least-common-multiple dimension, at O(n + m) cost, without building the
-lifts.  Identifying vectors at distance zero yields a path-connected
-metric space whose slices of fixed dimension keep the ordinary Euclidean
-geometry (the metric is the dimension-normalized 2-norm, so the scale
-factor per slice is 1/sqrt(n)).
+lifts.  A sum or difference is taken on the same pieces and only then
+repeated to the lcm dimension.  Identifying vectors at distance zero
+yields a path-connected metric space whose slices of fixed dimension keep
+the ordinary Euclidean geometry (the metric is the dimension-normalized
+2-norm, so the scale factor per slice is 1/sqrt(n)).
 
 A point is carried as any of its representatives: a nonempty finite 1-d
 float array (:func:`as_entries`).  Every routine here takes array-likes
-and returns plain arrays.
+and returns plain arrays, and works on the representatives it is given:
+only :func:`canonicalize` reduces one.
 
 This module provides the canonical (minimal-dimension) representative of
 an equivalence class, mixed-dimension addition, the normalized inner
@@ -92,22 +94,14 @@ def _divisors(n: int):
     return small + large[::-1]
 
 
-def _reduce_once(a: np.ndarray, rtol: float | None = None) -> np.ndarray:
+def _reduce_once(a: np.ndarray, rtol: float) -> np.ndarray:
     """One step toward the smallest-dimension representative of ``a``.
 
-    Bitwise-equal blocks always reduce and keep their entries bit-for-bit.
-    With ``rtol`` given, blocks within the tolerance reduce to their means;
-    without it only exact blocks count, so binary operations never perturb
-    entries and metric identities survive to machine precision.  Every
-    proper block holds at least two entries and the first starts with a[0]
-    and a[1], so without ``rtol`` a vector whose first two entries differ is
-    its own representative.
+    Bitwise-equal blocks reduce and keep their entries bit-for-bit; blocks
+    within ``rtol`` of their means reduce to the means.  A block whose mean
+    overflows takes it from the block divided by its largest |entry|.
     """
-    if rtol is None:
-        if a.size > 1 and a[0] != a[1]:
-            return a
-    else:
-        thr = max(REDUCE_ATOL, rtol * float(np.max(np.abs(a))))
+    thr = max(REDUCE_ATOL, rtol * float(np.max(np.abs(a))))
     n = a.size
     for d in _divisors(n):
         if d == n:
@@ -115,8 +109,12 @@ def _reduce_once(a: np.ndarray, rtol: float | None = None) -> np.ndarray:
         blocks = a.reshape(d, n // d)
         if (blocks == blocks[:, :1]).all():
             return blocks[:, 0]
-        if rtol is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
             means = blocks.mean(axis=1, keepdims=True)
+            bad = ~np.isfinite(means[:, 0])
+            if bad.any():
+                scale = np.abs(blocks[bad]).max(axis=1, keepdims=True)
+                means[bad] = scale * (blocks[bad] / scale).mean(axis=1, keepdims=True)
             if np.max(np.abs(blocks - means)) <= thr:
                 return means[:, 0]
     return a
@@ -139,14 +137,6 @@ def canonicalize(v, tol: float = REDUCE_RTOL) -> np.ndarray:
         a = b
 
 
-def _common_lift(x, y):
-    """Lift both vectors (exactly reduced first) to their lcm dimension."""
-    a = _reduce_once(as_entries(x))
-    b = _reduce_once(as_entries(y))
-    t = math.lcm(a.size, b.size)
-    return np.repeat(a, t // a.size), np.repeat(b, t // b.size), t
-
-
 def _finite(c: np.ndarray, operation: str) -> np.ndarray:
     """A sum of two finite arrays, or NumericFailure where it overflowed."""
     if np.isfinite(c).all():
@@ -154,18 +144,23 @@ def _finite(c: np.ndarray, operation: str) -> np.ndarray:
     raise NumericFailure("mixed-dimension sum overflowed", operation=operation)
 
 
-def stp_add(x, y) -> np.ndarray:
-    """Mixed-dimension addition: lift both to the lcm dimension, then add."""
-    a, b, _ = _common_lift(x, y)
+def _piecewise(x, y, op, operation: str) -> np.ndarray:
+    """``op`` of the given representatives on the pieces their blocks
+    share, each piece repeated to its length: the lift to lcm(n, m)."""
+    a, b = as_entries(x), as_entries(y)
+    i, j, count, _ = _overlaps(a.size, b.size)
     with np.errstate(over="ignore"):
-        return _finite(a + b, "stp_add")
+        return np.repeat(_finite(op(a[i], b[j]), operation), count)
+
+
+def stp_add(x, y) -> np.ndarray:
+    """Mixed-dimension addition in the lcm dimension of the given vectors."""
+    return _piecewise(x, y, np.add, "stp_add")
 
 
 def stp_sub(x, y) -> np.ndarray:
-    """Mixed-dimension subtraction in the lcm dimension."""
-    a, b, _ = _common_lift(x, y)
-    with np.errstate(over="ignore"):
-        return _finite(a - b, "stp_sub")
+    """Mixed-dimension subtraction in the lcm dimension of the given vectors."""
+    return _piecewise(x, y, np.subtract, "stp_sub")
 
 
 def v_inner(x, y) -> float:
@@ -183,16 +178,9 @@ def v_inner(x, y) -> float:
 def v_norm(x) -> float:
     """Dimension-normalized norm ||x||_2 / sqrt(dim x); constant under lifting.
 
-    The sum of squares is one dot product, the one :func:`v_norm_rows` makes
-    per row, so both give the same bits; a sum that overflows or falls
-    below the least normal float is left to :func:`v_norm_rows`'s rescaling.
+    It is :func:`v_norm_rows` of the one row x, rescaling included.
     """
-    a = as_entries(x)
-    with np.errstate(over="ignore"):
-        s = float(a @ a)
-    if not _TINY <= s < math.inf:
-        return float(v_norm_rows(a[None, :])[0])
-    return math.sqrt(s) / math.sqrt(a.size)
+    return float(v_norm_rows(as_entries(x)[None])[0])
 
 
 def v_norm_rows(S) -> np.ndarray:

@@ -324,6 +324,8 @@ class DvSystem:
         object.__setattr__(self, "modes", tuple(self.modes))
         if not self.modes:
             raise ValueError("system needs at least one mode")
+        if not 0.0 <= self.impulse_scale < math.inf:  # NaN fails too
+            raise ValueError(f"impulse_scale must be finite and >= 0, got {self.impulse_scale}")
         if self.transitions != "nearest":
             for (i, j), tm in self.transitions.items():
                 if not (0 <= i < len(self.modes) and 0 <= j < len(self.modes)):

@@ -4,7 +4,10 @@ A transition map is a constant matrix sending the pre-switch state into the
 next mode's dimension; its Lipschitz constant in the normalized norm is
 cached on construction.  Switching signals are piecewise-constant
 right-continuous mode schedules, either fixed or drawn with seeded random
-dwell times.
+dwell times.  A jump record holds its two states, its gap in the metric
+of the cross-dimensional space and its impulse amplitude, O(n + m) floats
+for states of dimensions n and m; the direction of the jump, a vector of
+dimension lcm(n, m), is computed only when read.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from itertools import accumulate, cycle, takewhile
 
 import numpy as np
 
-from .cdspace import as_entries, stp_sub, v_norm
+from .cdspace import as_entries, stp_sub, v_dist, v_norm
 from .dkstp import bridge, op_vnorm
 from .errors import NumericFailure
 
@@ -135,18 +138,16 @@ def compose_maps(first: TransitionMap, second: TransitionMap) -> TransitionMap:
 
 @dataclass(frozen=True, eq=False)
 class JumpEvent:
-    """Record of one switch: states on both sides, gap, direction, impulse size.
+    """Record of one switch: states on both sides, gap, impulse size.
 
-    ``direction`` is the unit vector (in the lcm dimension of the two
-    states) along post - pre, absent when the switch is continuous.
-    ``amplitude`` is mu times the gap for the configured impulse scale mu.
+    ``gap`` is ``v_dist(post_state, pre_state)`` and ``amplitude`` is mu
+    times the gap for the configured impulse scale mu.
     """
 
     time: float
     pre_state: np.ndarray
     post_state: np.ndarray
     gap: float
-    direction: np.ndarray | None
     amplitude: float
 
     @property
@@ -157,22 +158,28 @@ class JumpEvent:
     def post_dim(self) -> int:
         return self.post_state.size
 
+    @property
+    def direction(self) -> np.ndarray | None:
+        """The unit vector along post - pre in the lcm dimension of the two
+        states, computed when read; None when the switch is continuous."""
+        if self.gap > GAP_ZERO_TOL * max(1.0, v_norm(self.pre_state)):
+            return stp_sub(self.post_state, self.pre_state) / self.gap
+        return None
+
 
 def make_jump_event(time: float, pre, post, mu: float = 0.0) -> JumpEvent:
-    """The record of a switch at ``time``; its gap and direction come from
-    the one difference post - pre, whose overflow raises
-    :class:`NumericFailure` naming the switch time."""
+    """The record of a switch at ``time``.  A gap or an impulse amplitude
+    that overflows raises :class:`NumericFailure` naming the switch time."""
     pre = as_entries(pre).copy()
     post = as_entries(post).copy()
     try:
-        d = stp_sub(post, pre)
+        gap = v_dist(post, pre)
     except NumericFailure:
         raise NumericFailure("jump gap overflowed", operation="jump", time=time) from None
-    gap = v_norm(d)  # v_dist(pre, post) to a few ulp, summed over the lift d
-    direction = None
-    if gap > GAP_ZERO_TOL * max(1.0, v_norm(pre)):
-        direction = d / gap
-    return JumpEvent(float(time), pre, post, gap, direction, mu * gap)
+    amplitude = mu * gap
+    if not math.isfinite(amplitude):
+        raise NumericFailure("jump impulse amplitude overflowed", operation="jump", time=time)
+    return JumpEvent(float(time), pre, post, gap, amplitude)
 
 
 @dataclass(frozen=True)

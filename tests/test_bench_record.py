@@ -1,6 +1,6 @@
 """tools/bench_record.py keeps every pair it ran: one pair has no quartiles,
 a failing run stops the tool with its stderr shown, and the last lines
-summarize each metric."""
+summarize each metric and each side's correctness."""
 
 import importlib.util
 import json
@@ -13,9 +13,10 @@ bench_record = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_record)
 
 
-def fake_run(calls, fail_at=None):
+def fake_run(calls, fail_at=None, incorrect=()):
     """A stand-in for ``run`` that answers as perfbench does, and on call
-    ``fail_at`` raises as a run exiting with code 3."""
+    ``fail_at`` raises as a run exiting with code 3.  A run of a checkout
+    in ``incorrect`` is not correct and fails 2 of its 10 ops."""
     def run(checkout, workload, seed, seconds):
         calls.append((checkout, seed))
         if len(calls) == fail_at:
@@ -25,7 +26,8 @@ def fake_run(calls, fail_at=None):
         metrics = {name: {"value": seed + (0.5 if checkout == "new" else 1.0)}
                    for name in bench_record.METRICS}
         return ({"provenance": prov, "cmd_ref": {}},
-                {"metrics": metrics, "correct": True, "failed": 0, "attempted": 10})
+                {"metrics": metrics, "correct": checkout not in incorrect,
+                 "failed": 2 if checkout in incorrect else 0, "attempted": 10})
     return run
 
 
@@ -67,11 +69,19 @@ def test_the_last_lines_summarize_each_metric(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(bench_record, "run", fake_run([]))
     assert bench_record.main(argv(tmp_path, "1-3")) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-3:] == [
+    assert lines[-5:-2] == [
         f"w {name}: parent 3 (q 2.5-3.5) -> change 2.5 (q 2-3), change lower in 3/3"
         for name in bench_record.METRICS]
     # one pair has a median alone
     monkeypatch.setattr(bench_record, "run", fake_run([]))
     assert bench_record.main(argv(tmp_path, "7-7")) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == (
+    assert capsys.readouterr().out.splitlines()[-3] == (
         "w peak_rss_mb: parent 8 -> change 7.5, change lower in 1/1")
+
+
+def test_the_last_lines_count_correct_runs_and_failed_ops(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bench_record, "run", fake_run([], incorrect=("new",)))
+    assert bench_record.main(argv(tmp_path, "1-3")) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "w parent: 3/3 runs correct, 0/30 ops failed",
+        "w change: 0/3 runs correct, 6/30 ops failed"]

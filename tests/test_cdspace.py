@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from crossdim.cdspace import (
     MAX_LATTICE_NODES,
-    _reduce_once,
     angle,
     as_entries,
     build_lattice,
@@ -88,8 +87,8 @@ def test_canonicalize_returns_a_new_array(v):
 
 
 def divisor_walk(a: np.ndarray) -> np.ndarray:
-    """The exact reduction step as a walk over the blocks of every proper
-    divisor, with no shortcut: the reference of ``_reduce_once``."""
+    """The exact reduction of ``a`` as a walk over the blocks of every
+    proper divisor: the reference of :func:`canonicalize` on exact blocks."""
     n = a.size
     for d in range(1, n):
         if n % d == 0:
@@ -101,32 +100,49 @@ def divisor_walk(a: np.ndarray) -> np.ndarray:
 
 def test_the_exact_reduction_step_is_the_divisor_walk():
     # small integer entries make ties and repeats common; a perturbed entry
-    # usually leaves the vector irreducible; a NaN entry never reduces
+    # usually leaves the vector irreducible, and no two entries lie within
+    # the tolerance unless they are equal
     rng = np.random.default_rng(3311)
-    vectors = [np.array(v) for v in ([1.0], [0.0, -0.0], [1.0, 1.0, 2.0], [1.0, 2.0, 1.0, 2.0],
-                                     [np.nan, np.nan], [2.0, 2.0, np.nan, np.nan])]
+    vectors = [np.array(v) for v in ([1.0], [0.0, -0.0], [1.0, 1.0, 2.0], [1.0, 2.0, 1.0, 2.0])]
     for _ in range(3000):
         base = rng.integers(-2, 3, size=int(rng.integers(1, 7))).astype(float)
         v = np.repeat(base, int(rng.integers(1, 5)))
-        kind = rng.integers(4)
+        kind = rng.integers(3)
         if kind == 1:
             v[rng.integers(v.size)] = rng.standard_normal()
-        elif kind == 2:
-            v[rng.integers(v.size)] = np.nan
-        elif kind == 3 and v.size > 1:
+        elif kind == 2 and v.size > 1:
             v[1] = v[0]
         vectors.append(v)
     seen = set()
     for v in vectors:
-        want, got = divisor_walk(v), _reduce_once(v)
-        assert got.tobytes() == want.tobytes() and (got is v) == (want is v), v
-        if np.isnan(v).any():
-            seen.add("NaN")
-        elif want.size < v.size:
+        want, got = divisor_walk(v), canonicalize(v)
+        assert got.tobytes() == want.tobytes(), v
+        if want.size < v.size:
             seen.add("reducible")
         else:
             seen.add("tied first pair" if v.size > 1 and v[0] == v[1] else "irreducible")
-    assert seen == {"NaN", "reducible", "tied first pair", "irreducible"}
+    assert seen == {"reducible", "tied first pair", "irreducible"}
+
+
+@pytest.mark.parametrize("kind", ["blocks within the tolerance", "random"])
+def test_canonicalize_does_not_depend_on_scale(kind):
+    # a power-of-two scale is exact, so the reduced dimension stays the
+    # same up to the float max, where a block sum overflows
+    rng = np.random.default_rng(3512)
+    for _ in range(200):
+        base = 1.0 + rng.random(int(rng.integers(1, 5)))
+        v = np.repeat(base, int(rng.integers(2, 5)))
+        if kind == "random":
+            v = v * (1.0 + rng.random(v.size))
+        else:
+            v = v * (1.0 + 1e-12 * rng.standard_normal(v.size))
+        dim = canonicalize(v).size
+        assert (dim < v.size) == (kind != "random")
+        top = int(np.log2(np.finfo(float).max / np.abs(v).max()))
+        for k in range(0, top + 1, 64):
+            assert canonicalize(2.0**k * v).size == dim, (v, k)
+        assert canonicalize(2.0**top * v).size == dim, (v, top)
+    assert canonicalize([1e308, 1.000000000001e308]).size == 1
 
 
 def test_as_entries_reads_a_scalar_as_a_one_vector():
@@ -169,6 +185,20 @@ def test_stp_add_zero_class():
 def test_stp_add_doubles():
     x = np.array([0.3, 1.7, -2.2])
     assert equivalent(stp_add(x, x), 2 * x)
+
+
+def test_stp_add_and_stp_sub_are_the_lifts_of_the_given_vectors():
+    # bit for bit the np.repeat lifts to lcm(n, m), exactly reducible
+    # operands included: nothing reduces before it lifts
+    rng = np.random.default_rng(3535)
+    for _ in range(2000):
+        x, y = (np.repeat(rng.standard_normal(int(rng.integers(1, 7))), int(rng.integers(1, 3)))
+                for _ in range(2))
+        t = math.lcm(x.size, y.size)
+        lx, ly = np.repeat(x, t // x.size), np.repeat(y, t // y.size)
+        assert stp_add(x, y).tobytes() == (lx + ly).tobytes()
+        assert stp_sub(x, y).tobytes() == (lx - ly).tobytes()
+    assert stp_add([1.0, 1.0], [2.0, 2.0, 2.0]).tolist() == [3.0] * 6
 
 
 def test_stp_overflow_is_a_numeric_failure():

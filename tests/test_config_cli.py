@@ -1207,6 +1207,20 @@ def test_cli_overflowing_jump_gap_names_the_switch_time(tmp_path, capsys, comman
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command", ["simulate", "embed"])
+def test_cli_infinite_impulse_amplitude_names_the_switch_time(tmp_path, capsys, command):
+    def edit(raw):
+        raw.update(disturbance={"eta": "zero1", "mu": 1e308}, x0=[1e10, -1e10])
+
+    config = _edited(tmp_path, "two_mode_contraction.json", edit)
+    out = tmp_path / "o"
+    assert run_cli(command, "--config", config, "--out", str(out)) == 3
+    assert capsys.readouterr().err == (
+        "omega: numeric failure: jump impulse amplitude overflowed (operation=jump, t=7.2)\n"
+    )
+    assert not any(out.iterdir())
+
+
 def test_cli_diverging_rk4_run_is_a_numeric_failure(tmp_path, capsys):
     # a disturbance sends the mode to RK4; its overflow exits 3 with no warning
     def edit(raw):

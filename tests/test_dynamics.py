@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 from crossdim.analysis import aggregate_run, approx_error, reduce_model
-from crossdim.cdspace import kron_lift, project, stp_sub, v_dist, v_norm
+from crossdim.cdspace import kron_lift, project, v_dist
 from crossdim import dynamics, registry
 from crossdim.config import load_scenario
 from crossdim.dkstp import bridge, op_vnorm
@@ -858,13 +858,9 @@ def test_simulate_logs_one_event_per_switch():
         assert mode == mi
         assert seg.states.shape[1] == system.modes[mi].dim
         assert seg.times[0] == ta and seg.times[-1] == tb
-    # the logged gap is its definition, the norm of post - pre in the lcm
-    # lift, bit for bit; v_dist sums over the overlap pieces and agrees to a
-    # few ulp (test_switching.py pins the bound)
+    # the logged gap is the metric distance across the switch, bit for bit
     for ev in traj.events:
-        assert ev.gap == v_norm(stp_sub(ev.post_state, ev.pre_state))
-        dist = v_dist(ev.pre_state, ev.post_state)
-        assert abs(ev.gap - dist) <= 6 * np.spacing(max(ev.gap, dist))
+        assert ev.gap == v_dist(ev.pre_state, ev.post_state)
 
 
 def test_simulate_projects_foreign_initial_state():
@@ -1020,6 +1016,12 @@ def test_simulate_control_mapping_overrides_feedback():
     other = replace(mode, feedback=lambda t, x: np.array([-1.0]))
     overridden = simulate(DvSystem((other,)), signal, [0.0], 1e-2)
     assert overridden.final_state[0] == pytest.approx(-1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("mu", [-1.0, math.inf, math.nan])
+def test_impulse_scale_must_be_finite_and_nonnegative(mu):
+    with pytest.raises(ValueError, match="impulse_scale must be finite and >= 0"):
+        DvSystem(contraction_system().modes, impulse_scale=mu)
 
 
 def test_simulate_impulse_amplitude_scales_with_mu():

@@ -72,7 +72,7 @@ FIELDS = {
     "Disturbance": ("dim", "evaluator"),
     "DvSystem": ("modes", "transitions", "output", "impulse_scale", "disturbance"),
     "ErrorSeries": ("times", "values"),
-    "JumpEvent": ("time", "pre_state", "post_state", "gap", "direction", "amplitude"),
+    "JumpEvent": ("time", "pre_state", "post_state", "gap", "amplitude"),
     "Mode": ("label", "dim", "drift", "inputs", "feedback"),
     "OutputMap": ("q", "matrix", "func", "_columns"),
     "ReducedModel": ("source_dim", "target_dim", "A_pi", "B_pi", "C_pi"),

@@ -16,6 +16,10 @@ no quartiles.  After the last pair it prints one line per metric, such as
 
     analysis-sweep pass_ref: parent 61.9 (q 61.1-62.3) -> change 54.2 (q 53.9-54.8), change lower in 5/5
 
+and then one line per side, such as
+
+    analysis-sweep change: 5/5 runs correct, 0/1250 ops failed
+
 so that a change log can quote the record as it stands.  A run that exits
 non-zero stops the tool with exit code 2, after printing its side, seed,
 exit code and the tail of its stderr.
@@ -58,15 +62,23 @@ def summarize(pairs: list) -> dict:
     return summary
 
 
-def summary_lines(workload: str, summary: dict, pairs_run: int) -> list:
-    """One line per metric: parent -> change median (quartiles), change-lower count."""
+def summary_lines(workload: str, pairs: list) -> list:
+    """One line per metric: parent -> change median (quartiles), change-lower
+    count; then one line per side: correct runs and failed ops."""
     def side(s: dict) -> str:
         q = f" (q {s['q1']:.4g}-{s['q3']:.4g})" if "q1" in s else ""
         return f"{s['median']:.4g}{q}"
 
-    return [f"{workload} {name}: parent {side(summary[name]['parent'])} -> change "
-            f"{side(summary[name]['change'])}, change lower in "
-            f"{summary[name]['change_lower_in']}/{pairs_run}" for name in METRICS]
+    summary = summarize(pairs)
+    lines = [f"{workload} {name}: parent {side(summary[name]['parent'])} -> change "
+             f"{side(summary[name]['change'])}, change lower in "
+             f"{summary[name]['change_lower_in']}/{len(pairs)}" for name in METRICS]
+    for label in SIDES:
+        runs = [p[label] for p in pairs]
+        lines.append(f"{workload} {label}: {sum(r['correct'] is True for r in runs)}/{len(runs)} "
+                     f"runs correct, {sum(r['failed'] for r in runs)}/"
+                     f"{sum(r['attempted'] for r in runs)} ops failed")
+    return lines
 
 
 def write(path: Path, workload: str, seeds: list, seconds: float, pairs: list, provenance: dict):
@@ -112,7 +124,7 @@ def main(argv=None) -> int:
         print(json.dumps(pair), flush=True)
         write(Path(args.record), args.workload, [first, last], float(args.seconds), pairs,
               provenance)
-    print("\n".join(summary_lines(args.workload, summarize(pairs), len(pairs))))
+    print("\n".join(summary_lines(args.workload, pairs)))
     return 0
 
 
