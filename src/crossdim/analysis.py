@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cdspace import project, v_norm_rows
-from .dkstp import _bridge_pinv, bridge
+from .dkstp import bridge
 from .dynamics import (
     _STACK_ENTRIES,
     Mode,
@@ -225,10 +225,10 @@ def reduce_model(A, B=None, C=None, m: int | None = None) -> ReducedModel:
     with the pseudoinverse P^+ (every bridge has full rank, so this is
     ``P A P^T (P P^T)^{-1}`` when compressing and ``P A (P^T P)^{-1} P^T``
     when expanding).  Inputs project directly, ``P B``, and outputs
-    transform like the drift's right factor, ``C P^+``.  P^+ is
-    ``np.linalg.pinv(P)``, computed once per (m, n) and cached beside the
-    bridge, so a sweep over many drifts or many calls with one m pays one
-    SVD; an SVD that does not converge raises :class:`NumericFailure`.
+    transform like the drift's right factor, ``C P^+``.  P^+ is solved from
+    that Gram matrix, which is tridiagonal and positive definite since each
+    block of the finer partition meets at most two of the coarser; a
+    ``LinAlgError`` of the solve raises :class:`NumericFailure`.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
@@ -246,11 +246,9 @@ def reduce_model(A, B=None, C=None, m: int | None = None) -> ReducedModel:
             C = C.reshape(1, -1)
     P = bridge(m, n)
     try:
-        P_plus = _bridge_pinv(m, n)
+        P_plus = np.linalg.solve(P @ P.T, P).T if m <= n else np.linalg.solve(P.T @ P, P.T)
     except np.linalg.LinAlgError as exc:
-        raise NumericFailure(
-            "singular value decomposition did not converge", operation="reduce_model"
-        ) from exc
+        raise NumericFailure("bridge Gram matrix is singular", operation="reduce_model") from exc
     with np.errstate(over="ignore", invalid="ignore"):
         A_pi = P @ A @ P_plus
         B_pi = None if B is None else P @ B
@@ -343,9 +341,9 @@ def _reduction_errors(A, x0, m_values, times) -> np.ndarray:
     The full flow e^{tA} x0 and every reduced flow are sampled a chunk of
     times at a time, ``_STACK_ENTRIES // d**2`` times per chunk for the
     largest dimension d, so memory does not grow with the number of times.
-    Every reduced drift takes its P^+ from :func:`reduce_model`'s cache, so
-    a bridge pays one SVD however often it recurs.  On a uniform increasing
-    grid (:func:`_uniform_step`) each flow is the block-power flow of
+    Every reduced drift is :func:`reduce_model`'s, whose P^+ is one Gram
+    solve of the bridge.  On a uniform increasing grid
+    (:func:`_uniform_step`) each flow is the block-power flow of
     :func:`_block_flow`: one exponential per block of up to ``_FLOW_BLOCK``
     times, in place of one per time, plus the step's unless the grid starts
     at its own step, as ``{from: 1, to: 100, count: 100}`` does, where the

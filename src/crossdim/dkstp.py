@@ -20,7 +20,7 @@ from .errors import NumericFailure
 __all__ = ["bridge", "dk_product", "dk_apply", "op_vnorm"]
 
 #: Number of distinct (n, p) bridge matrices kept by the cache, and of their
-#: pseudo-inverses.
+#: overlap pieces.
 BRIDGE_CACHE_SIZE = 256
 
 
@@ -59,7 +59,9 @@ def _overlaps(n: int, p: int) -> tuple:
     """
     t = math.lcm(n, p)
     a, b = t // n, t // p
-    cuts = np.union1d(np.arange(n + 1) * a, np.arange(p + 1) * b)
+    # the sorted distinct cuts; np.union1d would import numpy.ma on first use
+    cuts = np.sort(np.concatenate([np.arange(n + 1) * a, np.arange(p + 1) * b]))
+    cuts = cuts[np.diff(cuts, prepend=-1) != 0]
     i, j, count = cuts[:-1] // a, cuts[:-1] // b, np.diff(cuts)
     for arr in (i, j, count):
         arr.setflags(write=False)
@@ -77,16 +79,6 @@ def _bridge(n: int, p: int) -> np.ndarray:
     B[i, j] = (n / t) * count
     B.setflags(write=False)
     return B
-
-
-@functools.lru_cache(maxsize=BRIDGE_CACHE_SIZE)
-def _bridge_pinv(n: int, p: int) -> np.ndarray:
-    """``np.linalg.pinv(bridge(n, p))``, the p x n pseudo-inverse, cached
-    beside the bridge and read-only.  A ``LinAlgError`` of the SVD
-    propagates and is not cached."""
-    P = np.linalg.pinv(_bridge(n, p))
-    P.setflags(write=False)
-    return P
 
 
 def dk_product(M, N) -> np.ndarray:

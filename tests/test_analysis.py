@@ -9,7 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossdim import analysis, dkstp, dynamics
+from crossdim import analysis, dynamics
 from crossdim.analysis import (
     ControllabilityReport,
     aggregate_run,
@@ -384,18 +384,15 @@ def test_reduce_model_overflow_is_a_numeric_failure():
     assert str(exc.value) == "reduced model overflowed (operation=reduce_model)"
 
 
-def test_reduce_model_svd_failure_is_a_numeric_failure(monkeypatch):
-    def diverge(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
+def test_reduce_model_solve_failure_is_a_numeric_failure(monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr(np.linalg, "pinv", diverge)
-    dkstp._bridge_pinv.cache_clear()  # so that the failure is not cached away
+    monkeypatch.setattr(np.linalg, "solve", singular)
     with pytest.raises(NumericFailure) as exc:
         reduce_model(np.eye(4), m=2)
     assert exc.value.operation == "reduce_model"
-    assert str(exc.value) == (
-        "singular value decomposition did not converge (operation=reduce_model)"
-    )
+    assert str(exc.value) == "bridge Gram matrix is singular (operation=reduce_model)"
     assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
 
 

@@ -145,6 +145,28 @@ def test_canonicalize_does_not_depend_on_scale(kind):
     assert canonicalize([1e308, 1.000000000001e308]).size == 1
 
 
+def test_canonicalize_keeps_exact_blocks_bit_for_bit():
+    # a repeated entry is returned as it is, not as its block's float mean,
+    # which differs from it in the last bit for about a quarter of them
+    rng = np.random.default_rng(3610)
+    differs = 0
+    for k in (3, 5, 6, 7):
+        for _ in range(50):
+            v = rng.standard_normal(4)
+            lifted = np.repeat(v, k)
+            differs += (lifted.reshape(4, k).mean(axis=1) != v).any()
+            assert canonicalize(lifted).tobytes() == v.tobytes(), (v, k)
+    assert canonicalize(np.repeat([0.1], 3)).tobytes() == np.array([0.1]).tobytes()
+    assert np.mean([0.1, 0.1, 0.1]) != 0.1 and differs > 0
+
+
+def test_an_overflowing_block_mean_is_rescaled_to_within_an_ulp():
+    a, b = 1e308, 1.000000000001e308  # a + b overflows
+    exact = (Fraction(a) + Fraction(b)) / 2
+    (got,) = canonicalize([a, b])
+    assert abs(Fraction(got) - exact) <= np.spacing(float(exact))
+
+
 def test_as_entries_reads_a_scalar_as_a_one_vector():
     np.testing.assert_array_equal(as_entries(3.0), [3.0])
     assert as_entries(3.0).shape == (1,)

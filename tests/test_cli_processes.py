@@ -34,6 +34,13 @@ def test_commands_without_an_exponential_never_import_scipy(tmp_path):
     assert (tmp_path / "ctrb_report.json").exists()
 
 
+def test_a_bridge_never_imports_numpy_ma():
+    # np.union1d and np.unique import numpy.ma on their first call
+    code = ("import sys\nfrom crossdim.dkstp import bridge\nbridge(3, 7)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    assert run_python(["-c", code]).split() == ["False"]
+
+
 @pytest.mark.parametrize(
     "command, name",
     [("simulate", "two_mode_contraction.json"), ("approx", "reduction_sweep.json"),

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from crossdim.cdspace import project, v_dist, v_norm
-from crossdim import cli, dkstp
+from crossdim import cli
 from crossdim.cli import main
 from crossdim.config import (
     MAX_EMBED_ENTRIES, MAX_NEAREST_PAIRS, load_scenario, normalize_config, validate_config,
@@ -1427,18 +1427,16 @@ def test_cli_overflowing_closed_loop_names_the_mode(tmp_path, capsys, command, c
         assert err == ""
 
 
-def test_cli_reduce_svd_failure_is_a_numeric_failure(tmp_path, capsys, monkeypatch):
-    def diverge(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
+def test_cli_reduce_solve_failure_is_a_numeric_failure(tmp_path, capsys, monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr(np.linalg, "pinv", diverge)
-    dkstp._bridge_pinv.cache_clear()  # so that the failure is not cached away
+    monkeypatch.setattr(np.linalg, "solve", singular)
     out = tmp_path / "o"
     assert run_cli("reduce", "--config", scenario_path("reduction_sweep.json"),
                    "--out", str(out)) == 3
     assert capsys.readouterr().err == (
-        "omega: numeric failure: singular value decomposition did not converge "
-        "(operation=reduce_model)\n"
+        "omega: numeric failure: bridge Gram matrix is singular (operation=reduce_model)\n"
     )
     assert not any(out.iterdir())
 

@@ -184,7 +184,6 @@ def test_a_jump_event_does_not_build_the_lcm_lift():
     # the direction between dims 997 and 1000 would hold 997000 floats, 8 MB
     rng = np.random.default_rng(997)
     pre, post = rng.standard_normal(997), rng.standard_normal(1000)
-    make_jump_event(0.0, [1.0, 2.0], [3.0])  # numpy's first union1d imports numpy.ma
     _overlaps.cache_clear()
     tracemalloc.start()
     try:
