@@ -319,11 +319,9 @@ def _build_mode(spec, idx: int) -> Mode:
     feedback = None
     if "feedback" in spec:
         feedback = _builtin(registry.get_feedback, spec["feedback"], f"{path}.feedback")
-        if inputs is None:
-            _fail(path, "feedback requires input channels")
     try:
         return Mode(label, dim, drift, inputs, feedback)
-    except ValueError as exc:  # drift and inputs are checked above; K is not
+    except ValueError as exc:  # drift and inputs pass above: the feedback is at fault
         _fail(f"{path}.feedback", str(exc))
 
 

@@ -19,9 +19,8 @@ from .errors import NumericFailure
 
 __all__ = ["bridge", "dk_product", "dk_apply", "op_vnorm"]
 
-#: Number of distinct (n, p) bridge matrices kept by the cache, and of their
-#: overlap pieces.
-BRIDGE_CACHE_SIZE = 256
+#: Number of distinct (n, p) dimension pairs whose overlap pieces are cached.
+OVERLAP_CACHE_SIZE = 256
 
 
 def _as_matrix(M) -> np.ndarray:
@@ -40,15 +39,20 @@ def bridge(n: int, p: int) -> np.ndarray:
 
     This is the only builder of the cross-dimensional averaging/replication
     matrix: it is also the least-squares projection from dimension p onto n
-    (block averages when n < p, entry replication when p divides n).  Results
-    are cached and read-only, so every caller shares one array per (n, p).
+    (block averages when n < p, entry replication when p divides n).  Each
+    call fills a fresh array from the cached overlap pieces of n and p.
     """
     if n < 1 or p < 1:
         raise ValueError("dimensions must be positive")
-    return _bridge(n, p)
+    # Entry (i, j) is n/t times the overlap of block i of n and block j of p,
+    # in units of 1/t, so only n x p arrays are ever allocated.
+    i, j, count, t = _overlaps(n, p)
+    B = np.zeros((n, p))
+    B[i, j] = (n / t) * count
+    return B
 
 
-@functools.lru_cache(maxsize=BRIDGE_CACHE_SIZE)
+@functools.lru_cache(maxsize=OVERLAP_CACHE_SIZE)
 def _overlaps(n: int, p: int) -> tuple:
     """The pieces shared by the partitions of [0, 1) into n and into p blocks.
 
@@ -66,19 +70,6 @@ def _overlaps(n: int, p: int) -> tuple:
     for arr in (i, j, count):
         arr.setflags(write=False)
     return i, j, count, t
-
-
-# The cache sits behind a plain function so that call tracing, which wraps
-# only plain functions (perfbench/tracing.py), still counts bridge calls.
-@functools.lru_cache(maxsize=BRIDGE_CACHE_SIZE)
-def _bridge(n: int, p: int) -> np.ndarray:
-    # Entry (i, j) is n/t times the overlap of block i of n and block j of p,
-    # in units of 1/t, so only n x p arrays are ever allocated.
-    i, j, count, t = _overlaps(n, p)
-    B = np.zeros((n, p))
-    B[i, j] = (n / t) * count
-    B.setflags(write=False)
-    return B
 
 
 def dk_product(M, N) -> np.ndarray:

@@ -169,10 +169,10 @@ class Mode:
     ``drift`` is either an (n, n) matrix or an evaluator x -> R^n.
     ``inputs`` is an (n, k) matrix whose columns are the input directions,
     or a sequence of k evaluators x -> R^n for state-dependent channels.
-    ``feedback`` closes the loop whenever the mode is integrated: an
-    :class:`AffineFeedback` (its gain K must be k x n; with a drift and an
-    input matrix the closed loop is propagated exactly) or any evaluator
-    (t, x) -> R^k (integrated with RK4).
+    ``feedback``, which needs input channels, closes the loop whenever the
+    mode is integrated: an :class:`AffineFeedback` (its gain K must be
+    k x n; with a drift and an input matrix the closed loop is propagated
+    exactly) or any evaluator (t, x) -> R^k (integrated with RK4).
     """
 
     label: str
@@ -203,6 +203,8 @@ class Mode:
                 )
             B.setflags(write=False)
             object.__setattr__(self, "inputs", B)
+        if self.feedback is not None and self.inputs is None:
+            raise ValueError(f"mode {self.label!r}: feedback requires input channels")
         if isinstance(self.feedback, AffineFeedback):
             shape = (self.n_inputs, self.dim)
             if self.feedback.K.shape != shape:
@@ -440,7 +442,7 @@ def _mode_rhs(mode: Mode, disturbance):
             return f(x + project(eta, n))
 
     control = mode.feedback
-    if control is None or mode.inputs is None:
+    if control is None:
         return drift
 
     def rhs(t, x):

@@ -2,12 +2,14 @@
 
 Scenario configs cannot carry arbitrary code, so drifts, input channels,
 output functions, feedback laws and disturbances are looked up here by
-name.  No config names a span basis (``SPAN_BASES``,
-:func:`get_span_basis`) or one of :func:`get_field`'s evaluators; those
-serve library callers.  Linear drifts are kept as matrices and feedback
-laws, which are affine, as gain and offset data, not evaluators, so the
-modes built from them move by their exact flow.  Library users can pass their
-own callables directly and never touch this module.
+name.  Linear drifts are kept as matrices and feedback laws, which are
+affine, as gain and offset data, not evaluators, so the modes built from
+them move by their exact flow.  Library users can pass their own callables
+directly and never touch this module.
+
+No config names a span basis.  ``SPAN_BASES`` stays as a table that
+library callers index directly, because ``perfbench/tracing.py`` looks up
+every table here by name to wrap its evaluators.
 """
 
 from __future__ import annotations
@@ -21,10 +23,8 @@ from .dynamics import AffineFeedback
 __all__ = [
     "get_drift",
     "get_feedback",
-    "get_field",
     "get_input_channels",
     "get_output_function",
-    "get_span_basis",
     "get_time_signal",
 ]
 
@@ -122,14 +122,6 @@ def get_drift(name: str):
     return dim, (field if callable(field) else np.array(field, dtype=float))
 
 
-def get_field(name: str):
-    """(dim, evaluator) for a named state field; a linear one maps x to A x."""
-    dim, field = get_drift(name)
-    if callable(field):
-        return dim, field
-    return dim, lambda x: field @ np.asarray(x, dtype=float)
-
-
 def get_input_channels(name: str):
     """(dim, evaluators) for a named input channel list."""
     return _lookup(INPUT_CHANNELS, name, "input channel set")
@@ -149,8 +141,3 @@ def get_feedback(name: str) -> AffineFeedback:
 def get_time_signal(name: str):
     """(dim, evaluator) for a named time signal."""
     return _lookup(TIME_SIGNALS, name, "time signal")
-
-
-def get_span_basis(name: str):
-    """(dim, evaluators) for a named span basis."""
-    return _lookup(SPAN_BASES, name, "span basis")

@@ -231,6 +231,8 @@ class SwitchingSignal:
 
 
 def _round_robin(initial_mode: int, n_modes: int, count: int):
+    if not 0 <= initial_mode < n_modes:
+        raise ValueError(f"initial_mode must be a mode index in [0, {n_modes})")
     return tuple((initial_mode + 1 + k) % n_modes for k in range(count))
 
 

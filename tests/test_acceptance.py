@@ -29,9 +29,9 @@ from crossdim.dynamics import (
     lift_field,
     simulate,
 )
-from crossdim.registry import get_field, get_span_basis
+from crossdim.registry import SPAN_BASES
 from rk4_reference import rk4_mode
-from testkit import eig_reduction_error, scenario_path
+from testkit import eig_reduction_error, get_field, scenario_path
 
 RNG = np.random.default_rng(2024)
 
@@ -257,7 +257,7 @@ def test_c08_disturbance_decoupling_checks():
     to_three = restrict_field(xi, dim, 3)
     worst_three = 0.0
     ok_span = True
-    _, basis = get_span_basis("ddp3_invariant")
+    _, basis = SPAN_BASES["ddp3_invariant"]
     for _ in range(100):
         z = RNG.standard_normal(3)
         expected = 0.5 * np.array([0.0, -1.0 - z[0], 1.0 + z[0]])

@@ -30,8 +30,8 @@ from crossdim.config import load_scenario
 from crossdim.dkstp import bridge
 from crossdim.dynamics import DvSystem, Mode
 from crossdim.errors import NumericFailure
-from crossdim.registry import get_field, get_span_basis
-from testkit import SCENARIO_DIR, eig_reduction_error
+from crossdim.registry import SPAN_BASES
+from testkit import SCENARIO_DIR, eig_reduction_error, get_field
 
 RNG = np.random.default_rng(31)
 
@@ -713,7 +713,7 @@ def test_restrict_field_same_dim_is_identity():
 def test_span_membership_of_restricted_disturbance():
     dim, xi = get_field("ddp_disturbance6")
     restricted = restrict_field(xi, dim, 3)
-    _, basis = get_span_basis("ddp3_invariant")
+    _, basis = SPAN_BASES["ddp3_invariant"]
     for _ in range(100):
         z = RNG.standard_normal(3)
         assert span_membership(restricted, basis, z)

@@ -463,6 +463,18 @@ def test_cli_feedback_gain_must_fit_the_mode(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("omega: modes[0].feedback: ")
 
 
+def test_cli_feedback_without_inputs_exits_2(tmp_path, capsys):
+    with open(scenario_path("feedback_switch_fixed.json"), "r", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    del raw["modes"][0]["B"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert run_cli("simulate", "--config", str(bad), "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == (
+        "omega: modes[0].feedback: mode 'planar': feedback requires input channels\n"
+    )
+
+
 @pytest.mark.parametrize(
     "name, field, value",
     [

@@ -7,15 +7,9 @@ import pytest
 
 from crossdim.analysis import reduce_model
 from crossdim.cdspace import kron_lift, project, stp_add, v_norm
-from crossdim.dkstp import (
-    _bridge,
-    _overlaps,
-    bridge,
-    dk_apply,
-    dk_product,
-    op_vnorm,
-)
-from crossdim.errors import NumericFailure
+from crossdim.config import MAX_SAMPLES, _as_dim
+from crossdim.dkstp import _overlaps, bridge, dk_apply, dk_product, op_vnorm
+from crossdim.errors import ConfigError, NumericFailure
 
 RNG = np.random.default_rng(7)
 
@@ -99,7 +93,7 @@ def test_overlaps_are_cached_and_read_only():
 def test_bridge_allocates_about_its_result():
     # coprime 89 x 97: the Kronecker factors hold 186 * 8633 floats (13 MB),
     # the result 8633 (69 kB)
-    _bridge.cache_clear()
+    _overlaps.cache_clear()
     tracemalloc.start()
     try:
         bridge(89, 97)
@@ -109,11 +103,40 @@ def test_bridge_allocates_about_its_result():
     assert peak < 1_000_000
 
 
-def test_bridge_is_cached_and_read_only():
+def admitted_dims(n):
+    """The dimensions m whose bridge from n config admits; since
+    (n + m) lcm(n, m) >= m^2, none exceeds sqrt(MAX_SAMPLES)."""
+    dims = []
+    for m in range(1, math.isqrt(MAX_SAMPLES) + 1):
+        try:
+            dims.append(_as_dim(m, "m", n))
+        except ConfigError:
+            pass
+    return dims
+
+
+def test_bridges_are_not_retained():
+    # every bridge to and from n = 120 that config admits: kept alive, the
+    # last 256 of them would hold 83 MB; their overlap pieces hold under 3 MB
+    dims = admitted_dims(120)
+    assert len(dims) == 240
+    _overlaps.cache_clear()
+    tracemalloc.start()
+    try:
+        for m in dims:
+            bridge(m, 120)
+            bridge(120, m)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 5_000_000
+
+
+def test_bridges_are_fresh_arrays():
     B = bridge(3, 5)
-    assert bridge(3, 5) is B
-    with pytest.raises(ValueError):
-        B[0, 0] = 1.0
+    ref = B.copy()
+    B[0, 0] = 1.0
+    assert bridge(3, 5).tobytes() == ref.tobytes()
 
 
 def exact_bridge_pinv(m, n):

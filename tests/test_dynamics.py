@@ -29,10 +29,10 @@ from crossdim.dynamics import (
     simulate,
 )
 from crossdim.errors import NumericFailure
-from crossdim.registry import get_field, get_output_function
+from crossdim.registry import get_output_function
 from crossdim.switching import TransitionMap, fixed_signal, make_jump_event, nearest_map
 from rk4_reference import rk4_mode, rk4_system
-from testkit import scenario_path
+from testkit import get_field, scenario_path
 
 RNG = np.random.default_rng(23)
 
@@ -192,6 +192,16 @@ def test_affine_feedback_gain_must_fit_the_mode():
         )
     with pytest.raises(ValueError, match="u0"):
         AffineFeedback([[1.0, 2.0]], [0.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "feedback", [lambda t, x: -5 * x, AffineFeedback([[-5.0]], [0.0])]
+)
+def test_feedback_without_inputs_is_rejected(feedback):
+    # nothing carries such a feedback into the flow, so x' = x would run open
+    # loop to x(1) = e
+    with pytest.raises(ValueError, match="^mode 'm': feedback requires input channels$"):
+        Mode("m", 1, [[1.0]], feedback=feedback)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

@@ -44,6 +44,17 @@ def test_the_tool_counts_the_package_in_the_working_tree():
     assert all(name.startswith("src/crossdim/") for name in counts)
 
 
+def test_the_last_line_totals_the_tests(capsys):
+    assert loc.main(["HEAD"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2].split()[0] == "total"
+    label, old, new, change = lines[-1].split()
+    assert label == "tests"
+    assert int(old) == sum(loc.counts_at("HEAD", "tests").values())
+    assert int(new) == sum(loc.counts_now("tests").values()) > 0
+    assert int(change) == int(new) - int(old)
+
+
 def test_a_revision_git_cannot_read_exits_2_with_gits_message(tmp_path, monkeypatch, capsys):
     assert loc.main(["no/such/revision"]) == 2
     first = capsys.readouterr()

@@ -54,8 +54,8 @@ LAYERS = {
         "trajectory_table",
     },
     "registry": {
-        "get_drift", "get_feedback", "get_field", "get_input_channels",
-        "get_output_function", "get_span_basis", "get_time_signal",
+        "get_drift", "get_feedback", "get_input_channels",
+        "get_output_function", "get_time_signal",
     },
     "switching": {
         "JumpEvent", "SwitchingSignal", "TransitionMap", "add_map",

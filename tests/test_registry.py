@@ -3,11 +3,12 @@ import pytest
 
 from crossdim import registry
 from crossdim.dynamics import AffineFeedback
+from testkit import get_field
 
 
 def test_field_catalog_dims():
     for name in registry.FIELDS:
-        dim, fn = registry.get_field(name)
+        dim, fn = get_field(name)
         out = np.asarray(fn(np.ones(dim)))
         assert out.shape == (dim,), name
         _, drift = registry.get_drift(name)
@@ -17,14 +18,14 @@ def test_field_catalog_dims():
 
 def test_linear_fields_are_matrix_data():
     # ddp_two_mode's drifts and rotor2 are linear: modes built from them take
-    # the exact path, while get_field still serves an evaluator x -> A x
+    # the exact path, while testkit.get_field serves an evaluator x -> A x
     for name in ("rotor2", "ddp2_drift", "ddp3_drift"):
         dim, A = registry.get_drift(name)
         assert isinstance(A, np.ndarray), name
-        _, f = registry.get_field(name)
+        _, f = get_field(name)
         x = np.arange(1.0, dim + 1.0)
         np.testing.assert_array_equal(f(x), A @ x)
-    _, rotor = registry.get_field("rotor2")
+    _, rotor = get_field("rotor2")
     np.testing.assert_array_equal(rotor([1.0, 2.0]), [2.0, -1.0])
 
 
@@ -72,7 +73,7 @@ def test_span_bases_evaluate():
 
 def test_unknown_names_list_alternatives():
     with pytest.raises(ValueError) as err:
-        registry.get_field("warp9")
+        registry.get_drift("warp9")
     assert "rotor2" in str(err.value)
     with pytest.raises(ValueError):
         registry.get_feedback("bang-bang")

@@ -251,6 +251,19 @@ def test_signal_validation():
         fixed_signal(5.0, dwell_pattern=[1.0, -1.0], n_modes=2)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: fixed_signal(1.0, switch_times=[0.5], n_modes=0),
+        lambda: random_signal(1.0, [0.1, 0.2], 1, 0),
+        lambda: fixed_signal(1.0, switch_times=[0.5], n_modes=2, initial_mode=5),
+    ],
+)
+def test_round_robin_needs_a_mode_index(build):
+    with pytest.raises(ValueError, match="initial_mode must be a mode index"):
+        build()
+
+
 def test_a_signal_is_its_schedule():
     sig = fixed_signal(5.0, switch_times=[1.0, 2.5], modes=[1, 0], n_modes=2)
     assert sig == SwitchingSignal(0, (1.0, 2.5), (1, 0), 5.0)

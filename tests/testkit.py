@@ -1,5 +1,6 @@
 """Helpers shared by the test modules: the shipped scenarios, reference
-flows by eigendecomposition, and a time-bounded in-process ``omega`` run."""
+flows by eigendecomposition, registry fields as evaluators, and a
+time-bounded in-process ``omega`` run."""
 
 import signal
 from importlib import resources
@@ -9,6 +10,7 @@ import numpy as np
 from crossdim.analysis import reduce_model
 from crossdim.cli import main
 from crossdim.dkstp import bridge
+from crossdim.registry import get_drift
 
 SCENARIO_DIR = resources.files("crossdim") / "scenarios"
 
@@ -34,6 +36,14 @@ def eig_reduction_error(A, x0, m, times):
     reduced = eig_flows(reduce_model(A, m=m).A_pi, bridge(m, n) @ x0, times)
     lifted = bridge(n, m) @ reduced
     return np.linalg.norm(lifted - full, axis=0) / np.linalg.norm(full, axis=0)
+
+
+def get_field(name: str):
+    """(dim, evaluator) for a named registry field; a linear one maps x to A x."""
+    dim, field = get_drift(name)
+    if callable(field):
+        return dim, field
+    return dim, lambda x: field @ np.asarray(x, dtype=float)
 
 
 def run_bounded(seconds, argv) -> int:

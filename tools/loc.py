@@ -3,11 +3,13 @@
     python3 tools/loc.py [REV]
 
 prints, for every module under src/crossdim, its code lines at the git
-revision REV (default HEAD) and in the working tree, with the change, and
-the total net change last. A code line is a line that holds a token other
-than a comment, and that token is not part of a module, class or function
-docstring as ``ast`` finds them; so blank lines, comment lines and
-docstring prose are not counted, and deleting prose is no code reduction.
+revision REV (default HEAD) and in the working tree, with the change, then
+the package total, and last one ``tests`` line with the total code lines of
+the test modules under tests/, counted the same way. A code line is a line
+that holds a token other than a comment, and that token is not part of a
+module, class or function docstring as ``ast`` finds them; so blank lines,
+comment lines and docstring prose are not counted, and deleting prose is no
+code reduction.
 When git cannot read REV, or the tree is no git checkout, it prints git's
 message and exits 2.
 """
@@ -22,6 +24,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = "src/crossdim"
+TESTS = "tests"
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 _SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
@@ -54,17 +57,17 @@ def _git(*args: str) -> str:
                           check=True).stdout
 
 
-def counts_at(rev: str) -> dict:
-    """Code lines of each module of the package at the revision ``rev``."""
-    names = _git("ls-tree", "-r", "--name-only", rev, "--", PACKAGE).split()
+def counts_at(rev: str, directory: str = PACKAGE) -> dict:
+    """Code lines of each module under ``directory`` at the revision ``rev``."""
+    names = _git("ls-tree", "-r", "--name-only", rev, "--", directory).split()
     return {name: code_lines(_git("show", f"{rev}:{name}")) for name in names
             if name.endswith(".py")}
 
 
-def counts_now() -> dict:
-    """Code lines of each module of the package in the working tree."""
+def counts_now(directory: str = PACKAGE) -> dict:
+    """Code lines of each module under ``directory`` in the working tree."""
     return {path.relative_to(ROOT).as_posix(): code_lines(path.read_text(encoding="utf-8"))
-            for path in sorted((ROOT / PACKAGE).rglob("*.py"))}
+            for path in sorted((ROOT / directory).rglob("*.py"))}
 
 
 def main(argv=None) -> int:
@@ -73,6 +76,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         before = counts_at(args.rev)
+        tests_before = counts_at(args.rev, TESTS)
     except subprocess.CalledProcessError as exc:
         print(exc.stderr.strip().splitlines()[0], file=sys.stderr)
         return 2
@@ -82,8 +86,10 @@ def main(argv=None) -> int:
     for name in sorted({*before, *after}):
         old, new = before.get(name, 0), after.get(name, 0)
         print(f"{name:<{width}} {old:>10} {new:>6} {new - old:>+7}")
-    old, new = sum(before.values()), sum(after.values())
-    print(f"{'total':<{width}} {old:>10} {new:>6} {new - old:>+7}")
+    for label, at_rev, in_tree in (("total", before, after),
+                                   (TESTS, tests_before, counts_now(TESTS))):
+        old, new = sum(at_rev.values()), sum(in_tree.values())
+        print(f"{label:<{width}} {old:>10} {new:>6} {new - old:>+7}")
     return 0
 
 
