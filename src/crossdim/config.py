@@ -96,14 +96,20 @@ class Scenario:
         at ``modes``."""
         n = math.lcm(*(m.dim for m in self.system.modes))
         count = len(self.system.modes) + len(self.system.table)
-        if count * n * n > MAX_EMBED_ENTRIES:
-            _fail("modes", f"common dimension {n}: {count} matrices of {n * n} entries "
-                  f"exceed the budget of {MAX_EMBED_ENTRIES}")
+        _within(count * n * n, MAX_EMBED_ENTRIES, "modes",
+                f"common dimension {n}: {count} matrices of {n * n} entries exceed")
         return n
 
 
 def _fail(path: str, message: str):
     raise ConfigError(f"{path}: {message}")
+
+
+def _within(size, budget: int, path: str, what: str) -> None:
+    """Fail at ``path`` when ``size`` is over ``budget``, as "``what`` the
+    budget of ``budget``": ``what`` names the size and ends in its verb."""
+    if size > budget:
+        _fail(path, f"{what} the budget of {budget}")
 
 
 def _require(raw: dict, key: str, path: str):
@@ -184,8 +190,9 @@ def _as_dim(value, path: str, n: int | None = None) -> int:
     """A dimension m >= 1; with ``n``, one the bridge from n reaches in budget."""
     if _as_int(value, path) < 1:
         _fail(path, "must be >= 1")
-    if n is not None and (n + value) * math.lcm(n, value) > MAX_SAMPLES:
-        _fail(path, f"the bridge from dimension {n} exceeds the budget of {MAX_SAMPLES}")
+    if n is not None:
+        _within((n + value) * math.lcm(n, value), MAX_SAMPLES, path,
+                f"the bridge from dimension {n} exceeds")
     return value
 
 
@@ -269,8 +276,7 @@ def _as_times(times, path: str) -> np.ndarray:
         count = _as_int(times["count"], f"{path}.count")
         if count < 0:
             _fail(f"{path}.count", "must be nonnegative")
-        if count > MAX_SAMPLES:
-            _fail(f"{path}.count", f"{count} samples exceeds the budget of {MAX_SAMPLES}")
+        _within(count, MAX_SAMPLES, f"{path}.count", f"{count} samples exceeds")
         start = _as_number(times["from"], f"{path}.from")
         stop = _as_number(times["to"], f"{path}.to")
         if not math.isfinite(stop - start):  # np.linspace would overflow
@@ -282,15 +288,6 @@ def _as_times(times, path: str) -> np.ndarray:
         _fail(path, "expected a list or an object with from, to, count")
     grid.setflags(write=False)
     return grid
-
-
-def _error_rows(total: int, spec: dict, path: str) -> int:
-    """``total`` plus the rows of the error table of ``spec``'s ``times`` and
-    ``m_values``; a sum above MAX_SAMPLES fails at ``path``."""
-    total += len(spec["times"]) * len(spec["m_values"])
-    if total > MAX_SAMPLES:
-        _fail(path, f"{total} error-table rows exceed the budget of {MAX_SAMPLES}")
-    return total
 
 
 def _build_mode(spec, idx: int) -> Mode:
@@ -342,9 +339,9 @@ def _build_signal(spec, n_modes: int, horizon: float, seed_override) -> Switchin
     if dwells is not None or kind != "fixed":  # random dwells have no default
         dwells = _as_entries(dwells, f"{path}.{key}", partial(_as_number, positive=True))
         # every dwell appends one switch: bound their number before drawing any
-        if horizon / min(dwells) > MAX_SAMPLES:
-            switches = f"horizon/dwell = {horizon / min(dwells):.3g} switches"
-            _fail(f"{path}.{key}", f"{switches} exceeds the budget of {MAX_SAMPLES}")
+        switches = horizon / min(dwells)
+        _within(switches, MAX_SAMPLES, f"{path}.{key}",
+                f"horizon/dwell = {switches:.3g} switches exceeds")
     if kind != "fixed":
         seed = _require(spec, "seed", path) if seed_override is None else seed_override
         if _as_int(seed, f"{path}.seed") < 0:
@@ -430,7 +427,8 @@ def _build_disturbance(spec) -> tuple:
     mu = _as_number(spec.get("mu", 0.0), f"{path}.mu")
     if mu < 0:
         _fail(f"{path}.mu", "must be >= 0")
-    return Disturbance(dim, fn), mu
+    # zero1 is eta = 0, which moves no mode: a run keeps only its mu
+    return (None if name == "zero1" else Disturbance(dim, fn)), mu
 
 
 def _parse_dwell(block, path: str, modes) -> dict:
@@ -456,6 +454,26 @@ def _parse_lattice(block, path: str, modes) -> dict:
     return {"dims": _as_dims(block.get("dims", [m.dim for m in modes]), f"{path}.dims")}
 
 
+def _parse_model(spec, path: str, rows: int) -> tuple:
+    """The fields an ``approx`` case and the ``reduce`` block share: a square
+    ``A``, the dimensions ``m_values`` it reduces to, and ``x0`` with
+    ``times`` (None without them) for an error table.  Returns the fields
+    and ``rows`` plus that table's rows; a sum over MAX_SAMPLES fails."""
+    A = _as_square(spec["A"], f"{path}.A")
+    n = len(A)
+    fields = {"A": A, "m_values": _as_dims(spec["m_values"], f"{path}.m_values", n),
+              "x0": None, "times": None}
+    if ("x0" in spec) != ("times" in spec):  # the error table needs both
+        missing = "times" if "x0" in spec else "x0"
+        _fail(path, f"missing required field {missing!r}: x0 and times come together")
+    if "x0" in spec:
+        fields["x0"] = _as_vector(spec["x0"], f"{path}.x0", n)
+        fields["times"] = _as_times(spec["times"], f"{path}.times")
+        rows += len(fields["times"]) * len(fields["m_values"])
+        _within(rows, MAX_SAMPLES, f"{path}.m_values", f"{rows} error-table rows exceed")
+    return fields, rows
+
+
 def _parse_approx(block, path: str, modes) -> dict:
     _as_object(block, path, optional=("cases",))
     cases, labels, rows = [], set(), 0
@@ -467,37 +485,17 @@ def _parse_approx(block, path: str, modes) -> dict:
         if label in labels:
             _fail(f"{cpath}.label", f"duplicate label {label!r}")
         labels.add(label)
-        A = _as_square(case["A"], f"{cpath}.A")
-        n = len(A)
-        fields = {
-            "label": label,
-            "A": A,
-            "x0": _as_vector(case["x0"], f"{cpath}.x0", n),
-            "m_values": _as_dims(case["m_values"], f"{cpath}.m_values", n),
-            "times": _as_times(case["times"], f"{cpath}.times"),
-        }
-        rows = _error_rows(rows, fields, f"{cpath}.m_values")
-        cases.append(MappingProxyType(fields))
+        fields, rows = _parse_model(case, cpath, rows)
+        cases.append(MappingProxyType({"label": label, **fields}))
     return {"cases": tuple(cases)}
 
 
 def _parse_reduce(block, path: str, modes) -> dict:
     _as_object(block, path, ("A", "m_values"), ("B", "C", "x0", "times"))
-    A = _as_square(block["A"], f"{path}.A")
-    n = len(A)
-    m_values = _as_dims(block["m_values"], f"{path}.m_values", n)
-    out = {"A": A, "m_values": m_values, "B": None, "C": None, "x0": None, "times": None}
-    if "B" in block:
-        out["B"] = _as_matrix(block["B"], n, None, f"{path}.B", "column")
-    if "C" in block:
-        out["C"] = _as_matrix(block["C"], None, n, f"{path}.C", "row")
-    if ("x0" in block) != ("times" in block):  # the error table needs both
-        missing = "times" if "x0" in block else "x0"
-        _fail(path, f"missing required field {missing!r}: x0 and times come together")
-    if "x0" in block:
-        out["x0"] = _as_vector(block["x0"], f"{path}.x0", n)
-        out["times"] = _as_times(block["times"], f"{path}.times")
-        _error_rows(0, out, f"{path}.m_values")
+    out, _ = _parse_model(block, path, 0)
+    n = len(out["A"])
+    out["B"] = _as_matrix(block["B"], n, None, f"{path}.B", "column") if "B" in block else None
+    out["C"] = _as_matrix(block["C"], None, n, f"{path}.C", "row") if "C" in block else None
     return out
 
 
@@ -580,15 +578,14 @@ def _build_scenario(raw, seed, step) -> Scenario:
     horizon = _as_number(_require(raw, "horizon", "top level"), "horizon", positive=True)
     step_val = step if step is not None else _require(raw, "step", "top level")
     step_val = _as_number(step_val, "step", positive=True)
-    if horizon / step_val > MAX_SAMPLES:
-        samples = f"horizon/step = {horizon / step_val:.3g} samples"
-        _fail("step", f"{samples} exceeds the budget of {MAX_SAMPLES}")
+    samples = horizon / step_val
+    _within(samples, MAX_SAMPLES, "step", f"horizon/step = {samples:.3g} samples exceeds")
     signal = _build_signal(_require(raw, "signal", "top level"), len(modes), horizon, seed)
     transitions = _build_transitions(raw.get("transitions", "nearest"), modes, signal)
-    pairs = len(modes) * (len(modes) - 1)
-    if transitions == "nearest" and pairs > MAX_NEAREST_PAIRS:
-        _fail("modes", f"{pairs} ordered pairs of {len(modes)} modes under the nearest rule "
-              f"exceed the budget of {MAX_NEAREST_PAIRS}")
+    if transitions == "nearest":
+        pairs = len(modes) * (len(modes) - 1)
+        _within(pairs, MAX_NEAREST_PAIRS, "modes",
+                f"{pairs} ordered pairs of {len(modes)} modes under the nearest rule exceed")
     x0 = _as_vector(_require(raw, "x0", "top level"), "x0")
     output = _build_output(raw.get("output"))
     disturbance, mu = _build_disturbance(raw.get("disturbance"))

@@ -6,9 +6,9 @@ law, and they alone decide how it moves: simulation integrates the active
 mode on each dwell interval with classical fixed-step RK4 (linear modes
 that are autonomous or closed by affine feedback take an exact
 matrix-exponential path), applies the transition map at every switch into
-another mode, and logs a jump event with gap, direction and impulse
-amplitude.  Impulses are discrete reset records, never numerically
-integrated spikes.
+another mode, and logs a jump event with its gap and impulse amplitude
+(its direction is computed when read).  Impulses are discrete reset
+records, never numerically integrated spikes.
 
 Vector fields of dimension n lift to any multiple k*n so that integral
 curves commute with entry replication; embedding every mode into the lcm
@@ -134,7 +134,7 @@ def expm(A, t: float = 1.0) -> np.ndarray:
 class AffineFeedback:
     """Time-invariant affine state feedback u(t, x) = K x + u0.
 
-    ``K`` is a (k, n) gain and ``u0`` a constant offset of length k.  As
+    ``K`` is a finite (k, n) gain and ``u0`` a finite offset of length k.  As
     data rather than an evaluator it closes a linear mode exactly:
     dx/dt = (A + B K) x + B u0 is again linear (affine), so
     :func:`integrate_mode` propagates it by a matrix exponential.  It is
@@ -153,6 +153,8 @@ class AffineFeedback:
             raise ValueError(
                 f"feedback offset u0 needs {K.shape[0]} entries, got {u0.size}"
             )
+        if not (np.isfinite(K).all() and np.isfinite(u0).all()):
+            raise ValueError("feedback gain K and offset u0 must be finite")
         K.setflags(write=False)
         u0.setflags(write=False)
         object.__setattr__(self, "K", K)
@@ -169,10 +171,10 @@ class Mode:
     ``drift`` is either an (n, n) matrix or an evaluator x -> R^n.
     ``inputs`` is an (n, k) matrix whose columns are the input directions,
     or a sequence of k evaluators x -> R^n for state-dependent channels.
-    ``feedback``, which needs input channels, closes the loop whenever the
-    mode is integrated: an :class:`AffineFeedback` (its gain K must be
-    k x n; with a drift and an input matrix the closed loop is propagated
-    exactly) or any evaluator (t, x) -> R^k (integrated with RK4).
+    ``feedback``, which needs at least one input channel, closes the loop
+    whenever the mode is integrated: an :class:`AffineFeedback` (its gain K
+    must be k x n; with a drift and an input matrix the closed loop is
+    propagated exactly) or any evaluator (t, x) -> R^k (integrated with RK4).
     """
 
     label: str
@@ -203,7 +205,7 @@ class Mode:
                 )
             B.setflags(write=False)
             object.__setattr__(self, "inputs", B)
-        if self.feedback is not None and self.inputs is None:
+        if self.feedback is not None and not self.n_inputs:
             raise ValueError(f"mode {self.label!r}: feedback requires input channels")
         if isinstance(self.feedback, AffineFeedback):
             shape = (self.n_inputs, self.dim)
@@ -255,7 +257,7 @@ class OutputMap:
 
     Linear maps apply H through the bridge matrix (so states of any active
     dimension are accepted); function maps apply h to the projection of the
-    state onto dimension q.
+    state onto dimension q, which must be >= 1.
     """
 
     q: int
@@ -263,6 +265,10 @@ class OutputMap:
     func: object = None
     #: h takes k states at once, as a (q, k) array (see :meth:`_from_columns`)
     _columns: bool = field(default=False, init=False, repr=False)
+
+    def __post_init__(self):
+        if self.q < 1:
+            raise ValueError(f"output dimension q must be >= 1, got {self.q}")
 
     @classmethod
     def from_matrix(cls, H) -> "OutputMap":
@@ -422,9 +428,10 @@ def _mode_rhs(mode: Mode, disturbance):
     """Assemble dx/dt = f(x + eta) + inputs * feedback for one mode.
 
     A disturbance eta of foreign dimension enters the drift f through its
-    projection onto the mode dimension; for a matrix drift this is the
-    dimension-keeping product A (x + eta) in the lcm dimension.  The zero
-    fast path keeps eta == 0 bit-identical to no disturbance at all.
+    projection onto the mode dimension, by one bridge built here; for a
+    matrix drift this is the dimension-keeping product A (x + eta) in the
+    lcm dimension.  The zero fast path keeps eta == 0 bit-identical to no
+    disturbance at all; a non-finite eta raises ``ValueError``.
     """
     n = mode.dim
     if mode.is_linear:
@@ -434,12 +441,14 @@ def _mode_rhs(mode: Mode, disturbance):
     if disturbance is None:
         drift = lambda t, x: f(x)
     else:
+        P = None if disturbance.dim == n else bridge(n, disturbance.dim)
 
         def drift(t, x):
             eta = disturbance(t)
             if not eta.any():
                 return f(x)
-            return f(x + project(eta, n))
+            eta = as_entries(eta)  # a non-finite eta raises ValueError
+            return f(x + (eta if P is None else P @ eta))
 
     control = mode.feedback
     if control is None:

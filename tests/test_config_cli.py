@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from crossdim.cdspace import project, v_dist, v_norm
-from crossdim import cli
+from crossdim import cli, dynamics
 from crossdim.cli import main
 from crossdim.config import (
     MAX_EMBED_ENTRIES, MAX_NEAREST_PAIRS, load_scenario, normalize_config, validate_config,
@@ -1067,7 +1067,8 @@ def test_cli_array_leaves_that_are_not_numbers_exit_2(
         tmp_path, capsys, field, path, kind, depth, leaf):
     # the one type pass of 1-d and 2-d lists hands every bad leaf to the
     # full walk, so the message is the walk's at every depth
-    raw = json.loads(open(scenario_path("two_mode_contraction.json"), encoding="utf-8").read())
+    with open(scenario_path("two_mode_contraction.json"), "r", encoding="utf-8") as fh:
+        raw = json.load(fh)
     holder = raw
     for key in field[:-1]:
         holder = holder[key]
@@ -1231,6 +1232,29 @@ def test_cli_infinite_impulse_amplitude_names_the_switch_time(tmp_path, capsys, 
         "omega: numeric failure: jump impulse amplitude overflowed (operation=jump, t=7.2)\n"
     )
     assert not any(out.iterdir())
+
+
+def test_a_zero1_disturbance_runs_the_undisturbed_path(tmp_path, monkeypatch):
+    # eta = 0 moves no mode: the run keeps its exact flows, and mu, which
+    # scales the impulse amplitudes, is all the block sets
+    work = []
+    real = dynamics._expm_stack
+    monkeypatch.setattr(dynamics, "_expm_stack",
+                        lambda A, ts: work.append(len(ts)) or real(A, ts))
+    block = {"eta": "zero1", "mu": 0.5}
+    with open(scenario_path("two_mode_contraction.json"), "r", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    system = validate_config({**raw, "disturbance": block}).system
+    assert system.disturbance is None and system.impulse_scale == 0.5
+    runs = []
+    for edit in (lambda raw: None, lambda raw: raw.update(disturbance=block)):
+        work.clear()
+        out = tmp_path / f"run{len(runs)}"
+        config = _edited(tmp_path, "two_mode_contraction.json", edit)
+        assert run_cli("simulate", "--config", config, "--out", str(out)) == 0
+        runs.append(((out / "trajectory.csv").read_bytes(), list(work)))
+    assert runs[0][1]
+    assert runs[1] == runs[0]
 
 
 def test_cli_diverging_rk4_run_is_a_numeric_failure(tmp_path, capsys):
@@ -1497,6 +1521,73 @@ def test_nearest_rule_pairs_are_bounded_before_the_table(tmp_path, capsys):
             "omega: modes: 4160 ordered pairs of 65 modes under the nearest rule exceed "
             f"the budget of {MAX_NEAREST_PAIRS}")
         assert not out.exists()
+
+
+def _long_horizon(past, signal=None):
+    """minimal_config over 1e6 time units at step 0.5, exactly the sample
+    budget, or, with ``past``, half a step longer; ``signal`` replaces its
+    signal."""
+    def mutate(raw):
+        raw.update(horizon=1_000_000.5 if past else 1e6, step=0.5)
+        if signal is not None:
+            raw["signal"] = signal
+    return mutate
+
+
+def _one_case(count):
+    """The first approx case of reduction_sweep alone, reduced to m = 9 only,
+    at ``count`` times."""
+    def mutate(raw):
+        case = raw["experiment"]["approx"]["cases"][0]
+        case.update(m_values=[9], times={**case["times"], "count": count})
+        raw["experiment"]["approx"]["cases"] = [case]
+    return mutate
+
+
+def _projection(m):
+    """One vectors op projecting a vector of dimension 1000 onto dimension m."""
+    op = {"op": "project", "x": [1.0] * 1000, "m": m}
+    return lambda raw: raw["experiment"].update(vectors={"ops": [op]})
+
+
+def _reduce_count(count):
+    return lambda raw: raw["experiment"]["reduce"]["times"].update(count=count)
+
+
+@pytest.mark.parametrize("name, at_bound, past, message", [
+    (None, _long_horizon(False), _long_horizon(True),
+     "step: horizon/step = 2e+06 samples exceeds the budget of 2000000"),
+    # 2e6 dwells of 0.5 (a random signal would draw them for about 4 s)
+    (None, _long_horizon(False, {"kind": "fixed", "dwell_pattern": [0.5]}),
+     _long_horizon(False, {"kind": "fixed", "dwell_pattern": [0.5, 0.49999995]}),
+     "signal.dwell_pattern: horizon/dwell = 2e+06 switches exceeds the budget of 2000000"),
+    ("reduction_sweep.json", _one_case(2_000_000), _one_case(2_000_001),
+     "experiment.approx.cases[0].times.count: 2000001 samples exceeds the budget of 2000000"),
+    # (1000 + 1000) lcm(1000, 1000) is the budget; m = 1001 is far past it
+    ("reduction_sweep.json", _projection(1000), _projection(1001),
+     "experiment.vectors.ops[0].m: the bridge from dimension 1000 exceeds the budget of "
+     "2000000"),
+    # 10 reduced dimensions over the three approx cases
+    ("reduction_sweep.json", _approx_counts(200_000), _approx_counts(200_001),
+     "experiment.approx.cases[2].m_values: 2000010 error-table rows exceed the budget of "
+     "2000000"),
+    ("reduction_sweep.json", _reduce_count(1_000_000), _reduce_count(1_000_001),
+     "experiment.reduce.m_values: 2000002 error-table rows exceed the budget of 2000000"),
+], ids=["samples", "switches", "times.count", "bridge", "approx rows", "reduce rows"])
+def test_each_budget_admits_its_bound_and_no_more(name, at_bound, past, message):
+    # the embed and nearest-pair budgets are checked at their bounds above
+    for mutate, admitted in ((at_bound, True), (past, False)):
+        raw = minimal_config()
+        if name is not None:
+            with open(scenario_path(name), "r", encoding="utf-8") as fh:
+                raw = json.load(fh)
+        mutate(raw)
+        if admitted:
+            validate_config(raw)
+            continue
+        with pytest.raises(ConfigError) as caught:
+            validate_config(raw)
+        assert str(caught.value) == message
 
 
 def test_explicit_rule_maps_only_the_pairs_it_declares(tmp_path):

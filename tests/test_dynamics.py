@@ -9,7 +9,7 @@ import scipy.linalg
 
 from crossdim.analysis import aggregate_run, approx_error, reduce_model
 from crossdim.cdspace import kron_lift, project, v_dist
-from crossdim import dynamics, registry
+from crossdim import cdspace, dynamics, registry
 from crossdim.config import load_scenario
 from crossdim.dkstp import bridge, op_vnorm
 from crossdim.dynamics import (
@@ -195,13 +195,29 @@ def test_affine_feedback_gain_must_fit_the_mode():
 
 
 @pytest.mark.parametrize(
-    "feedback", [lambda t, x: -5 * x, AffineFeedback([[-5.0]], [0.0])]
+    "feedback, inputs", [(lambda t, x: -5 * x, None), (AffineFeedback([[-5.0]], [0.0]), None),
+                         (lambda t, x: -5 * x, ())],
+    ids=["<lambda>", "feedback1", "empty_channels"],
 )
-def test_feedback_without_inputs_is_rejected(feedback):
+def test_feedback_without_inputs_is_rejected(feedback, inputs):
     # nothing carries such a feedback into the flow, so x' = x would run open
-    # loop to x(1) = e
+    # loop to x(1) = e; an empty channel sequence carries nothing either
     with pytest.raises(ValueError, match="^mode 'm': feedback requires input channels$"):
-        Mode("m", 1, [[1.0]], feedback=feedback)
+        Mode("m", 1, [[1.0]], inputs=inputs, feedback=feedback)
+
+
+@pytest.mark.parametrize("K, u0", [([[math.inf]], [0.0]), ([[-1.0]], [math.nan])])
+def test_affine_feedback_must_be_finite(K, u0):
+    # a non-finite law is bad input, not a closed loop that overflowed
+    with pytest.raises(ValueError, match="^feedback gain K and offset u0 must be finite$"):
+        AffineFeedback(K, u0)
+
+
+@pytest.mark.parametrize("build", [lambda: OutputMap.from_matrix([]),
+                                   lambda: OutputMap.from_function(lambda x: x, 0)])
+def test_output_map_needs_a_positive_dimension(build):
+    with pytest.raises(ValueError, match="^output dimension q must be >= 1, got 0$"):
+        build()
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -936,6 +952,43 @@ def test_simulate_disturbance_of_foreign_dim():
     traj = simulate(replace(system, disturbance=noisy), signal, [1.0, 2.0], 1e-2)
     base = simulate(rk4_system(system), signal, [1.0, 2.0], 1e-2)
     assert v_dist(traj.final_state, base.final_state) > 0
+
+
+def _rk4_projecting_each_stage(A, eta, x0, times):
+    """RK4 of dx/dt = A (x + project(eta(t), n)) on ``times``, projecting
+    eta afresh at every stage, with the arithmetic of ``integrate_mode``."""
+    rhs = lambda t, x: A @ (x + project(eta(t), len(x))) if eta(t).any() else A @ x
+    x, grid, states = np.asarray(x0, dtype=float), times.tolist(), [x0]
+    for k in range(1, len(grid)):
+        t, h = grid[k - 1], grid[k] - grid[k - 1]
+        k1 = rhs(t, x)
+        k2 = rhs(t + h / 2, x + (h / 2) * k1)
+        k3 = rhs(t + h / 2, x + (h / 2) * k2)
+        k4 = rhs(t + h, x + h * k3)
+        x = x + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        states.append(x)
+    return np.array(states)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_a_segment_builds_at_most_one_bridge_for_its_disturbance(monkeypatch, dim):
+    built = []
+    real = dynamics.bridge
+    spy = lambda n, p: built.append((n, p)) or real(n, p)
+    monkeypatch.setattr(dynamics, "bridge", spy)
+    monkeypatch.setattr(cdspace, "bridge", spy)
+    eta = Disturbance(dim, lambda t: np.array([math.sin(t), 0.5, -0.25][:dim]))
+    seg = integrate_mode(Mode("m", 2, CONTRACT_A1), [1.0, 2.0], 0.0, 1.05, 0.1, eta)
+    assert built == ([(2, 3)] if dim == 3 else [])
+    np.testing.assert_array_equal(
+        seg.states, _rk4_projecting_each_stage(CONTRACT_A1, eta, [1.0, 2.0], seg.times))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_a_non_finite_disturbance_raises_value_error(dim):
+    eta = Disturbance(dim, lambda t: np.full(dim, math.nan if t > 0.25 else 0.0))
+    with pytest.raises(ValueError, match="^vector entries must be finite$"):
+        integrate_mode(Mode("m", 2, CONTRACT_A1), [1.0, 2.0], 0.0, 1.0, 0.1, eta)
 
 
 def test_simulate_checks_the_rule_before_integrating(monkeypatch):
